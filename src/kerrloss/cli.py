@@ -103,8 +103,8 @@ def _initial_state(spec_text: str, trunc: Truncation) -> FockState:
 
 def _parse_times(text: str) -> list[float]:
     times = [float(s) for s in text.split(",") if s.strip()]
-    if not times or any(t < 0 for t in times):
-        raise ValueError("times must be a comma list of non-negative numbers")
+    if not times or any(not np.isfinite(t) or t < 0 for t in times):
+        raise ValueError("times must be a comma list of finite non-negative numbers")
     return times
 
 
@@ -351,13 +351,10 @@ def cmd_noise(settings: dict) -> int:
     params = _params(settings)
     trunc = Truncation(int(settings["nmax"]))
     initial = _initial_state(settings["initial"], trunc)
-    run = noise.run_noise(
-        params,
-        initial,
-        float(settings["t"]),
-        J_max=float(settings["J_max"]),
-        N_J=int(settings["N_J"]),
-    )
+    t, J_max = float(settings["t"]), float(settings["J_max"])
+    if not (np.isfinite(t) and t >= 0 and np.isfinite(J_max) and J_max > 0):
+        raise ValueError("--t must be finite and non-negative, --J-max finite and positive")
+    run = noise.run_noise(params, initial, t, J_max=J_max, N_J=int(settings["N_J"]))
     header = f"# config_hash={config_hash(settings)}\n"
     out = settings["out"]
     _write(os.path.join(out, "noise.json"), "", run.to_json() + "\n")

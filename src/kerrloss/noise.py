@@ -2,10 +2,16 @@
 
 A constant source of strength J tilts the generator to L + i(J/2) V^o with
 V = a + a†, and the trace of the tilted evolution is the characteristic
-function Z(J) of the time-integrated noise variable x.  P(x) follows by an
-inverse Fourier quadrature; moments and cumulants come from derivatives of
-Z at J = 0 and are cross-checked against nested time-ordered quadrature of
-multi-time V^o correlators.
+function Z(J) of the time-integrated noise variable x.  The statistics of x
+come by four routes that the tests compare:
+
+- exact cumulants from one block-triangular exponential whose blocks are
+  the Dyson orders of Z at J = 0 (:func:`cumulant_trace`);
+- finite differences of Z at J = 0 (:func:`fd_moments`);
+- moments of P(x), reconstructed from Z on a J grid by inverse Fourier
+  quadrature (:func:`run_noise`);
+- nested time-ordered quadrature of multi-time V^o correlators
+  (:func:`moment_by_correlator_quadrature`).
 """
 
 from __future__ import annotations
@@ -42,9 +48,11 @@ Z_TAIL_TOL = 1e-6
 Z_CONJ_TOL = 1e-10
 P_REALNESS_TOL = 1e-8
 P_NORM_TOL = 1e-6
-#: default 9-point finite-difference steps, largest first; the middle one
-#: carries the reported value, neighbours feed the agreement check
-FD_STEPS = (3e-2, 1e-2, 3e-3)
+#: cutoff weight, relative to the largest entry, above which a state counts
+#: as truncated
+TOP_TOL = 1e-6
+#: highest Dyson order of Z at J = 0 that cumulant_trace carries (kappa_1..4)
+CUMULANT_ORDER = 4
 
 
 class TruncationError(RuntimeError):
@@ -101,7 +109,7 @@ def xi_evolve(
     initial: FockState,
     config: IntegratorConfig | None = None,
     backend: str = "auto",
-    top_tol: float = 1e-6,
+    top_tol: float = TOP_TOL,
 ) -> FockState:
     """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial.
 
@@ -124,16 +132,20 @@ def xi_evolve(
     else:
         raise ValueError("backend must be 'auto', 'eig', 'expm' or 'ode'")
     if top_tol is not None:
-        scale = max(np.max(np.abs(out.entries)), 1e-300)
-        edge = max(np.max(np.abs(out.entries[-1, :])), np.max(np.abs(out.entries[:, -1])))
-        # once xi has decayed to rounding noise its edge weight is meaningless
-        # and contributes nothing to Z, so only gate at observable magnitude
-        if edge > top_tol * scale and scale > 1e-9:
-            raise TruncationError(
-                f"cutoff weight {edge / scale:.3e} exceeds {top_tol:.1e} "
-                f"at n_max={initial.n_max}, J={J}, t={t}"
-            )
+        _gate_cutoff_weight(out.entries, top_tol, f"at n_max={initial.n_max}, J={J}, t={t}")
     return out
+
+
+def _gate_cutoff_weight(entries: np.ndarray, top_tol: float, where: str) -> None:
+    """Raise TruncationError if the top row/column carries more than top_tol."""
+    scale = max(np.max(np.abs(entries)), 1e-300)
+    edge = max(np.max(np.abs(entries[-1, :])), np.max(np.abs(entries[:, -1])))
+    # once xi has decayed to rounding noise its edge weight is meaningless
+    # and contributes nothing to Z, so only gate at observable magnitude
+    if edge > top_tol * scale and scale > 1e-9:
+        raise TruncationError(
+            f"cutoff weight {edge / scale:.3e} exceeds {top_tol:.1e} {where}"
+        )
 
 
 def symmetric_J_grid(J_max: float, N_J: int) -> np.ndarray:
@@ -243,65 +255,69 @@ def cumulants_from_moments(m: np.ndarray) -> np.ndarray:
     return np.array([k1, k2, k3, k4])
 
 
-def cumulant_trace(
-    params: ModelParams,
-    initial: FockState,
-    time_samples,
-    config: IntegratorConfig | None = None,
-    steps=FD_STEPS,
-    n_points: int = 9,
-) -> list[dict]:
-    """Cumulants kappa_1..kappa_4 and excess kurtosis along a time grid.
+def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> list[dict]:
+    """Exact cumulants kappa_1..kappa_4 and excess kurtosis along a time grid.
 
-    Each stencil source strength is evolved once through the increasing
-    time samples (segment by segment), so the cost scales with the largest
-    time rather than the number of samples.  The reported value uses the
-    middle step of the sweep; ``step_agreement`` is the relative spread of
-    kappa_4 across neighbouring steps.
+    The n-th J-derivative of Z at 0 is an n-fold time-ordered Dyson integral
+    of W X = V X + X V between free evolutions.  All orders up to q = 4 are
+    blocks of one exponential of the block upper-bidiagonal generator
+    M = [[L, W, 0..], [0, L, W..], ..] (Van Loan): with rho0 in block q,
+    block q - n of e^{Mt} rho0 holds the order-n integral, and
+    m_n = (n!/2^n) tr[block q - n].  The stacked vector is carried from one
+    time sample to the next by one exponential action per segment.
+
+    L never raises the photon number and keeps the coherence label
+    m = n1 - n2; each W raises or lowers one side by one and moves m by one;
+    the trace reads m = 0.  A path from a state on levels <= n0 that lifts
+    one side above n0 + q/2 has spent more than q/2 insertions and left |m|
+    too large to return to 0 with the rest, so the run on the cutoff
+    min(n_max, n0 + q/2) is exact.  When that cutoff is n_max itself, every
+    order block passes the cutoff-weight gate of :func:`xi_evolve` at every
+    sample.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     time_samples = list(time_samples)
     if any(t < 0 for t in time_samples) or sorted(time_samples) != time_samples:
         raise ValueError("time samples must be non-negative and increasing")
-    half = n_points // 2
-    # traces[step][j] = [Z(j*step, t) for t in time_samples], j = 0..half
-    traces: dict[float, np.ndarray] = {}
-    for h in steps:
-        rows = np.empty((half + 1, len(time_samples)), dtype=complex)
-        for j in range(half + 1):
-            state = initial.copy()
-            prev = 0.0
-            for col, t in enumerate(time_samples):
-                state = xi_evolve(params, j * h, t - prev, state, config)
-                rows[j, col] = state.trace()
-                prev = t
-        traces[h] = rows
+    q = CUMULANT_ORDER
+    occupied = initial.entries != 0
+    levels = np.flatnonzero(occupied.any(axis=0) | occupied.any(axis=1))
+    reach = (int(levels[-1]) if levels.size else 0) + q // 2
+    gated = reach > initial.n_max
+    d = min(reach, initial.n_max) + 1
+    L = full_generator(params, Truncation(d - 1)).sparse_matrix()
+    lift = np.sqrt(np.arange(1.0, d))
+    V = sp.diags([lift, lift], [-1, 1], format="csr", dtype=complex)
+    eye = sp.identity(d, dtype=complex, format="csr")
+    # row-major vec: V X -> kron(V, 1), X V -> kron(1, V^T), and V^T = V
+    W = sp.kron(V, eye) + sp.kron(eye, V)
+    M = sp.bmat(
+        [[L if j == i else W if j == i + 1 else None for j in range(q + 1)]
+         for i in range(q + 1)],
+        format="csr",
+    )
+    vec = np.zeros((q + 1) * d * d, dtype=complex)
+    vec[q * d * d :] = initial.entries[:d, :d].ravel()
+    weights = np.array([math.factorial(n) / 2.0**n for n in range(1, q + 1)])
     out = []
-    for col, t in enumerate(time_samples):
-        per_step = []
-        for h in steps:
-            rows = traces[h]
-
-            def z_of_J(Jv, rows=rows, h=h, col=col):
-                j = round(Jv / h)
-                return rows[abs(j), col] if j >= 0 else np.conj(rows[abs(j), col])
-
-            m = fd_moments(z_of_J, h, n_points)
-            per_step.append(cumulants_from_moments(m))
-        mid = len(steps) // 2
-        kappa = per_step[mid]
-        spreads = [
-            abs(per_step[i][3] - per_step[i + 1][3]) for i in range(len(steps) - 1)
-        ]
-        agreement = max(spreads) / max(abs(kappa[3]), 1e-6) if spreads else 0.0
+    prev = 0.0
+    for t in time_samples:
+        if t > prev:
+            vec = spla.expm_multiply(M * (t - prev), vec)
+        prev = t
+        blocks = vec.reshape(q + 1, d, d)
+        if gated:
+            for n in range(q + 1):
+                _gate_cutoff_weight(
+                    blocks[q - n], TOP_TOL, f"in order {n} at n_max={initial.n_max}, t={t}"
+                )
+        # block q - n holds order n, so orders 1..q are blocks q-1..0
+        orders = np.trace(blocks, axis1=1, axis2=2).real[q - 1 :: -1]
+        kappa = cumulants_from_moments(weights * orders)
         kurt = kappa[3] / kappa[1] ** 2 if kappa[1] > 1e-12 else 0.0
-        out.append(
-            {
-                "t": t,
-                "cumulants": kappa,
-                "excess_kurtosis": float(kurt),
-                "step_agreement": float(agreement),
-            }
-        )
+        out.append({"t": t, "cumulants": kappa, "excess_kurtosis": float(kurt)})
     return out
 
 
@@ -332,11 +348,9 @@ def moment_by_correlator_quadrature(
     raise ValueError("quadrature oracle implemented for n in {1, 2}")
 
 
-def extensivity_ratio(
-    params: ModelParams, initial: FockState, t: float, step: float = 1e-2
-) -> float:
-    """var(2t)/var(t): the long-time linear growth check of the variance."""
-    out = cumulant_trace(params, initial, [t, 2 * t], steps=(step,), n_points=5)
+def extensivity_ratio(params: ModelParams, initial: FockState, t: float) -> float:
+    """var(2t)/var(t): the long-time linear growth check of the exact variance."""
+    out = cumulant_trace(params, initial, [t, 2 * t])
     return float(out[1]["cumulants"][1] / out[0]["cumulants"][1])
 
 
@@ -352,7 +366,7 @@ class NoiseRun:
     Z_values: np.ndarray = field(default=None)
     P_values: np.ndarray = field(default=None)
     moments: np.ndarray = field(default=None)    # n = 1..6, from P
-    cumulants: np.ndarray = field(default=None)  # n = 1..4, from Z at J=0
+    cumulants: np.ndarray = field(default=None)  # n = 1..4, exact (cumulant_trace)
 
     @property
     def excess_kurtosis(self) -> float:
@@ -402,7 +416,6 @@ def run_noise(
     J_max: float = 8.0,
     N_J: int = 257,
     config: IntegratorConfig | None = None,
-    fd_step: float = 1e-2,
     max_doublings: int = 3,
 ) -> NoiseRun:
     """Full pipeline: Z on the grid, P by inverse Fourier, moments, cumulants.
@@ -423,7 +436,7 @@ def run_noise(
         N_J = 2 * N_J - 1
     x_grid, Pv = probability_density(Z, J_grid)
     moments = moments_from_grid(x_grid, Pv, range(1, 7))
-    trace = cumulant_trace(params, initial, [t], config, steps=(fd_step,), n_points=9)
+    trace = cumulant_trace(params, initial, [t])
     return NoiseRun(
         params=params,
         initial=initial,

@@ -63,6 +63,8 @@ class ModelParams:
     allow_unitary: bool = False
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.omega, self.U, self.kappa1, self.kappa2)):
+            raise ValueError("model parameters must be finite")
         if self.kappa1 < 0 or self.kappa2 < 0:
             raise ValueError("loss rates must be non-negative")
         if self.kappa1 == 0 and self.kappa2 == 0 and not self.allow_unitary:

@@ -264,9 +264,9 @@ def test_criterion_10_kurtosis_phenomenology():
         assert np.trapezoid(run.P_values, run.x_grid) == pytest.approx(1.0, abs=1e-6)
         mP = run.moments
         kurt_P = (mP[3] - 3 * mP[1] ** 2) / mP[1] ** 2
-        # the two routes (grid moments of P vs finite differences of Z)
-        # share no code below the generating function; agreement is limited
-        # by the fourth-derivative stencil noise
+        # the two routes (grid moments of P vs the exact block-triangular
+        # exponential) share only GeneratorAction; agreement is
+        # limited by the J and x grids
         assert kurt_P == pytest.approx(run.excess_kurtosis, abs=1e-3)
     print(
         f"\n[criterion 10] phenomenology: linear max |kurt| = {lin_worst:.2e} (< 0.05); "

@@ -62,6 +62,16 @@ def test_bad_initial_state_is_validation_error(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+def test_non_finite_input_is_validation_error(tmp_path):
+    out = str(tmp_path / "nonfinite")
+    assert run(["spectrum", "--omega", "nan", "--out", out]) == cli.EXIT_VALIDATION
+    assert run(["evolve", "--times", "nan,inf", "--out", out]) == cli.EXIT_VALIDATION
+    assert run(["noise", "--t", "nan", "--out", out]) == cli.EXIT_VALIDATION
+    assert run(["noise", "--J-max", "inf", "--out", out]) == cli.EXIT_VALIDATION
+    # a negative time is bad input, not a gate failure of a backward evolution
+    assert run(["noise", "--t", "-1", "--out", out]) == cli.EXIT_VALIDATION
+
+
 def test_evolve_with_oracle_and_heisenberg(tmp_path):
     out = str(tmp_path / "ev")
     code = run(

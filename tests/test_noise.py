@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.noise import (
@@ -19,10 +22,11 @@ from kerrloss.noise import (
     symmetric_J_grid,
     xi_evolve,
 )
-from kerrloss.superops import ModelParams
+from kerrloss.superops import GeneratorAction, ModelParams
 
 NONLINEAR = ModelParams(1.0, 0.0, 1.0, 10.0)
 LINEAR = ModelParams(1.0, 0.0, 1.0, 0.0)
+GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
 
 
 def vacuum(n_max):
@@ -145,8 +149,8 @@ def test_cumulant_trace_matches_single_runs():
 
         m = fd_moments(z, 1e-2)
         k = cumulants_from_moments(m)
-        # rounding-level Z differences between the segmented and one-shot
-        # evolutions are amplified by 1/h^4 in the fourth cumulant
+        # the one-shot finite differences carry rounding-level Z noise
+        # amplified by 1/h^4 in the fourth cumulant
         assert np.max(np.abs(k - rec["cumulants"])) < 1e-5
     with pytest.raises(ValueError):
         cumulant_trace(NONLINEAR, vac, [2.0, 0.5])
@@ -206,7 +210,6 @@ def test_truncation_stability_of_cumulants():
     # raising the cutoff must not move the converged nonlinear cumulants
     a = cumulant_trace(NONLINEAR, vacuum(14), [1.0])[0]["cumulants"]
     b = cumulant_trace(NONLINEAR, vacuum(22), [1.0])[0]["cumulants"]
-    # finite-difference noise floors the comparison around 1e-4 for kappa_4
     assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-3
 
 
@@ -217,3 +220,69 @@ def test_linear_case_is_gaussian():
     for rec in trace:
         assert abs(rec["excess_kurtosis"]) < 1e-4
         assert rec["cumulants"][1] > 0
+
+
+def test_exact_vacuum_variance():
+    # from the vacuum only block m = +-1, k = 0 is visited; its eigenvalue
+    # lam = -i omega - kappa1/2 has no U or kappa2 term, so
+    # var x(t) = 2 Re (e^{lam t} - 1 - lam t) / lam^2 for both channels
+    times = [0.5, 2.0, 10.0]
+    for params, n_max in ((LINEAR, 40), (NONLINEAR, 14)):
+        lam = -1j * params.omega - 0.5 * params.kappa1
+        trace = cumulant_trace(params, vacuum(n_max), times)
+        for rec in trace:
+            t = rec["t"]
+            exact = 2.0 * ((np.exp(lam * t) - 1.0 - lam * t) / lam**2).real
+            assert rec["cumulants"][1] == pytest.approx(exact, rel=1e-10)
+
+
+def _seeded_state(n_max, top_level, seed):
+    rng = np.random.default_rng(seed)
+    size = top_level + 1
+    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    rho = g @ g.conj().T
+    entries = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    entries[:size, :size] = rho / np.trace(rho)
+    return FockState(entries)
+
+
+def _full_space_cumulants(params, initial, t, q=4):
+    # the untilted generator and W = V^o from two generator builds (drive 0
+    # and 1), stacked into the block upper-bidiagonal generator at the full
+    # cutoff and exponentiated densely
+    trunc = initial.truncation
+    L = GeneratorAction(params, trunc).sparse_matrix().toarray()
+    W = GeneratorAction(params, trunc, drive=1.0).sparse_matrix().toarray() - L
+    D = L.shape[0]
+    M = np.zeros(((q + 1) * D, (q + 1) * D), dtype=complex)
+    for i in range(q + 1):
+        M[i * D : (i + 1) * D, i * D : (i + 1) * D] = L
+        if i < q:
+            M[i * D : (i + 1) * D, (i + 1) * D : (i + 2) * D] = W
+    vec = np.zeros((q + 1) * D, dtype=complex)
+    vec[q * D :] = initial.entries.ravel()
+    blocks = (sla.expm(M * t) @ vec).reshape(q + 1, trunc.dim, trunc.dim)
+    moments = [
+        math.factorial(n) / 2.0**n * np.trace(blocks[q - n]).real for n in range(1, q + 1)
+    ]
+    return cumulants_from_moments(np.array(moments))
+
+
+def test_reachable_level_restriction_is_exact():
+    # a state on levels <= 3 at n_max = 9 runs at cutoff 5 inside
+    # cumulant_trace; the full 10-level space must give the same cumulants
+    initial = _seeded_state(9, 3, seed=2024)
+    times = [0.5, 2.0]
+    for params in (LINEAR, NONLINEAR, GENERIC):
+        trace = cumulant_trace(params, initial, times)
+        for rec in trace:
+            ref = _full_space_cumulants(params, initial, rec["t"])
+            np.testing.assert_allclose(rec["cumulants"], ref, rtol=1e-12, atol=0)
+
+
+def test_cumulant_trace_truncation_gate():
+    # a coherent state reaches the cutoff, so no reachable-level restriction
+    # applies and the cutoff-weight gate still fires
+    coherent = FockState.coherent(Truncation(6), 2.0)
+    with pytest.raises(TruncationError):
+        cumulant_trace(LINEAR, coherent, [0.5])

@@ -29,6 +29,14 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(1.0, 0.5, 0.0, 0.0)
     ModelParams(1.0, 0.5, 0.0, 0.0, allow_unitary=True)
+    for bad in (
+        (float("nan"), 0.0, 1.0, 1.0),
+        (1.0, float("inf"), 1.0, 1.0),
+        (1.0, 0.0, float("nan"), 1.0),
+        (1.0, 0.0, 1.0, float("inf")),
+    ):
+        with pytest.raises(ValueError):
+            ModelParams(*bad, allow_unitary=True)
 
 
 def test_annihilation_algebra():
