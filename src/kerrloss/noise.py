@@ -119,6 +119,8 @@ def xi_evolve(
     systems and expm otherwise.  The cutoff row/column weight is gated
     against ``top_tol`` relative to the largest entry.
     """
+    if t < 0:
+        raise ValueError("evolution time must be non-negative")
     drive = 0.5j * J
     if backend == "auto":
         backend = "eig" if (params.kappa2 > 0 and initial.truncation.dim <= 33) else "expm"
@@ -287,12 +289,9 @@ def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> lis
     reach = (int(levels[-1]) if levels.size else 0) + q // 2
     gated = reach > initial.n_max
     d = min(reach, initial.n_max) + 1
-    L = full_generator(params, Truncation(d - 1)).sparse_matrix()
-    lift = np.sqrt(np.arange(1.0, d))
-    V = sp.diags([lift, lift], [-1, 1], format="csr", dtype=complex)
-    eye = sp.identity(d, dtype=complex, format="csr")
-    # row-major vec: V X -> kron(V, 1), X V -> kron(1, V^T), and V^T = V
-    W = sp.kron(V, eye) + sp.kron(eye, V)
+    action = full_generator(params, Truncation(d - 1))
+    L = action.sparse_matrix()
+    W = action.source_matrix()
     M = sp.bmat(
         [[L if j == i else W if j == i + 1 else None for j in range(q + 1)]
          for i in range(q + 1)],

@@ -237,16 +237,23 @@ class GeneratorAction:
     def apply_state(self, state: FockState) -> FockState:
         return FockState(self.apply(state.entries))
 
+    def _left(self, op) -> sp.csr_matrix:
+        """X -> op X in the row-major vectorization."""
+        eye = sp.identity(self.trunc.dim, dtype=complex, format="csr")
+        return sp.kron(sp.csr_matrix(op), eye, format="csr")
+
+    def _right(self, op) -> sp.csr_matrix:
+        """X -> X op in the row-major vectorization."""
+        eye = sp.identity(self.trunc.dim, dtype=complex, format="csr")
+        return sp.kron(eye, sp.csr_matrix(np.asarray(op).T), format="csr")
+
+    def source_matrix(self) -> sp.csr_matrix:
+        """Vectorized V^o X = V X + X V, the operator the drive multiplies."""
+        return (self._left(self.V) + self._right(self.V)).tocsr()
+
     def sparse_matrix(self) -> sp.csr_matrix:
-        d = self.trunc.dim
-        eye = sp.identity(d, dtype=complex, format="csr")
         p = self.params
-
-        def left(op):
-            return sp.kron(sp.csr_matrix(op), eye, format="csr")
-
-        def right(op):
-            return sp.kron(eye, sp.csr_matrix(np.asarray(op).T), format="csr")
+        left, right = self._left, self._right
 
         def sandwich(op):
             return sp.kron(sp.csr_matrix(op), sp.csr_matrix(np.asarray(op).conj()), format="csr")
@@ -260,7 +267,7 @@ class GeneratorAction:
         if p.kappa2:
             mat = mat + p.kappa2 * (sandwich(self.a2) - 0.5 * (left(NN) + right(NN)))
         if self.drive:
-            mat = mat + self.drive * (left(self.V) + right(self.V))
+            mat = mat + self.drive * self.source_matrix()
         return mat.tocsr()
 
 

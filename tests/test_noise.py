@@ -51,6 +51,10 @@ def test_xi_evolve_backends_agree():
             assert np.max(np.abs(out.entries - ref.entries)) < 1e-8, backend
     with pytest.raises(ValueError):
         xi_evolve(NONLINEAR, 1.0, 0.5, vac, backend="magic")
+    # every backend, the eig one included, refuses to evolve backward
+    for backend in ("auto", "eig", "expm", "ode"):
+        with pytest.raises(ValueError):
+            xi_evolve(NONLINEAR, 1.0, -0.5, vac, backend=backend)
 
 
 def test_xi_evolve_truncation_gate():
@@ -70,6 +74,8 @@ def test_generating_function_basics():
     assert np.all(np.abs(Z) <= 1.0 + 1e-10)
     with pytest.raises(ValueError):
         generating_function(NONLINEAR, vac, 0.5, np.linspace(0.0, 4.0, 9))
+    with pytest.raises(ValueError):
+        generating_function(NONLINEAR, vac, -0.5, grid)
 
 
 def test_probability_t0_is_delta():
@@ -286,3 +292,30 @@ def test_cumulant_trace_truncation_gate():
     coherent = FockState.coherent(Truncation(6), 2.0)
     with pytest.raises(TruncationError):
         cumulant_trace(LINEAR, coherent, [0.5])
+
+
+def test_cutoff_reaching_cumulants():
+    # a coherent state occupies every level, so cumulant_trace runs at the
+    # full cutoff and gates every order block; at alpha = 1 the top levels
+    # carry too little weight to trip the gate or move the cumulants
+    times = [0.5, 2.0]
+    traces = {}
+    for n_max in (10, 16):
+        initial = FockState.coherent(Truncation(n_max), 1.0)
+        traces[n_max] = cumulant_trace(NONLINEAR, initial, times)
+        for rec in traces[n_max]:
+            def z(J, t=rec["t"], initial=initial):
+                zz = xi_evolve(NONLINEAR, abs(J), t, initial).trace()
+                return zz if J >= 0 else np.conj(zz)
+
+            k = cumulants_from_moments(fd_moments(z, 2e-2))
+            scale = np.maximum(1.0, np.abs(k))
+            assert np.max(np.abs(k - rec["cumulants"]) / scale) < 1e-5
+    for a, b in zip(traces[10], traces[16]):
+        dev = np.abs(a["cumulants"] - b["cumulants"]) / np.maximum(1.0, np.abs(a["cumulants"]))
+        assert np.max(dev) < 1e-6
+    # at n_max = 10 the gated run is the dense full-space block exponential
+    initial = FockState.coherent(Truncation(10), 1.0)
+    for rec in traces[10]:
+        ref = _full_space_cumulants(NONLINEAR, initial, rec["t"])
+        np.testing.assert_allclose(rec["cumulants"], ref, rtol=1e-10, atol=0)

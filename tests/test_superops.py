@@ -82,6 +82,11 @@ def test_generator_matches_sparse_matrix():
         direct = action.apply(X)
         via_sparse = (action.sparse_matrix() @ X.ravel()).reshape(8, 8)
         assert np.max(np.abs(direct - via_sparse)) < 1e-12 * np.max(np.abs(direct))
+    # the source superoperator V^o X = V X + X V in the same vectorization
+    action = GeneratorAction(GENERIC, tr)
+    direct = action.V @ X + X @ action.V
+    via_sparse = (action.source_matrix() @ X.ravel()).reshape(8, 8)
+    assert np.max(np.abs(direct - via_sparse)) < 1e-12 * np.max(np.abs(direct))
 
 
 def test_generator_batch_broadcast():
