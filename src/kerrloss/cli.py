@@ -402,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="generating function, P(x), cumulants")
     common(p)
+    # at n_max = 12 the default run trips the cutoff gate (edge weight
+    # 1.04e-6 at J = 5.25); at 14 its largest edge weight is 8.2e-7
+    p.set_defaults(nmax=14)
     p.add_argument("--t", type=float, default=2.0)
     p.add_argument("--initial", type=str, default="vacuum")
     p.add_argument("--J-max", dest="J_max", type=float, default=8.0)

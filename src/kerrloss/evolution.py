@@ -134,12 +134,6 @@ def spectral_propagate(decomp: SpectralDecomposition, initial: FockState, t: flo
     return state
 
 
-def expansion_coefficient(decomp: SpectralDecomposition, initial: FockState, m: int, k: int) -> complex:
-    """b_k^(m) = <<bar rho_k^(m) | rho(0)>>."""
-    blocks = to_blocks(initial)
-    return complex(decomp.Lmat[m].entries[k, :] @ blocks[m].coeffs)
-
-
 def heisenberg_phi(
     params: ModelParams,
     observable: FockState,

@@ -25,12 +25,14 @@ from numpy.polynomial import polynomial as P
 
 from .fockbasis import FockState, Truncation
 from .oracle import IntegratorConfig, expm_propagate, multi_time_correlator, ode_propagate
-from .superops import ModelParams, full_generator
+from .superops import InternalConsistencyError, ModelParams, full_generator
 
 __all__ = [
     "NoiseRun",
     "TruncationError",
     "GridAdequacyError",
+    "RealForm",
+    "real_form",
     "xi_evolve",
     "generating_function",
     "default_x_grid",
@@ -63,43 +65,98 @@ class GridAdequacyError(RuntimeError):
     """A J- or x-grid gate failed; results would be quadrature artifacts."""
 
 
-_EIG_CACHE: dict[tuple, tuple] = {}
+@dataclass(frozen=True)
+class RealForm:
+    """The tilted generator made real: S^-1 (L + i(J/2) W) S = G_L + J G_W.
+
+    ``S`` (sparse CSR, unitary) is the phase change i^(n1+n2) of entry
+    (n1, n2) followed by an orthonormal Hermitian basis in row-major
+    positions; ``G_L`` and ``G_W`` are dense and real.
+    """
+
+    S: object
+    G_L: np.ndarray
+    G_W: np.ndarray
 
 
-def _eig_propagate(params: ModelParams, initial: FockState, t: float, drive: complex) -> FockState:
-    """Propagation through a full dense eigendecomposition of the tilted generator.
+#: imaginary residue of the real form, relative to its largest entry, above
+#: which the basis change counts as broken
+REAL_FORM_TOL = 1e-12
 
-    Setup cost is per (params, n_max, drive) and cached, after which any t is
-    a diagonal exponential; this is what makes the stiff kappa2 t >> 1 grid
-    runs affordable.  Each fresh decomposition is checked against one short
-    Taylor-stepped propagation before being trusted.
+
+def real_form(params: ModelParams, trunc: Truncation) -> RealForm:
+    """Real form of the tilted generator on one truncation.
+
+    After the phase change every drive, jump and anticommutator coefficient
+    is real and only the Hamiltonian diagonal -i(H_n1 - H_n2) stays
+    imaginary; that part is odd under transposition, so the generator maps
+    Hermitian matrices to Hermitian matrices.  Column (i, j) of the basis is
+    |i><i| for i = j, (|i><j| + |j><i|)/sqrt2 for i < j and
+    i(|j><i| - |i><j|)/sqrt2 for i > j, so in it the generator is real.
+    """
+    import scipy.sparse as sp
+
+    d = trunc.dim
+    pos = np.arange(d * d)
+    i, j = np.divmod(pos, d)
+    phase = np.array([1, 1j, -1, -1j])[(i + j) % 4]
+    r = 1 / np.sqrt(2)
+    # column p holds Q[p, p] and, off the diagonal, Q[transpose(p), p]
+    own = np.where(i == j, 1, np.where(i < j, r, -1j * r))
+    off = i != j
+    mirror = (j * d + i)[off]
+    rows = np.concatenate([pos, mirror])
+    cols = np.concatenate([pos, pos[off]])
+    vals = np.concatenate([own, np.where(i < j, r, 1j * r)[off]]) * phase[rows]
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    action = full_generator(params, trunc)
+    Sh = S.conj().T.tocsr()
+    G_L = (Sh @ action.sparse_matrix() @ S).toarray()
+    G_W = (Sh @ (0.5j * action.source_matrix()) @ S).toarray()
+    scale = max(1.0, np.max(np.abs(G_L)), np.max(np.abs(G_W)))
+    residue = max(np.max(np.abs(G_L.imag)), np.max(np.abs(G_W.imag)))
+    if residue > REAL_FORM_TOL * scale:
+        raise InternalConsistencyError(
+            f"tilted generator not real in the Hermitian basis (residue {residue:.3e})"
+        )
+    return RealForm(S, G_L.real.copy(), G_W.real.copy())
+
+
+def _eig_propagate(
+    params: ModelParams, initial: FockState, t: float, J: float, form: RealForm
+) -> FockState:
+    """Propagation through the eigendecomposition of the real G_L + J G_W.
+
+    xi(t) = S V e^{Lambda t} V^-1 S^-1 xi(0); a real eigenproblem is about
+    2.4x cheaper than the complex one.  The decomposition is checked against
+    one short sparse-exponential propagation before it is trusted.
     """
     import scipy.linalg as sla
 
-    from .oracle import _cached_sparse
-    from .superops import InternalConsistencyError
-
-    trunc = initial.truncation
-    key = (params.omega, params.U, params.kappa1, params.kappa2, trunc.n_max, drive)
-    if key not in _EIG_CACHE:
-        if len(_EIG_CACHE) > 64:
-            _EIG_CACHE.clear()
-        mat = _cached_sparse(params, trunc, drive)
-        lam, V = sla.eig(mat.toarray())
-        lu = sla.lu_factor(V)
-        t_check = 0.05 / (1.0 + params.kappa1 + params.kappa2 + abs(drive))
-        vec0 = initial.entries.ravel().astype(complex)
-        via_eig = V @ (np.exp(lam * t_check) * sla.lu_solve(lu, vec0))
-        via_expm = expm_propagate(params, initial, t_check, drive=drive).entries.ravel()
-        dev = np.max(np.abs(via_eig - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
-        if dev > 1e-8:
-            raise InternalConsistencyError(
-                f"tilted-generator eigendecomposition unreliable (dev {dev:.3e})"
-            )
-        _EIG_CACHE[key] = (lam, V, lu)
-    lam, V, lu = _EIG_CACHE[key]
-    vec = V @ (np.exp(lam * t) * sla.lu_solve(lu, initial.entries.ravel().astype(complex)))
+    S = form.S
+    lam, V = sla.eig(form.G_L + J * form.G_W)
+    lu = sla.lu_factor(V)
+    # S is unitary, so S^-1 = S^H
+    c = sla.lu_solve(lu, S.conj().T @ initial.entries.ravel().astype(complex))
+    drive = 0.5j * J
+    t_check = 0.05 / (1.0 + params.kappa1 + params.kappa2 + abs(drive))
+    via_eig = S @ (V @ (np.exp(lam * t_check) * c))
+    via_expm = expm_propagate(params, initial, t_check, drive=drive).entries.ravel()
+    dev = np.max(np.abs(via_eig - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
+    if dev > 1e-8:
+        raise InternalConsistencyError(
+            f"tilted-generator eigendecomposition unreliable (dev {dev:.3e})"
+        )
+    vec = S @ (V @ (np.exp(lam * t) * c))
     return FockState(vec.reshape(initial.entries.shape))
+
+
+def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> str:
+    if backend == "auto":
+        return "eig" if (params.kappa2 > 0 and trunc.dim <= 33) else "expm"
+    if backend not in ("eig", "expm", "ode"):
+        raise ValueError("backend must be 'auto', 'eig', 'expm' or 'ode'")
+    return backend
 
 
 def xi_evolve(
@@ -110,29 +167,32 @@ def xi_evolve(
     config: IntegratorConfig | None = None,
     backend: str = "auto",
     top_tol: float = TOP_TOL,
+    form: RealForm | None = None,
 ) -> FockState:
     """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial.
 
-    Backends: "eig" (cached dense eigendecomposition, best for stiff
-    two-body-loss runs), "expm" (Taylor-stepped sparse exponential), "ode"
-    (the adaptive reference integrator); "auto" picks eig for small stiff
-    systems and expm otherwise.  The cutoff row/column weight is gated
-    against ``top_tol`` relative to the largest entry.
+    Backends: "eig" (dense eigendecomposition of the real form
+    G_L + J G_W of the tilted generator, see :func:`real_form`; best for
+    stiff two-body-loss runs), "expm" (Taylor-stepped sparse exponential),
+    "ode" (the adaptive reference integrator); "auto" picks eig for small
+    stiff systems and expm otherwise.  ``form`` lets a caller that evolves
+    many J on one truncation build the real form once.  The cutoff
+    row/column weight is gated against ``top_tol`` relative to the largest
+    entry.
     """
     if t < 0:
         raise ValueError("evolution time must be non-negative")
     drive = 0.5j * J
-    if backend == "auto":
-        backend = "eig" if (params.kappa2 > 0 and initial.truncation.dim <= 33) else "expm"
+    backend = _resolve_backend(params, initial.truncation, backend)
     if backend == "eig":
-        out = _eig_propagate(params, initial, t, drive)
+        if form is None:
+            form = real_form(params, initial.truncation)
+        out = _eig_propagate(params, initial, t, J, form)
     elif backend == "expm":
         out = expm_propagate(params, initial, t, drive=drive)
-    elif backend == "ode":
+    else:
         action = full_generator(params, initial.truncation, drive=drive)
         out = ode_propagate(action, initial, t, config)
-    else:
-        raise ValueError("backend must be 'auto', 'eig', 'expm' or 'ode'")
     if top_tol is not None:
         _gate_cutoff_weight(out.entries, top_tol, f"at n_max={initial.n_max}, J={J}, t={t}")
     return out
@@ -163,15 +223,25 @@ def generating_function(
     J_grid: np.ndarray,
     config: IntegratorConfig | None = None,
     backend: str = "auto",
+    known: dict[float, complex] | None = None,
 ) -> np.ndarray:
-    """Z(J) = tr xi(t) over a symmetric grid; the J < 0 half is conj-mirrored."""
+    """Z(J) = tr xi(t) over a symmetric grid; the J < 0 half is conj-mirrored.
+
+    ``known`` maps J to Z(J) already evaluated for the same params, initial
+    state and t; those nodes are reused and the new ones are added to it.
+    """
     J_grid = np.asarray(J_grid, dtype=float)
     if np.max(np.abs(J_grid + J_grid[::-1])) > 1e-12 or not np.any(J_grid == 0):
         raise ValueError("J grid must be symmetric about and include 0")
     half = J_grid[J_grid >= 0]
-    Z_half = np.array(
-        [xi_evolve(params, J, t, initial, config, backend).trace() for J in half]
-    )
+    known = {} if known is None else known
+    missing = [J for J in half if J not in known]
+    form = None
+    if missing and _resolve_backend(params, initial.truncation, backend) == "eig":
+        form = real_form(params, initial.truncation)
+    for J in missing:
+        known[J] = xi_evolve(params, J, t, initial, config, backend, form=form).trace()
+    Z_half = np.array([known[J] for J in half])
     Z = np.empty(len(J_grid), dtype=complex)
     n_neg = len(J_grid) - len(half)
     Z[n_neg:] = Z_half
@@ -420,11 +490,13 @@ def run_noise(
     """Full pipeline: Z on the grid, P by inverse Fourier, moments, cumulants.
 
     If the tail gate |Z(J_max)| < Z_TAIL_TOL fails, J_max and N_J are doubled
-    (keeping the J resolution) up to ``max_doublings`` times.
+    (keeping the J resolution) up to ``max_doublings`` times.  The doubled
+    grid carries the previous nodes bit for bit, so each J is evaluated once.
     """
+    J_grid = symmetric_J_grid(J_max, N_J)
+    known: dict[float, complex] = {}
     for attempt in range(max_doublings + 1):
-        J_grid = symmetric_J_grid(J_max, N_J)
-        Z = generating_function(params, initial, t, J_grid, config)
+        Z = generating_function(params, initial, t, J_grid, config, known=known)
         if max(abs(Z[0]), abs(Z[-1])) < Z_TAIL_TOL:
             break
         if attempt == max_doublings:
@@ -432,7 +504,11 @@ def run_noise(
                 f"|Z(J_max)| = {abs(Z[-1]):.3e} after {max_doublings} doublings"
             )
         J_max *= 2
-        N_J = 2 * N_J - 1
+        inner, N_J = J_grid, 2 * N_J - 1
+        J_grid = symmetric_J_grid(J_max, N_J)
+        # linspace rounds the old nodes differently on the wider grid
+        offset = (len(inner) - 1) // 2
+        J_grid[offset : offset + len(inner)] = inner
     x_grid, Pv = probability_density(Z, J_grid)
     moments = moments_from_grid(x_grid, Pv, range(1, 7))
     trace = cumulant_trace(params, initial, [t])

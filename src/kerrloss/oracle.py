@@ -212,16 +212,23 @@ def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
     return out
 
 
-_SPARSE_CACHE: dict[tuple, sp.csr_matrix] = {}
+_SPARSE_CACHE: dict[tuple, tuple[sp.csr_matrix, sp.csr_matrix]] = {}
 
 
 def _cached_sparse(params: ModelParams, trunc: Truncation, drive: complex) -> sp.csr_matrix:
-    key = (params.omega, params.U, params.kappa1, params.kappa2, trunc.n_max, drive)
+    """L + drive W^o from the (L, W^o) pair cached per (params, n_max).
+
+    The sum is the one ``GeneratorAction.sparse_matrix`` forms for a drive,
+    so a new drive costs one sparse addition and no generator build.
+    """
+    key = (params.omega, params.U, params.kappa1, params.kappa2, trunc.n_max)
     if key not in _SPARSE_CACHE:
         if len(_SPARSE_CACHE) > 64:
             _SPARSE_CACHE.clear()
-        _SPARSE_CACHE[key] = full_generator(params, trunc, drive).sparse_matrix()
-    return _SPARSE_CACHE[key]
+        action = full_generator(params, trunc)
+        _SPARSE_CACHE[key] = (action.sparse_matrix(), action.source_matrix())
+    L, W = _SPARSE_CACHE[key]
+    return (L + drive * W).tocsr() if drive else L
 
 
 def expm_propagate(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fockbasis import BlockVector, FockState, Truncation, from_blocks, phi_indices, to_blocks
+from .fockbasis import BlockVector, FockState, Truncation, phi_indices
 
 __all__ = [
     "ModelParams",
@@ -395,9 +395,3 @@ def block_matrix_csv(blocks: list[BlockMatrix]) -> str:
             buf.write(f"{blk.m},{r},{c},{v.real:.17g},{v.imag:.17g}\n")
     return buf.getvalue()
 
-
-def blocks_apply(blocks_mats: dict[int, np.ndarray], state: FockState) -> FockState:
-    """Apply per-block matrices to a state via the block decomposition."""
-    blocks = to_blocks(state)
-    out = {m: BlockVector(m, blocks_mats[m] @ v.coeffs) for m, v in blocks.items()}
-    return from_blocks(out, state.truncation)

@@ -145,6 +145,11 @@ def test_noise_command_outputs(tmp_path):
     assert read(out + "/P.csv").splitlines()[1] == "x,P"
 
 
+def test_noise_defaults_pass_the_gates(tmp_path):
+    out = str(tmp_path / "defaults")
+    assert run(["noise", "--out", out]) == cli.EXIT_OK
+
+
 def test_noise_truncation_gate_exit_code(tmp_path):
     out = str(tmp_path / "gate")
     code = run(

@@ -18,11 +18,12 @@ from kerrloss.noise import (
     moment_by_correlator_quadrature,
     moments_from_grid,
     probability_density,
+    real_form,
     run_noise,
     symmetric_J_grid,
     xi_evolve,
 )
-from kerrloss.superops import GeneratorAction, ModelParams
+from kerrloss.superops import GeneratorAction, ModelParams, full_generator
 
 NONLINEAR = ModelParams(1.0, 0.0, 1.0, 10.0)
 LINEAR = ModelParams(1.0, 0.0, 1.0, 0.0)
@@ -63,6 +64,29 @@ def test_xi_evolve_truncation_gate():
         xi_evolve(LINEAR, 6.0, 1.0, vacuum(3), backend="expm")
     # same run passes with the gate disabled
     xi_evolve(LINEAR, 6.0, 1.0, vacuum(3), backend="expm", top_tol=None)
+
+
+def test_real_form_is_exact():
+    # S (G_L + J G_W) S^-1 is the tilted generator L + i(J/2) V^o, with
+    # G_L and G_W real; a coherent state with complex alpha gives a complex,
+    # asymmetric Z, on which the eig backend must match the sparse exponential
+    rng = np.random.default_rng(314)
+    for params in (LINEAR, NONLINEAR, GENERIC):
+        for n_max in (5, 9):
+            trunc = Truncation(n_max)
+            form = real_form(params, trunc)
+            assert form.G_L.dtype == form.G_W.dtype == np.float64
+            S = form.S.toarray()
+            X = rng.normal(size=(trunc.dim,) * 2) + 1j * rng.normal(size=(trunc.dim,) * 2)
+            coherent = FockState.coherent(trunc, 0.6 + 0.3j)
+            for J in (0.0, 1.5, 6.0):
+                ref = full_generator(params, trunc, 0.5j * J).apply(X).ravel()
+                got = S @ ((form.G_L + J * form.G_W) @ np.linalg.solve(S, X.ravel()))
+                assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+                for t in (0.5, 5.0):
+                    a = xi_evolve(params, J, t, coherent, backend="eig", top_tol=None)
+                    b = xi_evolve(params, J, t, coherent, backend="expm", top_tol=None)
+                    assert np.max(np.abs(a.entries - b.entries)) < 1e-10, (params, n_max, J, t)
 
 
 def test_generating_function_basics():
@@ -210,6 +234,27 @@ def test_run_noise_adaptive_doubling():
     assert abs(run.Z_values[-1]) < 1e-6
     with pytest.raises(GridAdequacyError):
         run_noise(NONLINEAR, vacuum(14), 2.0, J_max=8.0, N_J=129, max_doublings=0)
+
+
+def test_run_noise_evaluates_each_J_once(monkeypatch):
+    # a grid whose step is not a binary fraction doubles twice; every node
+    # of the final grid is evolved once and matches a fresh evaluation
+    import kerrloss.noise as noise_module
+
+    evolved = []
+    one_shot = noise_module.xi_evolve
+
+    def counting(params, J, *args, **kwargs):
+        evolved.append(J)
+        return one_shot(params, J, *args, **kwargs)
+
+    monkeypatch.setattr(noise_module, "xi_evolve", counting)
+    run = run_noise(NONLINEAR, vacuum(10), 5.0, J_max=4.7, N_J=39)
+    monkeypatch.undo()
+    assert len(run.J_grid) > 2 * 39 - 1
+    assert len(evolved) == len(set(evolved)) == np.count_nonzero(run.J_grid >= 0)
+    fresh = generating_function(NONLINEAR, vacuum(10), 5.0, run.J_grid)
+    np.testing.assert_allclose(run.Z_values, fresh, rtol=0, atol=1e-14)
 
 
 def test_truncation_stability_of_cumulants():
