@@ -1,10 +1,15 @@
 """Exact time evolution from the spectral solution.
 
-Two equivalent routes are provided: propagation by the closed-form
-propagator coefficients G_{r,k}^(m)(t) in the phi basis (kappa2 > 0), and
-spectral propagation through an assembled eigendecomposition.  At
-kappa2 = 0 the x-parameters are singular and the G route dispatches to the
-spectral one built from the Gaussian-limit eigenvectors.
+Two equivalent routes are provided: the closed-form propagator in the phi
+basis (kappa2 > 0), and spectral propagation through an assembled
+eigendecomposition.  The closed form holds one factorization per block,
+T_m(t) = R_m e^{Lambda_m t} L_m, with double-precision eigenvectors built
+from the terminating 2F1 sums of the propagator coefficients
+G_{r,k}^(m)(t); propagation, the Heisenberg picture and the a-factor rows
+are products with it.  The scalar double sum :func:`g_coefficient` stays as
+the paper's formula that checks the factorization.  At kappa2 = 0 the
+x-parameters are singular and the closed form dispatches to the spectral
+route built from the Gaussian-limit eigenvectors.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .fockbasis import BlockVector, FockState, Truncation, from_blocks, to_blocks
 from .spectral import SpectralDecomposition, decompose, eigenvalue, x_parameter
-from .specfun import hyp2f1_terminating, sqrt_binom
+from .specfun import double_factorial, hyp2f1_terminating, sqrt_binom
 from .superops import ModelParams
 
 __all__ = [
@@ -66,33 +71,55 @@ def g_coefficient(
 
 
 class PropagatorCoefficients:
-    """Lazy per-(m, k, r, t) cache of G values for repeated propagations."""
+    """Per-block factorization T_m(t) = R_m e^{Lambda_m t} L_m of the propagator.
+
+    Column k of R_m and row k of L_m are the right and left eigenvectors of
+    mode (m, k), scaled so that (R_m e^{Lambda_m t} L_m)[k, q] is
+    sqrt_binom(q+|m|, k+|m|) sqrt_binom(q, k) G_{q-k,k}^(m)(t) term by term.
+    Their entries are the terminating 2F1 sums at argument 2 inside
+    :func:`g_coefficient`.  Each block is built on first use and kept, so
+    memory depends on n_max only, not on the number of times asked for.
+    """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
         if params.kappa2 <= 0:
             raise ValueError("G coefficients require kappa2 > 0")
         self.params = params
         self.truncation = trunc
-        self._cache: dict[tuple, complex] = {}
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def g(self, m: int, k: int, r: int, t: float) -> complex:
-        key = (m, k, r, t)
-        if key not in self._cache:
-            self._cache[key] = g_coefficient(self.params, m, k, r, t)
-        return self._cache[key]
+    def factors(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda, R, L) of block m, built in double precision on first use."""
+        if m not in self._factors:
+            p = self.params
+            eta = p.kappa1 / p.kappa2
+            size = self.truncation.block_size(m)
+            am = abs(m)
+            lam = np.array([eigenvalue(p, m, k) for k in range(size)], dtype=complex)
+            R = np.zeros((size, size), dtype=complex)
+            L = np.zeros((size, size), dtype=complex)
+            for k in range(size):
+                x = x_parameter(p, m, k)
+                for j in range(k + 1):
+                    R[j, k] = (
+                        (-1) ** (k - j)
+                        * sqrt_binom(k, j)
+                        * sqrt_binom(k + am, j + am)
+                        * hyp2f1_terminating(k - j, 1 - x, 2 - 2 * x - eta, 2.0)
+                    )
+                for q in range(k, size):
+                    L[k, q] = (
+                        sqrt_binom(q, k)
+                        * sqrt_binom(q + am, k + am)
+                        * hyp2f1_terminating(q - k, x, 2 * x + eta, 2.0)
+                    )
+            self._factors[m] = (lam, R, L)
+        return self._factors[m]
 
     def block_matrix(self, m: int, t: float) -> np.ndarray:
         """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m."""
-        size = self.truncation.block_size(m)
-        am = abs(m)
-        T = np.zeros((size, size), dtype=complex)
-        for k in range(size):
-            for q in range(k, size):
-                r = q - k
-                T[k, q] = (
-                    sqrt_binom(am + q, am + k) * sqrt_binom(q, k) * self.g(m, k, r, t)
-                )
-        return T
+        lam, R, L = self.factors(m)
+        return (R * np.exp(lam * t)) @ L
 
 
 def propagate_phi(
@@ -140,7 +167,10 @@ def heisenberg_phi(
     t: float,
     coeffs: PropagatorCoefficients | None = None,
 ) -> FockState:
-    """Heisenberg-picture operator O^H(t) = e^{L'^dag t} O in the phi basis."""
+    """Heisenberg-picture operator O^H(t) = e^{L'^dag t} O in the phi basis.
+
+    Block m of O^H(t) is block_matrix(-m, t)^T applied to block m of O.
+    """
     if t < 0:
         raise ValueError("t must be non-negative")
     trunc = observable.truncation
@@ -149,22 +179,9 @@ def heisenberg_phi(
     if coeffs is None:
         coeffs = PropagatorCoefficients(params, trunc)
     blocks = to_blocks(observable)
-    out = {}
-    for m, v in blocks.items():
-        size = trunc.block_size(m)
-        am = abs(m)
-        new = np.zeros(size, dtype=complex)
-        for k in range(size):
-            acc = 0.0 + 0j
-            for q in range(k + 1):
-                acc += (
-                    sqrt_binom(am + k, am + q)
-                    * sqrt_binom(k, q)
-                    * coeffs.g(-m, q, k - q, t)
-                    * v.coeffs[q]
-                )
-            new[k] = acc
-        out[m] = BlockVector(m, new)
+    out = {
+        m: BlockVector(m, coeffs.block_matrix(-m, t).T @ v.coeffs) for m, v in blocks.items()
+    }
     state = from_blocks(out, trunc)
     state.hermitian = observable.hermitian
     return state
@@ -189,10 +206,14 @@ def heisenberg_a_factor(
     params: ModelParams, trunc: Truncation, k: int, t: float,
     coeffs: PropagatorCoefficients | None = None,
 ) -> complex:
-    """Row-k scaling of a^H(t): sum_q binom(k, q) G_{k-q,q}^(1)(t)."""
+    """Row-k scaling of a^H(t): sum_q binom(k, q) G_{k-q,q}^(1)(t).
+
+    binom(k, q) G = sqrt((q+1)/(k+1)) T_1[q, k] with T_1 the block-1 propagator.
+    """
     if coeffs is None:
         coeffs = PropagatorCoefficients(params, trunc)
-    return sum(math.comb(k, q) * coeffs.g(1, q, k - q, t) for q in range(k + 1))
+    q = np.arange(k + 1)
+    return complex(np.sqrt((q + 1) / (k + 1)) @ coeffs.block_matrix(1, t)[q, k])
 
 
 def simaan_g(m: int, k: int, r: int, t: float, kappa2: float) -> complex:
@@ -204,7 +225,7 @@ def simaan_g(m: int, k: int, r: int, t: float, kappa2: float) -> complex:
     """
     if m < 0:
         raise ValueError("the reference formula is stated for m >= 0")
-    prefactor = _double_factorial(2 * r - 1) / 2**r
+    prefactor = double_factorial(2 * r - 1) / 2**r
     total = 0.0 + 0j
     for j in range(r + 1):
         kk = k + 2 * j
@@ -219,9 +240,3 @@ def simaan_g(m: int, k: int, r: int, t: float, kappa2: float) -> complex:
             denom *= z0 + q
         total += (-1) ** j * math.comb(r, j) * np.exp(mu * t) / denom
     return prefactor * total
-
-
-def _double_factorial(n: int) -> float:
-    from .specfun import double_factorial
-
-    return double_factorial(n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "to_blocks",
     "from_blocks",
     "coherent_phi_component",
-    "block_index_pairs",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -178,16 +177,15 @@ def coherent_ket(trunc: Truncation, alpha: complex) -> np.ndarray:
 
 
 def to_blocks(state: FockState) -> dict[int, BlockVector]:
-    """Decompose a FockState over the phi basis, one BlockVector per m."""
+    """Decompose a FockState over the phi basis, one BlockVector per m.
+
+    Block m is the diagonal (k + max(m, 0), k + max(-m, 0)) of the matrix.
+    """
     trunc = state.truncation
     blocks: dict[int, BlockVector] = {}
     for m in trunc.blocks():
-        size = trunc.block_size(m)
-        coeffs = np.empty(size, dtype=complex)
-        for k in range(size):
-            n1, n2 = phi_indices(m, k)
-            coeffs[k] = state.entries[n1, n2]
-        blocks[m] = BlockVector(m, coeffs)
+        k = np.arange(trunc.block_size(m))
+        blocks[m] = BlockVector(m, state.entries[k + max(m, 0), k + max(-m, 0)])
     return blocks
 
 
@@ -207,9 +205,8 @@ def from_blocks(blocks: dict[int, BlockVector], trunc: Truncation | None = None)
                 f"block m={m} has {len(block.coeffs)} coefficients, "
                 f"expected {trunc.block_size(m)} for n_max={trunc.n_max}"
             )
-        for k, c in enumerate(block.coeffs):
-            n1, n2 = phi_indices(m, k)
-            entries[n1, n2] = c
+        k = np.arange(len(block.coeffs))
+        entries[k + max(m, 0), k + max(-m, 0)] = block.coeffs
     return FockState(entries)
 
 
@@ -226,10 +223,3 @@ def coherent_phi_component(alpha: complex, m: int, k: int, trunc: Truncation) ->
     log_mag = (n1 + n2) * math.log(abs(alpha)) - 0.5 * (log_factorial(n1) + log_factorial(n2))
     phase = np.exp(1j * np.angle(alpha) * (n1 - n2))
     return math.exp(-abs(alpha) ** 2 + log_mag) * phase
-
-
-def block_index_pairs(trunc: Truncation):
-    """Iterate all (m, k) pairs of the truncated phi basis."""
-    for m in trunc.blocks():
-        for k in range(trunc.block_size(m)):
-            yield m, k

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
@@ -30,7 +31,6 @@ __all__ = [
     "IntegratorConfig",
     "triangular_eigendecomp",
     "ode_propagate",
-    "matrix_exponential",
     "expm_propagate",
     "multi_time_correlator",
     "right_residual",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEGENERATE_PIVOT_TOL = 1e-10
-MAX_EXPM_DIM = 2500
 
 
 class StiffnessError(RuntimeError):
@@ -188,30 +187,6 @@ def _rk4_propagate(
     return FockState(X)
 
 
-def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{M t} by scaling and squaring with a truncated Taylor series."""
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > MAX_EXPM_DIM:
-        raise ValueError(f"dimension {n} exceeds the {MAX_EXPM_DIM} guard")
-    A = M * t
-    norm = np.linalg.norm(A, 1)
-    s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    B = A / (2**s)
-    out = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for j in range(1, 40):
-        term = term @ B / j
-        out += term
-        if np.max(np.abs(term)) < 1e-18 * max(1.0, np.max(np.abs(out))):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 _SPARSE_CACHE: dict[tuple, tuple[sp.csr_matrix, sp.csr_matrix]] = {}
 
 
@@ -284,7 +259,7 @@ def _assert_trace_invariance(params: ModelParams) -> None:
     # and the inverse propagator preserves traces at a scale where the
     # exponential amplification stays benign
     gen = action.sparse_matrix().toarray()
-    prop = matrix_exponential(gen, -0.02 / max(1.0, params.kappa2))
+    prop = scipy.linalg.expm(gen * (-0.02 / max(1.0, params.kappa2)))
     dev = abs(np.trace((prop @ X.ravel()).reshape(5, 5)) - np.trace(X))
     if dev > 1e-9 * max(1.0, float(np.max(np.abs(prop)))):
         raise InternalConsistencyError(

@@ -1,24 +1,16 @@
 """Scalar special functions used by the closed-form spectral expressions.
 
-Everything here is finite-degree polynomial arithmetic (rising factorials,
-terminating hypergeometric sums) except for the convergent-series helpers
-``hyp1f1`` and ``hyp0f1``, which are only needed for moderate arguments.
+Everything here is finite-degree arithmetic: terminating hypergeometric
+sums, double factorials and square-root binomials.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
-    "rising",
-    "rising_table",
-    "hyp1f1_truncated",
     "hyp2f1_terminating",
     "double_factorial",
-    "hyp1f1",
-    "hyp0f1",
     "log_factorial",
     "sqrt_binom",
 ]
@@ -35,51 +27,6 @@ class VanishingDenominatorError(ArithmeticError):
     outside its parameter case (e.g. the generic-ratio inverse at an
     integer loss-rate ratio).
     """
-
-
-def rising(z: complex, n: int) -> complex:
-    """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1."""
-    if n < 0:
-        raise ValueError("rising factorial needs n >= 0")
-    out = complex(1.0)
-    for j in range(n):
-        out *= z + j
-    return out
-
-
-def rising_table(z: complex, n_max: int) -> np.ndarray:
-    """Array [(z)_0, ..., (z)_n_max] by the recurrence (z)_{j+1} = (z)_j (z+j)."""
-    vals = np.empty(n_max + 1, dtype=complex)
-    vals[0] = 1.0
-    for j in range(n_max):
-        vals[j + 1] = vals[j] * (z + j)
-    return vals
-
-
-def hyp1f1_truncated(a: complex, b: complex, coefficient_count: int) -> np.ndarray:
-    """Series coefficients (a)_j / ((b)_j j!) of 1F1(a; b; z), j < coefficient_count.
-
-    Once a numerator factor vanishes all later coefficients are zero and the
-    denominator is never touched, so terminating cases are safe.  A vanishing
-    denominator that is actually needed raises ``VanishingDenominatorError``.
-    """
-    coeffs = np.zeros(coefficient_count, dtype=complex)
-    if coefficient_count == 0:
-        return coeffs
-    coeffs[0] = 1.0
-    term = complex(1.0)
-    for j in range(coefficient_count - 1):
-        num = a + j
-        if num == 0:
-            break
-        den = b + j
-        if abs(den) < DENOMINATOR_FLOOR:
-            raise VanishingDenominatorError(
-                f"(b)_j vanishes at j={j + 1} for b={b}: parameter case misclassified"
-            )
-        term *= num / (den * (j + 1))
-        coeffs[j + 1] = term
-    return coeffs
 
 
 def hyp2f1_terminating(n: int, b: complex, c: complex, z: complex) -> complex:
@@ -116,39 +63,6 @@ def double_factorial(n: int) -> float:
         out *= k
         k -= 2
     return out
-
-
-def hyp1f1(a: complex, b: complex, z: complex, tol: float = 1e-15, max_terms: int = 500) -> complex:
-    """Convergent 1F1(a; b; z) series for moderate |z| (test/reference use)."""
-    total = complex(1.0)
-    term = complex(1.0)
-    for j in range(max_terms):
-        num = a + j
-        if num == 0:
-            break
-        den = b + j
-        if abs(den) < DENOMINATOR_FLOOR:
-            raise VanishingDenominatorError(f"(b)_j vanishes at j={j + 1} for b={b}")
-        term *= num * z / (den * (j + 1))
-        total += term
-        if abs(term) < tol * max(1.0, abs(total)):
-            break
-    return total
-
-
-def hyp0f1(c: complex, z: complex, tol: float = 1e-15, max_terms: int = 500) -> complex:
-    """Convergent 0F1(; c; z) series; tail below ``tol`` on the tested domain."""
-    total = complex(1.0)
-    term = complex(1.0)
-    for j in range(max_terms):
-        den = c + j
-        if abs(den) < DENOMINATOR_FLOOR:
-            raise VanishingDenominatorError(f"(c)_j vanishes at j={j + 1} for c={c}")
-        term *= z / (den * (j + 1))
-        total += term
-        if abs(term) < tol * max(1.0, abs(total)):
-            break
-    return total
 
 
 def log_factorial(n: int) -> float:

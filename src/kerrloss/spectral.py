@@ -17,7 +17,6 @@ parity-based eigenvectors.
 from __future__ import annotations
 
 import io
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +32,6 @@ from .superops import (
     ModelParams,
     apply_exp_A,
     block_A_matrix,
-    expm_nilpotent,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "right_eigenvector_productform",
     "left_eigenvector",
     "F_matrix",
-    "F_apply",
     "decompose",
     "spectrum_csv",
     "eigenvectors_csv",
@@ -297,10 +294,6 @@ def F_matrix(params: ModelParams, trunc: Truncation, m: int, direction: str) -> 
         else:
             out += Apow * diag[None, :]
     return out
-
-
-def F_apply(params: ModelParams, trunc: Truncation, v: BlockVector, direction: str) -> BlockVector:
-    return BlockVector(v.m, F_matrix(params, trunc, v.m, direction) @ v.coeffs)
 
 
 @dataclass

@@ -34,7 +34,6 @@ __all__ = [
     "annihilation",
     "number_diag",
     "block_A_matrix",
-    "apply_A",
     "apply_exp_A",
     "expm_nilpotent",
     "superop_block",
@@ -119,20 +118,6 @@ def block_A_matrix(trunc: Truncation, m: int) -> np.ndarray:
     for k in range(1, size):
         mat[k - 1, k] = math.sqrt(k * (k + am))
     return mat
-
-
-def apply_A(v: BlockVector, trunc: Truncation, power: int = 1) -> BlockVector:
-    """A^power applied to a block vector (exact lowering, no truncation loss)."""
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    out = v.coeffs.copy()
-    am = abs(v.m)
-    for _ in range(power):
-        shifted = np.zeros_like(out)
-        k = np.arange(1, len(out))
-        shifted[:-1] = np.sqrt(k * (k + am)) * out[1:]
-        out = shifted
-    return BlockVector(v.m, out)
 
 
 def expm_nilpotent(mat: np.ndarray) -> np.ndarray:
@@ -285,16 +270,14 @@ def liouvillian_block(params: ModelParams, trunc: Truncation, m: int) -> BlockMa
     return BlockMatrix(m, mat, upper_bandwidth=bw)
 
 
-def c_superdiagonal(params: ModelParams, m: int, k: int, signed_m_in_loss: bool = False) -> complex:
+def c_superdiagonal(params: ModelParams, m: int, k: int) -> complex:
     """Superdiagonal entry of e^A L e^{-A}: coefficient of phi_{k-1} from phi_k.
 
-    The two-body-loss bracket uses |m|; ``signed_m_in_loss`` evaluates the
-    signed-m variant instead (kept for documentation of the discrepancy, the
-    conjugation construction arbitrates in tests).
+    The two-body-loss bracket uses |m|, as the conjugation construction in
+    ``transformed_block(verify=True)`` confirms for both signs of m.
     """
     am = abs(m)
-    loss_m = m if signed_m_in_loss else am
-    return -math.sqrt(k * (k + am)) * (params.kappa2 * (2 * (k - 1) + loss_m) + 1j * params.U * m)
+    return -math.sqrt(k * (k + am)) * (params.kappa2 * (2 * (k - 1) + am) + 1j * params.U * m)
 
 
 def _transformed_diag(params: ModelParams, m: int, k: int) -> complex:
@@ -316,7 +299,6 @@ def transformed_block(
     m: int,
     verify: bool = False,
     tol: float = 1e-12,
-    signed_m_in_loss: bool = False,
 ) -> BlockMatrix:
     """Bidiagonal e^A L e^{-A} on block m from the closed form.
 
@@ -329,7 +311,7 @@ def transformed_block(
     for k in range(size):
         mat[k, k] = _transformed_diag(params, m, k)
         if k >= 1:
-            mat[k - 1, k] = c_superdiagonal(params, m, k, signed_m_in_loss=signed_m_in_loss)
+            mat[k - 1, k] = c_superdiagonal(params, m, k)
     if verify:
         A = block_A_matrix(trunc, m)
         conj = expm_nilpotent(A) @ liouvillian_block(params, trunc, m).entries @ expm_nilpotent(-A)

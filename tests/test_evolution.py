@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from kerrloss.evolution import (
 )
 from kerrloss.fockbasis import BlockVector, FockState, Truncation, from_blocks
 from kerrloss.oracle import ode_propagate
+from kerrloss.specfun import sqrt_binom
 from kerrloss.spectral import decompose, eigenvalue
 from kerrloss.superops import ModelParams, annihilation, full_generator
 
@@ -225,3 +228,67 @@ def test_propagator_cache_block_matrix():
     assert T[0, 0] == pytest.approx(np.exp(eigenvalue(GENERIC, 1, 0) * 0.5))
     with pytest.raises(ValueError):
         PropagatorCoefficients(ModelParams(1.0, 0.0, 1.0, 0.0), tr)
+
+
+FACTOR_CHANNELS = (
+    GENERIC,
+    ModelParams(1.0, 0.5, 2.0, 1.0),
+    ModelParams(1.0, 0.5, 0.0, 1.0),
+    PURE_LOSS,
+)
+
+
+def test_block_factorization_matches_g_double_sum():
+    # the paper's scalar double sum is the reference for R e^{Lambda t} L;
+    # deviations are relative to the largest entry, since cancelling
+    # entries (odd r under pure loss) are zero to rounding
+    for params in FACTOR_CHANNELS:
+        for n_max in (6, 9):
+            tr = Truncation(n_max)
+            coeffs = PropagatorCoefficients(params, tr)
+            for m in (-3, -1, 0, 2):
+                am = abs(m)
+                size = tr.block_size(m)
+                for t in (0.0, 0.3, 2.0):
+                    ref = np.zeros((size, size), dtype=complex)
+                    for k in range(size):
+                        for q in range(k, size):
+                            ref[k, q] = (
+                                sqrt_binom(am + q, am + k)
+                                * sqrt_binom(q, k)
+                                * g_coefficient(params, m, k, q - k, t)
+                            )
+                    T = coeffs.block_matrix(m, t)
+                    dev = np.max(np.abs(T - ref)) / np.max(np.abs(ref))
+                    assert dev < 1e-12, (params, n_max, m, t, dev)
+            for t in (0.0, 0.3, 2.0):
+                ref = np.array([
+                    sum(math.comb(k, q) * g_coefficient(params, 1, q, k - q, t)
+                        for q in range(k + 1))
+                    for k in range(n_max)
+                ])
+                mine = np.array([heisenberg_a_factor(params, tr, k, t, coeffs)
+                                 for k in range(n_max)])
+                dev = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
+                assert dev < 1e-12, (params, n_max, t, dev)
+
+
+def test_factors_built_once_per_block(monkeypatch):
+    calls = []
+    original = evolution.hyp2f1_terminating
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "hyp2f1_terminating", counted)
+    tr = Truncation(8)
+    rho0 = FockState.coherent(tr, 0.7)
+    coeffs = PropagatorCoefficients(GENERIC, tr)
+    assert not calls  # the constructor does no work
+    propagate_phi(GENERIC, rho0, 0.1, coeffs)
+    built = len(calls)
+    assert built > 0
+    for t in (0.2, 0.5, 1.0, 3.0, 7.0):
+        propagate_phi(GENERIC, rho0, t, coeffs)
+    assert len(calls) == built

@@ -5,7 +5,6 @@ from kerrloss.fockbasis import (
     BlockVector,
     FockState,
     Truncation,
-    block_index_pairs,
     coherent_ket,
     coherent_phi_component,
     from_blocks,
@@ -33,17 +32,16 @@ def test_phi_indices():
     assert phi_indices(0, 4) == (4, 4)
 
 
-def test_block_count_matches_dim():
-    tr = Truncation(6)
-    pairs = list(block_index_pairs(tr))
-    assert len(pairs) == tr.dim * tr.dim
-
-
 def test_to_from_blocks_roundtrip():
     rng = np.random.default_rng(3)
     entries = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     state = FockState(entries)
-    back = from_blocks(to_blocks(state))
+    blocks = to_blocks(state)
+    # the diagonal indexing reads the entries the phi_k^(m) labels name
+    for m, block in blocks.items():
+        expected = [entries[phi_indices(m, k)] for k in range(len(block.coeffs))]
+        assert list(block.coeffs) == expected
+    back = from_blocks(blocks)
     assert np.max(np.abs(back.entries - entries)) == 0
 
 

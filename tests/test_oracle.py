@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.oracle import (
     IntegratorConfig,
     expm_propagate,
     left_residual,
-    matrix_exponential,
     multi_time_correlator,
     ode_propagate,
     right_residual,
@@ -92,7 +92,7 @@ def test_ode_vs_dense_matrix_exponential():
     rho0 = FockState.coherent(tr, 0.5)
     gen = full_generator(GENERIC, tr)
     t = 0.8
-    dense = matrix_exponential(gen.sparse_matrix().toarray(), t)
+    dense = scipy.linalg.expm(gen.sparse_matrix().toarray() * t)
     ref = (dense @ rho0.entries.ravel()).reshape(rho0.entries.shape)
     out = ode_propagate(gen, rho0, t)
     assert np.max(np.abs(out.entries - ref)) < 1e-8
@@ -118,19 +118,6 @@ def test_ode_t_eval_and_validation():
         ode_propagate(gen, rho0, -1.0)
     with pytest.raises(ValueError):
         ode_propagate(gen, rho0, 1.0, IntegratorConfig(method="rk4"), t_eval=[0.5])
-
-
-def test_matrix_exponential_semigroup_and_guard():
-    rng = np.random.default_rng(5)
-    M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    M = M - 3 * np.eye(6)
-    one = matrix_exponential(M, 0.7) @ matrix_exponential(M, 0.5)
-    two = matrix_exponential(M, 1.2)
-    assert np.max(np.abs(one - two)) < 1e-9 * max(1.0, np.max(np.abs(two)))
-    with pytest.raises(ValueError):
-        matrix_exponential(np.zeros((2600, 2600)))
-    with pytest.raises(ValueError):
-        matrix_exponential(np.zeros((2, 3)))
 
 
 def test_correlator_vacuum_one_point():

@@ -1,55 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 from scipy import special
 
 from kerrloss.specfun import (
     VanishingDenominatorError,
     double_factorial,
-    hyp0f1,
-    hyp1f1,
-    hyp1f1_truncated,
     hyp2f1_terminating,
     log_factorial,
-    rising,
-    rising_table,
     sqrt_binom,
 )
-
-
-def test_rising_basic():
-    assert rising(3.0, 0) == 1.0
-    assert rising(3.0, 4) == 3 * 4 * 5 * 6
-    assert rising(-2.0, 3) == 0.0
-    z = 0.7 - 1.3j
-    assert rising(z, 3) == pytest.approx(z * (z + 1) * (z + 2))
-
-
-def test_rising_table_matches_rising():
-    z = 1.2 + 0.4j
-    table = rising_table(z, 6)
-    for n in range(7):
-        assert table[n] == pytest.approx(rising(z, n))
-
-
-def test_hyp1f1_truncated_coefficients():
-    a, b = 0.3 + 0.2j, 1.7
-    coeffs = hyp1f1_truncated(a, b, 5)
-    for j in range(5):
-        expected = rising(a, j) / (rising(b, j) * math.factorial(j))
-        assert coeffs[j] == pytest.approx(expected)
-
-
-def test_hyp1f1_truncated_terminates_before_denominator():
-    # numerator hits zero at j = 2, denominator would vanish at j = 3
-    coeffs = hyp1f1_truncated(-2.0, -3.0 + 1e-12, 8)
-    assert np.all(coeffs[3:] == 0)
-
-
-def test_hyp1f1_truncated_raises_on_needed_zero_denominator():
-    with pytest.raises(VanishingDenominatorError):
-        hyp1f1_truncated(0.5, -2.0, 8)
 
 
 def test_hyp2f1_terminating_small_cases():
@@ -69,6 +29,12 @@ def test_hyp2f1_terminating_zero_numerator_first():
     assert val == pytest.approx(1 + (-3) * (-1) * 2.0 / (-2.0))
 
 
+def test_hyp2f1_terminating_raises_on_needed_zero_denominator():
+    # c = -1 vanishes at q = 1 while the numerator is still non-zero
+    with pytest.raises(VanishingDenominatorError):
+        hyp2f1_terminating(3, 0.5, -1.0, 2.0)
+
+
 def test_hyp2f1_known_vanishing():
     # 2F1(-n, b; 2b; 2) = 0 for odd n
     for b in (0.75, 1.5, 2.25 + 0.3j):
@@ -83,16 +49,6 @@ def test_double_factorial():
     assert double_factorial(6) == 48
     with pytest.raises(ValueError):
         double_factorial(-2)
-
-
-def test_hyp1f1_convergent_vs_scipy():
-    for a, b, z in [(0.5, 1.7, -1.28), (2.0, 3.5, 0.9), (1.25, 4.0, -3.0)]:
-        assert hyp1f1(a, b, z) == pytest.approx(special.hyp1f1(a, b, z), rel=1e-12)
-
-
-def test_hyp0f1_vs_scipy():
-    for c, z in [(1.5, 0.7), (2.25, -1.1)]:
-        assert hyp0f1(c, z) == pytest.approx(special.hyp0f1(c, z), rel=1e-12)
 
 
 def test_log_factorial_and_sqrt_binom():
