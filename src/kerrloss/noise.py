@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .fockbasis import FockState, Truncation
-from .oracle import IntegratorConfig, expm_propagate, multi_time_correlator, ode_propagate
+from .oracle import IntegratorConfig, expm_propagate, multi_time_correlators, ode_propagate
 from .superops import InternalConsistencyError, ModelParams, full_generator
 
 __all__ = [
@@ -398,23 +398,23 @@ def _gauss_nodes(a: float, b: float, n: int):
 def moment_by_correlator_quadrature(
     params: ModelParams, initial: FockState, t: float, n: int, nodes: int = 24
 ) -> float:
-    """n-th moment of P as (n!/2^n) x the nested ordered V^o correlator integral."""
+    """n-th moment of P as (n!/2^n) x the nested ordered V^o correlator integral.
+
+    All nodes of one order go to the oracle as one batch of sequences.
+    """
+    if n not in (1, 2):
+        raise ValueError("quadrature oracle implemented for n in {1, 2}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and non-negative")
+    t1s, w1s = _gauss_nodes(0.0, t, nodes)
     if n == 1:
-        ts, ws = _gauss_nodes(0.0, t, nodes)
-        vals = [multi_time_correlator(params, [("o", s)], initial) for s in ts]
-        return float(np.real(0.5 * np.dot(ws, vals)))
-    if n == 2:
-        t1s, w1s = _gauss_nodes(0.0, t, nodes)
-        total = 0.0 + 0j
-        for t1, w1 in zip(t1s, w1s):
-            t2s, w2s = _gauss_nodes(0.0, t1, nodes)
-            inner = sum(
-                w2 * multi_time_correlator(params, [("o", t1), ("o", t2)], initial)
-                for t2, w2 in zip(t2s, w2s)
-            )
-            total += w1 * inner
-        return float(np.real((2.0 / 4.0) * total))
-    raise ValueError("quadrature oracle implemented for n in {1, 2}")
+        vals = multi_time_correlators(params, [[("o", s)] for s in t1s], initial)
+        return float(np.real(0.5 * np.dot(w1s, vals)))
+    inner = [_gauss_nodes(0.0, t1, nodes) for t1 in t1s]
+    sequences = [[("o", t1), ("o", t2)] for t1, (t2s, _) in zip(t1s, inner) for t2 in t2s]
+    weights = np.concatenate([w1 * w2s for w1, (_, w2s) in zip(w1s, inner)])
+    vals = multi_time_correlators(params, sequences, initial)
+    return float(np.real((2.0 / 4.0) * np.dot(weights, vals)))
 
 
 def extensivity_ratio(params: ModelParams, initial: FockState, t: float) -> float:

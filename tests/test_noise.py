@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from kerrloss import noise, oracle
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.noise import (
     GridAdequacyError,
@@ -200,6 +201,49 @@ def test_moment_duality_first_and_second():
         assert q2 == pytest.approx(m2, rel=1e-6, abs=1e-9)
     with pytest.raises(ValueError):
         moment_by_correlator_quadrature(NONLINEAR, vac, 0.5, 3)
+
+
+def test_quadrature_validates_before_the_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle called before the arguments were validated")
+
+    monkeypatch.setattr(noise, "multi_time_correlators", no_oracle)
+    vac = vacuum(6)
+    for t, n in ((float("nan"), 1), (float("inf"), 2), (-0.5, 1), (0.5, 0), (0.5, 3)):
+        with pytest.raises(ValueError):
+            moment_by_correlator_quadrature(NONLINEAR, vac, t, n)
+
+
+def test_quadrature_exponentials_per_sector(monkeypatch):
+    # one dense exponential per (sequence, gap, sector that is nonzero and
+    # within reach of the trace); the trace gate's own exponential is not counted
+    calls = []
+    in_gate = []
+    expm, gate = sla.expm, oracle._assert_trace_invariance
+
+    def counted(a):
+        if not in_gate:
+            calls.append(a.shape)
+        return expm(a)
+
+    def gate_only(*args):
+        in_gate.append(True)
+        try:
+            return gate(*args)
+        finally:
+            in_gate.pop()
+
+    monkeypatch.setattr(sla, "expm", counted)
+    monkeypatch.setattr(oracle, "_assert_trace_invariance", gate_only)
+    N = 5
+    tr = Truncation(8)
+    # vacuum: m = 0, then m = +-1; coherent: |m| <= 2, then |m| <= 1
+    for rho0, per_order in ((FockState.vacuum(tr), (N, 3 * N * N)),
+                            (FockState.coherent(tr, 0.8), (3 * N, 8 * N * N))):
+        for order, expected in zip((1, 2), per_order):
+            calls.clear()
+            moment_by_correlator_quadrature(NONLINEAR, rho0, 0.6, order, nodes=N)
+            assert len(calls) == expected, (order, len(calls))
 
 
 def test_variance_extensivity_long_time():

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from kerrloss import oracle
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.oracle import (
     IntegratorConfig,
     expm_propagate,
     left_residual,
     multi_time_correlator,
+    multi_time_correlators,
     ode_propagate,
     right_residual,
     triangular_eigendecomp,
@@ -17,11 +21,14 @@ from kerrloss.superops import (
     BlockMatrix,
     InternalConsistencyError,
     ModelParams,
+    annihilation,
     full_generator,
     liouvillian_block,
 )
 
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
+LINEAR = ModelParams(1.0, 0.0, 1.0, 0.0)
+NONLINEAR = ModelParams(1.0, 0.0, 1.0, 10.0)
 
 
 def test_integrator_config_validation():
@@ -149,15 +156,28 @@ def test_correlator_conjugate_symmetry():
     assert a == pytest.approx(np.conj(b), abs=1e-10)
 
 
-def test_correlator_sequence_validation():
-    tr = Truncation(5)
-    vac = FockState.vacuum(tr)
-    with pytest.raises(ValueError):
-        multi_time_correlator(GENERIC, [], vac)
-    with pytest.raises(ValueError):
-        multi_time_correlator(GENERIC, [("o", 0.2), ("o", 0.5)], vac)
-    with pytest.raises(ValueError):
-        multi_time_correlator(GENERIC, [("x", 0.5)], vac)
+def test_correlator_sequence_validation(monkeypatch):
+    vac = FockState.vacuum(Truncation(6))
+    good = [("o", 0.7), ("+", 0.2)]
+    bad = (
+        [],
+        [("o", float("nan"))],
+        [("o", float("inf")), ("-", 0.1)],
+        [("o", 0.5), ("+", float("nan"))],
+        [("o", 0.5), ("-", -0.1)],
+        [("o", 0.2), ("o", 0.5)],
+        [("x", 0.5), ("o", 0.2)],
+    )
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("generator built before the sequences were validated")
+
+    monkeypatch.setattr(oracle, "full_generator", no_build)
+    for seq in bad:
+        with pytest.raises(ValueError):
+            multi_time_correlators(GENERIC, [good, seq], vac)
+        with pytest.raises(ValueError):
+            multi_time_correlator(GENERIC, seq, vac)
 
 
 def test_expm_propagate_validation():
@@ -167,3 +187,75 @@ def test_expm_propagate_validation():
         expm_propagate(GENERIC, vac, -0.5)
     same = expm_propagate(GENERIC, vac, 0.0)
     assert np.max(np.abs(same.entries - vac.entries)) == 0
+
+
+def _telescoped_by_expm_multiply(params, seq, rho0):
+    """The correlator on the full sparse generator, one exponential action per gap."""
+    gen = full_generator(params, rho0.truncation).sparse_matrix()
+    d = rho0.entries.shape[0]
+    V = annihilation(rho0.truncation)
+    V = V + V.conj().T
+    X = rho0.entries.astype(complex)
+    prev = 0.0
+    for tag, t in reversed(seq):
+        if t > prev:
+            X = spla.expm_multiply(gen * (t - prev), X.ravel()).reshape(d, d)
+        X = {"+": V @ X, "-": X @ V, "o": V @ X + X @ V}[tag]
+        prev = t
+    return np.trace(X)
+
+
+def test_sector_correlators_match_full_space_route():
+    sequences = [
+        [("+", 0.7)],
+        [("o", 0.0)],
+        [("-", 1.3), ("o", 0.4)],
+        [("o", 0.5), ("+", 0.5)],
+        [("+", 1.1), ("-", 0.6), ("o", 0.0)],
+        [("o", 0.9), ("o", 0.9), ("-", 0.3)],
+        [("-", 0.0), ("+", 0.0), ("o", 0.0)],
+    ]
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for n_max in (6, 10):
+        tr = Truncation(n_max)
+        G = rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim))
+        states = (
+            FockState.vacuum(tr),
+            FockState.coherent(tr, 0.6 - 0.3j),
+            FockState(G @ G.conj().T / np.trace(G @ G.conj().T)),
+        )
+        for params in (GENERIC, LINEAR, NONLINEAR):
+            for rho0 in states:
+                got = multi_time_correlators(params, sequences, rho0)
+                for seq, value in zip(sequences, got):
+                    ref = _telescoped_by_expm_multiply(params, seq, rho0)
+                    worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+    assert worst < 1e-12, worst
+
+
+def test_correlator_trace_gate_fires(monkeypatch):
+    # a uniform decay -0.1 X keeps every sector but loses trace
+    class Leaky:
+        def __init__(self, params, trunc):
+            self.base, self.dim = full_generator(params, trunc), trunc.dim
+
+        def sparse_matrix(self):
+            leak = 0.1 * sp.identity(self.dim**2, dtype=complex, format="csr")
+            return (self.base.sparse_matrix() - leak).tocsr()
+
+    monkeypatch.setattr(oracle, "full_generator", Leaky)
+    vac = FockState.vacuum(Truncation(5))
+    with pytest.raises(InternalConsistencyError, match="left null vector"):
+        multi_time_correlator(GENERIC, [("o", 0.4)], vac)
+
+
+def test_correlator_sector_gate_fires(monkeypatch):
+    # a drive V X + X V moves the coherence label by one
+    def driven(params, trunc):
+        return full_generator(params, trunc, drive=0.3)
+
+    monkeypatch.setattr(oracle, "full_generator", driven)
+    vac = FockState.vacuum(Truncation(5))
+    with pytest.raises(InternalConsistencyError, match="couples coherence sectors"):
+        multi_time_correlator(GENERIC, [("o", 0.4)], vac)
