@@ -153,9 +153,7 @@ def cmd_evolve(settings: dict) -> int:
     traj_lines = ["t,n1,n2,re,im"]
     expect_lines = ["t,obs,re,im"]
     max_oracle_dev = 0.0
-    coeffs = None
-    if params.kappa2 > 0:
-        coeffs = evolution.PropagatorCoefficients(params, trunc)
+    coeffs = evolution.PropagatorCoefficients(params, trunc)
     for t in times:
         state = evolution.propagate_phi(params, initial, t, coeffs)
         if settings.get("oracle"):
@@ -438,6 +436,7 @@ def main(argv=None) -> int:
         noise.TruncationError,
         VanishingDenominatorError,
         oracle.StiffnessError,
+        superops.InternalConsistencyError,
     ) as exc:
         print(f"numerical gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE_FAIL

@@ -1,26 +1,26 @@
 """Exact time evolution from the spectral solution.
 
-Two equivalent routes are provided: the closed-form propagator in the phi
-basis (kappa2 > 0), and spectral propagation through an assembled
-eigendecomposition.  The closed form holds one factorization per block,
-T_m(t) = R_m e^{Lambda_m t} L_m, with double-precision eigenvectors built
-from the terminating 2F1 sums of the propagator coefficients
-G_{r,k}^(m)(t); propagation, the Heisenberg picture and the a-factor rows
-are products with it.  The scalar double sum :func:`g_coefficient` stays as
-the paper's formula that checks the factorization.  At kappa2 = 0 the
-x-parameters are singular and the closed form dispatches to the spectral
-route built from the Gaussian-limit eigenvectors.
+The closed form holds one factorization per block,
+T_m(t) = R_m e^{Lambda_m t} L_m, whose eigenvector entries come from
+:class:`~kerrloss.spectral.EigenvectorBuilder` (at kappa2 = 0 its
+Gaussian-limit blocks); propagation, the Heisenberg picture and the a-factor
+rows are products with it.  Spectral propagation through an assembled
+eigendecomposition is the second route, and the scalar double sum
+:func:`g_coefficient` of the propagator coefficients G_{r,k}^(m)(t), summed
+in double precision, stays as the paper's formula that checks the
+factorization.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .fockbasis import BlockVector, FockState, Truncation, from_blocks, to_blocks
-from .spectral import SpectralDecomposition, decompose, eigenvalue, x_parameter
-from .specfun import double_factorial, hyp2f1_terminating, sqrt_binom
+from .spectral import EigenvectorBuilder, SpectralDecomposition, eigenvalue, x_parameter
+from .specfun import double_factorial, hyp2f1_terminating
 from .superops import ModelParams
 
 __all__ = [
@@ -74,46 +74,28 @@ class PropagatorCoefficients:
     """Per-block factorization T_m(t) = R_m e^{Lambda_m t} L_m of the propagator.
 
     Column k of R_m and row k of L_m are the right and left eigenvectors of
-    mode (m, k), scaled so that (R_m e^{Lambda_m t} L_m)[k, q] is
-    sqrt_binom(q+|m|, k+|m|) sqrt_binom(q, k) G_{q-k,k}^(m)(t) term by term.
-    Their entries are the terminating 2F1 sums at argument 2 inside
-    :func:`g_coefficient`.  Each block is built on first use and kept, so
-    memory depends on n_max only, not on the number of times asked for.
+    mode (m, k); at kappa2 > 0, (R_m e^{Lambda_m t} L_m)[k, q] is
+    sqrt(C(q+|m|, k+|m|) C(q, k)) G_{q-k,k}^(m)(t) term by term.  Blocks m
+    and -m are built together on first use and kept, so memory depends on
+    n_max only, not on the number of times asked for.
     """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
-        if params.kappa2 <= 0:
-            raise ValueError("G coefficients require kappa2 > 0")
         self.params = params
         self.truncation = trunc
         self._factors: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
+    @cached_property
+    def _builder(self) -> EigenvectorBuilder:
+        return EigenvectorBuilder(self.params, self.truncation)
+
     def factors(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lambda, R, L) of block m, built in double precision on first use."""
+        """(lambda, R, L) of block m."""
         if m not in self._factors:
-            p = self.params
-            eta = p.kappa1 / p.kappa2
-            size = self.truncation.block_size(m)
-            am = abs(m)
-            lam = np.array([eigenvalue(p, m, k) for k in range(size)], dtype=complex)
-            R = np.zeros((size, size), dtype=complex)
-            L = np.zeros((size, size), dtype=complex)
-            for k in range(size):
-                x = x_parameter(p, m, k)
-                for j in range(k + 1):
-                    R[j, k] = (
-                        (-1) ** (k - j)
-                        * sqrt_binom(k, j)
-                        * sqrt_binom(k + am, j + am)
-                        * hyp2f1_terminating(k - j, 1 - x, 2 - 2 * x - eta, 2.0)
-                    )
-                for q in range(k, size):
-                    L[k, q] = (
-                        sqrt_binom(q, k)
-                        * sqrt_binom(q + am, k + am)
-                        * hyp2f1_terminating(q - k, x, 2 * x + eta, 2.0)
-                    )
-            self._factors[m] = (lam, R, L)
+            R, L = self._builder.block(abs(m))
+            for mm in {m, -m}:
+                lam = np.array([eigenvalue(self.params, mm, k) for k in range(len(R))])
+                self._factors[mm] = (lam, R, L) if mm >= 0 else (lam, R.conj(), L.conj())
         return self._factors[m]
 
     def block_matrix(self, m: int, t: float) -> np.ndarray:
@@ -132,8 +114,6 @@ def propagate_phi(
     if t < 0:
         raise ValueError("t must be non-negative")
     trunc = initial.truncation
-    if params.kappa2 == 0:
-        return spectral_propagate(decompose(params, trunc), initial, t)
     if coeffs is None:
         coeffs = PropagatorCoefficients(params, trunc)
     blocks = to_blocks(initial)
@@ -174,29 +154,12 @@ def heisenberg_phi(
     if t < 0:
         raise ValueError("t must be non-negative")
     trunc = observable.truncation
-    if params.kappa2 == 0:
-        return _heisenberg_spectral(decompose(params, trunc), observable, t)
     if coeffs is None:
         coeffs = PropagatorCoefficients(params, trunc)
     blocks = to_blocks(observable)
     out = {
         m: BlockVector(m, coeffs.block_matrix(-m, t).T @ v.coeffs) for m, v in blocks.items()
     }
-    state = from_blocks(out, trunc)
-    state.hermitian = observable.hermitian
-    return state
-
-
-def _heisenberg_spectral(decomp: SpectralDecomposition, observable: FockState, t: float) -> FockState:
-    """O^H block m = (R e^{Lam t} L)^dag applied to the block coefficients."""
-    trunc = decomp.truncation
-    blocks = to_blocks(observable)
-    out = {}
-    for m, v in blocks.items():
-        R = decomp.R[m].entries
-        L = decomp.Lmat[m].entries
-        phases = np.exp(np.conj(decomp.eigenvalues[m]) * t)
-        out[m] = BlockVector(m, L.conj().T @ (phases * (R.conj().T @ v.coeffs)))
     state = from_blocks(out, trunc)
     state.hermitian = observable.hermitian
     return state

@@ -131,9 +131,6 @@ class FockState:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def dagger(self) -> "FockState":
-        return FockState(self.entries.conj().T, hermitian=self.hermitian)
-
     def copy(self) -> "FockState":
         return FockState(self.entries.copy(), hermitian=self.hermitian)
 

@@ -5,24 +5,29 @@ Within block m the eigenvalues are the triangular diagonal,
     lambda_k^(m) = -i(omega - U/2) m - (kappa1 + i U m)(k + |m|/2)
                    - kappa2 [ (k+|m|)(k-1) + |m|(|m|+1)/2 ],
 
-and the eigenvectors are hypergeometric polynomials in the lowering
-superoperator A.  The right vectors use the finite sum that is valid for
-every non-degenerate mode (it stops before any forbidden denominator),
-the left vectors use the confluent series truncated at the block bound.
-Parameter-space cases are dispatched through :class:`CaseTag`; the only
-true degeneracy (kappa1 = 0, block 0, k in {0, 1}) gets the explicit
-parity-based eigenvectors.
+and the eigenvector entries are terminating sums, built in one place
+(:class:`EigenvectorBuilder`): R_m[p, k] = (-1)^(k-p) w F_(k-p) and
+L_m[k, q] = w F_(q-k) with w = sqrt(C(hi, lo) C(hi+|m|, lo+|m|)) of the two
+indices and F_n = 2F1(-n, b; c; 2) = sum_i C(n, i) a_i,
+a_i = (-2)^i (b)_i / (c)_i, b = 1 - x, c = 2 - 2x - eta (right) or b = x,
+c = 2x + eta (left); at kappa2 = 0, F_n = s^n with
+s = 1 / (1 + i m U / kappa1).  The sums alternate and cancel, so they run in
+fixed-point Gaussian integers whose width follows the measured cancellation;
+each entry is rounded to double once.  Parameter cases are :class:`CaseTag`s;
+the one true degeneracy (kappa1 = 0, block 0, k < 2) gets parity-based vectors.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .fockbasis import BlockVector, Truncation
 from .specfun import DENOMINATOR_FLOOR, VanishingDenominatorError
@@ -40,6 +45,8 @@ __all__ = [
     "classify",
     "eigenvalue",
     "x_parameter",
+    "EigenvectorBuilder",
+    "check_biorthogonality",
     "right_eigenvector",
     "right_eigenvector_productform",
     "left_eigenvector",
@@ -104,85 +111,174 @@ def x_parameter(params: ModelParams, m: int, k: int) -> complex:
     return (2 * k + abs(m)) / 2 + 1j * params.U * m / (2 * params.kappa2)
 
 
-def _raise_once(coeffs: np.ndarray, am: int) -> np.ndarray:
-    """Row-vector action of A from the right: new[p] = sqrt(p(p+|m|)) u[p-1]."""
-    out = np.zeros_like(coeffs)
-    p = np.arange(1, len(coeffs))
-    out[1:] = np.sqrt((p * (p + am)).astype(coeffs.real.dtype)) * coeffs[:-1]
-    return out
+#: bits kept beyond double precision: an entry is the correctly rounded double
+#: of its exact value unless that lies within 2^-GUARD_BITS ulp of a tie
+GUARD_BITS = 32
+#: fixed-point bits of root[n][j] = sqrt(C(n, j)), the prefactor table
+ROOT_BITS = 53 + GUARD_BITS
 
 
-#: working precision (significant digits) for the eigenvector entries; the
-#: series-times-exponential structure cancels by up to ten orders near the
-#: truncation edge, so double precision alone leaves ~1e-9 residue there
-EIGVEC_DPS = 40
+def _pascal(a: list, n: int, h: int) -> tuple[list, list]:
+    """(sum_i C(j, i) a_i, sum_i C(j, i) a_(h+i)) for j <= n by pairwise sums;
+    with a = re + im and h = len(re), one pass transforms both halves."""
+    lo, hi = [a[0]], [a[h]]
+    for _ in range(n):
+        a = list(map(operator.add, a, a[1:]))
+        lo.append(a[0])
+        hi.append(a[h])
+    return lo, hi
 
 
-def _x_eta_mp(params: ModelParams, m: int, k: int):
-    """x_k^(m) and kappa1/kappa2 as arbitrary-precision scalars."""
-    am = abs(m)
-    k2 = mp.mpf(params.kappa2)
-    x = mp.mpf(2 * k + am) / 2 + mp.mpc(0, 1) * mp.mpf(params.U) * m / (2 * k2)
-    eta = mp.mpf(params.kappa1) / k2
-    return x, eta
+def _fixed_point_sums(steps: list[tuple], err: float, n: int, transform: bool, bits: int = 0):
+    """F_j = sum_i C(j, i) a_i (or a_j), j <= n, a_0 = 1, a_i = a_(i-1) (pr + 1j pi) / q,
+    as Gaussian integers with 1 = 2^bits; returns (re, im, bits).
+
+    With ``err`` bounding the a_i, each F_j is off by at most E = 2^n err units
+    at any bits.  bits starts at the caller's guess or 53 + GUARD_BITS + log2 E
+    and grows by the measured shortfall until each F_j is resolved to
+    53 + GUARD_BITS bits.  F_j times the product of its denominators is a
+    Gaussian integer, so an F_j within E of zero once 2 E 2^-bits is below
+    the reciprocal of that product is an exact zero."""
+    pad, target = n - len(steps), 53 + GUARD_BITS
+    bound = math.ceil(err) << (n if transform else 0)
+    thresh = (bound << target) ** 2
+    bits = max(bits, target + bound.bit_length())
+    while True:
+        re, im = 1 << bits, 0
+        ar, ai = [re], [im]
+        for pr, pi, q in steps:
+            re, im = (re * pr - im * pi) // q, (re * pi + im * pr) // q
+            ar.append(re)
+            ai.append(im)
+        ar, ai = ar + [0] * pad, ai + [0] * pad
+        if transform:
+            ar, ai = _pascal(ar + ai, n, n + 1) if any(ai) else (_pascal(ar, n, 0)[0], ai)
+        f2 = [r * r + i * i for r, i in zip(ar, ai)]
+        extra = 0
+        for j in (j for j, f in enumerate(f2) if f < thresh):
+            need = sum(math.log2(s[2]) for s in steps[:j]) / 2 + math.log2(2 * bound) + 1
+            if f2[j] > bound * bound:  # resolved, but short of the target
+                extra = max(extra, bound.bit_length() + target + 1 - f2[j].bit_length() // 2)
+            elif bits > need:  # within E of zero and below any nonzero value
+                ar[j] = ai[j] = 0
+            else:
+                extra = max(extra, math.ceil(need) + 1 - bits)
+        if not extra:
+            return ar, ai, bits
+        bits += extra + 16  # headroom, so the next mode of the side rarely reruns
 
 
-def _hyp2f1_arg2_mp(n: int, b, c, where: str):
-    """Terminating 2F1(-n, b; c; 2), zero numerator breaking before the
-    denominator is ever touched (the reachable-zone convention)."""
-    total = mp.mpc(1)
-    term = mp.mpc(1)
-    for i in range(1, n + 1):
-        num = (b + (i - 1)) * (i - 1 - n)
-        if num == 0:
-            break
-        den = (c + (i - 1)) * i
-        if abs(den) < DENOMINATOR_FLOOR:
-            raise VanishingDenominatorError(f"{where} denominator vanished at order {i}")
-        term *= 2 * num / den
-        total += term
-    return total
+def check_biorthogonality(R: np.ndarray, L: np.ndarray, where: str = "") -> float:
+    """Gate max|R L - I| <= S eps max(|R| |L|), the rounding bound of the
+    product; returns the deviation over that bound (the gate margin)."""
+    size = R.shape[0]
+    bound = size * np.finfo(float).eps * float(np.max(np.abs(R) @ np.abs(L)))
+    ratio = float(np.max(np.abs(R @ L - np.eye(size)))) / bound
+    if not ratio <= 1.0:
+        raise InternalConsistencyError(f"{where}: max|R L - I| is {ratio:.3g} x its bound")
+    return ratio
 
 
-def _is_degenerate_pair(case: CaseTag, m: int, k: int) -> bool:
-    return case == CaseTag.ZERO_KAPPA1 and m == 0 and k in (0, 1)
+class EigenvectorBuilder:
+    """The one builder of the closed-form eigenvector entries at one truncation.
+
+    U, kappa1 and kappa2 enter as exact fractions.  Blocks m >= 0 are built;
+    block -m is their complex conjugate (U -> -U).
+    """
+
+    def __init__(self, params: ModelParams, trunc: Truncation):
+        self.bits = [0, 0]  # working bits of the last right and left mode, the next guess
+        self.truncation = trunc
+        U, k1, k2 = (Fraction(v) for v in (params.U, params.kappa1, params.kappa2))
+        D = math.lcm(U.denominator, k1.denominator, k2.denominator)
+        self.K1, self.K2, self.KU = int(k1 * D), int(k2 * D), int(U * D)
+        # prefactor table: w = root[hi][j] root[hi + |m|][j], j = hi - lo
+        self.root = [[math.isqrt(math.comb(n, j) << 2 * ROOT_BITS) for j in range(n + 1)]
+                     for n in range(trunc.n_max + 1)]
+
+    def _steps(self, am: int, k: int, right: bool, n: int) -> tuple[list[tuple], float]:
+        """Steps (Re, Im of nu conj(de), |de|^2) of a_i = a_(i-1) nu_i / de_i,
+        i <= n, of mode (|m|, k), in Gaussian integers (nu, de times 2 D kappa2),
+        and an error bound on each fixed-point a_i in last-place units (one
+        rounding per component and step, carried on by |nu / de|).  A zero
+        numerator ends the list before its denominator is read."""
+        K1, K2, Y = self.K1, self.K2, self.KU * am
+        if K2 == 0:  # a_i = s^i; |s| <= 1, so the error grows by at most 2 a step
+            return [(K1 * K1, -K1 * Y, K1 * K1 + Y * Y)] * n, 2.0 * n
+        one, T = 2 * K2, (2 * k + am) * K2  # 1 and Re(x) times 2 D kappa2
+        if right:
+            br, bi, cr, ci = one - T, -Y, 2 * one - 2 * T - 2 * K1, -2 * Y
+        else:
+            br, bi, cr, ci = T, Y, 2 * T + 2 * K1, 2 * Y
+        b, c = complex(br / one, bi / one), complex(cr / one, ci / one)
+        nr, ni, dr, di = -2 * br, -2 * bi, cr, ci
+        steps, err, worst = [], 0.0, 0.0
+        for i in range(1, n + 1):
+            if nr == 0 and ni == 0:
+                break
+            if abs(c) * i < DENOMINATOR_FLOOR:
+                raise VanishingDenominatorError(
+                    f"{'right' if right else 'left'}-eigenvector (m,k)=({am},{k}) "
+                    f"denominator vanished at order {i}"
+                )
+            err = err * 2 * abs(b) / abs(c) + 2.0
+            worst = max(worst, err)
+            steps.append((nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di))
+            nr, dr, b, c = nr - 2 * one, dr + one, b + 1, c + 1
+        return steps, worst
+
+    def _fill(self, am: int, k: int, right: bool, out: np.ndarray, bits: int = 0) -> int:
+        """Write mode (|m|, k) into the zeroed ``out`` (column k of R_m or row
+        k of L_m); return the working bits it took."""
+        out[k] = 1.0
+        n = k if right else len(out) - 1 - k
+        if self.K1 == self.K2 == 0 or n == 0:  # Hamiltonian only: R = L = I
+            return bits
+        if self.K1 == 0 and am == 0 and k < 2:
+            # exact degenerate pair: rho_k = |k><k|, bar rho_0 / bar rho_1 = even / odd parity
+            if not right:
+                out[k % 2 :: 2] = 1.0
+            return bits
+        steps, err = self._steps(am, k, right, n)
+        re, im, bits = _fixed_point_sums(steps, err, n, self.K2 != 0, bits)
+        scale, root = 1 << (bits + 2 * ROOT_BITS), self.root
+        if right:
+            w = [root[k][j] * root[k + am][j] * (-1) ** j for j in range(1, n + 1)]
+        else:
+            w = [root[k + j][j] * root[k + j + am][j] for j in range(1, n + 1)]
+        vals = [complex(r * v / scale, i * v / scale) for r, i, v in zip(re[1:], im[1:], w)]
+        out[slice(k - 1, None, -1) if right else slice(k + 1, None)] = vals
+        return bits
+
+    def entries(self, m: int, k: int, side: str) -> np.ndarray:
+        """Column k of R_m (side "right") or row k of L_m (side "left")."""
+        if not 0 <= k < self.truncation.block_size(m) or side not in ("right", "left"):
+            raise ValueError("mode index outside truncation or side not 'right'/'left'")
+        out = np.zeros(self.truncation.block_size(m), dtype=complex)
+        self._fill(abs(m), k, side == "right", out)
+        return out if m >= 0 else out.conj() + 0.0
+
+    def block(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(R_m, L_m) of block m >= 0, gated by :func:`check_biorthogonality`; each
+        side runs from its longest sum down, every mode starting at ``self.bits``."""
+        if m < 0:
+            raise ValueError("build block |m|; block -m is its complex conjugate")
+        R, L = (np.zeros((self.truncation.block_size(m),) * 2, dtype=complex) for _ in "RL")
+        for k, top in enumerate(range(len(R) - 1, -1, -1)):
+            self.bits[0] = self._fill(m, top, True, R[:, top], self.bits[0])
+            self.bits[1] = self._fill(m, k, False, L[k], self.bits[1])
+        check_biorthogonality(R, L, f"eigenvector block m={m}")
+        return R, L
 
 
 def right_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
     """Right eigenvector of block m for eigenvalue lambda_k^(m), phi_k coefficient 1."""
-    size = trunc.block_size(m)
-    if not 0 <= k < size:
-        raise ValueError("mode index outside truncation")
-    case = classify(params)
-    unit = np.zeros(size, dtype=complex)
-    unit[k] = 1.0
-    if case == CaseTag.HAMILTONIAN_ONLY:
-        return BlockVector(m, unit)
-    if case == CaseTag.ZERO_KAPPA2:
-        scale = 1.0 / (1.0 + 1j * m * params.U / params.kappa1)
-        return apply_exp_A(BlockVector(m, unit), trunc, -scale)
-    if _is_degenerate_pair(case, m, k):
-        # explicit orthonormal choice: rho_0 = |0><0|, rho_1 = |1><1|
-        return BlockVector(m, unit)
+    return BlockVector(m, EigenvectorBuilder(params, trunc).entries(m, k, "right"))
 
-    # closed-form entries: the polynomial part composed with e^{-A} collapses
-    # to one terminating 2F1 at argument 2 per component, times the exact
-    # square-root ladder product from k down to p
-    am = abs(m)
-    coeffs = np.zeros(size, dtype=complex)
-    coeffs[k] = 1.0
-    with mp.workdps(EIGVEC_DPS):
-        x, eta = _x_eta_mp(params, m, k)
-        ladder = 1
-        for p in range(k - 1, -1, -1):
-            ladder *= (p + 1) * (p + 1 + am)
-            n = k - p
-            hyp = _hyp2f1_arg2_mp(
-                n, 1 - x, 2 - 2 * x - eta, f"right-eigenvector (m,k,p)=({m},{k},{p})"
-            )
-            val = mp.sqrt(ladder) * (-1) ** n / mp.factorial(n) * hyp
-            coeffs[p] = complex(val)
-    return BlockVector(m, coeffs)
+
+def left_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
+    """Left eigenvector (bra coefficients over k') truncated at the block bound."""
+    return BlockVector(m, EigenvectorBuilder(params, trunc).entries(m, k, "left"))
 
 
 def right_eigenvector_productform(
@@ -206,56 +302,6 @@ def right_eigenvector_productform(
         summed[p] = prod
     out = apply_exp_A(BlockVector(m, summed), trunc, -1.0)
     return BlockVector(m, out.coeffs.astype(complex))
-
-
-def left_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
-    """Left eigenvector (bra coefficients over k') truncated at the block bound."""
-    size = trunc.block_size(m)
-    if not 0 <= k < size:
-        raise ValueError("mode index outside truncation")
-    case = classify(params)
-    unit = np.zeros(size, dtype=complex)
-    unit[k] = 1.0
-    if case == CaseTag.HAMILTONIAN_ONLY:
-        return BlockVector(m, unit)
-    am = abs(m)
-    if case == CaseTag.ZERO_KAPPA2:
-        scale = 1.0 / (1.0 + 1j * m * params.U / params.kappa1)
-        return _exp_raise(BlockVector(m, unit), scale)
-    if _is_degenerate_pair(case, m, k):
-        # bar rho_0 = parity projector, bar rho_1 = I - parity projector
-        coeffs = np.zeros(size, dtype=complex)
-        coeffs[k % 2 :: 2] = 1.0
-        return BlockVector(m, coeffs)
-
-    # mirror closed form of the right vectors: raising ladder times a
-    # terminating 2F1 at argument 2, truncated at the block bound
-    coeffs = np.zeros(size, dtype=complex)
-    coeffs[k] = 1.0
-    with mp.workdps(EIGVEC_DPS):
-        x, eta = _x_eta_mp(params, m, k)
-        ladder = 1
-        for p in range(k + 1, size):
-            ladder *= p * (p + am)
-            n = p - k
-            hyp = _hyp2f1_arg2_mp(
-                n, x, 2 * x + eta, f"left-eigenvector (m,k,p)=({m},{k},{p})"
-            )
-            coeffs[p] = complex(mp.sqrt(ladder) / mp.factorial(n) * hyp)
-    return BlockVector(m, coeffs)
-
-
-def _exp_raise(v: BlockVector, scale: complex) -> BlockVector:
-    """Row-vector e^{scale A} from the right (raising), exact nilpotent series."""
-    am = abs(v.m)
-    out = v.coeffs.copy()
-    term = v.coeffs.copy()
-    for j in range(1, len(out)):
-        term = scale * _raise_once(term, am) / j
-        if not term.any():
-            break
-        out += term
-    return BlockVector(v.m, out)
 
 
 def F_matrix(params: ModelParams, trunc: Truncation, m: int, direction: str) -> np.ndarray:
@@ -337,22 +383,21 @@ def _degeneracy_scan(params: ModelParams, trunc: Truncation, case: CaseTag) -> t
 
 
 def decompose(params: ModelParams, trunc: Truncation) -> SpectralDecomposition:
-    """Assemble the complete truncated eigensystem with case dispatch."""
+    """Assemble the complete truncated eigensystem with case dispatch.
+
+    Blocks m >= 0 come from :class:`EigenvectorBuilder`; block -m is their
+    complex conjugate.
+    """
     case = classify(params)
     decomp = SpectralDecomposition(params=params, truncation=trunc, case=case)
     if case != CaseTag.HAMILTONIAN_ONLY:
         decomp.degenerate_modes = _degeneracy_scan(params, trunc, case)
+    builder = EigenvectorBuilder(params, trunc)
+    built = {m: builder.block(m) for m in range(trunc.n_max + 1)}
     for m in trunc.blocks():
-        size = trunc.block_size(m)
-        lams = np.array([eigenvalue(params, m, k) for k in range(size)])
-        R = np.empty((size, size), dtype=complex)
-        L = np.empty((size, size), dtype=complex)
-        for k in range(size):
-            R[:, k] = right_eigenvector(params, trunc, m, k).coeffs
-            L[k, :] = left_eigenvector(params, trunc, m, k).coeffs
-        decomp.eigenvalues[m] = lams
-        decomp.R[m] = BlockMatrix(m, R)
-        decomp.Lmat[m] = BlockMatrix(m, L)
+        R, L = (v if m >= 0 else v.conj() + 0.0 for v in built[abs(m)])  # + 0.0: no -0
+        decomp.eigenvalues[m] = np.array([eigenvalue(params, m, k) for k in range(len(R))])
+        decomp.R[m], decomp.Lmat[m] = BlockMatrix(m, R), BlockMatrix(m, L)
     return decomp
 
 
@@ -373,10 +418,7 @@ def eigenvectors_csv(decomp: SpectralDecomposition) -> str:
         L = decomp.Lmat[m].entries
         size = R.shape[0]
         for k in range(size):
-            for p in range(size):
-                if R[p, k] != 0:
-                    buf.write(f"{m},{k},{p},{R[p, k].real:.17g},{R[p, k].imag:.17g},right\n")
-            for p in range(size):
-                if L[k, p] != 0:
-                    buf.write(f"{m},{k},{p},{L[k, p].real:.17g},{L[k, p].imag:.17g},left\n")
+            for side, vec in (("right", R[:, k]), ("left", L[k])):
+                for p in np.flatnonzero(vec):
+                    buf.write(f"{m},{k},{p},{vec[p].real:.17g},{vec[p].imag:.17g},{side}\n")
     return buf.getvalue()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fockbasis import BlockVector, FockState, Truncation, phi_indices
+from .fockbasis import BlockVector, Truncation, phi_indices
 
 __all__ = [
     "ModelParams",
@@ -218,9 +218,6 @@ class GeneratorAction:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.apply(X)
-
-    def apply_state(self, state: FockState) -> FockState:
-        return FockState(self.apply(state.entries))
 
     def _left(self, op) -> sp.csr_matrix:
         """X -> op X in the row-major vectorization."""

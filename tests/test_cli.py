@@ -161,3 +161,17 @@ def test_noise_truncation_gate_exit_code(tmp_path):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         run(["frobnicate"])
+
+
+def test_internal_consistency_failure_exits_as_gate_failure(tmp_path, monkeypatch, capsys):
+    from kerrloss import spectral
+    from kerrloss.superops import InternalConsistencyError
+
+    def broken(params, trunc):
+        raise InternalConsistencyError("eigenvector block m=0: max|R L - I| too large")
+
+    monkeypatch.setattr(spectral, "decompose", broken)
+    out = str(tmp_path / "gate")
+    assert run(["spectrum", "--nmax", "4", "--out", out]) == cli.EXIT_GATE_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical gate failure:")

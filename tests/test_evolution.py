@@ -226,8 +226,12 @@ def test_propagator_cache_block_matrix():
     T = coeffs.block_matrix(1, 0.5)
     assert np.all(np.tril(T, -1) == 0)
     assert T[0, 0] == pytest.approx(np.exp(eigenvalue(GENERIC, 1, 0) * 0.5))
-    with pytest.raises(ValueError):
-        PropagatorCoefficients(ModelParams(1.0, 0.0, 1.0, 0.0), tr)
+    # kappa2 = 0 factors are the Gaussian-limit blocks of the spectral route
+    linear = ModelParams(1.0, 0.5, 1.0, 0.0)
+    lam, R, L = PropagatorCoefficients(linear, tr).factors(-2)
+    ref = decompose(linear, tr)
+    assert np.array_equal(lam, ref.eigenvalues[-2])
+    assert np.array_equal(R, ref.R[-2].entries) and np.array_equal(L, ref.Lmat[-2].entries)
 
 
 FACTOR_CHANNELS = (
@@ -275,20 +279,21 @@ def test_block_factorization_matches_g_double_sum():
 
 def test_factors_built_once_per_block(monkeypatch):
     calls = []
-    original = evolution.hyp2f1_terminating
+    original = evolution.EigenvectorBuilder.block
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(self, m):
+        calls.append(m)
+        return original(self, m)
 
-    monkeypatch.setattr(evolution, "hyp2f1_terminating", counted)
+    monkeypatch.setattr(evolution.EigenvectorBuilder, "block", counted)
     tr = Truncation(8)
     rho0 = FockState.coherent(tr, 0.7)
     coeffs = PropagatorCoefficients(GENERIC, tr)
     assert not calls  # the constructor does no work
     propagate_phi(GENERIC, rho0, 0.1, coeffs)
     built = len(calls)
-    assert built > 0
+    # one build per |m|: block -m is the conjugate of block m
+    assert sorted(calls) == list(range(tr.n_max + 1))
     for t in (0.2, 0.5, 1.0, 3.0, 7.0):
         propagate_phi(GENERIC, rho0, t, coeffs)
     assert len(calls) == built
