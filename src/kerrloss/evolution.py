@@ -171,12 +171,15 @@ def heisenberg_a_factor(
 ) -> complex:
     """Row-k scaling of a^H(t): sum_q binom(k, q) G_{k-q,q}^(1)(t).
 
-    binom(k, q) G = sqrt((q+1)/(k+1)) T_1[q, k] with T_1 the block-1 propagator.
+    binom(k, q) G = sqrt((q+1)/(k+1)) T_1[q, k] with T_1 the block-1 propagator;
+    only rows q <= k of its column k are formed.
     """
     if coeffs is None:
         coeffs = PropagatorCoefficients(params, trunc)
+    lam, R, L = coeffs.factors(1)
     q = np.arange(k + 1)
-    return complex(np.sqrt((q + 1) / (k + 1)) @ coeffs.block_matrix(1, t)[q, k])
+    column = (R[: k + 1] * np.exp(lam * t)) @ L[:, k]
+    return complex(np.sqrt((q + 1) / (k + 1)) @ column)
 
 
 def simaan_g(m: int, k: int, r: int, t: float, kappa2: float) -> complex:

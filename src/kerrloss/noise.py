@@ -9,7 +9,8 @@ come by four routes that the tests compare:
   the Dyson orders of Z at J = 0 (:func:`cumulant_trace`);
 - finite differences of Z at J = 0 (:func:`fd_moments`);
 - moments of P(x), reconstructed from Z on a J grid by inverse Fourier
-  quadrature (:func:`run_noise`);
+  quadrature (:func:`run_noise`), each node one scaled and squared dense
+  exponential of the real form of the tilted generator;
 - nested time-ordered quadrature of multi-time V^o correlators
   (:func:`moment_by_correlator_quadrature`).
 """
@@ -122,40 +123,65 @@ def real_form(params: ModelParams, trunc: Truncation) -> RealForm:
     return RealForm(S, G_L.real.copy(), G_W.real.copy())
 
 
-def _eig_propagate(
+def _dense_propagate(
     params: ModelParams, initial: FockState, t: float, J: float, form: RealForm
 ) -> FockState:
-    """Propagation through the eigendecomposition of the real G_L + J G_W.
+    """Propagation by scaling and squaring of the real G_L + J G_W.
 
-    xi(t) = S V e^{Lambda t} V^-1 S^-1 xi(0); a real eigenproblem is about
-    2.4x cheaper than the complex one.  The decomposition is checked against
-    one short sparse-exponential propagation before it is trusted.
+    xi(t) = S E^(2^k) S^-1 xi(0) with E = e^{(G_L + J G_W) tau} and
+    tau = t / 2^k <= t_check: one dense Pade exponential and k squarings,
+    matrix products only (Al-Mohy & Higham 2009).  The factor E itself is
+    checked against one short sparse-exponential propagation over tau
+    before it is squared.
+
+    E has an eigenvalue near 1, since the trace is nearly conserved, and
+    each squaring doubles the rounding of it, which would leave 2^k eps of
+    noise in Z(J) and swamp finite differences in J.  So the exponential is
+    taken of G tau bordered by its trace row w^T G tau (w^T x = tr S x); the
+    border of the result is y = w^T (E - I), and squaring the bordered
+    matrix squares E and maps y to y + y E, each exact relative to its own
+    size.  tr xi(t) = w^T c + y c is then exact to rounding, and the vacuum
+    population takes up its difference to the trace of the evolved state.
     """
     import scipy.linalg as sla
 
+    if t == 0:
+        return initial.copy()
     S = form.S
-    lam, V = sla.eig(form.G_L + J * form.G_W)
-    lu = sla.lu_factor(V)
-    # S is unitary, so S^-1 = S^H
-    c = sla.lu_solve(lu, S.conj().T @ initial.entries.ravel().astype(complex))
+    n = S.shape[0]
     drive = 0.5j * J
     t_check = 0.05 / (1.0 + params.kappa1 + params.kappa2 + abs(drive))
-    via_eig = S @ (V @ (np.exp(lam * t_check) * c))
-    via_expm = expm_propagate(params, initial, t_check, drive=drive).entries.ravel()
-    dev = np.max(np.abs(via_eig - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
+    k = math.ceil(math.log2(t / t_check)) if t > t_check else 0
+    tau = t / 2**k
+    # the diagonal basis vectors of S carry the phase (-1)^i, the others no trace
+    w = (S.T @ np.eye(initial.entries.shape[0]).ravel()).real
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = (form.G_L + J * form.G_W) * tau
+    B[n, :n] = w @ B[:n, :n]
+    E = sla.expm(B)
+    # S is unitary, so S^-1 = S^H
+    c = S.conj().T @ initial.entries.ravel().astype(complex)
+    via_dense = S @ (E[:n, :n] @ c)
+    via_expm = expm_propagate(params, initial, tau, drive=drive).entries.ravel()
+    dev = np.max(np.abs(via_dense - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
     if dev > 1e-8:
         raise InternalConsistencyError(
-            f"tilted-generator eigendecomposition unreliable (dev {dev:.3e})"
+            f"tilted-generator exponential factor unreliable (dev {dev:.3e})"
         )
-    vec = S @ (V @ (np.exp(lam * t) * c))
-    return FockState(vec.reshape(initial.entries.shape))
+    for _ in range(k):
+        E = E @ E
+    xi = (S @ (E[:n, :n] @ c)).reshape(initial.entries.shape)
+    xi[0, 0] += w @ c + E[n, :n] @ c - np.trace(xi)
+    return FockState(xi)
 
 
 def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> str:
+    """Resolve "auto": the dense route for small stiff runs (kappa2 > 0,
+    dim <= 33), the sparse exponential otherwise."""
     if backend == "auto":
-        return "eig" if (params.kappa2 > 0 and trunc.dim <= 33) else "expm"
-    if backend not in ("eig", "expm", "ode"):
-        raise ValueError("backend must be 'auto', 'eig', 'expm' or 'ode'")
+        return "dense" if (params.kappa2 > 0 and trunc.dim <= 33) else "expm"
+    if backend not in ("dense", "expm", "ode"):
+        raise ValueError("backend must be 'auto', 'dense', 'expm' or 'ode'")
     return backend
 
 
@@ -171,23 +197,23 @@ def xi_evolve(
 ) -> FockState:
     """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial.
 
-    Backends: "eig" (dense eigendecomposition of the real form
-    G_L + J G_W of the tilted generator, see :func:`real_form`; best for
-    stiff two-body-loss runs), "expm" (Taylor-stepped sparse exponential),
-    "ode" (the adaptive reference integrator); "auto" picks eig for small
-    stiff systems and expm otherwise.  ``form`` lets a caller that evolves
-    many J on one truncation build the real form once.  The cutoff
-    row/column weight is gated against ``top_tol`` relative to the largest
-    entry.
+    Backends: "dense" (scaling and squaring of the dense exponential of the
+    real form G_L + J G_W of the tilted generator, see :func:`real_form`;
+    best for stiff two-body-loss runs), "expm" (Taylor-stepped sparse
+    exponential), "ode" (the adaptive reference integrator); "auto" picks
+    dense for small stiff systems and expm otherwise.  ``form`` lets a
+    caller that evolves many J on one truncation build the real form once.
+    The cutoff row/column weight is gated against ``top_tol`` relative to
+    the largest entry.
     """
     if t < 0:
         raise ValueError("evolution time must be non-negative")
     drive = 0.5j * J
     backend = _resolve_backend(params, initial.truncation, backend)
-    if backend == "eig":
+    if backend == "dense":
         if form is None:
             form = real_form(params, initial.truncation)
-        out = _eig_propagate(params, initial, t, J, form)
+        out = _dense_propagate(params, initial, t, J, form)
     elif backend == "expm":
         out = expm_propagate(params, initial, t, drive=drive)
     else:
@@ -237,7 +263,7 @@ def generating_function(
     known = {} if known is None else known
     missing = [J for J in half if J not in known]
     form = None
-    if missing and _resolve_backend(params, initial.truncation, backend) == "eig":
+    if missing and _resolve_backend(params, initial.truncation, backend) == "dense":
         form = real_form(params, initial.truncation)
     for J in missing:
         known[J] = xi_evolve(params, J, t, initial, config, backend, form=form).trace()

@@ -269,26 +269,31 @@ def _coherence_sectors(gen: sp.csr_matrix, d: int) -> dict[int, np.ndarray]:
     return {m: np.flatnonzero(sector == m) for m in range(1 - d, d)}
 
 
-def _assert_trace_invariance(B0: np.ndarray, kappa2: float) -> None:
+def _assert_trace_invariance(B0: np.ndarray, kappa2: float) -> float:
     """Check that the identity is a left null vector of the sector-0 block.
 
     The telescoped correlator drops the leading inverse propagator; that is
     only legitimate because tr[L X] = 0 for every X.  No block couples two
     sectors and only sector 0 (the diagonal, in order) has a trace, so the
     condition is exactly 1^T B0 = 0; the inverse propagator must then keep
-    1^T fixed, checked at a step where its amplification stays benign.
+    1^T fixed, checked at a step where its amplification stays benign: the
+    two-body decay rate of level n_max is about kappa2 n_max^2, so the step
+    shrinks with it.  Returns the larger deviation-to-tolerance ratio.
     """
-    dev = float(np.max(np.abs(B0.sum(axis=0)))) / max(1.0, float(np.max(np.abs(B0))))
-    if not dev <= 1e-12:
+    dev0 = float(np.max(np.abs(B0.sum(axis=0)))) / max(1.0, float(np.max(np.abs(B0))))
+    if not dev0 <= 1e-12:
         raise InternalConsistencyError(
-            f"identity is not a left null vector of the generator (dev {dev:.3e})"
+            f"identity is not a left null vector of the generator (dev {dev0:.3e})"
         )
-    prop = scipy.linalg.expm(B0 * (-0.02 / max(1.0, kappa2)))
+    n_max = B0.shape[0] - 1
+    prop = scipy.linalg.expm(B0 * (-0.02 / max(1.0, kappa2 * n_max**2)))
     dev = float(np.max(np.abs(prop.sum(axis=0) - 1.0)))
-    if not dev <= 1e-9 * max(1.0, float(np.max(np.abs(prop)))):
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(prop))))
+    if not dev <= tol:
         raise InternalConsistencyError(
             f"trace not invariant under the inverse propagator (dev {dev:.3e})"
         )
+    return max(dev0 / 1e-12, dev / tol)
 
 
 def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -> np.ndarray:

@@ -277,6 +277,23 @@ def test_block_factorization_matches_g_double_sum():
                 assert dev < 1e-12, (params, n_max, t, dev)
 
 
+def test_a_factor_column_matches_full_block():
+    # the a-factor row reads one column of the block-1 propagator; forming
+    # the whole block and slicing it gives the same value to rounding
+    tr = Truncation(20)
+    coeffs = PropagatorCoefficients(GENERIC, tr)
+    for t in (0.3, 2.0, 7.0):
+        ref = []
+        for k in range(tr.dim - 1):
+            q = np.arange(k + 1)
+            ref.append(np.sqrt((q + 1) / (k + 1)) @ coeffs.block_matrix(1, t)[q, k])
+        ref = np.array(ref)
+        mine = np.array([heisenberg_a_factor(GENERIC, tr, k, t, coeffs)
+                         for k in range(tr.dim - 1)])
+        dev = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
+        assert dev < 1e-14, (t, dev)
+
+
 def test_factors_built_once_per_block(monkeypatch):
     calls = []
     original = evolution.EigenvectorBuilder.block

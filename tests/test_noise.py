@@ -24,7 +24,12 @@ from kerrloss.noise import (
     symmetric_J_grid,
     xi_evolve,
 )
-from kerrloss.superops import GeneratorAction, ModelParams, full_generator
+from kerrloss.superops import (
+    GeneratorAction,
+    InternalConsistencyError,
+    ModelParams,
+    full_generator,
+)
 
 NONLINEAR = ModelParams(1.0, 0.0, 1.0, 10.0)
 LINEAR = ModelParams(1.0, 0.0, 1.0, 0.0)
@@ -48,13 +53,13 @@ def test_xi_evolve_backends_agree():
     vac = vacuum(12)
     for J in (0.0, 1.5, 6.0):
         ref = xi_evolve(NONLINEAR, J, 0.8, vac, backend="expm")
-        for backend in ("eig", "ode", "auto"):
+        for backend in ("dense", "ode", "auto"):
             out = xi_evolve(NONLINEAR, J, 0.8, vac, backend=backend)
             assert np.max(np.abs(out.entries - ref.entries)) < 1e-8, backend
     with pytest.raises(ValueError):
         xi_evolve(NONLINEAR, 1.0, 0.5, vac, backend="magic")
-    # every backend, the eig one included, refuses to evolve backward
-    for backend in ("auto", "eig", "expm", "ode"):
+    # every backend, the dense one included, refuses to evolve backward
+    for backend in ("auto", "dense", "expm", "ode"):
         with pytest.raises(ValueError):
             xi_evolve(NONLINEAR, 1.0, -0.5, vac, backend=backend)
 
@@ -70,7 +75,7 @@ def test_xi_evolve_truncation_gate():
 def test_real_form_is_exact():
     # S (G_L + J G_W) S^-1 is the tilted generator L + i(J/2) V^o, with
     # G_L and G_W real; a coherent state with complex alpha gives a complex,
-    # asymmetric Z, on which the eig backend must match the sparse exponential
+    # asymmetric Z, on which the dense backend must match the sparse exponential
     rng = np.random.default_rng(314)
     for params in (LINEAR, NONLINEAR, GENERIC):
         for n_max in (5, 9):
@@ -85,9 +90,52 @@ def test_real_form_is_exact():
                 got = S @ ((form.G_L + J * form.G_W) @ np.linalg.solve(S, X.ravel()))
                 assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
                 for t in (0.5, 5.0):
-                    a = xi_evolve(params, J, t, coherent, backend="eig", top_tol=None)
+                    a = xi_evolve(params, J, t, coherent, backend="dense", top_tol=None)
                     b = xi_evolve(params, J, t, coherent, backend="expm", top_tol=None)
                     assert np.max(np.abs(a.entries - b.entries)) < 1e-10, (params, n_max, J, t)
+
+
+def test_dense_route_matches_expm_across_squarings():
+    # t = 0 returns the initial state untouched; 0.3 t_check takes no
+    # squaring; t = 5 and 20 take up to a dozen squarings of one factor
+    n_max = 9
+    coherent = FockState.coherent(Truncation(n_max), 0.6 + 0.3j)
+    for params in (NONLINEAR, GENERIC):
+        form = real_form(params, coherent.truncation)
+        for J in (0.0, 6.0, 16.0):
+            t_check = 0.05 / (1.0 + params.kappa1 + params.kappa2 + J / 2)
+            for t in (0.0, 0.3 * t_check, 5.0, 20.0):
+                a = xi_evolve(params, J, t, coherent, backend="dense", top_tol=None, form=form)
+                b = xi_evolve(params, J, t, coherent, backend="expm", top_tol=None)
+                assert np.max(np.abs(a.entries - b.entries)) < 1e-10, (params, J, t)
+                if t == 0:
+                    assert np.array_equal(a.entries, coherent.entries)
+
+
+def test_dense_route_self_check_fires_on_a_wrong_form():
+    # with the sign of G_W flipped the squared factor would evolve under
+    # -J; the check of that factor against the sparse exponential catches it
+    vac = vacuum(9)
+    form = real_form(NONLINEAR, vac.truncation)
+    flipped = noise.RealForm(form.S, form.G_L, -form.G_W)
+    xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=form)
+    with pytest.raises(InternalConsistencyError, match="factor unreliable"):
+        xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=flipped)
+
+
+def test_dense_route_trace_is_smooth_in_J():
+    # squaring a factor with an eigenvalue near 1 would leave ~2^k eps of
+    # rounding noise in tr xi; the bordered trace row keeps Z(J) smooth to
+    # rounding, which finite differences in J rely on
+    vac = vacuum(12)
+    form = real_form(NONLINEAR, vac.truncation)
+    J = np.linspace(0.0, 0.04, 21)
+    Z = np.array([xi_evolve(NONLINEAR, j, 2.0, vac, backend="dense", form=form).trace()
+                  for j in J])
+    u = J / J[-1]
+    fit = np.polynomial.polynomial.polyval(u, np.polynomial.polynomial.polyfit(u, Z.real, 8))
+    assert np.max(np.abs(Z.real - fit)) < 1e-14
+    assert np.max(np.abs(Z.imag)) < 1e-14
 
 
 def test_generating_function_basics():

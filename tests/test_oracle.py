@@ -250,6 +250,38 @@ def test_correlator_trace_gate_fires(monkeypatch):
         multi_time_correlator(GENERIC, [("o", 0.4)], vac)
 
 
+def _sector0_block(params, n_max):
+    gen = full_generator(params, Truncation(n_max)).sparse_matrix()
+    pos = oracle._coherence_sectors(gen, n_max + 1)[0]
+    return gen[pos][:, pos].toarray()
+
+
+def test_trace_invariance_gate_fires_at_large_cutoff(monkeypatch):
+    # one column sum of the inverse propagator off by 1e-6 at n_max 40: the
+    # step shrinks with kappa2 n_max^2, so the propagator stays O(1) and the
+    # tolerance near 1e-9 instead of the 1e7 that a fixed step would give
+    B0 = _sector0_block(NONLINEAR, 40)
+    expm = scipy.linalg.expm
+
+    def perturbed(a):
+        out = expm(a)
+        out[0, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "expm", perturbed)
+    with pytest.raises(InternalConsistencyError, match="inverse propagator"):
+        oracle._assert_trace_invariance(B0, NONLINEAR.kappa2)
+
+
+def test_trace_invariance_gate_margin():
+    # both conditions pass with orders of magnitude to spare, at every cutoff
+    for params in (NONLINEAR, GENERIC, LINEAR):
+        for n_max in (8, 40):
+            ratio = oracle._assert_trace_invariance(_sector0_block(params, n_max),
+                                                    params.kappa2)
+            assert ratio < 1e-2, (params, n_max, ratio)
+
+
 def test_correlator_sector_gate_fires(monkeypatch):
     # a drive V X + X V moves the coherence label by one
     def driven(params, trunc):
