@@ -10,6 +10,7 @@ K(m) = n_max - |m|, so the two layouts describe the same finite space.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -125,6 +126,8 @@ class FockState:
     @classmethod
     def coherent(cls, trunc: Truncation, alpha: complex) -> "FockState":
         """Truncated coherent projector |alpha><alpha| (trace < 1 from the cutoff tail)."""
+        if not cmath.isfinite(alpha):
+            raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
         ket = coherent_ket(trunc, alpha)
         return cls(np.outer(ket, ket.conj()), hermitian=True)
 

@@ -15,12 +15,9 @@ the sectors that can still reach the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .fockbasis import FockState, Truncation
 from .superops import (
@@ -31,6 +28,9 @@ from .superops import (
     annihilation,
     full_generator,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "IntegratorConfig",
@@ -140,6 +140,8 @@ def ode_propagate(
     With ``t_eval`` (increasing times in [0, t]) a list of states is
     returned, otherwise the single state at time t.
     """
+    from scipy.integrate import solve_ivp
+
     if t < 0:
         raise ValueError("t must be non-negative")
     config = config or IntegratorConfig()
@@ -220,6 +222,8 @@ def expm_propagate(
     Handles the stiff two-body-loss regime (kappa2 n_max^2 t large) where
     explicit stepping is impractical.
     """
+    import scipy.sparse.linalg as spla
+
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:
@@ -280,6 +284,8 @@ def _assert_trace_invariance(B0: np.ndarray, kappa2: float) -> float:
     two-body decay rate of level n_max is about kappa2 n_max^2, so the step
     shrinks with it.  Returns the larger deviation-to-tolerance ratio.
     """
+    import scipy.linalg
+
     dev0 = float(np.max(np.abs(B0.sum(axis=0)))) / max(1.0, float(np.max(np.abs(B0))))
     if not dev0 <= 1e-12:
         raise InternalConsistencyError(
@@ -312,6 +318,8 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     and the trace reads m = 0, so with r insertions still to apply only the
     sectors |m| <= r are evolved and the rest are dropped.
     """
+    import scipy.linalg
+
     sequences = [list(seq) for seq in sequences]
     for seq in sequences:
         _check_sequence(seq)

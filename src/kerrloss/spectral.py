@@ -58,7 +58,6 @@ __all__ = [
 
 INTEGER_RATIO_TOL = 1e-9
 INTEGER_RATIO_WARN = 1e-6
-DEGENERACY_TOL = 1e-10
 
 
 class CaseTag(Enum):
@@ -365,14 +364,20 @@ class SpectralDecomposition:
 
 
 def _degeneracy_scan(params: ModelParams, trunc: Truncation, case: CaseTag) -> tuple:
-    """Exhaustive eigenvalue-collision scan; must match the analytic criterion."""
+    """Exhaustive eigenvalue-collision scan; must match the analytic criterion.
+
+    A gap is a collision below INTEGER_RATIO_TOL in units of the loss rate
+    kappa2 (kappa1 at kappa2 = 0).  In block 0 |lambda_0 - lambda_1| is
+    kappa1 exactly, so that pair applies the ratio test of :func:`classify`
+    to the same float; every other gap is at least one unit.
+    """
+    rate = params.kappa2 or params.kappa1
     found = []
     for m in trunc.blocks():
         lams = np.array([eigenvalue(params, m, k) for k in range(trunc.block_size(m))])
-        scale = max(1.0, float(np.max(np.abs(lams))))
         for k in range(len(lams)):
             for q in range(k + 1, len(lams)):
-                if abs(lams[k] - lams[q]) < DEGENERACY_TOL * scale:
+                if abs(lams[k] - lams[q]) / rate < INTEGER_RATIO_TOL:
                     found.append((m, k, q))
     expected = [(0, 0, 1)] if case == CaseTag.ZERO_KAPPA1 else []
     if found != expected:

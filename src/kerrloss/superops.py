@@ -21,11 +21,14 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fockbasis import BlockVector, Truncation, phi_indices
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ModelParams",
@@ -221,11 +224,15 @@ class GeneratorAction:
 
     def _left(self, op) -> sp.csr_matrix:
         """X -> op X in the row-major vectorization."""
+        import scipy.sparse as sp
+
         eye = sp.identity(self.trunc.dim, dtype=complex, format="csr")
         return sp.kron(sp.csr_matrix(op), eye, format="csr")
 
     def _right(self, op) -> sp.csr_matrix:
         """X -> X op in the row-major vectorization."""
+        import scipy.sparse as sp
+
         eye = sp.identity(self.trunc.dim, dtype=complex, format="csr")
         return sp.kron(eye, sp.csr_matrix(np.asarray(op).T), format="csr")
 
@@ -234,6 +241,8 @@ class GeneratorAction:
         return (self._left(self.V) + self._right(self.V)).tocsr()
 
     def sparse_matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         p = self.params
         left, right = self._left, self._right
 

@@ -66,6 +66,8 @@ def test_non_finite_input_is_validation_error(tmp_path):
     out = str(tmp_path / "nonfinite")
     assert run(["spectrum", "--omega", "nan", "--out", out]) == cli.EXIT_VALIDATION
     assert run(["evolve", "--times", "nan,inf", "--out", out]) == cli.EXIT_VALIDATION
+    assert run(["evolve", "--initial", "coherent:nan", "--out", out]) == cli.EXIT_VALIDATION
+    assert run(["evolve", "--initial", "coherent:inf", "--out", out]) == cli.EXIT_VALIDATION
     assert run(["noise", "--t", "nan", "--out", out]) == cli.EXIT_VALIDATION
     assert run(["noise", "--J-max", "inf", "--out", out]) == cli.EXIT_VALIDATION
     # a negative time is bad input, not a gate failure of a backward evolution

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from kerrloss import noise, oracle
 from kerrloss.fockbasis import FockState, Truncation
@@ -95,6 +96,19 @@ def test_real_form_is_exact():
                     assert np.max(np.abs(a.entries - b.entries)) < 1e-10, (params, n_max, J, t)
 
 
+def test_real_form_gate_fires_on_a_complex_generator(monkeypatch):
+    # i 1e-6 I maps a Hermitian matrix to an anti-Hermitian one, so the
+    # generator it is added to has no real form: the residue gate must fire
+    class Shifted(GeneratorAction):
+        def sparse_matrix(self):
+            mat = super().sparse_matrix()
+            return (mat + 1e-6j * sp.identity(mat.shape[0], format="csr")).tocsr()
+
+    monkeypatch.setattr(noise, "full_generator", Shifted)
+    with pytest.raises(InternalConsistencyError, match="not real in the Hermitian basis"):
+        real_form(NONLINEAR, Truncation(5))
+
+
 def test_dense_route_matches_expm_across_squarings():
     # t = 0 returns the initial state untouched; 0.3 t_check takes no
     # squaring; t = 5 and 20 take up to a dozen squarings of one factor
@@ -151,6 +165,14 @@ def test_generating_function_basics():
         generating_function(NONLINEAR, vac, -0.5, grid)
 
 
+def test_generating_function_gate_on_z0():
+    # an initial state of trace 1.01 gives Z(0) = 1.01 at every t
+    vac = vacuum(12)
+    heavy = FockState(1.01 * vac.entries, hermitian=True)
+    with pytest.raises(GridAdequacyError, match=r"deviates from 1 \(trace not preserved\)"):
+        generating_function(NONLINEAR, heavy, 0.5, symmetric_J_grid(4.0, 5))
+
+
 def test_probability_t0_is_delta():
     # Z(J) = 1 for t = 0; reconstruction concentrates all mass at x = 0
     grid = symmetric_J_grid(8.0, 129)
@@ -178,6 +200,15 @@ def test_probability_gate_on_broken_symmetry():
     Z = np.exp(-(grid**2) / 2).astype(complex)
     Z[3] += 1e-6j
     with pytest.raises(GridAdequacyError):
+        probability_density(Z, grid)
+
+
+def test_probability_gate_on_mass():
+    # a Gaussian Z scaled by 1.01 passes the tail, symmetry and realness
+    # gates and reconstructs a density of mass 1.01
+    grid = symmetric_J_grid(8.0, 257)
+    Z = 1.01 * np.exp(-(grid**2) / 2).astype(complex)
+    with pytest.raises(GridAdequacyError, match="P mass .* deviates from 1"):
         probability_density(Z, grid)
 
 

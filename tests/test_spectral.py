@@ -117,6 +117,13 @@ def test_degeneracy_scan_results():
     tr = Truncation(8)
     assert decompose(GENERIC, tr).degenerate_modes == ()
     assert decompose(CASES[CaseTag.ZERO_KAPPA1], tr).degenerate_modes == ((0, 0, 1),)
+    # just above the ZERO_KAPPA1 threshold of classify the scan finds no
+    # collision either, and the builder's R L = I gate inside decompose holds
+    for ratio in (1e-9, 1.5e-9):
+        with pytest.warns(RuntimeWarning, match="within"):
+            decomp = decompose(ModelParams(0.3, 1.0, ratio, 1.0), Truncation(14))
+        assert decomp.case == CaseTag.GENERIC_RATIO
+        assert decomp.degenerate_modes == ()
 
 
 def test_F_inverse_and_diagonalization():
