@@ -1,0 +1,309 @@
+"""The acceptance checks of the closed forms, computed in one place.
+
+One function per acceptance criterion 1-7 and 11 runs that criterion on its
+pinned data (seeds, cutoffs, draws, block lists and times) and returns its
+named worst deviations.  ``tests/test_acceptance.py`` asserts each of them
+against its own pinned literal; ``kerrloss verify`` runs :func:`registry`
+and compares every name with :data:`TOLERANCES`, which mirrors those
+asserts.  The weak-symmetry check runs in verify only, on a state drawn
+from the run's seed.
+"""
+
+from __future__ import annotations
+
+import operator
+from functools import partial
+
+import numpy as np
+
+from . import evolution, oracle, spectral, superops
+from .fockbasis import FockState, Truncation
+from .spectral import CaseTag
+from .superops import ModelParams
+
+__all__ = ["TOLERANCES", "seeded_draws", "registry", "run"]
+
+#: name -> (comparison, bound), as each is asserted in tests/test_acceptance.py
+TOLERANCES = {
+    "eigenvalues": ("<", 1e-12),
+    "eigenvector_residuals": ("<", 1e-9),
+    "biorthonormality": ("<", 1e-9),
+    "completeness": ("<", 1e-8),
+    "F_inverse_theorem": ("<", 1e-10),
+    "F_diagonalization_offdiag": ("<", 1e-9),
+    "similarity_identities": ("<", 1e-12),
+    "transformed_bandwidth": ("<=", 1),
+    "c_superdiagonal": ("<=", 1e-12),
+    "propagation_vs_oracle": ("<", 1e-6),
+    "two_body_loss_odd_vanishing": ("<", 1e-12),
+    "two_body_loss_factorial_form": ("<", 1e-10),
+    "heisenberg_duality": ("<", 1e-8),
+    "a_sparsity": ("==", 0),
+    "a_factor_rows": ("<", 1e-9),
+    "weak_symmetry_commutator": ("<", 1e-12),
+}
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
+
+
+def seeded_draws(case: CaseTag, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        omega, U = rng.uniform(-1.0, 1.0, 2)
+        k1, k2 = rng.uniform(0.1, 2.0, 2)
+        if case == CaseTag.GENERIC_RATIO:
+            out.append(ModelParams(omega, U, k1, k2))
+        elif case == CaseTag.INTEGER_RATIO:
+            out.append(ModelParams(omega, U, float(rng.integers(1, 4)) * k2, k2))
+        elif case == CaseTag.ZERO_KAPPA1:
+            out.append(ModelParams(omega, U, 0.0, k2))
+        elif case == CaseTag.ZERO_KAPPA2:
+            out.append(ModelParams(omega, U, k1, 0.0))
+        else:
+            out.append(ModelParams(omega, U, 0.0, 0.0, allow_unitary=True))
+    return out
+
+
+def _flip_superdiagonal(mat: np.ndarray) -> None:
+    idx = np.arange(mat.shape[0] - 1)
+    mat[idx, idx + 1] *= -1.0
+
+
+def eigenvalue_exactness() -> dict:
+    """Criterion 1: closed-form eigenvalues against the oracle block diagonals."""
+    trunc = Truncation(12)
+    worst = 0.0
+    for case in CaseTag:
+        for params in seeded_draws(case, 5, seed=101):
+            for m in (-4, -1, 0, 2, 5):
+                diag = np.diag(superops.liouvillian_block(params, trunc, m).entries)
+                lams = np.array(
+                    [spectral.eigenvalue(params, m, k) for k in range(trunc.block_size(m))]
+                )
+                worst = max(worst, float(np.max(np.abs(diag - lams))))
+    return {"eigenvalues": worst}
+
+
+def eigenvector_residuals(fault: bool = False) -> dict:
+    """Criterion 2: right/left eigenvector residuals in the oracle blocks.
+
+    ``fault`` flips the superdiagonal sign of every oracle block, so the
+    residuals must blow up.
+    """
+    trunc = Truncation(10)
+    worst = 0.0
+    for case in CaseTag:
+        params = seeded_draws(case, 1, seed=202)[0]
+        for m in (0, 1, -2, 3):
+            Lb = superops.liouvillian_block(params, trunc, m)
+            if fault:
+                _flip_superdiagonal(Lb.entries)
+            for k in range(trunc.block_size(m)):
+                lam = spectral.eigenvalue(params, m, k)
+                v = spectral.right_eigenvector(params, trunc, m, k).coeffs
+                u = spectral.left_eigenvector(params, trunc, m, k).coeffs
+                worst = max(
+                    worst,
+                    oracle.right_residual(Lb, lam, v),
+                    oracle.left_residual(Lb, lam, u),
+                )
+    return {"eigenvector_residuals": worst}
+
+
+def biorthonormality_completeness() -> dict:
+    """Criterion 3: L R = I on every block, R L = I on truncation-safe indices."""
+    trunc = Truncation(16)
+    worst_bi = worst_comp = 0.0
+    cases = [
+        seeded_draws(CaseTag.GENERIC_RATIO, 2, seed=303)[0],
+        seeded_draws(CaseTag.GENERIC_RATIO, 2, seed=303)[1],
+        ModelParams(1.0, 0.5, 0.0, 1.0),
+        ModelParams(1.0, 0.5, 0.8, 0.0),
+    ]
+    for params in cases:
+        decomp = spectral.decompose(params, trunc)
+        for m in trunc.blocks():
+            R = decomp.R[m].entries
+            L = decomp.Lmat[m].entries
+            size = R.shape[0]
+            worst_bi = max(worst_bi, float(np.max(np.abs(L @ R - np.eye(size)))))
+            safe = min(size, decomp.safe_bound(m) + 1)
+            if safe > 0:
+                comp = R[:safe, :] @ L[:, :safe]
+                worst_comp = max(worst_comp, float(np.max(np.abs(comp - np.eye(safe)))))
+    return {"biorthonormality": worst_bi, "completeness": worst_comp}
+
+
+def inverse_theorem(fault: bool = False) -> dict:
+    """Criterion 4: F F^-1 = I and F T F^-1 diagonal for the transformed block T.
+
+    ``fault`` flips the superdiagonal sign of every T, so the off-diagonal
+    part must blow up.
+    """
+    trunc = Truncation(10)
+    worst_inv = worst_diag = 0.0
+    for params in seeded_draws(CaseTag.GENERIC_RATIO, 3, seed=404):
+        for m in (0, 1, -2, 3):
+            F = spectral.F_matrix(params, trunc, m, "forward")
+            Fi = spectral.F_matrix(params, trunc, m, "inverse")
+            size = F.shape[0]
+            worst_inv = max(worst_inv, float(np.max(np.abs(F @ Fi - np.eye(size)))))
+            worst_inv = max(worst_inv, float(np.max(np.abs(Fi @ F - np.eye(size)))))
+            T = superops.transformed_block(params, trunc, m).entries
+            if fault:
+                _flip_superdiagonal(T)
+            D = F @ T @ Fi
+            off = D - np.diag(np.diag(D))
+            worst_diag = max(worst_diag, float(np.max(np.abs(off))))
+    return {"F_inverse_theorem": worst_inv, "F_diagonalization_offdiag": worst_diag}
+
+
+def similarity_identities() -> dict:
+    """Criterion 5: the e^A conjugation identities and the bidiagonal form.
+
+    ``c_superdiagonal`` is the largest per-entry |T[k-1, k] - c_k| / max(1, |c_k|).
+    """
+    trunc = Truncation(10)
+    params = seeded_draws(CaseTag.GENERIC_RATIO, 1, seed=505)[0]
+    worst = worst_c = 0.0
+    bandwidth = 0
+    for m in (0, 1, -1, 3):
+        report = superops.similarity_identity_suite(params, trunc, m)
+        worst = max(worst, max(r["max_dev"] for r in report.values()))
+        blk = superops.transformed_block(params, trunc, m, verify=True)
+        bandwidth = max(bandwidth, blk.upper_bandwidth)
+        for k in range(1, blk.entries.shape[0]):
+            c = superops.c_superdiagonal(params, m, k)
+            worst_c = max(worst_c, abs(blk.entries[k - 1, k] - c) / max(1.0, abs(c)))
+    return {
+        "similarity_identities": worst,
+        "transformed_bandwidth": bandwidth,
+        "c_superdiagonal": worst_c,
+    }
+
+
+def propagation_equivalence() -> dict:
+    """Criterion 6: both closed-form routes against the ODE oracle, relative."""
+    trunc = Truncation(8)
+    rng = np.random.default_rng(606)
+    X = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    hermitian = FockState(X @ X.conj().T / np.trace(X @ X.conj().T).real, hermitian=True)
+    coherent = FockState.coherent(trunc, 0.8)
+    worst = 0.0
+    for params in (
+        seeded_draws(CaseTag.GENERIC_RATIO, 1, seed=606)[0],
+        ModelParams(1.0, 0.5, 0.0, 1.0),
+    ):
+        decomp = spectral.decompose(params, trunc)
+        gen = superops.full_generator(params, trunc)
+        for rho0 in (coherent, hermitian):
+            for kt in (0.1, 1.0, 5.0):
+                t = kt / params.kappa2
+                ref = oracle.ode_propagate(gen, rho0, t)
+                scale = float(np.max(np.abs(ref.entries)))
+                a = evolution.propagate_phi(params, rho0, t)
+                b = evolution.spectral_propagate(decomp, rho0, t)
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(a.entries - ref.entries))) / scale,
+                    float(np.max(np.abs(b.entries - ref.entries))) / scale,
+                )
+    return {"propagation_vs_oracle": worst}
+
+
+def pure_loss_consistency() -> dict:
+    """Criterion 7: at pure two-body loss odd G orders vanish and even ones
+    take the factorial form."""
+    p2 = ModelParams(0.0, 0.0, 0.0, 1.0)
+    worst_odd = worst_match = 0.0
+    for t in (0.1, 0.5, 2.0):
+        for m in range(5):
+            for k in range(7):
+                for r in range(7):
+                    if r % 2 == 1:
+                        worst_odd = max(
+                            worst_odd, abs(evolution.g_coefficient(p2, m, k, r, t))
+                        )
+                    if r <= 6:
+                        worst_match = max(
+                            worst_match,
+                            abs(
+                                evolution.g_coefficient(p2, m, k, 2 * r, t)
+                                - evolution.simaan_g(m, k, r, t, 1.0)
+                            ),
+                        )
+    return {"two_body_loss_odd_vanishing": worst_odd, "two_body_loss_factorial_form": worst_match}
+
+
+def heisenberg_duality_and_a_structure() -> dict:
+    """Criterion 11: Schrodinger/Heisenberg duality, and a(t) keeps the
+    sparsity of a with the closed-form row factors.
+
+    ``a_sparsity`` is the largest |a(t)| entry off the superdiagonal.
+    """
+    trunc = Truncation(9)
+    params = seeded_draws(CaseTag.GENERIC_RATIO, 1, seed=111)[0]
+    rho0 = FockState.coherent(trunc, 0.6)
+    obs = FockState(np.diag(np.arange(trunc.dim, dtype=complex)), hermitian=True)
+    worst_dual = 0.0
+    for t in (0.3, 1.5):
+        sched = np.trace(evolution.propagate_phi(params, rho0, t).entries @ obs.entries)
+        heis = np.trace(evolution.heisenberg_phi(params, obs, t).entries @ rho0.entries)
+        worst_dual = max(worst_dual, abs(sched - heis))
+
+    a_op = FockState(superops.annihilation(trunc))
+    coeffs = evolution.PropagatorCoefficients(params, trunc)
+    worst_sparse = worst_fac = 0.0
+    for t in (0.2, 0.8):
+        aH = evolution.heisenberg_phi(params, a_op, t, coeffs)
+        mask = np.ones_like(aH.entries, dtype=bool)
+        idx = np.arange(trunc.dim - 1)
+        mask[idx, idx + 1] = False
+        worst_sparse = max(worst_sparse, float(np.max(np.abs(aH.entries[mask]))))
+        for k in range(trunc.dim - 1):
+            f = evolution.heisenberg_a_factor(params, trunc, k, t, coeffs)
+            worst_fac = max(worst_fac, abs(aH.entries[k, k + 1] - f * np.sqrt(k + 1)))
+    return {"heisenberg_duality": worst_dual, "a_sparsity": worst_sparse, "a_factor_rows": worst_fac}
+
+
+def weak_symmetry(seed: int) -> dict:
+    """L commutes with the number commutator on a state drawn from ``seed``."""
+    params = ModelParams(0.9, 0.6, 0.37, 1.1)
+    gen = superops.full_generator(params, Truncation(10))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(11, 11)) + 1j * rng.normal(size=(11, 11))
+    Nmat = np.diag(np.arange(11.0))
+    lhs = gen.apply(Nmat @ X - X @ Nmat)
+    rhs = Nmat @ gen.apply(X) - gen.apply(X) @ Nmat
+    return {"weak_symmetry_commutator": np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))}
+
+
+def registry(seed: int = 0, fault: bool = False) -> tuple:
+    """The checks in criterion order; ``fault`` perturbs criteria 2 and 4."""
+    return (
+        eigenvalue_exactness,
+        partial(eigenvector_residuals, fault=fault),
+        biorthonormality_completeness,
+        partial(inverse_theorem, fault=fault),
+        similarity_identities,
+        propagation_equivalence,
+        pure_loss_consistency,
+        heisenberg_duality_and_a_structure,
+        partial(weak_symmetry, seed),
+    )
+
+
+def run(seed: int = 0, fault: bool = False) -> list[dict]:
+    """Every registry check as a verify.json entry, in registry order."""
+    entries = []
+    for check in registry(seed, fault):
+        for name, dev in check().items():
+            comparison, bound = TOLERANCES[name]
+            entries.append({
+                "check": name,
+                "max_dev": float(dev),
+                "tolerance": bound,
+                "pass": bool(_COMPARE[comparison](dev, bound)),
+            })
+    return entries

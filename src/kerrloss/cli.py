@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import evolution, noise, oracle, spectral, superops
+from . import checks, evolution, noise, oracle, spectral, superops
 from .fockbasis import FockState, Truncation
 from .specfun import VanishingDenominatorError
 from .superops import ModelParams
@@ -186,163 +186,20 @@ def cmd_evolve(settings: dict) -> int:
     return EXIT_OK
 
 
-def _report(checks: list[dict], settings: dict, name: str) -> int:
-    payload = {"config_hash": config_hash(settings), "checks": checks}
-    _write(os.path.join(settings["out"], name), "", json.dumps(payload, indent=1) + "\n")
-    worst = max(checks, key=lambda c: c["max_dev"] / c["tolerance"])
-    ok = all(c["pass"] for c in checks)
+def cmd_verify(settings: dict) -> int:
+    entries = checks.run(int(settings["seed"]), bool(settings.get("inject_c_sign_fault")))
+    payload = {"config_hash": config_hash(settings), "checks": entries}
+    _write(os.path.join(settings["out"], "verify.json"), "", json.dumps(payload, indent=1) + "\n")
+    failed = [c["check"] for c in entries if not c["pass"]]
+    # structural and exact checks sit at their bound by design; rank the
+    # tolerance checks only
+    graded = [c for c in entries if checks.TOLERANCES[c["check"]][0] == "<"]
+    worst = max(graded, key=lambda c: c["max_dev"] / c["tolerance"])
     print(
-        f"{len(checks)} checks, {'all pass' if ok else 'FAILURES'}; "
+        f"{len(entries)} checks, {'FAILED: ' + ', '.join(failed) if failed else 'all pass'}; "
         f"worst: {worst['check']} dev {worst['max_dev']:.3e} (tol {worst['tolerance']:.1e})"
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
-def _verify_checks(settings: dict, rng: np.random.Generator) -> list[dict]:
-    checks: list[dict] = []
-
-    def add(name, dev, tol):
-        checks.append(
-            {"check": name, "max_dev": float(dev), "tolerance": tol, "pass": bool(dev < tol)}
-        )
-
-    n_small = Truncation(10)
-    draws = {
-        "generic_ratio": ModelParams(0.9, 0.6, 0.37, 1.1),
-        "integer_ratio": ModelParams(1.0, 0.5, 2.0, 1.0),
-        "zero_kappa1": ModelParams(1.0, 0.5, 0.0, 1.0),
-        "zero_kappa2": ModelParams(1.0, 0.5, 0.8, 0.0),
-        "hamiltonian_only": ModelParams(1.0, 0.5, 0.0, 0.0, allow_unitary=True),
-    }
-
-    # similarity identities (operator algebra both sides)
-    for m in (0, 1, -1, 3):
-        rep = superops.similarity_identity_suite(draws["generic_ratio"], n_small, m)
-        dev = max(r["max_dev"] for r in rep.values())
-        add(f"similarity_identities_m{m}", dev, 1e-12)
-
-    # weak symmetry: L commutes with the number commutator on random states
-    params = draws["generic_ratio"]
-    gen = superops.full_generator(params, n_small)
-    X = rng.normal(size=(11, 11)) + 1j * rng.normal(size=(11, 11))
-    Nmat = np.diag(np.arange(11.0))
-    lhs = gen.apply(Nmat @ X - X @ Nmat)
-    rhs = Nmat @ gen.apply(X) - gen.apply(X) @ Nmat
-    add("weak_symmetry_commutator", np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)), 1e-12)
-
-    fault = bool(settings.get("inject_c_sign_fault"))
-    for tag, params in draws.items():
-        if tag == "hamiltonian_only":
-            continue
-        # eigenvalues vs oracle diagonals
-        dev = 0.0
-        for m in (-2, 0, 1, 3):
-            Lb = superops.liouvillian_block(params, n_small, m)
-            lams = np.array(
-                [spectral.eigenvalue(params, m, k) for k in range(n_small.block_size(m))]
-            )
-            dev = max(dev, float(np.max(np.abs(np.diag(Lb.entries) - lams))))
-        add(f"eigenvalues_vs_oracle[{tag}]", dev, 1e-12)
-
-        # eigenvector residuals vs the oracle block
-        dev = 0.0
-        for m in (0, 1, -2):
-            Lb = superops.liouvillian_block(params, n_small, m)
-            if fault and params.kappa2 > 0:
-                idx = np.arange(Lb.entries.shape[0] - 1)
-                Lb.entries[idx, idx + 1] *= -1.0  # fault: residuals must blow up
-            for k in range(n_small.block_size(m)):
-                lam = spectral.eigenvalue(params, m, k)
-                v = spectral.right_eigenvector(params, n_small, m, k).coeffs
-                u = spectral.left_eigenvector(params, n_small, m, k).coeffs
-                dev = max(dev, oracle.right_residual(Lb, lam, v), oracle.left_residual(Lb, lam, u))
-        add(f"eigenvector_residuals[{tag}]", dev, 1e-9)
-
-        # biorthonormality / completeness on truncation-safe indices
-        decomp = spectral.decompose(params, n_small)
-        dev_bi, dev_comp = 0.0, 0.0
-        for m in (0, 1, -2):
-            R = decomp.R[m].entries
-            L = decomp.Lmat[m].entries
-            size = R.shape[0]
-            dev_bi = max(dev_bi, float(np.max(np.abs(L @ R - np.eye(size)))))
-            safe = decomp.safe_bound(m) + 1
-            comp = R[:safe, :] @ L[:, :safe]
-            dev_comp = max(dev_comp, float(np.max(np.abs(comp - np.eye(safe)))))
-        add(f"biorthonormality[{tag}]", dev_bi, 1e-9)
-        add(f"completeness[{tag}]", dev_comp, 1e-8)
-
-    # F inverse theorem and diagonalization (generic ratio only)
-    params = draws["generic_ratio"]
-    dev_inv, dev_diag = 0.0, 0.0
-    for m in (0, 1, -2, 3):
-        F = spectral.F_matrix(params, n_small, m, "forward")
-        Finv = spectral.F_matrix(params, n_small, m, "inverse")
-        size = F.shape[0]
-        dev_inv = max(dev_inv, float(np.max(np.abs(F @ Finv - np.eye(size)))))
-        dev_inv = max(dev_inv, float(np.max(np.abs(Finv @ F - np.eye(size)))))
-        T = superops.transformed_block(params, n_small, m, verify=not fault).entries.copy()
-        if fault:
-            idx = np.arange(size - 1)
-            T[idx, idx + 1] *= -1.0
-        D = F @ T @ Finv
-        dev_diag = max(dev_diag, float(np.max(np.abs(D - np.diag(np.diag(D))))))
-    add("F_inverse_theorem", dev_inv, 1e-10)
-    add("F_diagonalization_offdiag", dev_diag, 1e-9)
-
-    # oracle propagation equivalence (small, one generic draw)
-    params = draws["generic_ratio"]
-    trunc = Truncation(8)
-    initial = FockState.coherent(trunc, 0.8)
-    dev = 0.0
-    for t in (0.1, 1.0):
-        mine = evolution.propagate_phi(params, initial, t)
-        ref = oracle.ode_propagate(superops.full_generator(params, trunc), initial, t)
-        dev = max(dev, float(np.max(np.abs(mine.entries - ref.entries))))
-    add("propagation_vs_oracle", dev, 1e-6)
-
-    # pure two-body-loss propagator cross-check
-    p2 = ModelParams(0.0, 0.0, 0.0, 1.0)
-    dev_odd, dev_match = 0.0, 0.0
-    for m in range(3):
-        for k in range(4):
-            for r in range(4):
-                if (2 * r + 1) <= 8:
-                    dev_odd = max(
-                        dev_odd, abs(evolution.g_coefficient(p2, m, k, 2 * r + 1, 0.4))
-                    )
-                dev_match = max(
-                    dev_match,
-                    abs(
-                        evolution.g_coefficient(p2, m, k, 2 * r, 0.4)
-                        - evolution.simaan_g(m, k, r, 0.4, 1.0)
-                    ),
-                )
-    add("two_body_loss_odd_vanishing", dev_odd, 1e-12)
-    add("two_body_loss_factorial_form", dev_match, 1e-10)
-
-    # Heisenberg duality
-    params = draws["generic_ratio"]
-    trunc = Truncation(8)
-    rho0 = FockState.coherent(trunc, 0.6)
-    obs = FockState(np.diag(np.arange(trunc.dim, dtype=complex)), hermitian=True)
-    dev = 0.0
-    for t in (0.3, 1.2):
-        lhs = np.trace(evolution.propagate_phi(params, rho0, t).entries @ obs.entries)
-        rhs = np.conj(
-            np.sum(
-                np.conj(evolution.heisenberg_phi(params, obs, t).entries) * rho0.entries
-            )
-        )
-        dev = max(dev, abs(lhs - np.conj(rhs)))
-    add("heisenberg_duality", dev, 1e-8)
-    return checks
-
-
-def cmd_verify(settings: dict) -> int:
-    rng = np.random.default_rng(int(settings["seed"]))
-    checks = _verify_checks(settings, rng)
-    return _report(checks, settings, "verify.json")
+    return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
 def cmd_noise(settings: dict) -> int:
@@ -389,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also integrate the reference ODE")
     p.add_argument("--heisenberg", type=str, default=None, choices=["a"])
 
-    p = sub.add_parser("verify", help="run all invariant suites")
+    p = sub.add_parser(
+        "verify", help="run acceptance checks 1-7 and 11 at their pinned data"
+    )
     common(p)
     p.add_argument(
         "--inject-c-sign-fault",

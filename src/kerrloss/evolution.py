@@ -33,40 +33,24 @@ __all__ = [
     "simaan_g",
 ]
 
-#: |G| below this multiple of eps times the largest intermediate term is
-#: cancellation-limited rather than trustworthy
-CANCELLATION_FACTOR = 1e3
-
-
-def g_coefficient(
-    params: ModelParams, m: int, k: int, r: int, t: float, diagnostics: bool = False
-):
-    """Propagator coefficient G_{r,k}^(m)(t) as the terminating double-2F1 sum.
-
-    With ``diagnostics=True`` returns (value, cancellation_limited flag).
-    """
+def g_coefficient(params: ModelParams, m: int, k: int, r: int, t: float) -> complex:
+    """Propagator coefficient G_{r,k}^(m)(t) as the terminating double-2F1 sum."""
     if params.kappa2 <= 0:
         raise ValueError("G coefficients require kappa2 > 0; use spectral_propagate")
     if r < 0:
         raise ValueError("r must be non-negative")
     eta = params.kappa1 / params.kappa2
     total = 0.0 + 0j
-    largest = 0.0
     for j in range(r + 1):
         x = x_parameter(params, m, k + j)
         lam = eigenvalue(params, m, k + j)
-        term = (
+        total += (
             (-1) ** j
             * math.comb(r, j)
             * np.exp(lam * t)
             * hyp2f1_terminating(j, 1 - x, 2 - 2 * x - eta, 2.0)
             * hyp2f1_terminating(r - j, x, 2 * x + eta, 2.0)
         )
-        largest = max(largest, abs(term))
-        total += term
-    if diagnostics:
-        limited = abs(total) < CANCELLATION_FACTOR * np.finfo(float).eps * largest
-        return total, limited
     return total
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "BlockVector",
     "to_blocks",
     "from_blocks",
-    "coherent_phi_component",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -209,17 +208,3 @@ def from_blocks(blocks: dict[int, BlockVector], trunc: Truncation | None = None)
         entries[k + max(m, 0), k + max(-m, 0)] = block.coeffs
     return FockState(entries)
 
-
-def coherent_phi_component(alpha: complex, m: int, k: int, trunc: Truncation) -> complex:
-    """<<phi_k^(m) | alpha><alpha| >> for the untruncated coherent projector."""
-    if abs(m) > trunc.n_max or not 0 <= k <= trunc.block_bound(m):
-        raise ValueError("index outside truncation")
-    if m >= 0:
-        n1, n2 = k + m, k
-    else:
-        n1, n2 = k, k - m
-    if alpha == 0:
-        return 1.0 + 0j if (n1, n2) == (0, 0) else 0.0 + 0j
-    log_mag = (n1 + n2) * math.log(abs(alpha)) - 0.5 * (log_factorial(n1) + log_factorial(n2))
-    phase = np.exp(1j * np.angle(alpha) * (n1 - n2))
-    return math.exp(-abs(alpha) ** 2 + log_mag) * phase

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .fockbasis import FockState, Truncation
-from .oracle import IntegratorConfig, expm_propagate, multi_time_correlators, ode_propagate
+from .oracle import expm_propagate, multi_time_correlators
 from .superops import InternalConsistencyError, ModelParams, full_generator
 
 __all__ = [
@@ -180,8 +180,8 @@ def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> st
     dim <= 33), the sparse exponential otherwise."""
     if backend == "auto":
         return "dense" if (params.kappa2 > 0 and trunc.dim <= 33) else "expm"
-    if backend not in ("dense", "expm", "ode"):
-        raise ValueError("backend must be 'auto', 'dense', 'expm' or 'ode'")
+    if backend not in ("dense", "expm"):
+        raise ValueError("backend must be 'auto', 'dense' or 'expm'")
     return backend
 
 
@@ -190,7 +190,6 @@ def xi_evolve(
     J: float,
     t: float,
     initial: FockState,
-    config: IntegratorConfig | None = None,
     backend: str = "auto",
     top_tol: float = TOP_TOL,
     form: RealForm | None = None,
@@ -199,26 +198,21 @@ def xi_evolve(
 
     Backends: "dense" (scaling and squaring of the dense exponential of the
     real form G_L + J G_W of the tilted generator, see :func:`real_form`;
-    best for stiff two-body-loss runs), "expm" (Taylor-stepped sparse
-    exponential), "ode" (the adaptive reference integrator); "auto" picks
-    dense for small stiff systems and expm otherwise.  ``form`` lets a
-    caller that evolves many J on one truncation build the real form once.
-    The cutoff row/column weight is gated against ``top_tol`` relative to
-    the largest entry.
+    best for stiff two-body-loss runs) and "expm" (Taylor-stepped sparse
+    exponential); "auto" picks dense for small stiff systems and expm
+    otherwise.  ``form`` lets a caller that evolves many J on one
+    truncation build the real form once.  The cutoff row/column weight is
+    gated against ``top_tol`` relative to the largest entry.
     """
     if t < 0:
         raise ValueError("evolution time must be non-negative")
-    drive = 0.5j * J
     backend = _resolve_backend(params, initial.truncation, backend)
     if backend == "dense":
         if form is None:
             form = real_form(params, initial.truncation)
         out = _dense_propagate(params, initial, t, J, form)
-    elif backend == "expm":
-        out = expm_propagate(params, initial, t, drive=drive)
     else:
-        action = full_generator(params, initial.truncation, drive=drive)
-        out = ode_propagate(action, initial, t, config)
+        out = expm_propagate(params, initial, t, drive=0.5j * J)
     if top_tol is not None:
         _gate_cutoff_weight(out.entries, top_tol, f"at n_max={initial.n_max}, J={J}, t={t}")
     return out
@@ -247,8 +241,6 @@ def generating_function(
     initial: FockState,
     t: float,
     J_grid: np.ndarray,
-    config: IntegratorConfig | None = None,
-    backend: str = "auto",
     known: dict[float, complex] | None = None,
 ) -> np.ndarray:
     """Z(J) = tr xi(t) over a symmetric grid; the J < 0 half is conj-mirrored.
@@ -263,10 +255,10 @@ def generating_function(
     known = {} if known is None else known
     missing = [J for J in half if J not in known]
     form = None
-    if missing and _resolve_backend(params, initial.truncation, backend) == "dense":
+    if missing and _resolve_backend(params, initial.truncation, "auto") == "dense":
         form = real_form(params, initial.truncation)
     for J in missing:
-        known[J] = xi_evolve(params, J, t, initial, config, backend, form=form).trace()
+        known[J] = xi_evolve(params, J, t, initial, form=form).trace()
     Z_half = np.array([known[J] for J in half])
     Z = np.empty(len(J_grid), dtype=complex)
     n_neg = len(J_grid) - len(half)
@@ -510,7 +502,6 @@ def run_noise(
     t: float,
     J_max: float = 8.0,
     N_J: int = 257,
-    config: IntegratorConfig | None = None,
     max_doublings: int = 3,
 ) -> NoiseRun:
     """Full pipeline: Z on the grid, P by inverse Fourier, moments, cumulants.
@@ -522,7 +513,7 @@ def run_noise(
     J_grid = symmetric_J_grid(J_max, N_J)
     known: dict[float, complex] = {}
     for attempt in range(max_doublings + 1):
-        Z = generating_function(params, initial, t, J_grid, config, known=known)
+        Z = generating_function(params, initial, t, J_grid, known=known)
         if max(abs(Z[0]), abs(Z[-1])) < Z_TAIL_TOL:
             break
         if attempt == max_doublings:

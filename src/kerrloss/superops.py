@@ -18,7 +18,6 @@ these constructions.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -46,7 +45,6 @@ __all__ = [
     "GeneratorAction",
     "full_generator",
     "similarity_identity_suite",
-    "block_matrix_csv",
 ]
 
 
@@ -69,6 +67,8 @@ class ModelParams:
             raise ValueError("model parameters must be finite")
         if self.kappa1 < 0 or self.kappa2 < 0:
             raise ValueError("loss rates must be non-negative")
+        if self.kappa2 > 0 and not math.isfinite(self.kappa1 / self.kappa2):
+            raise ValueError("kappa1/kappa2 must be finite")
         if self.kappa1 == 0 and self.kappa2 == 0 and not self.allow_unitary:
             raise ValueError(
                 "kappa1 = kappa2 = 0 is the Hamiltonian-only case; "
@@ -371,15 +371,4 @@ def similarity_identity_suite(params: ModelParams, trunc: Truncation, m: int) ->
         dev = float(np.max(np.abs(lhs - rhs))) / scale
         report[name] = {"max_dev": dev, "tolerance": tolerance, "pass": dev < tolerance}
     return report
-
-
-def block_matrix_csv(blocks: list[BlockMatrix]) -> str:
-    """CSV dump `m,row,col,re,im`, zero entries omitted."""
-    buf = io.StringIO()
-    buf.write("m,row,col,re,im\n")
-    for blk in blocks:
-        for (r, c) in np.argwhere(blk.entries != 0):
-            v = blk.entries[r, c]
-            buf.write(f"{blk.m},{r},{c},{v.real:.17g},{v.imag:.17g}\n")
-    return buf.getvalue()
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kerrloss import cli
+from kerrloss import checks, cli
 
 
 def run(argv):
@@ -72,6 +72,11 @@ def test_non_finite_input_is_validation_error(tmp_path):
     assert run(["noise", "--J-max", "inf", "--out", out]) == cli.EXIT_VALIDATION
     # a negative time is bad input, not a gate failure of a backward evolution
     assert run(["noise", "--t", "-1", "--out", out]) == cli.EXIT_VALIDATION
+    # finite rates whose ratio kappa1/kappa2 overflows
+    assert run(["spectrum", "--kappa2", "1e-320", "--out", out]) == cli.EXIT_VALIDATION
+    assert run(
+        ["spectrum", "--kappa1", "1e300", "--kappa2", "1e-10", "--out", out]
+    ) == cli.EXIT_VALIDATION
 
 
 def test_evolve_with_oracle_and_heisenberg(tmp_path):
@@ -100,10 +105,16 @@ def test_evolve_with_oracle_and_heisenberg(tmp_path):
     assert len(heis) == 2 + 2 * 8
 
 
-def test_verify_passes_and_writes_report(tmp_path):
-    out = str(tmp_path / "ver")
-    assert run(["verify", "--out", out]) == cli.EXIT_OK
-    payload = json.loads(read(out + "/verify.json"))
+@pytest.fixture(scope="module")
+def verify_report(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("ver"))
+    code = run(["verify", "--out", out])
+    return code, json.loads(read(out + "/verify.json"))
+
+
+def test_verify_passes_and_writes_report(verify_report):
+    code, payload = verify_report
+    assert code == cli.EXIT_OK
     assert set(payload) == {"config_hash", "checks"}
     assert len(payload["checks"]) > 10
     for c in payload["checks"]:
@@ -111,13 +122,18 @@ def test_verify_passes_and_writes_report(tmp_path):
         assert c["pass"]
 
 
+def test_verify_reports_every_registry_check_once(verify_report):
+    names = [c["check"] for c in verify_report[1]["checks"]]
+    assert len(names) == len(set(names))
+    assert set(names) == set(checks.TOLERANCES)
+
+
 def test_verify_detects_injected_sign_fault(tmp_path):
     out = str(tmp_path / "fault")
     assert run(["verify", "--inject-c-sign-fault", "--out", out]) == cli.EXIT_VERIFY_FAIL
     payload = json.loads(read(out + "/verify.json"))
     failed = {c["check"] for c in payload["checks"] if not c["pass"]}
-    assert any(name.startswith("eigenvector_residuals") for name in failed)
-    assert "F_diagonalization_offdiag" in failed
+    assert failed == {"eigenvector_residuals", "F_diagonalization_offdiag"}
 
 
 def test_noise_command_outputs(tmp_path):

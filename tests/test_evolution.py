@@ -49,12 +49,6 @@ def test_g_t0_is_kronecker():
         assert abs(val - (1.0 if r == 0 else 0.0)) < 1e-10
 
 
-def test_g_diagnostics_flag():
-    val, limited = g_coefficient(GENERIC, 0, 0, 2, 0.3, diagnostics=True)
-    assert not limited
-    assert val == pytest.approx(g_coefficient(GENERIC, 0, 0, 2, 0.3))
-
-
 def test_simaan_g_examples():
     # r = 0 reduces to the bare decay exponential, zero modes stay put
     assert simaan_g(2, 1, 0, 0.7, 1.3) == pytest.approx(

@@ -6,7 +6,6 @@ from kerrloss.fockbasis import (
     FockState,
     Truncation,
     coherent_ket,
-    coherent_phi_component,
     from_blocks,
     phi_indices,
     to_blocks,
@@ -61,17 +60,6 @@ def test_coherent_state_basics():
     # a|alpha> = alpha |alpha> on the retained amplitudes
     n = np.arange(1, tr.dim)
     assert np.max(np.abs(np.sqrt(n) * ket[1:] - alpha * ket[:-1])) < 1e-12
-
-
-def test_coherent_phi_component_matches_projector():
-    tr = Truncation(20)
-    alpha = 0.7 - 0.3j
-    state = FockState.coherent(tr, alpha)
-    blocks = to_blocks(state)
-    for m, k in [(0, 0), (0, 3), (2, 1), (-1, 4)]:
-        assert blocks[m].coeffs[k] == pytest.approx(
-            coherent_phi_component(alpha, m, k, tr), abs=1e-12
-        )
 
 
 def test_vacuum_and_fock():

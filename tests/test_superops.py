@@ -8,7 +8,6 @@ from kerrloss.superops import (
     annihilation,
     apply_exp_A,
     block_A_matrix,
-    block_matrix_csv,
     c_superdiagonal,
     expm_nilpotent,
     liouvillian_block,
@@ -32,6 +31,7 @@ def test_params_validation():
         (1.0, float("inf"), 1.0, 1.0),
         (1.0, 0.0, float("nan"), 1.0),
         (1.0, 0.0, 1.0, float("inf")),
+        (1.0, 0.0, 1.0, 1e-320),  # kappa1/kappa2 overflows
     ):
         with pytest.raises(ValueError):
             ModelParams(*bad, allow_unitary=True)
@@ -157,11 +157,3 @@ def test_superop_block_identity():
         mat = superop_block(lambda X: X, tr, m)
         assert np.max(np.abs(mat - np.eye(tr.block_size(m)))) == 0
 
-
-def test_block_matrix_csv_shape():
-    tr = Truncation(4)
-    blk = liouvillian_block(GENERIC, tr, 1)
-    text = block_matrix_csv([blk])
-    lines = text.strip().split("\n")
-    assert lines[0] == "m,row,col,re,im"
-    assert all(line.split(",")[0] == "1" for line in lines[1:])
