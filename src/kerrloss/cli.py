@@ -174,8 +174,7 @@ def cmd_evolve(settings: dict) -> int:
             raise ValueError("the a-factor table needs kappa2 > 0 (G coefficients)")
         lines = ["t,k,re_factor,im_factor"]
         for t in times:
-            for k in range(trunc.n_max):
-                f = evolution.heisenberg_a_factor(params, trunc, k, t, coeffs)
+            for k, f in enumerate(evolution.heisenberg_a_factors(params, trunc, t, coeffs)):
                 lines.append(f"{t:.17g},{k},{f.real:.17g},{f.imag:.17g}")
         _write(os.path.join(settings["out"], "heisenberg_a.csv"), header, "\n".join(lines) + "\n")
     if settings.get("oracle"):

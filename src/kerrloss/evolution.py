@@ -3,12 +3,17 @@
 The closed form holds one factorization per block,
 T_m(t) = R_m e^{Lambda_m t} L_m, whose eigenvector entries come from
 :class:`~kerrloss.spectral.EigenvectorBuilder` (at kappa2 = 0 its
-Gaussian-limit blocks); propagation, the Heisenberg picture and the a-factor
-rows are products with it.  Spectral propagation through an assembled
-eigendecomposition is the second route, and the scalar double sum
-:func:`g_coefficient` of the propagator coefficients G_{r,k}^(m)(t), summed
-in double precision, stays as the paper's formula that checks the
-factorization.
+Gaussian-limit blocks).  :class:`PropagatorCoefficients` keeps the factors of
+all blocks in one zero-padded stack.  Propagation forms
+T_m(t) = (R_m e^{Lambda_m t}) L_m for every m >= 0 in one batched product
+(block -m is its conjugate), gathers every block diagonal of the matrix with
+one index, applies the stack with a second batched product and scatters the
+result back; the Heisenberg picture reads the stack reversed and transposed,
+and the a-factor rows are one row-vector product with block 1.  Spectral
+propagation through an assembled eigendecomposition, block by block, is the
+second route, and the scalar double sum :func:`g_coefficient` of the
+propagator coefficients G_{r,k}^(m)(t), summed in double precision, stays as
+the paper's formula that checks the factorization.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fockbasis import BlockVector, FockState, Truncation, from_blocks, to_blocks
+from .fockbasis import BlockVector, FockState, Truncation, block_layout, from_blocks, to_blocks
 from .spectral import EigenvectorBuilder, SpectralDecomposition, eigenvalue, x_parameter
 from .specfun import double_factorial, hyp2f1_terminating
 from .superops import ModelParams
@@ -29,6 +34,7 @@ __all__ = [
     "propagate_phi",
     "spectral_propagate",
     "heisenberg_phi",
+    "heisenberg_a_factors",
     "heisenberg_a_factor",
     "simaan_g",
 ]
@@ -59,33 +65,84 @@ class PropagatorCoefficients:
 
     Column k of R_m and row k of L_m are the right and left eigenvectors of
     mode (m, k); at kappa2 > 0, (R_m e^{Lambda_m t} L_m)[k, q] is
-    sqrt(C(q+|m|, k+|m|) C(q, k)) G_{q-k,k}^(m)(t) term by term.  Blocks m
-    and -m are built together on first use and kept, so memory depends on
-    n_max only, not on the number of times asked for.
+    sqrt(C(q+|m|, k+|m|) C(q, k)) G_{q-k,k}^(m)(t) term by term.  The
+    factors of every block live in one zero-padded stack, row m + n_max for
+    block m in the layout of :func:`~kerrloss.fockbasis.block_layout`:
+    Lambda (2 n_max + 1, n_max + 1), R and L (2 n_max + 1, n_max + 1, n_max + 1).
+    Blocks m and -m are built into it together on first use, so memory
+    depends on n_max only, not on the number of times asked for.
     """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
         self.params = params
         self.truncation = trunc
-        self._factors: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        rows, size = 2 * trunc.n_max + 1, trunc.dim
+        self._lam = np.zeros((rows, size), dtype=complex)
+        self._R = np.zeros((rows, size, size), dtype=complex)
+        self._L = np.zeros((rows, size, size), dtype=complex)
+        self._built = [False] * size
+        #: :func:`~kerrloss.fockbasis.block_layout` of the truncation
+        self.layout = block_layout(trunc)
 
     @cached_property
     def _builder(self) -> EigenvectorBuilder:
         return EigenvectorBuilder(self.params, self.truncation)
 
+    def _build(self, am: int) -> None:
+        n, size = self.truncation.n_max, self.truncation.block_size(am)
+        R, L = self._builder.block(am)
+        self._R[n + am, :size, :size], self._L[n + am, :size, :size] = R, L
+        if am:
+            self._R[n - am, :size, :size], self._L[n - am, :size, :size] = R.conj(), L.conj()
+        for mm in {am, -am}:
+            self._lam[n + mm, :size] = [eigenvalue(self.params, mm, k) for k in range(size)]
+        self._built[am] = True
+
     def factors(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lambda, R, L) of block m."""
-        if m not in self._factors:
-            R, L = self._builder.block(abs(m))
-            for mm in {m, -m}:
-                lam = np.array([eigenvalue(self.params, mm, k) for k in range(len(R))])
-                self._factors[mm] = (lam, R, L) if mm >= 0 else (lam, R.conj(), L.conj())
-        return self._factors[m]
+        """(lambda, R, L) of block m, views into the stack."""
+        size = self.truncation.block_size(m)
+        if not self._built[abs(m)]:
+            self._build(abs(m))
+        i = m + self.truncation.n_max
+        return self._lam[i, :size], self._R[i, :size, :size], self._L[i, :size, :size]
+
+    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Lambda, R, L) of every block, padded, after building what is missing."""
+        for am, built in enumerate(self._built):
+            if not built:
+                self._build(am)
+        return self._lam, self._R, self._L
 
     def block_matrix(self, m: int, t: float) -> np.ndarray:
         """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m."""
         lam, R, L = self.factors(m)
         return (R * np.exp(lam * t)) @ L
+
+
+def _apply_blocks(
+    params: ModelParams, op: FockState, t: float,
+    coeffs: PropagatorCoefficients | None, transpose: bool,
+) -> FockState:
+    """T_m(t) (or T_{-m}(t)^T) on every block diagonal of ``op`` at once."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    trunc = op.truncation
+    if coeffs is None:
+        coeffs = PropagatorCoefficients(params, trunc)
+    elif coeffs.truncation != trunc:
+        raise ValueError("state truncation does not match the coefficients")
+    lam, R, L = (f[trunc.n_max:] for f in coeffs.stack())  # blocks m >= 0
+    T = (R * np.exp(lam * t)[:, None, :]) @ L
+    T = np.concatenate((T[:0:-1].conj(), T))  # T_{-m}(t) is the conjugate of T_m(t)
+    if transpose:  # block m takes T_{-m}^T; block -m is the reversed row
+        T = T[::-1].swapaxes(1, 2)
+    rows, cols, filled = coeffs.layout
+    w = (T @ op.entries[rows, cols][..., None])[..., 0]
+    entries = np.zeros_like(op.entries)
+    entries[rows[filled], cols[filled]] = w[filled]
+    state = FockState(entries)
+    state.hermitian = op.hermitian
+    return state
 
 
 def propagate_phi(
@@ -94,19 +151,12 @@ def propagate_phi(
     t: float,
     coeffs: PropagatorCoefficients | None = None,
 ) -> FockState:
-    """Exact phi-basis solution of the master equation at time t >= 0."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    trunc = initial.truncation
-    if coeffs is None:
-        coeffs = PropagatorCoefficients(params, trunc)
-    blocks = to_blocks(initial)
-    out = {
-        m: BlockVector(m, coeffs.block_matrix(m, t) @ v.coeffs) for m, v in blocks.items()
-    }
-    state = from_blocks(out, trunc)
-    state.hermitian = initial.hermitian
-    return state
+    """Exact phi-basis solution of the master equation at time t >= 0.
+
+    Block m of rho(t) is T_m(t) rho_m with T_m(t) = (R_m e^{Lambda_m t}) L_m,
+    all blocks in two batched products over the padded stack.
+    """
+    return _apply_blocks(params, initial, t, coeffs, transpose=False)
 
 
 def spectral_propagate(decomp: SpectralDecomposition, initial: FockState, t: float) -> FockState:
@@ -133,37 +183,41 @@ def heisenberg_phi(
 ) -> FockState:
     """Heisenberg-picture operator O^H(t) = e^{L'^dag t} O in the phi basis.
 
-    Block m of O^H(t) is block_matrix(-m, t)^T applied to block m of O.
+    Block m of O^H(t) is block_matrix(-m, t)^T applied to block m of O; the
+    blocks -m are the stack read in reverse.
+    """
+    return _apply_blocks(params, observable, t, coeffs, transpose=True)
+
+
+def heisenberg_a_factors(
+    params: ModelParams, trunc: Truncation, t: float,
+    coeffs: PropagatorCoefficients | None = None,
+) -> np.ndarray:
+    """Row scalings f_k of a^H(t), k < n_max: f_k = sum_q binom(k, q) G_{k-q,q}^(1)(t).
+
+    binom(k, q) G = sqrt((q+1)/(k+1)) T_1[q, k] with T_1 the block-1
+    propagator, so the whole table is ((sqrt(q+1)^T R_1) e^{Lambda_1 t}) L_1
+    over sqrt(k+1): one row-vector product per side, and only block 1 is built.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    trunc = observable.truncation
     if coeffs is None:
         coeffs = PropagatorCoefficients(params, trunc)
-    blocks = to_blocks(observable)
-    out = {
-        m: BlockVector(m, coeffs.block_matrix(-m, t).T @ v.coeffs) for m, v in blocks.items()
-    }
-    state = from_blocks(out, trunc)
-    state.hermitian = observable.hermitian
-    return state
+    elif coeffs.truncation != trunc:
+        raise ValueError("truncation does not match the coefficients")
+    lam, R, L = coeffs.factors(1)
+    root = np.sqrt(np.arange(1, len(lam) + 1))
+    return (root @ R * np.exp(lam * t)) @ L / root
 
 
 def heisenberg_a_factor(
     params: ModelParams, trunc: Truncation, k: int, t: float,
     coeffs: PropagatorCoefficients | None = None,
 ) -> complex:
-    """Row-k scaling of a^H(t): sum_q binom(k, q) G_{k-q,q}^(1)(t).
-
-    binom(k, q) G = sqrt((q+1)/(k+1)) T_1[q, k] with T_1 the block-1 propagator;
-    only rows q <= k of its column k are formed.
-    """
-    if coeffs is None:
-        coeffs = PropagatorCoefficients(params, trunc)
-    lam, R, L = coeffs.factors(1)
-    q = np.arange(k + 1)
-    column = (R[: k + 1] * np.exp(lam * t)) @ L[:, k]
-    return complex(np.sqrt((q + 1) / (k + 1)) @ column)
+    """Row k of :func:`heisenberg_a_factors`."""
+    if not 0 <= k < trunc.n_max:
+        raise ValueError(f"a-factor row k={k} outside 0..{trunc.n_max - 1}")
+    return complex(heisenberg_a_factors(params, trunc, t, coeffs)[k])
 
 
 def simaan_g(m: int, k: int, r: int, t: float, kappa2: float) -> complex:

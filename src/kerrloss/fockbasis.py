@@ -6,6 +6,9 @@ phi_k^(m) = |k+m><k| (m >= 0) and |k><k-m| (m < 0), where m labels the
 photon-number-difference coherence sector and k the excitation index.
 With a global cutoff n_max, block m holds indices k in [0, K(m)],
 K(m) = n_max - |m|, so the two layouts describe the same finite space.
+:func:`block_layout` is the one map between them: it places every block in
+a zero-padded (2 n_max + 1, n_max + 1) stack, row m + n_max for block m,
+which batched propagation gathers and scatters with one index each.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "Truncation",
     "FockState",
     "BlockVector",
+    "block_layout",
     "to_blocks",
     "from_blocks",
 ]
@@ -175,17 +179,30 @@ def coherent_ket(trunc: Truncation, alpha: complex) -> np.ndarray:
     return amps * phases
 
 
-def to_blocks(state: FockState) -> dict[int, BlockVector]:
-    """Decompose a FockState over the phi basis, one BlockVector per m.
+def block_layout(trunc: Truncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The phi basis as a padded block stack: (rows, cols, filled).
 
-    Block m is the diagonal (k + max(m, 0), k + max(-m, 0)) of the matrix.
+    Slot k of stack row m + n_max is the matrix entry
+    (k + max(m, 0), k + max(-m, 0)), and ``filled`` marks the slots k <= K(m).
+    ``entries[rows, cols]`` gathers the (2 n_max + 1, n_max + 1) stack; its
+    padding slots repeat entry K(m) of the same block.
+    ``entries[rows[filled], cols[filled]] = stack[filled]`` scatters a stack
+    back into the (dim, dim) matrix.
     """
+    n = trunc.n_max
+    m = np.arange(-n, n + 1)[:, None]
+    k, bound = np.arange(n + 1), n - np.abs(m)
+    k_in = np.minimum(k, bound)
+    return k_in + np.maximum(m, 0), k_in + np.maximum(-m, 0), k <= bound
+
+
+def to_blocks(state: FockState) -> dict[int, BlockVector]:
+    """Decompose a FockState over the phi basis, one BlockVector per m."""
     trunc = state.truncation
-    blocks: dict[int, BlockVector] = {}
-    for m in trunc.blocks():
-        k = np.arange(trunc.block_size(m))
-        blocks[m] = BlockVector(m, state.entries[k + max(m, 0), k + max(-m, 0)])
-    return blocks
+    rows, cols, _ = block_layout(trunc)
+    stack = state.entries[rows, cols]
+    return {m: BlockVector(m, stack[m + trunc.n_max, : trunc.block_size(m)])
+            for m in trunc.blocks()}
 
 
 def from_blocks(blocks: dict[int, BlockVector], trunc: Truncation | None = None) -> FockState:
@@ -195,16 +212,16 @@ def from_blocks(blocks: dict[int, BlockVector], trunc: Truncation | None = None)
             raise ValueError("cannot infer truncation from empty block set")
         some = next(iter(blocks.values()))
         trunc = Truncation(len(some.coeffs) - 1 + abs(some.m))
+    rows, cols, _ = block_layout(trunc)
     entries = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     for m, block in blocks.items():
         if block.m != m:
             raise ValueError("block label mismatch")
-        if len(block.coeffs) != trunc.block_size(m):
+        size = trunc.block_size(m)
+        if len(block.coeffs) != size:
             raise ValueError(
                 f"block m={m} has {len(block.coeffs)} coefficients, "
-                f"expected {trunc.block_size(m)} for n_max={trunc.n_max}"
+                f"expected {size} for n_max={trunc.n_max}"
             )
-        k = np.arange(len(block.coeffs))
-        entries[k + max(m, 0), k + max(-m, 0)] = block.coeffs
+        entries[rows[m + trunc.n_max, :size], cols[m + trunc.n_max, :size]] = block.coeffs
     return FockState(entries)
-

@@ -40,6 +40,7 @@ __all__ = [
     "expm_nilpotent",
     "superop_block",
     "liouvillian_block",
+    "conjugated_block",
     "transformed_block",
     "c_superdiagonal",
     "GeneratorAction",
@@ -299,6 +300,13 @@ def _transformed_diag(params: ModelParams, m: int, k: int) -> complex:
     )
 
 
+def conjugated_block(params: ModelParams, trunc: Truncation, m: int) -> np.ndarray:
+    """e^A L_m e^{-A}: the operator-algebra block conjugated with the exact
+    nilpotent exponentials, independent of any closed form."""
+    A = block_A_matrix(trunc, m)
+    return expm_nilpotent(A) @ liouvillian_block(params, trunc, m).entries @ expm_nilpotent(-A)
+
+
 def transformed_block(
     params: ModelParams,
     trunc: Truncation,
@@ -308,9 +316,8 @@ def transformed_block(
 ) -> BlockMatrix:
     """Bidiagonal e^A L e^{-A} on block m from the closed form.
 
-    With ``verify=True`` the same matrix is built by conjugating the
-    operator-algebra Liouvillian block with the exact nilpotent exponentials
-    and the two must agree entrywise to ``tol``.
+    With ``verify=True`` it must agree entrywise to ``tol`` with
+    :func:`conjugated_block`, relative to max(1, max|conjugated|).
     """
     size = trunc.block_size(m)
     mat = np.zeros((size, size), dtype=complex)
@@ -319,8 +326,7 @@ def transformed_block(
         if k >= 1:
             mat[k - 1, k] = c_superdiagonal(params, m, k)
     if verify:
-        A = block_A_matrix(trunc, m)
-        conj = expm_nilpotent(A) @ liouvillian_block(params, trunc, m).entries @ expm_nilpotent(-A)
+        conj = conjugated_block(params, trunc, m)
         scale = max(1.0, float(np.max(np.abs(conj))))
         dev = float(np.max(np.abs(conj - mat))) / scale
         if dev > tol:

@@ -10,7 +10,7 @@ only with a recorded justification.
 import numpy as np
 import pytest
 
-from kerrloss import checks, evolution, noise
+from kerrloss import checks, evolution, noise, superops
 from kerrloss.checks import seeded_draws
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.spectral import CaseTag
@@ -56,12 +56,35 @@ def test_criterion_4_inverse_theorem():
 
 def test_criterion_5_similarity_identities():
     devs = checks.similarity_identities()
+    # closed-form block against the conjugated one, diagonal and zeros included
+    assert devs["transformed_block"] <= 1e-12, devs["transformed_block"]
     assert devs["transformed_bandwidth"] <= 1
     # per entry: |T[k-1, k] - c_k| <= 1e-12 max(1, |c_k|)
     assert devs["c_superdiagonal"] <= 1e-12, devs["c_superdiagonal"]
     worst = devs["similarity_identities"]
     assert worst < 1e-12, worst
     print(f"\n[criterion 5] similarity identities + bidiagonal form: max = {worst:.2e} PASS")
+
+
+def test_criterion_5_fires_on_a_perturbed_superdiagonal(monkeypatch):
+    # c_k off by 1e-9 relative: the conjugated block no longer matches it
+    exact = superops.c_superdiagonal
+    monkeypatch.setattr(superops, "c_superdiagonal",
+                        lambda params, m, k: exact(params, m, k) * (1 + 1e-9))
+    devs = checks.similarity_identities()
+    assert devs["c_superdiagonal"] > 1e-12, devs["c_superdiagonal"]
+    assert devs["transformed_block"] > 1e-12, devs["transformed_block"]
+    assert devs["transformed_bandwidth"] <= 1
+
+
+def test_criterion_5_fires_on_a_perturbed_diagonal(monkeypatch):
+    # a closed-form diagonal off by 1e-9 relative shows in the whole-block figure
+    exact = superops._transformed_diag
+    monkeypatch.setattr(superops, "_transformed_diag",
+                        lambda params, m, k: exact(params, m, k) * (1 + 1e-9))
+    devs = checks.similarity_identities()
+    assert devs["transformed_block"] > 1e-12, devs["transformed_block"]
+    assert devs["c_superdiagonal"] <= 1e-12, devs["c_superdiagonal"]
 
 
 def test_criterion_6_propagation_equivalence():

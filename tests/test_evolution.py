@@ -8,6 +8,7 @@ from kerrloss.evolution import (
     PropagatorCoefficients,
     g_coefficient,
     heisenberg_a_factor,
+    heisenberg_a_factors,
     heisenberg_phi,
     propagate_phi,
     simaan_g,
@@ -21,6 +22,14 @@ from kerrloss.superops import ModelParams, annihilation, full_generator
 
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
 PURE_LOSS = ModelParams(0.0, 0.0, 0.0, 1.0)
+#: one channel per case tag, kappa2 = 0 and kappa1 = kappa2 = 0 included
+CASE_CHANNELS = (
+    GENERIC,
+    ModelParams(1.0, 0.5, 2.0, 1.0),
+    ModelParams(1.0, 0.5, 0.0, 1.0),
+    ModelParams(1.0, 0.5, 0.8, 0.0),
+    ModelParams(1.0, 0.5, 0.0, 0.0, allow_unitary=True),
+)
 
 
 def random_hermitian_state(trunc, seed):
@@ -90,18 +99,20 @@ def test_propagate_phi_t0_and_trace():
     assert out.hermiticity_deviation() < 1e-10
     with pytest.raises(ValueError):
         propagate_phi(GENERIC, rho0, -0.1)
+    with pytest.raises(ValueError):  # coefficients built for another cutoff
+        propagate_phi(GENERIC, rho0, 0.5, PropagatorCoefficients(GENERIC, Truncation(12)))
+    # the flag is carried, not re-checked: a check on this matrix would raise
+    flagged = FockState(np.triu(rho0.entries))
+    flagged.hermitian = True
+    for route in (propagate_phi, heisenberg_phi):
+        assert route(GENERIC, flagged, 0.5).hermitian is True
+        assert route(GENERIC, FockState(rho0.entries), 0.5).hermitian is False
 
 
 def test_propagation_matches_oracle_all_cases():
     tr = Truncation(8)
     rho0 = FockState.coherent(tr, 0.8)
-    for params in (
-        GENERIC,
-        ModelParams(1.0, 0.5, 2.0, 1.0),
-        ModelParams(1.0, 0.5, 0.0, 1.0),
-        ModelParams(1.0, 0.5, 0.8, 0.0),
-        ModelParams(1.0, 0.5, 0.0, 0.0, allow_unitary=True),
-    ):
+    for params in CASE_CHANNELS:
         gen = full_generator(params, tr)
         for t in (0.2, 1.0):
             mine = propagate_phi(params, rho0, t)
@@ -111,13 +122,23 @@ def test_propagation_matches_oracle_all_cases():
 
 
 def test_spectral_propagate_agrees_with_phi_route():
+    # every case tag, from full-support states: the batched route against the
+    # per-block dict route of the decomposition, and the Heisenberg picture
+    # against it by duality tr[O^H(t) rho0] = tr[O rho(t)]
     tr = Truncation(10)
-    decomp = decompose(GENERIC, tr)
     rho0 = random_hermitian_state(tr, 12)
-    for t in (0.1, 0.7, 3.0):
-        a = propagate_phi(GENERIC, rho0, t)
-        b = spectral_propagate(decomp, rho0, t)
-        assert np.max(np.abs(a.entries - b.entries)) < 1e-8
+    rng = np.random.default_rng(13)
+    obs = FockState(rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim)))
+    for params in CASE_CHANNELS:
+        decomp = decompose(params, tr)
+        coeffs = PropagatorCoefficients(params, tr)
+        for t in (0.1, 0.7, 3.0):
+            a = propagate_phi(params, rho0, t, coeffs)
+            b = spectral_propagate(decomp, rho0, t)
+            assert np.max(np.abs(a.entries - b.entries)) < 1e-8, (params, t)
+            sched = np.trace(obs.entries @ b.entries)
+            heis = np.trace(heisenberg_phi(params, obs, t, coeffs).entries @ rho0.entries)
+            assert abs(sched - heis) < 1e-8 * max(1.0, abs(sched)), (params, t)
 
 
 def test_spectral_propagate_eigenmode():
@@ -272,8 +293,9 @@ def test_block_factorization_matches_g_double_sum():
 
 
 def test_a_factor_column_matches_full_block():
-    # the a-factor row reads one column of the block-1 propagator; forming
-    # the whole block and slicing it gives the same value to rounding
+    # the a-factor table is one row-vector product on each side of block 1;
+    # forming the whole block and slicing its columns gives the same values
+    # to rounding, and each row is that table's entry
     tr = Truncation(20)
     coeffs = PropagatorCoefficients(GENERIC, tr)
     for t in (0.3, 2.0, 7.0):
@@ -282,10 +304,16 @@ def test_a_factor_column_matches_full_block():
             q = np.arange(k + 1)
             ref.append(np.sqrt((q + 1) / (k + 1)) @ coeffs.block_matrix(1, t)[q, k])
         ref = np.array(ref)
-        mine = np.array([heisenberg_a_factor(GENERIC, tr, k, t, coeffs)
-                         for k in range(tr.dim - 1)])
+        mine = heisenberg_a_factors(GENERIC, tr, t, coeffs)
         dev = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
         assert dev < 1e-14, (t, dev)
+        rows = [heisenberg_a_factor(GENERIC, tr, k, t, coeffs) for k in range(tr.dim - 1)]
+        assert np.array_equal(rows, mine)
+    for k in (-1, tr.n_max):
+        with pytest.raises(ValueError):
+            heisenberg_a_factor(GENERIC, tr, k, 1.0, coeffs)
+    with pytest.raises(ValueError):  # coefficients built for another cutoff
+        heisenberg_a_factors(GENERIC, Truncation(12), 1.0, coeffs)
 
 
 def test_factors_built_once_per_block(monkeypatch):
@@ -307,4 +335,12 @@ def test_factors_built_once_per_block(monkeypatch):
     assert sorted(calls) == list(range(tr.n_max + 1))
     for t in (0.2, 0.5, 1.0, 3.0, 7.0):
         propagate_phi(GENERIC, rho0, t, coeffs)
+        heisenberg_phi(GENERIC, rho0, t, coeffs)
     assert len(calls) == built
+    # the a-factor rows read block 1 only, however many rows and times
+    calls.clear()
+    fresh = PropagatorCoefficients(GENERIC, tr)
+    for t in (0.2, 3.0):
+        for k in range(tr.n_max):
+            heisenberg_a_factor(GENERIC, tr, k, t, fresh)
+    assert calls == [1]
