@@ -8,8 +8,9 @@ routines arbitrate every derived value used in the tests.
 
 The multi-time correlators cut the vectorized generator into one dense
 block per coherence sector m = i - j, found from its own row-major indices
-and gated to be uncoupled, and evolve each gap with a dense exponential of
-the sectors that can still reach the trace.
+and gated to be uncoupled, and evolve all sequences of one length at once:
+one stacked Pade exponential per step and per sector that can still reach
+the trace, each sequence with its own gap.
 """
 
 from __future__ import annotations
@@ -234,16 +235,6 @@ def expm_propagate(
     return FockState(vec.reshape(d, d))
 
 
-def _apply_super_v(tag: str, V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    if tag == "+":
-        return V @ X
-    if tag == "-":
-        return X @ V
-    if tag == "o":
-        return V @ X + X @ V
-    raise ValueError(f"unknown superoperator tag {tag!r} (use '+', '-', 'o')")
-
-
 def _check_sequence(sequence) -> None:
     """Raise ValueError unless ``sequence`` is a valid insertion list."""
     if not sequence:
@@ -258,19 +249,115 @@ def _check_sequence(sequence) -> None:
         raise ValueError("times must satisfy t1 >= t2 >= ... >= tn >= 0")
 
 
-def _coherence_sectors(gen: sp.csr_matrix, d: int) -> dict[int, np.ndarray]:
-    """Row-major positions of each coherence sector m = i - j of a (d^2, d^2)
-    generator, after checking that no nonzero entry couples two sectors."""
-    flat = np.arange(d * d)
-    sector = flat // d - flat % d
+def _sector_blocks(gen: sp.csr_matrix, d: int) -> np.ndarray:
+    """Coherence-sector blocks of a row-major (d^2, d^2) generator as one
+    zero-padded stack (2d - 1, d, d), after checking that no nonzero entry
+    couples two sectors.
+
+    Row m + d - 1 holds sector m = i - j.  Inside a sector, position (i, j)
+    has index min(i, j), which keeps the row-major order.
+    """
+    i, j = np.divmod(np.arange(d * d), d)
+    sector = i - j
     coo = gen.tocoo()
     nz = coo.data != 0
-    crossing = int(np.count_nonzero(sector[coo.row[nz]] != sector[coo.col[nz]]))
+    rows, cols = coo.row[nz], coo.col[nz]
+    crossing = int(np.count_nonzero(sector[rows] != sector[cols]))
     if crossing:
         raise InternalConsistencyError(
             f"generator couples coherence sectors ({crossing} entries)"
         )
-    return {m: np.flatnonzero(sector == m) for m in range(1 - d, d)}
+    local = np.minimum(i, j)
+    blocks = np.zeros((2 * d - 1, d, d), dtype=complex)
+    blocks[sector[rows] + d - 1, local[rows], local[cols]] = coo.data[nz]
+    return blocks
+
+
+#: coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the
+#: 1-norm up to which it is accurate to double precision (Higham, SIAM J.
+#: Matrix Anal. Appl. 26, 1179 (2005))
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
+    """(e^{x_{k+1}} - e^{x_k}) / (x_{k+1} - x_k) along the last axis, and
+    e^{x_k} where the two points agree."""
+    ex = np.exp(x)
+    den = np.diff(x, axis=-1)
+    equal = den == 0
+    return np.where(equal, ex[..., :-1], np.diff(ex, axis=-1) / np.where(equal, 1.0, den))
+
+
+def _stacked_expm(block: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """exp(block * g) for every gap g >= 0, for one upper-triangular block.
+
+    Returns the stack (len(gaps), n, n).  One degree-13 Pade approximant
+    serves the whole stack, each matrix X = block g 2^-s scaled by its own
+    power of two and squared back s times.  The approximant is evaluated
+    in Higham's nesting, and since every X is a multiple c block, the
+    powers block^2, ^4, ^6 are formed once and scaled by c^2, c^4, c^6.
+    After each squaring the diagonal and first superdiagonal are set to
+    their exact values, as ``scipy.linalg.expm`` does for a triangular
+    matrix (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009),
+    Code Fragment 2.1).  A zero gap, or a diagonal block, gets the
+    exponential of the diagonal, so a zero gap gives the identity exactly.
+    """
+    n = block.shape[0]
+    k = np.arange(n)
+    gaps = np.asarray(gaps, dtype=float)
+    norm = gaps * np.max(np.sum(np.abs(block), axis=0))
+    s = np.zeros(len(gaps), dtype=int)
+    big = norm > _THETA13
+    s[big] = np.ceil(np.log2(norm[big] / _THETA13))
+    c = gaps * np.ldexp(1.0, -s)
+    B2 = block @ block
+    B4 = B2 @ B2
+    B6 = B2 @ B4
+    powers = np.stack([B6, B4, B2, np.eye(n)]).reshape(4, n * n)
+    scales = np.stack([c**6, c**4, c**2, np.ones_like(c)], axis=1)
+
+    def even(b6, b4, b2, b0):
+        # b6 X^6 + b4 X^4 + b2 X^2 + b0 I for every X
+        return ((scales * (b6, b4, b2, b0)) @ powers).reshape(-1, n, n)
+
+    # in-place updates keep the working set at three stacks
+    b = _PADE13
+    c6 = scales[:, 0, None, None]
+    U = B6 @ even(b[13], b[11], b[9], 0.0)
+    U *= c6
+    U += even(b[7], b[5], b[3], b[1])
+    U = block @ U
+    U *= c[:, None, None]
+    V = B6 @ even(b[12], b[10], b[8], 0.0)
+    V *= c6
+    V += even(b[6], b[4], b[2], b[0])
+    P = V + U
+    V -= U
+    del U
+    E = np.linalg.solve(V, P)
+    del V, P
+    diag = np.multiply.outer(gaps, np.diag(block))
+    superdiag = np.multiply.outer(gaps, np.diag(block, 1))
+    scaled = np.flatnonzero(s)
+    E[scaled[:, None], k, k] = np.exp(diag[scaled] * np.ldexp(1.0, -s[scaled])[:, None])
+    for squared in range(1, int(s.max(initial=0)) + 1):
+        idx = np.flatnonzero(s >= squared)
+        Ei = E[idx]
+        Ei = Ei @ Ei
+        step = np.ldexp(1.0, squared - s[idx])[:, None]
+        Ei[:, k, k] = np.exp(diag[idx] * step)
+        Ei[:, k[:-1], k[1:]] = _exp_divided_difference(diag[idx] * step) * (superdiag[idx] * step)
+        E[idx] = Ei
+    diagonal_block = np.count_nonzero(block) == np.count_nonzero(np.diag(block))
+    exact = np.flatnonzero((gaps == 0) | diagonal_block)
+    E[exact] = 0.0
+    E[exact[:, None], k, k] = np.exp(diag[exact])
+    return E
 
 
 def _assert_trace_invariance(B0: np.ndarray, kappa2: float) -> float:
@@ -302,6 +389,16 @@ def _assert_trace_invariance(B0: np.ndarray, kappa2: float) -> float:
     return max(dev0 / 1e-12, dev / tol)
 
 
+def _insert(V: np.ndarray, states: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """V X for tag '+', X V for '-' and V X + X V for 'o', one per state."""
+    left = V @ states
+    left[tags == "-"] = 0.0
+    right = states @ V
+    right[tags == "+"] = 0.0
+    left += right
+    return left
+
+
 def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -> np.ndarray:
     """tr[ V~^{p1}(t1) ... V~^{pn}(tn) rho ] for V = a + a†, one per sequence.
 
@@ -313,40 +410,48 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
 
     The generator is built once per call from the operator-level
     definition.  It never couples two coherence sectors m = i - j of the
-    row-major vectorisation (checked), so each gap is a dense exponential
-    of one small block per sector.  Every insertion moves m by exactly one
-    and the trace reads m = 0, so with r insertions still to apply only the
-    sectors |m| <= r are evolved and the rest are dropped.
+    row-major vectorisation (checked), so it is cut into one dense block
+    per sector.  Every insertion moves m by exactly one and the trace reads
+    m = 0, so with r insertions still to apply only the sectors |m| <= r
+    are evolved and the rest are dropped.  All sequences of one length are
+    evolved together: at each step, each sector that is nonzero in some
+    sequence takes one stacked exponential of its block times every
+    sequence's own gap (see :func:`_stacked_expm`).
     """
-    import scipy.linalg
-
     sequences = [list(seq) for seq in sequences]
     for seq in sequences:
         _check_sequence(seq)
     d = initial.entries.shape[0]
-    gen = full_generator(params, initial.truncation).sparse_matrix()
-    sectors = _coherence_sectors(gen, d)
-    blocks = {m: gen[pos][:, pos].toarray() for m, pos in sectors.items()}
-    _assert_trace_invariance(blocks[0], params.kappa2)
+    blocks = _sector_blocks(full_generator(params, initial.truncation).sparse_matrix(), d)
+    _assert_trace_invariance(blocks[d - 1], params.kappa2)
     V = annihilation(initial.truncation)
     V = V + V.conj().T
+    levels = np.arange(d)
+    distance = np.abs(np.subtract.outer(levels, levels))  # |m| of each entry
     out = np.empty(len(sequences), dtype=complex)
+    by_length: dict[int, list[int]] = {}
     for n, seq in enumerate(sequences):
-        state = initial.entries.astype(complex)
-        prev = 0.0
-        for remaining, (tag, t) in zip(range(len(seq), 0, -1), reversed(seq)):
-            # reversed order: evolve up to this insertion time, then insert
-            if t > prev:
-                flat = state.ravel()
-                evolved = np.zeros_like(flat)
-                for m in range(max(-remaining, 1 - d), min(remaining, d - 1) + 1):
-                    x = flat[sectors[m]]
-                    if x.any():
-                        evolved[sectors[m]] = scipy.linalg.expm(blocks[m] * (t - prev)) @ x
-                state = evolved.reshape(d, d)
-            state = _apply_super_v(tag, V, state)
-            prev = t
-        out[n] = np.trace(state)
+        by_length.setdefault(len(seq), []).append(n)
+    for length, members in by_length.items():
+        tags = np.array([[tag for tag, _ in sequences[n]] for n in members])
+        times = np.array([[t for _, t in sequences[n]] for n in members])
+        state = np.repeat(initial.entries.astype(complex)[None], len(members), axis=0)
+        prev = np.zeros(len(members))
+        # from the last insertion back: evolve up to its time, then insert
+        for step in range(length - 1, -1, -1):
+            reach = step + 1
+            gaps = times[:, step] - prev
+            for m in range(max(-reach, 1 - d), min(reach, d - 1) + 1):
+                kk = np.arange(d - abs(m))
+                i, j = kk + max(m, 0), kk + max(-m, 0)
+                x = state[:, i, j]
+                if x.any():
+                    block = blocks[m + d - 1, : len(kk), : len(kk)]
+                    state[:, i, j] = np.einsum("nkl,nl->nk", _stacked_expm(block, gaps), x)
+            state[:, distance > reach] = 0.0
+            state = _insert(V, state, tags[:, step])
+            prev = times[:, step]
+        out[members] = np.trace(state, axis1=1, axis2=2)
     return out
 
 

@@ -223,44 +223,63 @@ class GeneratorAction:
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.apply(X)
 
-    def _left(self, op) -> sp.csr_matrix:
-        """X -> op X in the row-major vectorization."""
-        import scipy.sparse as sp
-
-        eye = sp.identity(self.trunc.dim, dtype=complex, format="csr")
-        return sp.kron(sp.csr_matrix(op), eye, format="csr")
-
-    def _right(self, op) -> sp.csr_matrix:
-        """X -> X op in the row-major vectorization."""
-        import scipy.sparse as sp
-
-        eye = sp.identity(self.trunc.dim, dtype=complex, format="csr")
-        return sp.kron(eye, sp.csr_matrix(np.asarray(op).T), format="csr")
-
     def source_matrix(self) -> sp.csr_matrix:
         """Vectorized V^o X = V X + X V, the operator the drive multiplies."""
-        return (self._left(self.V) + self._right(self.V)).tocsr()
+        return _csr(self.trunc.dim**2, self._source_terms(1.0))
 
     def sparse_matrix(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
+        """The (dim^2, dim^2) CSR form of the action, from one COO build.
 
+        In the row-major vectorization op X is op ⊗ I, X op is I ⊗ opᵀ and
+        op X op† is op ⊗ conj(op).  The jump and source terms sit off the
+        diagonal, each at positions of its own; the diagonal adds the
+        Hamiltonian and anticommutator terms in the order of the operator
+        sum -i(H ⊗ I - I ⊗ Hᵀ) + kappa1 (a ⊗ conj(a) - (N ⊗ I + I ⊗ Nᵀ)/2)
+        + kappa2 (a² ⊗ conj(a²) - (N(N-1) ⊗ I + I ⊗ N(N-1)ᵀ)/2)
+        + drive (V ⊗ I + I ⊗ Vᵀ).
+        """
         p = self.params
-        left, right = self._left, self._right
 
-        def sandwich(op):
-            return sp.kron(sp.csr_matrix(op), sp.csr_matrix(np.asarray(op).conj()), format="csr")
+        def pair(x, op):
+            x = x.astype(complex)
+            return op(x[:, None], x[None, :])
 
-        H = np.diag(self.h_diag).astype(complex)
-        N = np.diag(self.n_diag).astype(complex)
-        NN = np.diag(self.nn_diag).astype(complex)
-        mat = -1j * (left(H) - right(H))
+        diag = -1j * pair(self.h_diag, np.subtract)
+        terms = []
         if p.kappa1:
-            mat = mat + p.kappa1 * (sandwich(self.a) - 0.5 * (left(N) + right(N)))
+            diag = diag + p.kappa1 * -(0.5 * pair(self.n_diag, np.add))
+            terms.append(_kron_nonzeros(self.a, self.a.conj(), p.kappa1))
         if p.kappa2:
-            mat = mat + p.kappa2 * (sandwich(self.a2) - 0.5 * (left(NN) + right(NN)))
+            diag = diag + p.kappa2 * -(0.5 * pair(self.nn_diag, np.add))
+            terms.append(_kron_nonzeros(self.a2, self.a2.conj(), p.kappa2))
         if self.drive:
-            mat = mat + self.drive * self.source_matrix()
-        return mat.tocsr()
+            terms += self._source_terms(self.drive)
+        pos = np.arange(self.trunc.dim**2)
+        return _csr(self.trunc.dim**2, [(pos, pos, diag.ravel())] + terms)
+
+    def _source_terms(self, scale: complex) -> list:
+        eye = np.eye(self.trunc.dim)
+        return [_kron_nonzeros(self.V, eye, scale), _kron_nonzeros(eye, self.V.T, scale)]
+
+
+def _kron_nonzeros(A: np.ndarray, B: np.ndarray, scale: complex):
+    """Rows, columns and values of scale * kron(A, B) at the nonzeros of A and B."""
+    ra, ca = np.nonzero(A)
+    rb, cb = np.nonzero(B)
+    n = B.shape[0]
+    rows = np.add.outer(ra * n, rb).ravel()
+    cols = np.add.outer(ca * n, cb).ravel()
+    return rows, cols, scale * np.multiply.outer(A[ra, ca], B[rb, cb]).ravel()
+
+
+def _csr(size: int, terms: list) -> sp.csr_matrix:
+    """(size, size) CSR matrix of (rows, cols, values) terms at distinct
+    positions; entries that are exactly zero are not stored."""
+    import scipy.sparse as sp
+
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    stored = vals != 0
+    return sp.csr_matrix((vals[stored], (rows[stored], cols[stored])), shape=(size, size))
 
 
 def full_generator(params: ModelParams, trunc: Truncation, drive: complex = 0.0) -> GeneratorAction:

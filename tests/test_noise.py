@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kerrloss import noise, oracle
 from kerrloss.fockbasis import FockState, Truncation
@@ -266,6 +267,17 @@ def test_cumulant_trace_matches_single_runs():
         cumulant_trace(NONLINEAR, vac, [2.0, 0.5])
 
 
+def test_non_finite_times_are_rejected():
+    vac = vacuum(6)
+    for bad in ([float("nan")], [0.5, float("inf")], [float("nan"), 1.0]):
+        with pytest.raises(ValueError, match="must be finite"):
+            cumulant_trace(NONLINEAR, vac, bad)
+    for t in (float("nan"), float("inf")):
+        for backend in ("dense", "expm"):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                xi_evolve(NONLINEAR, 1.0, t, vac, backend=backend)
+
+
 def test_moment_duality_first_and_second():
     # derivative moments of Z against nested ordered correlator quadrature
     vac = vacuum(14)
@@ -294,35 +306,26 @@ def test_quadrature_validates_before_the_oracle(monkeypatch):
 
 
 def test_quadrature_exponentials_per_sector(monkeypatch):
-    # one dense exponential per (sequence, gap, sector that is nonzero and
-    # within reach of the trace); the trace gate's own exponential is not counted
+    # all nodes of one order share one stacked exponential per (step,
+    # sector that is nonzero in some sequence and within reach of the trace)
     calls = []
-    in_gate = []
-    expm, gate = sla.expm, oracle._assert_trace_invariance
+    stacked = oracle._stacked_expm
 
-    def counted(a):
-        if not in_gate:
-            calls.append(a.shape)
-        return expm(a)
+    def counted(block, gaps):
+        calls.append(len(gaps))
+        return stacked(block, gaps)
 
-    def gate_only(*args):
-        in_gate.append(True)
-        try:
-            return gate(*args)
-        finally:
-            in_gate.pop()
-
-    monkeypatch.setattr(sla, "expm", counted)
-    monkeypatch.setattr(oracle, "_assert_trace_invariance", gate_only)
+    monkeypatch.setattr(oracle, "_stacked_expm", counted)
     N = 5
     tr = Truncation(8)
     # vacuum: m = 0, then m = +-1; coherent: |m| <= 2, then |m| <= 1
-    for rho0, per_order in ((FockState.vacuum(tr), (N, 3 * N * N)),
-                            (FockState.coherent(tr, 0.8), (3 * N, 8 * N * N))):
+    for rho0, per_order in ((FockState.vacuum(tr), (1, 3)),
+                            (FockState.coherent(tr, 0.8), (3, 8))):
         for order, expected in zip((1, 2), per_order):
             calls.clear()
             moment_by_correlator_quadrature(NONLINEAR, rho0, 0.6, order, nodes=N)
             assert len(calls) == expected, (order, len(calls))
+            assert all(batch == N**order for batch in calls)
 
 
 def test_variance_extensivity_long_time():
@@ -487,3 +490,37 @@ def test_cutoff_reaching_cumulants():
     for rec in traces[10]:
         ref = _full_space_cumulants(NONLINEAR, initial, rec["t"])
         np.testing.assert_allclose(rec["cumulants"], ref, rtol=1e-10, atol=0)
+
+
+def _expm_multiply_cumulants(params, initial, times, q=4):
+    # the unrestricted Van Loan stack on the full cutoff, carried from one
+    # time to the next by scipy's sparse exponential action
+    action = full_generator(params, initial.truncation)
+    L, W = action.sparse_matrix(), action.source_matrix()
+    M = sp.bmat(
+        [[L if j == i else W if j == i + 1 else None for j in range(q + 1)]
+         for i in range(q + 1)],
+        format="csr",
+    )
+    D = L.shape[0]
+    vec = np.zeros((q + 1) * D, dtype=complex)
+    vec[q * D :] = initial.entries.ravel()
+    out, prev = [], 0.0
+    for t in times:
+        vec = spla.expm_multiply(M * (t - prev), vec)
+        prev = t
+        traces = np.trace(vec.reshape(q + 1, initial.n_max + 1, -1), axis1=1, axis2=2).real
+        moments = [math.factorial(n) / 2.0**n * traces[q - n] for n in range(1, q + 1)]
+        out.append(cumulants_from_moments(np.array(moments)))
+    return out
+
+
+def test_restricted_dense_route_matches_sparse_action():
+    # the sector-restricted dense exponential against the full sparse stack
+    # carried by expm_multiply, on a state that reaches the cutoff
+    initial = FockState.coherent(Truncation(10), 1.0)
+    times = [0.5, 2.0, 20.0]
+    trace = cumulant_trace(NONLINEAR, initial, times)
+    for rec, ref in zip(trace, _expm_multiply_cumulants(NONLINEAR, initial, times)):
+        dev = np.max(np.abs(rec["cumulants"] - ref) / np.maximum(1.0, np.abs(ref)))
+        assert dev <= 1e-10, (rec["t"], dev)

@@ -234,6 +234,76 @@ def test_sector_correlators_match_full_space_route():
     assert worst < 1e-12, worst
 
 
+def test_stacked_exponential_matches_scipy_on_sector_blocks():
+    # the oracle's own blocks: a zero gap gives the identity exactly, and
+    # every other gap scipy's exponential to 2e-15 of the largest entry
+    gaps = np.array([0.0, 0.05, 0.7, 2.0])
+    for params, n_max in ((NONLINEAR, 10), (LINEAR, 16)):
+        d = n_max + 1
+        gen = full_generator(params, Truncation(n_max)).sparse_matrix()
+        blocks = oracle._sector_blocks(gen, d)
+        for m in (0, 1, 2):
+            block = blocks[m + d - 1, : d - m, : d - m]
+            stacked = oracle._stacked_expm(block, gaps)
+            assert np.array_equal(stacked[0], np.eye(d - m))
+            for gap, got in zip(gaps[1:], stacked[1:]):
+                ref = scipy.linalg.expm(block * gap)
+                dev = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert dev <= 2e-15, (params, m, gap, dev)
+
+
+def _per_sequence_correlators(params, sequences, rho0):
+    """The correlators one sequence, one gap and one sector at a time, each
+    a scipy exponential of the block cut from the generator by fancy index."""
+    gen = full_generator(params, rho0.truncation).sparse_matrix()
+    d = rho0.entries.shape[0]
+    flat = np.arange(d * d)
+    sector = flat // d - flat % d
+    pos = {m: np.flatnonzero(sector == m) for m in range(1 - d, d)}
+    blocks = {m: gen[p][:, p].toarray() for m, p in pos.items()}
+    V = annihilation(rho0.truncation)
+    V = V + V.conj().T
+    out = []
+    for seq in sequences:
+        state = rho0.entries.astype(complex)
+        prev = 0.0
+        for remaining, (tag, t) in zip(range(len(seq), 0, -1), reversed(seq)):
+            if t > prev:
+                flat_state = state.ravel()
+                evolved = np.zeros_like(flat_state)
+                for m in range(max(-remaining, 1 - d), min(remaining, d - 1) + 1):
+                    x = flat_state[pos[m]]
+                    if x.any():
+                        evolved[pos[m]] = scipy.linalg.expm(blocks[m] * (t - prev)) @ x
+                state = evolved.reshape(d, d)
+            state = {"+": V @ state, "-": state @ V, "o": V @ state + state @ V}[tag]
+            prev = t
+        out.append(np.trace(state))
+    return np.array(out)
+
+
+def test_batched_correlators_match_per_sequence_loop():
+    # mixed tags, lengths 1-3 in one call, zero gaps and equal times
+    sequences = [
+        [("o", 0.8)],
+        [("+", 0.0)],
+        [("-", 2.5)],
+        [("o", 1.2), ("+", 0.3)],
+        [("-", 0.7), ("o", 0.7)],
+        [("+", 0.0), ("-", 0.0)],
+        [("o", 3.0), ("o", 0.05)],
+        [("+", 1.9), ("o", 1.1), ("-", 0.4)],
+        [("o", 0.6), ("o", 0.6), ("o", 0.0)],
+        [("-", 2.0), ("+", 0.9), ("+", 0.9)],
+    ]
+    rho0 = FockState.coherent(Truncation(10), 0.6 - 0.3j)
+    for params in (GENERIC, LINEAR, NONLINEAR):
+        got = multi_time_correlators(params, sequences, rho0)
+        ref = _per_sequence_correlators(params, sequences, rho0)
+        dev = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+        assert dev <= 1e-13, (params, dev)
+
+
 def test_correlator_trace_gate_fires(monkeypatch):
     # a uniform decay -0.1 X keeps every sector but loses trace
     class Leaky:
@@ -252,8 +322,7 @@ def test_correlator_trace_gate_fires(monkeypatch):
 
 def _sector0_block(params, n_max):
     gen = full_generator(params, Truncation(n_max)).sparse_matrix()
-    pos = oracle._coherence_sectors(gen, n_max + 1)[0]
-    return gen[pos][:, pos].toarray()
+    return oracle._sector_blocks(gen, n_max + 1)[n_max]
 
 
 def test_trace_invariance_gate_fires_at_large_cutoff(monkeypatch):

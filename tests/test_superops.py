@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.superops import (
@@ -82,6 +83,57 @@ def test_generator_matches_sparse_matrix():
     direct = action.V @ X + X @ action.V
     via_sparse = (action.source_matrix() @ X.ravel()).reshape(8, 8)
     assert np.max(np.abs(direct - via_sparse)) < 1e-12 * np.max(np.abs(direct))
+
+
+def _kron_generator(action):
+    """(L + drive V^o, V^o) from scipy.sparse.kron products, summed in the
+    order of the operator sum: the reference for the one-pass COO build."""
+    d = action.trunc.dim
+    eye = sp.identity(d, dtype=complex, format="csr")
+
+    def left(op):
+        return sp.kron(sp.csr_matrix(op), eye, format="csr")
+
+    def right(op):
+        return sp.kron(eye, sp.csr_matrix(np.asarray(op).T), format="csr")
+
+    def sandwich(op):
+        return sp.kron(sp.csr_matrix(op), sp.csr_matrix(np.asarray(op).conj()), format="csr")
+
+    p = action.params
+    H, N, NN = (np.diag(x).astype(complex) for x in (action.h_diag, action.n_diag, action.nn_diag))
+    mat = -1j * (left(H) - right(H))
+    if p.kappa1:
+        mat = mat + p.kappa1 * (sandwich(action.a) - 0.5 * (left(N) + right(N)))
+    if p.kappa2:
+        mat = mat + p.kappa2 * (sandwich(action.a2) - 0.5 * (left(NN) + right(NN)))
+    source = (left(action.V) + right(action.V)).tocsr()
+    if action.drive:
+        mat = mat + action.drive * source
+    return mat.tocsr(), source
+
+
+def test_sparse_build_equals_kron_construction():
+    # every entry, the stored pattern included, is bit for bit the one the
+    # Kronecker-product construction gives
+    channels = (
+        GENERIC,
+        ModelParams(1.0, 0.0, 1.0, 0.0),
+        ModelParams(1.0, 0.0, 1.0, 10.0),
+        ModelParams(0.3, -0.7, 0.0, 2.0),
+        ModelParams(1 / 3, 0.1, 1 / 7, 0.0),
+        ModelParams(0.0, 0.0, 0.0, 0.0, allow_unitary=True),
+    )
+    for params in channels:
+        for n_max in (2, 5, 14, 40):
+            for drive in (0.0, 0.75j, 3j, 0.3 - 0.1j):
+                action = GeneratorAction(params, Truncation(n_max), drive=drive)
+                for got, ref in zip((action.sparse_matrix(), action.source_matrix()),
+                                    _kron_generator(action)):
+                    assert got.has_canonical_format
+                    assert np.array_equal(got.indptr, ref.indptr)
+                    assert np.array_equal(got.indices, ref.indices)
+                    assert np.all(got.data == ref.data), (params, n_max, drive)
 
 
 def test_generator_batch_broadcast():
