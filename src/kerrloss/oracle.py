@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 DEGENERATE_PIVOT_TOL = 1e-10
+#: bytes of the four (chunk, d, d) complex stacks that one chunk of
+#: :func:`multi_time_correlators` holds at once (state, exponentials, insertion)
+CHUNK_BYTES = 1 << 22
 
 
 class StiffnessError(RuntimeError):
@@ -414,9 +417,10 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     per sector.  Every insertion moves m by exactly one and the trace reads
     m = 0, so with r insertions still to apply only the sectors |m| <= r
     are evolved and the rest are dropped.  All sequences of one length are
-    evolved together: at each step, each sector that is nonzero in some
-    sequence takes one stacked exponential of its block times every
-    sequence's own gap (see :func:`_stacked_expm`).
+    evolved together, in chunks whose (chunk, d, d) complex stacks stay
+    within :data:`CHUNK_BYTES`: at each step, each sector that is nonzero in
+    some sequence of the chunk takes one stacked exponential of its block
+    times every sequence's own gap (see :func:`_stacked_expm`).
     """
     sequences = [list(seq) for seq in sequences]
     for seq in sequences:
@@ -432,7 +436,10 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     by_length: dict[int, list[int]] = {}
     for n, seq in enumerate(sequences):
         by_length.setdefault(len(seq), []).append(n)
-    for length, members in by_length.items():
+    size = max(1, CHUNK_BYTES // (4 * 16 * d * d))
+    chunks = [(length, ns[lo : lo + size]) for length, ns in by_length.items()
+              for lo in range(0, len(ns), size)]
+    for length, members in chunks:
         tags = np.array([[tag for tag, _ in sequences[n]] for n in members])
         times = np.array([[t for _, t in sequences[n]] for n in members])
         state = np.repeat(initial.entries.astype(complex)[None], len(members), axis=0)

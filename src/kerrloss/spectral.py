@@ -8,20 +8,22 @@ Within block m the eigenvalues are the triangular diagonal,
 and the eigenvector entries are terminating sums, built in one place
 (:class:`EigenvectorBuilder`): R_m[p, k] = (-1)^(k-p) w F_(k-p) and
 L_m[k, q] = w F_(q-k) with w = sqrt(C(hi, lo) C(hi+|m|, lo+|m|)) of the two
-indices and F_n = 2F1(-n, b; c; 2) = sum_i C(n, i) a_i,
-a_i = (-2)^i (b)_i / (c)_i, b = 1 - x, c = 2 - 2x - eta (right) or b = x,
-c = 2x + eta (left); at kappa2 = 0, F_n = s^n with
-s = 1 / (1 + i m U / kappa1).  The sums alternate and cancel, so they run in
-fixed-point Gaussian integers whose width follows the measured cancellation;
-each entry is rounded to double once.  Parameter cases are :class:`CaseTag`s;
-the one true degeneracy (kappa1 = 0, block 0, k < 2) gets parity-based vectors.
+indices and F_n = 2F1(-n, b; c; 2), b = 1 - x, c = 2 - 2x - eta (right) or
+b = x, c = 2x + eta (left).  Gauss's contiguous relation in the first
+parameter gives F_0 = 1, (c + j) F_(j+1) = (c - 2b) F_j + j F_(j-1) with
+c - 2b = -eta (right) or +eta (left); at kappa2 = 0, F_(j+1) = s F_j with
+s = 1 / (1 + i m U / kappa1).  The recurrence runs forward in fixed-point
+Gaussian integers under a rigorous error bound, linear in j for every
+kappa1 >= 0, at a width that grows until each F_j is resolved or proved an
+exact zero; each entry is rounded to double once.  Parameter cases are
+:class:`CaseTag`s; the one true degeneracy (kappa1 = 0, block 0, k < 2) gets
+parity-based vectors.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -110,61 +112,71 @@ def x_parameter(params: ModelParams, m: int, k: int) -> complex:
     return (2 * k + abs(m)) / 2 + 1j * params.U * m / (2 * params.kappa2)
 
 
-#: bits kept beyond double precision: an entry is the correctly rounded double
-#: of its exact value unless that lies within 2^-GUARD_BITS ulp of a tie
+#: bits kept beyond double precision: each F_j is resolved to 53 + GUARD_BITS
+#: bits beyond its error bound, so an entry is the correctly rounded double of
+#: its exact value unless that lies within 2^-GUARD_BITS ulp of a tie
 GUARD_BITS = 32
 #: fixed-point bits of root[n][j] = sqrt(C(n, j)), the prefactor table
 ROOT_BITS = 53 + GUARD_BITS
 
 
-def _pascal(a: list, n: int, h: int) -> tuple[list, list]:
-    """(sum_i C(j, i) a_i, sum_i C(j, i) a_(h+i)) for j <= n by pairwise sums;
-    with a = re + im and h = len(re), one pass transforms both halves."""
-    lo, hi = [a[0]], [a[h]]
+def _run_recurrence(rec: tuple, n: int, bits: int) -> tuple[list[int], list[int]]:
+    """F_j, j <= n, of the recurrence ``rec`` = (g, h, cr, ci, r) as
+    Gaussian integers with 1 = 2^bits: F_0 = 1 and
+    F_(j+1) = (g F_j + j h F_(j-1)) conj(d_j) / |d_j|^2, d_j = cr + j h + i ci,
+    each component floored once.  A d_j that is exactly zero lies past the
+    terminating numerator (j >= r), where F_j is a polynomial of degree r in
+    j: its (r+1)-th difference vanishes and gives F_(j+1) exactly."""
+    g, h, cr, ci, r = rec
+    ci2 = ci * ci
+    fr, fi, pr, pi = 1 << bits, 0, 0, 0
+    re, im = [fr], [fi]
+    dr, hj = cr, 0  # Re d_j and j h
     for _ in range(n):
-        a = list(map(operator.add, a, a[1:]))
-        lo.append(a[0])
-        hi.append(a[h])
-    return lo, hi
+        q = dr * dr + ci2
+        if q:
+            nr, ni = g * fr + hj * pr, g * fi + hj * pi
+            pr, pi = fr, fi
+            fr, fi = (nr * dr + ni * ci) // q, (ni * dr - nr * ci) // q
+        else:
+            pr, pi = fr, fi
+            fr, fi = (sum(c * v for c, v in zip(_differences(r), f[::-1])) for f in (re, im))
+        re.append(fr)
+        im.append(fi)
+        dr += h
+        hj += h
+    return re, im
 
 
-def _fixed_point_sums(steps: list[tuple], err: float, n: int, transform: bool, bits: int = 0):
-    """F_j = sum_i C(j, i) a_i (or a_j), j <= n, a_0 = 1, a_i = a_(i-1) (pr + 1j pi) / q,
-    as Gaussian integers with 1 = 2^bits; returns (re, im, bits).
+def _error_bounds(rec: tuple, n: int) -> list[float]:
+    """Bounds e_j, j <= n, on the error of each F_j of :func:`_run_recurrence`
+    in last-place units.
 
-    With ``err`` bounding the a_i, each F_j is off by at most E = 2^n err units
-    at any bits.  bits starts at the caller's guess or 53 + GUARD_BITS + log2 E
-    and grows by the measured shortfall until each F_j is resolved to
-    53 + GUARD_BITS bits.  F_j times the product of its denominators is a
-    Gaussian integer, so an F_j within E of zero once 2 E 2^-bits is below
-    the reciprocal of that product is an exact zero."""
-    pad, target = n - len(steps), 53 + GUARD_BITS
-    bound = math.ceil(err) << (n if transform else 0)
-    thresh = (bound << target) ** 2
-    bits = max(bits, target + bound.bit_length())
-    while True:
-        re, im = 1 << bits, 0
-        ar, ai = [re], [im]
-        for pr, pi, q in steps:
-            re, im = (re * pr - im * pi) // q, (re * pi + im * pr) // q
-            ar.append(re)
-            ai.append(im)
-        ar, ai = ar + [0] * pad, ai + [0] * pad
-        if transform:
-            ar, ai = _pascal(ar + ai, n, n + 1) if any(ai) else (_pascal(ar, n, 0)[0], ai)
-        f2 = [r * r + i * i for r, i in zip(ar, ai)]
-        extra = 0
-        for j in (j for j, f in enumerate(f2) if f < thresh):
-            need = sum(math.log2(s[2]) for s in steps[:j]) / 2 + math.log2(2 * bound) + 1
-            if f2[j] > bound * bound:  # resolved, but short of the target
-                extra = max(extra, bound.bit_length() + target + 1 - f2[j].bit_length() // 2)
-            elif bits > need:  # within E of zero and below any nonzero value
-                ar[j] = ai[j] = 0
-            else:
-                extra = max(extra, math.ceil(need) + 1 - bits)
-        if not extra:
-            return ar, ai, bits
-        bits += extra + 16  # headroom, so the next mode of the side rarely reruns
+    The products are exact and each floor is off by less than 1 per
+    component, so e_0 = 0 and e_(j+1) = (|g| e_j + j h e_(j-1)) / |d_j| + 2,
+    the 2 rather than sqrt 2 leaving room for the float rounding of the bound
+    itself; a step by differences rounds nothing and adds up its terms'
+    bounds.  Where |d_j| >= |Re d_j| >= |g| + j h for every j < n, as on both
+    sides at any kappa1 >= 0, the recurrence is benign and e_j <= 2 j."""
+    g, h, cr, ci, r = rec
+    if cr >= abs(g) or -cr >= abs(g) + 2 * (n - 1) * h:
+        return list(range(0, 2 * n + 1, 2))
+    e, dr = [0.0], cr  # Re d_j
+    e0 = e1 = 0.0  # e_(j-1), e_j
+    for j in range(n):
+        if dr or ci:
+            d = math.isqrt(dr * dr + ci * ci)  # floored: the ratios round up
+            e0, e1 = e1, abs(g) / d * e1 + j * h / d * e0 + 2.0
+        else:
+            e0, e1 = e1, sum(abs(c) * v for c, v in zip(_differences(r), e[::-1]))
+        e.append(e1)
+        dr += h
+    return e
+
+
+def _differences(r: int) -> list[int]:
+    """w with F_(j+1) = sum_i w_i F_(j-i) for every polynomial F of degree r."""
+    return [(-1) ** i * math.comb(r + 1, i + 1) for i in range(r + 1)]
 
 
 def check_biorthogonality(R: np.ndarray, L: np.ndarray, where: str = "") -> float:
@@ -181,8 +193,14 @@ def check_biorthogonality(R: np.ndarray, L: np.ndarray, where: str = "") -> floa
 class EigenvectorBuilder:
     """The one builder of the closed-form eigenvector entries at one truncation.
 
-    U, kappa1 and kappa2 enter as exact fractions.  Blocks m >= 0 are built;
-    block -m is their complex conjugate (U -> -U).
+    U, kappa1 and kappa2 enter as exact fractions, so every coefficient of the
+    three-term recurrence is a Gaussian integer in units of 2 D kappa2 (D the
+    common denominator).  Each mode runs the recurrence once in fixed point
+    (:func:`_run_recurrence`), every step exact up to one floor per component,
+    under the error bound of :func:`_error_bounds`; an F_j short of
+    53 + GUARD_BITS resolved bits widens the run, and one within its bound of
+    zero is an exact zero once the width exceeds the size of its denominators.
+    Blocks m >= 0 are built; block -m is their complex conjugate (U -> -U).
     """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
@@ -195,40 +213,45 @@ class EigenvectorBuilder:
         self.root = [[math.isqrt(math.comb(n, j) << 2 * ROOT_BITS) for j in range(n + 1)]
                      for n in range(trunc.n_max + 1)]
 
-    def _steps(self, am: int, k: int, right: bool, n: int) -> tuple[list[tuple], float]:
-        """Steps (Re, Im of nu conj(de), |de|^2) of a_i = a_(i-1) nu_i / de_i,
-        i <= n, of mode (|m|, k), in Gaussian integers (nu, de times 2 D kappa2),
-        and an error bound on each fixed-point a_i in last-place units (one
-        rounding per component and step, carried on by |nu / de|).  A zero
-        numerator ends the list before its denominator is read."""
+    def _recurrence(self, am: int, k: int, right: bool, n: int) -> tuple:
+        """Recurrence (g, h, cr, ci, r) of mode (|m|, k) for
+        :func:`_run_recurrence`, in Gaussian integers times one = 2 D kappa2,
+        all divided by their common factor: the smaller the d_j, the fewer bits
+        prove an exact zero.
+
+        (c + j) F_(j+1) = (c - 2b) F_j + j F_(j-1) is Gauss's contiguous relation
+        in the first parameter, with c - 2b = -eta (right) or +eta (left), so
+        g = c - 2b, h = 1 and d_j = c + j.  At kappa2 = 0 (one = D kappa1) it
+        is F_(j+1) = s F_j: g = 1, h = 0, d_j = 1 + i U m / kappa1.  The
+        numerator b + j vanishes at j = r (r = n if it never does) and the terms
+        past it vanish, so only the denominators before it are checked; at most
+        one of them, the nearest to -c, can be within the floor."""
         K1, K2, Y = self.K1, self.K2, self.KU * am
-        if K2 == 0:  # a_i = s^i; |s| <= 1, so the error grows by at most 2 a step
-            return [(K1 * K1, -K1 * Y, K1 * K1 + Y * Y)] * n, 2.0 * n
-        one, T = 2 * K2, (2 * k + am) * K2  # 1 and Re(x) times 2 D kappa2
-        if right:
-            br, bi, cr, ci = one - T, -Y, 2 * one - 2 * T - 2 * K1, -2 * Y
-        else:
-            br, bi, cr, ci = T, Y, 2 * T + 2 * K1, 2 * Y
-        b, c = complex(br / one, bi / one), complex(cr / one, ci / one)
-        nr, ni, dr, di = -2 * br, -2 * bi, cr, ci
-        steps, err, worst = [], 0.0, 0.0
-        for i in range(1, n + 1):
-            if nr == 0 and ni == 0:
-                break
-            if abs(c) * i < DENOMINATOR_FLOOR:
-                raise VanishingDenominatorError(
-                    f"{'right' if right else 'left'}-eigenvector (m,k)=({am},{k}) "
-                    f"denominator vanished at order {i}"
-                )
-            err = err * 2 * abs(b) / abs(c) + 2.0
-            worst = max(worst, err)
-            steps.append((nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di))
-            nr, dr, b, c = nr - 2 * one, dr + one, b + 1, c + 1
-        return steps, worst
+        if K2 == 0:
+            G = math.gcd(K1, Y)
+            return K1 // G, 0, K1 // G, Y // G, n
+        one, T = 2 * K2, (2 * k + am) * K2  # 1 and Re(x) times one
+        br, cr, ci = (one - T, 2 * one - 2 * T - 2 * K1, -2 * Y) if right else (T, 2 * T + 2 * K1, 2 * Y)
+        r = -br // one if Y == 0 and br <= 0 and br % one == 0 else n
+        j = (one - 2 * cr) // (2 * one)  # the integer nearest to -c
+        if 0 <= j < min(n, r) and math.hypot((cr + j * one) / one, ci / one) * (j + 1) < DENOMINATOR_FLOOR:
+            raise VanishingDenominatorError(
+                f"{'right' if right else 'left'}-eigenvector (m,k)=({am},{k}) "
+                f"denominator vanished at order {j + 1}"
+            )
+        g, G = -2 * K1 if right else 2 * K1, math.gcd(2 * K1, one, cr, ci)
+        return g // G, one // G, cr // G, ci // G, r
 
     def _fill(self, am: int, k: int, right: bool, out: np.ndarray, bits: int = 0) -> int:
         """Write mode (|m|, k) into the zeroed ``out`` (column k of R_m or row
-        k of L_m); return the working bits it took."""
+        k of L_m); return the working bits it took.
+
+        The F_j run at the caller's guess of bits, at least 53 + GUARD_BITS +
+        log2 E with E = max e_j, and the width grows by the measured shortfall
+        until each F_j is resolved to 53 + GUARD_BITS bits.  F_j times the
+        product of its denominators d_l, l < min(j, r), is a Gaussian integer,
+        so an F_j within E of zero once 2 E 2^-bits is below the reciprocal of
+        that product is an exact zero."""
         out[k] = 1.0
         n = k if right else len(out) - 1 - k
         if self.K1 == self.K2 == 0 or n == 0:  # Hamiltonian only: R = L = I
@@ -238,14 +261,36 @@ class EigenvectorBuilder:
             if not right:
                 out[k % 2 :: 2] = 1.0
             return bits
-        steps, err = self._steps(am, k, right, n)
-        re, im, bits = _fixed_point_sums(steps, err, n, self.K2 != 0, bits)
+        rec = self._recurrence(am, k, right, n)
+        _, h, cr, ci, r = rec
+        target, bound = 53 + GUARD_BITS, math.ceil(max(_error_bounds(rec, n)))
+        lim = bound << target  # resolved: |F_j| 2^bits at least this
+        bits = max(bits, target + bound.bit_length())
+        while True:
+            re, im = _run_recurrence(rec, n, bits)
+            extra = 0
+            for j in [j for j in range(n + 1) if abs(re[j]) < lim > abs(im[j])]:
+                f2 = re[j] ** 2 + im[j] ** 2
+                if f2 >= lim * lim:
+                    continue
+                if f2 > bound * bound:  # resolved, but short of the target
+                    extra = max(extra, bound.bit_length() + target + 1 - f2.bit_length() // 2)
+                    continue
+                need = sum(math.log2((cr + l * h) ** 2 + ci * ci) for l in range(min(j, r))) / 2
+                need += math.log2(2 * bound) + 1
+                if bits > need:  # within E of zero and below any nonzero value
+                    re[j] = im[j] = 0
+                else:
+                    extra = max(extra, math.ceil(need) + 1 - bits)
+            if not extra:
+                break
+            bits += extra + 16  # headroom, so the next mode of the side rarely reruns
         scale, root = 1 << (bits + 2 * ROOT_BITS), self.root
         if right:
             w = [root[k][j] * root[k + am][j] * (-1) ** j for j in range(1, n + 1)]
         else:
             w = [root[k + j][j] * root[k + j + am][j] for j in range(1, n + 1)]
-        vals = [complex(r * v / scale, i * v / scale) for r, i, v in zip(re[1:], im[1:], w)]
+        vals = [complex(x * v / scale, y * v / scale) for x, y, v in zip(re[1:], im[1:], w)]
         out[slice(k - 1, None, -1) if right else slice(k + 1, None)] = vals
         return bits
 
@@ -424,6 +469,7 @@ def eigenvectors_csv(decomp: SpectralDecomposition) -> str:
         size = R.shape[0]
         for k in range(size):
             for side, vec in (("right", R[:, k]), ("left", L[k])):
-                for p in np.flatnonzero(vec):
-                    buf.write(f"{m},{k},{p},{vec[p].real:.17g},{vec[p].imag:.17g},{side}\n")
+                for p, z in enumerate(vec.tolist()):
+                    if z:
+                        buf.write(f"{m},{k},{p},{z.real:.17g},{z.imag:.17g},{side}\n")
     return buf.getvalue()

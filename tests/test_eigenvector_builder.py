@@ -1,8 +1,11 @@
-"""The exact eigenvector builder: its biorthogonality gate, large cutoffs and
-a parameter sweep against the back-substitution oracle."""
+"""The exact eigenvector builder: its biorthogonality gate, large cutoffs, a
+parameter sweep against the back-substitution oracle, and its recurrence
+against an independent binomial-transform reference."""
 
 import math
+import operator
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,9 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kerrloss import evolution, spectral
+from kerrloss.checks import seeded_draws
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.oracle import expm_propagate, left_residual, right_residual, triangular_eigendecomp
-from kerrloss.specfun import VanishingDenominatorError, hyp2f1_terminating, sqrt_binom
+from kerrloss.specfun import (
+    DENOMINATOR_FLOOR,
+    VanishingDenominatorError,
+    hyp2f1_terminating,
+    sqrt_binom,
+)
 from kerrloss.superops import InternalConsistencyError, ModelParams, liouvillian_block
 
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
@@ -35,6 +44,151 @@ def double_precision_factors(params, trunc, m):
             L[k, q] = (sqrt_binom(q, k) * sqrt_binom(q + am, k + am)
                        * hyp2f1_terminating(q - k, x, 2 * x + eta, 2.0))
     return R, L
+
+
+def _pascal(a, n, h):
+    """(sum_i C(j, i) a_i, sum_i C(j, i) a_(h+i)) for j <= n by pairwise sums."""
+    lo, hi = [a[0]], [a[h]]
+    for _ in range(n):
+        a = list(map(operator.add, a, a[1:]))
+        lo.append(a[0])
+        hi.append(a[h])
+    return lo, hi
+
+
+def _fixed_point_sums(steps, err, n, transform, bits=0):
+    """F_j = sum_i C(j, i) a_i (or a_j), j <= n, a_0 = 1, a_i = a_(i-1) (pr + 1j pi) / q,
+    as Gaussian integers with 1 = 2^bits, each F_j within 2^n err of exact,
+    resolved to 53 + GUARD_BITS bits; returns (re, im, bits)."""
+    pad, target = n - len(steps), 53 + spectral.GUARD_BITS
+    bound = math.ceil(err) << (n if transform else 0)
+    thresh = (bound << target) ** 2
+    bits = max(bits, target + bound.bit_length())
+    while True:
+        re, im = 1 << bits, 0
+        ar, ai = [re], [im]
+        for pr, pi, q in steps:
+            re, im = (re * pr - im * pi) // q, (re * pi + im * pr) // q
+            ar.append(re)
+            ai.append(im)
+        ar, ai = ar + [0] * pad, ai + [0] * pad
+        if transform:
+            ar, ai = _pascal(ar + ai, n, n + 1) if any(ai) else (_pascal(ar, n, 0)[0], ai)
+        f2 = [r * r + i * i for r, i in zip(ar, ai)]
+        extra = 0
+        for j in (j for j, f in enumerate(f2) if f < thresh):
+            need = sum(math.log2(s[2]) for s in steps[:j]) / 2 + math.log2(2 * bound) + 1
+            if f2[j] > bound * bound:
+                extra = max(extra, bound.bit_length() + target + 1 - f2[j].bit_length() // 2)
+            elif bits > need:
+                ar[j] = ai[j] = 0
+            else:
+                extra = max(extra, math.ceil(need) + 1 - bits)
+        if not extra:
+            return ar, ai, bits
+        bits += extra + 16
+
+
+class BinomialTransformBuilder(spectral.EigenvectorBuilder):
+    """The reference: each F_n = sum_i C(n, i) a_i, a_i = (-2)^i (b)_i / (c)_i
+    (a_i = s^i at kappa2 = 0), summed by an O(n^2) Pascal pass in fixed point."""
+
+    def _steps(self, am, k, right, n):
+        K1, K2, Y = self.K1, self.K2, self.KU * am
+        if K2 == 0:
+            return [(K1 * K1, -K1 * Y, K1 * K1 + Y * Y)] * n, 2.0 * n
+        one, T = 2 * K2, (2 * k + am) * K2
+        if right:
+            br, bi, cr, ci = one - T, -Y, 2 * one - 2 * T - 2 * K1, -2 * Y
+        else:
+            br, bi, cr, ci = T, Y, 2 * T + 2 * K1, 2 * Y
+        b, c = complex(br / one, bi / one), complex(cr / one, ci / one)
+        nr, ni, dr, di = -2 * br, -2 * bi, cr, ci
+        steps, err, worst = [], 0.0, 0.0
+        for i in range(1, n + 1):
+            if nr == 0 and ni == 0:
+                break
+            if abs(c) * i < DENOMINATOR_FLOOR:
+                raise VanishingDenominatorError(f"denominator vanished at order {i}")
+            err = err * 2 * abs(b) / abs(c) + 2.0
+            worst = max(worst, err)
+            steps.append((nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di))
+            nr, dr, b, c = nr - 2 * one, dr + one, b + 1, c + 1
+        return steps, worst
+
+    def _fill(self, am, k, right, out, bits=0):
+        out[k] = 1.0
+        n = k if right else len(out) - 1 - k
+        if self.K1 == self.K2 == 0 or n == 0:
+            return bits
+        if self.K1 == 0 and am == 0 and k < 2:
+            if not right:
+                out[k % 2 :: 2] = 1.0
+            return bits
+        steps, err = self._steps(am, k, right, n)
+        re, im, bits = _fixed_point_sums(steps, err, n, self.K2 != 0, bits)
+        scale, root = 1 << (bits + 2 * spectral.ROOT_BITS), self.root
+        if right:
+            w = [root[k][j] * root[k + am][j] * (-1) ** j for j in range(1, n + 1)]
+        else:
+            w = [root[k + j][j] * root[k + j + am][j] for j in range(1, n + 1)]
+        vals = [complex(r * v / scale, i * v / scale) for r, i, v in zip(re[1:], im[1:], w)]
+        out[slice(k - 1, None, -1) if right else slice(k + 1, None)] = vals
+        return bits
+
+
+def _assert_same_factors(params, n_max):
+    tr = Truncation(n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near-integer ratio warning
+        mine, ref = spectral.EigenvectorBuilder(params, tr), BinomialTransformBuilder(params, tr)
+        for m in range(n_max + 1):
+            for a, b in zip(mine.block(m), ref.block(m)):
+                assert np.array_equal(a, b), (params, n_max, m, np.argwhere(a != b))
+
+
+@pytest.mark.parametrize("n_max", [12, 20])
+@pytest.mark.parametrize("case", list(spectral.CaseTag), ids=lambda c: c.value)
+def test_recurrence_matches_binomial_transform_on_seeded_draws(case, n_max):
+    for params in seeded_draws(case, 2, 1200 + n_max):
+        _assert_same_factors(params, n_max)
+
+
+@pytest.mark.parametrize("params, n_max", [
+    (GENERIC, 40),
+    (NONLINEAR, 40),
+    (ModelParams(0.2, 0.3, 10.0, 1e-3), 30),
+    (ModelParams(0.5, -0.4, 2.0000002, 1.0), 30),
+    (ModelParams(0.1, 0.2, 3.0, 1.0), 30),
+], ids=["generic-40", "nonlinear-40", "eta-1e4", "near-integer", "integer-3"])
+def test_recurrence_matches_binomial_transform_on_stress_channels(params, n_max):
+    _assert_same_factors(params, n_max)
+
+
+@pytest.mark.parametrize("eta", [None, -1 / 3], ids=["generic", "negative-eta"])
+def test_recurrence_error_bound_holds(eta):
+    # each fixed-point F_j is within e_j last places of its exact value, so two
+    # runs of the same recurrence 64 bits apart differ by at most e_j (1 + 2^-64);
+    # GENERIC takes the benign bound 2 j, a negative eta the recursion
+    tr = Truncation(20)
+    builder = spectral.EigenvectorBuilder(GENERIC, tr)
+    if eta is not None:
+        builder.K1 = round(eta * builder.K2)
+    benign = []
+    for m in (0, 1, 7):
+        for k in range(tr.block_size(m)):
+            for right in (True, False):
+                n = k if right else tr.block_size(m) - 1 - k
+                rec = builder._recurrence(m, k, right, n)
+                e = spectral._error_bounds(rec, n)
+                benign.append(e == list(range(0, 2 * n + 1, 2)))
+                narrow = zip(*spectral._run_recurrence(rec, n, 53 + spectral.GUARD_BITS))
+                wide = zip(*spectral._run_recurrence(rec, n, 53 + spectral.GUARD_BITS + 64))
+                for j, ((r, i), (R, I), ej) in enumerate(zip(narrow, wide, e)):
+                    dev2 = (r << 64) - R, (i << 64) - I
+                    slack = Fraction(ej) * ((1 << 64) + 1)
+                    assert dev2[0] ** 2 + dev2[1] ** 2 <= slack**2, (m, k, right, j)
+    assert all(benign) == (eta is None)
 
 
 def test_gate_fires_on_double_precision_factors():

@@ -1,10 +1,13 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kerrloss import oracle
+from kerrloss import noise, oracle
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.oracle import (
     IntegratorConfig,
@@ -252,6 +255,20 @@ def test_stacked_exponential_matches_scipy_on_sector_blocks():
                 assert dev <= 2e-15, (params, m, gap, dev)
 
 
+def test_stacked_exponential_refines_superdiagonal():
+    # a close pair of large diagonal entries under a large superdiagonal: the
+    # squarings lose the (0, 1) entry to cancellation unless it is reset to
+    # its exact divided-difference value after each one (1.7e-14 without)
+    block = np.array([[-3 + 40j, 300], [0, -3.1 - 40j]])
+    gap = 10.0
+    with mpmath.workdps(50):
+        exact = mpmath.expm(mpmath.matrix(block.tolist()) * gap)
+        ref = np.array([[complex(exact[i, j]) for j in range(2)] for i in range(2)])
+    got = oracle._stacked_expm(block, np.array([gap]))[0]
+    dev = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    assert dev <= 2e-15, dev
+
+
 def _per_sequence_correlators(params, sequences, rho0):
     """The correlators one sequence, one gap and one sector at a time, each
     a scipy exponential of the block cut from the generator by fancy index."""
@@ -360,3 +377,28 @@ def test_correlator_sector_gate_fires(monkeypatch):
     vac = FockState.vacuum(Truncation(5))
     with pytest.raises(InternalConsistencyError, match="couples coherence sectors"):
         multi_time_correlator(GENERIC, [("o", 0.4)], vac)
+
+
+def test_correlator_chunks_give_identical_values(monkeypatch):
+    # chunks of 3 sequences, or one chunk for all, give the same numbers
+    sequences = [[("o", 0.1 * n)] for n in range(7)]
+    sequences += [[("+", 0.3 + 0.1 * n), ("o", 0.05 * n)] for n in range(8)]
+    sequences += [[("o", 1.0), ("-", 0.5), ("o", 0.01 * n)] for n in range(5)]
+    rho0 = FockState.coherent(Truncation(8), 0.6 - 0.3j)
+    whole = multi_time_correlators(NONLINEAR, sequences, rho0)
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", 3 * 4 * 16 * 9 * 9)
+    chunked = multi_time_correlators(NONLINEAR, sequences, rho0)
+    assert np.array_equal(chunked, whole)
+
+
+def test_correlator_quadrature_memory_is_bounded():
+    # order 2 at the default 24 nodes is one batch of 576 sequences; as one
+    # chunk it peaked at 37 MB at n_max 30, its four stacks alone 35 MB
+    rho0 = FockState.coherent(Truncation(30), 1.0)
+    tracemalloc.start()
+    try:
+        noise.moment_by_correlator_quadrature(NONLINEAR, rho0, 2.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak

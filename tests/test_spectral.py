@@ -180,3 +180,28 @@ def test_csv_dumps():
     assert vec_lines[0] == "m,k,p,re,im,side"
     assert any(line.endswith("right") for line in vec_lines[1:])
     assert any(line.endswith("left") for line in vec_lines[1:])
+
+
+def _eigenvectors_csv_numpy_loop(decomp):
+    """The dump as it was first written: numpy scalars, np.flatnonzero per vector."""
+    lines = ["m,k,p,re,im,side\n"]
+    for m in decomp.truncation.blocks():
+        R, L = decomp.R[m].entries, decomp.Lmat[m].entries
+        for k in range(R.shape[0]):
+            for side, vec in (("right", R[:, k]), ("left", L[k])):
+                for p in np.flatnonzero(vec):
+                    lines.append(f"{m},{k},{p},{vec[p].real:.17g},{vec[p].imag:.17g},{side}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
+def test_eigenvectors_csv_matches_numpy_loop(tag):
+    decomp = decompose(CASES[tag], Truncation(12))
+    # signed zeros: an entry with one zero part is written with its sign, and
+    # -0 - 0j is a zero entry, skipped like 0j
+    R = decomp.R[1].entries
+    R[0, 3], R[1, 3], R[2, 3] = complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0)
+    text = eigenvectors_csv(decomp)
+    assert text == _eigenvectors_csv_numpy_loop(decomp)
+    assert "\n1,3,0,-0,0.5,right\n" in text and "\n1,3,1,0.25,-0,right\n" in text
+    assert "\n1,3,2," not in text
