@@ -9,8 +9,11 @@ come by four routes that the tests compare:
   the Dyson orders of Z at J = 0 (:func:`cumulant_trace`);
 - finite differences of Z at J = 0 (:func:`fd_moments`);
 - moments of P(x), reconstructed from Z on a J grid by inverse Fourier
-  quadrature (:func:`run_noise`), each node one scaled and squared dense
-  exponential of the real form of the tilted generator;
+  quadrature (:func:`run_noise`); all new nodes of a grid are evaluated in
+  one pass, each node one dense exponential of the real form of the tilted
+  generator over a step set by its norm, squared a few times and then
+  applied to the state, and each chunk of up to 16 factors checked by one
+  sparse exponential;
 - nested time-ordered quadrature of multi-time V^o correlators
   (:func:`moment_by_correlator_quadrature`).
 """
@@ -25,7 +28,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .fockbasis import FockState, Truncation
-from .oracle import expm_propagate, multi_time_correlators
+from .oracle import _THETA13, expm_propagate, multi_time_correlators
 from .superops import InternalConsistencyError, ModelParams, full_generator
 
 __all__ = [
@@ -123,56 +126,92 @@ def real_form(params: ModelParams, trunc: Truncation) -> RealForm:
     return RealForm(S, G_L.real.copy(), G_W.real.copy())
 
 
-def _dense_propagate(
-    params: ModelParams, initial: FockState, t: float, J: float, form: RealForm
-) -> FockState:
-    """Propagation by scaling and squaring of the real G_L + J G_W.
+#: longest factor-vector chain after the squarings: one more squaring would
+#: cost as much as about fifty products of the factor with a vector
+_CHAIN = 32
+#: J nodes whose factors one sparse exponential checks at once
+_CHECK_CHUNK = 16
 
-    xi(t) = S E^(2^k) S^-1 xi(0) with E = e^{(G_L + J G_W) tau} and
-    tau = t / 2^k <= t_check: one dense Pade exponential and k squarings,
-    matrix products only (Al-Mohy & Higham 2009).  The factor E itself is
-    checked against one short sparse-exponential propagation over tau
-    before it is squared.
+
+def _dense_propagate(
+    params: ModelParams, initial: FockState, t: float, Js, form: RealForm
+) -> list[FockState]:
+    """Propagation of one state under G_L + J G_W for every J in ``Js``.
+
+    Per node, B is G tau bordered by its trace row w^T G tau (w^T x = tr S x)
+    with tau = t / (N 2^j): steps = ceil(|B|_1 t / theta13) sets j, the
+    fewest squarings that leave a chain of N = ceil(steps / 2^j) <= 32, so
+    |B tau|_1 <= theta13 and E = e^{B tau} is one degree-13 Pade
+    exponential without scaling (Higham 2005; Al-Mohy & Higham 2009).  E is
+    squared j times and then applied N times to the bordered vector
+    [Re c, Im c; 0] with c = S^-1 xi(0), matrix-vector products only.
 
     E has an eigenvalue near 1, since the trace is nearly conserved, and
-    each squaring doubles the rounding of it, which would leave 2^k eps of
-    noise in Z(J) and swamp finite differences in J.  So the exponential is
-    taken of G tau bordered by its trace row w^T G tau (w^T x = tr S x); the
-    border of the result is y = w^T (E - I), and squaring the bordered
-    matrix squares E and maps y to y + y E, each exact relative to its own
-    size.  tr xi(t) = w^T c + y c is then exact to rounding, and the vacuum
-    population takes up its difference to the trace of the evolved state.
+    each squaring or product doubles the rounding of it, which would leave
+    noise in Z(J) that swamps finite differences in J.  The border of the
+    bordered exponential is y = w^T (E - I); squaring maps y to y + y E and
+    each product adds y E^i c to the last entry of the vector, each exact
+    relative to its own size.  tr xi(t) = w^T c + sum_i y E^i c is then
+    exact to rounding, and the vacuum population takes up its difference to
+    the trace of the evolved state.
+
+    Before it is squared, each factor E is checked against a sparse
+    exponential over its own tau of the operator-level generator
+    L + i(J/2) W: one ``expm_multiply`` on the block diagonal of up to 16
+    nodes.  Only one bordered matrix is held at a time.
     """
     import scipy.linalg as sla
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     if t == 0:
-        return initial.copy()
+        return [initial.copy() for _ in Js]
     S = form.S
     n = S.shape[0]
-    drive = 0.5j * J
-    t_check = 0.05 / (1.0 + params.kappa1 + params.kappa2 + abs(drive))
-    k = math.ceil(math.log2(t / t_check)) if t > t_check else 0
-    tau = t / 2**k
+    shape = initial.entries.shape
     # the diagonal basis vectors of S carry the phase (-1)^i, the others no trace
-    w = (S.T @ np.eye(initial.entries.shape[0]).ravel()).real
-    B = np.zeros((n + 1, n + 1))
-    B[:n, :n] = (form.G_L + J * form.G_W) * tau
-    B[n, :n] = w @ B[:n, :n]
-    E = sla.expm(B)
+    w = (S.T @ np.eye(shape[0]).ravel()).real
+    rho0 = initial.entries.ravel().astype(complex)
     # S is unitary, so S^-1 = S^H
-    c = S.conj().T @ initial.entries.ravel().astype(complex)
-    via_dense = S @ (E[:n, :n] @ c)
-    via_expm = expm_propagate(params, initial, tau, drive=drive).entries.ravel()
-    dev = np.max(np.abs(via_dense - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
-    if dev > 1e-8:
-        raise InternalConsistencyError(
-            f"tilted-generator exponential factor unreliable (dev {dev:.3e})"
-        )
-    for _ in range(k):
-        E = E @ E
-    xi = (S @ (E[:n, :n] @ c)).reshape(initial.entries.shape)
-    xi[0, 0] += w @ c + E[n, :n] @ c - np.trace(xi)
-    return FockState(xi)
+    c = S.conj().T @ rho0
+    start = np.zeros((n + 1, 2))
+    start[:n, 0], start[:n, 1] = c.real, c.imag
+    action = full_generator(params, initial.truncation)
+    L, W = action.sparse_matrix(), action.source_matrix()
+
+    def bordered(J: float) -> np.ndarray:
+        B = np.zeros((n + 1, n + 1))
+        B[:n, :n] = form.G_L + J * form.G_W
+        B[n, :n] = w @ B[:n, :n]
+        return B
+
+    out = []
+    for first in range(0, len(Js), _CHECK_CHUNK):
+        chunk = []
+        for J in Js[first : first + _CHECK_CHUNK]:
+            steps = max(1, math.ceil(np.linalg.norm(bordered(J), 1) * t / _THETA13))
+            j = max(0, math.ceil(math.log2(steps / _CHAIN)))
+            N = math.ceil(steps / 2**j)
+            chunk.append((J, j, N, t / (N * 2**j)))
+        tilted = sp.block_diag([(L + 0.5j * J * W) * tau for J, _, _, tau in chunk], format="csr")
+        refs = spla.expm_multiply(tilted, np.tile(rho0, len(chunk))).reshape(len(chunk), n)
+        for (J, j, N, tau), via_expm in zip(chunk, refs):
+            E = sla.expm(bordered(J) * tau)
+            via_dense = S @ (E[:n, :n] @ c)
+            dev = np.max(np.abs(via_dense - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
+            if dev > 1e-8:
+                raise InternalConsistencyError(
+                    f"tilted-generator exponential factor unreliable (dev {dev:.3e}, J={J})"
+                )
+            for _ in range(j):
+                E = E @ E
+            v = start
+            for _ in range(N):
+                v = E @ v
+            xi = (S @ (v[:n, 0] + 1j * v[:n, 1])).reshape(shape)
+            xi[0, 0] += w @ c + complex(v[n, 0], v[n, 1]) - np.trace(xi)
+            out.append(FockState(xi))
+    return out
 
 
 def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> str:
@@ -183,6 +222,11 @@ def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> st
     if backend not in ("dense", "expm"):
         raise ValueError("backend must be 'auto', 'dense' or 'expm'")
     return backend
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and non-negative, got {t!r}")
 
 
 def xi_evolve(
@@ -196,26 +240,41 @@ def xi_evolve(
 ) -> FockState:
     """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial.
 
-    Backends: "dense" (scaling and squaring of the dense exponential of the
-    real form G_L + J G_W of the tilted generator, see :func:`real_form`;
-    best for stiff two-body-loss runs) and "expm" (Taylor-stepped sparse
-    exponential); "auto" picks dense for small stiff systems and expm
-    otherwise.  ``form`` lets a caller that evolves many J on one
-    truncation build the real form once.  The cutoff row/column weight is
-    gated against ``top_tol`` relative to the largest entry.
+    Backends: "dense" (the real form G_L + J G_W of the tilted generator,
+    see :func:`real_form`, exponentiated over a short step, squared and
+    applied to the state; best for stiff two-body-loss runs) and "expm"
+    (Taylor-stepped sparse exponential); "auto" picks dense for small stiff
+    systems and expm otherwise.  ``form`` lets a caller that evolves many J
+    on one truncation build the real form once.  The cutoff row/column
+    weight is gated against ``top_tol`` relative to the largest entry.
+    This is :func:`_evolve_nodes` at one J.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"evolution time must be finite and non-negative, got {t!r}")
+    return _evolve_nodes(params, [J], t, initial, backend, top_tol, form)[0]
+
+
+def _evolve_nodes(
+    params: ModelParams,
+    Js,
+    t: float,
+    initial: FockState,
+    backend: str = "auto",
+    top_tol: float = TOP_TOL,
+    form: RealForm | None = None,
+) -> list[FockState]:
+    """:func:`xi_evolve` for every J in ``Js``; the dense backend takes all
+    nodes in one :func:`_dense_propagate` call."""
+    _check_time(t)
     backend = _resolve_backend(params, initial.truncation, backend)
     if backend == "dense":
         if form is None:
             form = real_form(params, initial.truncation)
-        out = _dense_propagate(params, initial, t, J, form)
+        states = _dense_propagate(params, initial, t, Js, form)
     else:
-        out = expm_propagate(params, initial, t, drive=0.5j * J)
+        states = [expm_propagate(params, initial, t, drive=0.5j * J) for J in Js]
     if top_tol is not None:
-        _gate_cutoff_weight(out.entries, top_tol, f"at n_max={initial.n_max}, J={J}, t={t}")
-    return out
+        for J, xi in zip(Js, states):
+            _gate_cutoff_weight(xi.entries, top_tol, f"at n_max={initial.n_max}, J={J}, t={t}")
+    return states
 
 
 def _gate_cutoff_weight(entries: np.ndarray, top_tol: float, where: str) -> None:
@@ -248,17 +307,16 @@ def generating_function(
     ``known`` maps J to Z(J) already evaluated for the same params, initial
     state and t; those nodes are reused and the new ones are added to it.
     """
+    _check_time(t)
     J_grid = np.asarray(J_grid, dtype=float)
     if np.max(np.abs(J_grid + J_grid[::-1])) > 1e-12 or not np.any(J_grid == 0):
         raise ValueError("J grid must be symmetric about and include 0")
     half = J_grid[J_grid >= 0]
     known = {} if known is None else known
     missing = [J for J in half if J not in known]
-    form = None
-    if missing and _resolve_backend(params, initial.truncation, "auto") == "dense":
-        form = real_form(params, initial.truncation)
-    for J in missing:
-        known[J] = xi_evolve(params, J, t, initial, form=form).trace()
+    if missing:
+        for J, xi in zip(missing, _evolve_nodes(params, missing, t, initial)):
+            known[J] = xi.trace()
     Z_half = np.array([known[J] for J in half])
     Z = np.empty(len(J_grid), dtype=complex)
     n_neg = len(J_grid) - len(half)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fockbasis import FockState, Truncation
+from .fockbasis import FockState
 from .superops import (
     BlockMatrix,
     GeneratorAction,
@@ -199,25 +199,6 @@ def _rk4_propagate(
     return FockState(X)
 
 
-_SPARSE_CACHE: dict[tuple, tuple[sp.csr_matrix, sp.csr_matrix]] = {}
-
-
-def _cached_sparse(params: ModelParams, trunc: Truncation, drive: complex) -> sp.csr_matrix:
-    """L + drive W^o from the (L, W^o) pair cached per (params, n_max).
-
-    The sum is the one ``GeneratorAction.sparse_matrix`` forms for a drive,
-    so a new drive costs one sparse addition and no generator build.
-    """
-    key = (params.omega, params.U, params.kappa1, params.kappa2, trunc.n_max)
-    if key not in _SPARSE_CACHE:
-        if len(_SPARSE_CACHE) > 64:
-            _SPARSE_CACHE.clear()
-        action = full_generator(params, trunc)
-        _SPARSE_CACHE[key] = (action.sparse_matrix(), action.source_matrix())
-    L, W = _SPARSE_CACHE[key]
-    return (L + drive * W).tocsr() if drive else L
-
-
 def expm_propagate(
     params: ModelParams, initial: FockState, t: float, drive: complex = 0.0
 ) -> FockState:
@@ -233,7 +214,7 @@ def expm_propagate(
     if t == 0:
         return initial.copy()
     d = initial.entries.shape[0]
-    mat = _cached_sparse(params, initial.truncation, complex(drive))
+    mat = full_generator(params, initial.truncation, complex(drive)).sparse_matrix()
     vec = spla.expm_multiply(mat * t, initial.entries.ravel().astype(complex))
     return FockState(vec.reshape(d, d))
 

@@ -111,15 +111,15 @@ def test_real_form_gate_fires_on_a_complex_generator(monkeypatch):
 
 
 def test_dense_route_matches_expm_across_squarings():
-    # t = 0 returns the initial state untouched; 0.3 t_check takes no
-    # squaring; t = 5 and 20 take up to a dozen squarings of one factor
+    # t = 0 returns the initial state untouched; t = 0.01 takes a short
+    # chain of factor-vector products and no squaring; t = 5 and 20 take
+    # up to nine squarings of one factor and then a chain
     n_max = 9
     coherent = FockState.coherent(Truncation(n_max), 0.6 + 0.3j)
     for params in (NONLINEAR, GENERIC):
         form = real_form(params, coherent.truncation)
         for J in (0.0, 6.0, 16.0):
-            t_check = 0.05 / (1.0 + params.kappa1 + params.kappa2 + J / 2)
-            for t in (0.0, 0.3 * t_check, 5.0, 20.0):
+            for t in (0.0, 0.01, 5.0, 20.0):
                 a = xi_evolve(params, J, t, coherent, backend="dense", top_tol=None, form=form)
                 b = xi_evolve(params, J, t, coherent, backend="expm", top_tol=None)
                 assert np.max(np.abs(a.entries - b.entries)) < 1e-10, (params, J, t)
@@ -136,6 +136,74 @@ def test_dense_route_self_check_fires_on_a_wrong_form():
     xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=form)
     with pytest.raises(InternalConsistencyError, match="factor unreliable"):
         xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=flipped)
+
+
+def test_dense_route_flags_the_unreliable_chunk_of_a_grid(monkeypatch):
+    # the sparse check runs per chunk of 16 nodes: on a grid whose first 16
+    # nodes sit within 1e-11 of J = 0 a flipped G_W passes the first chunk
+    # and is caught in the second
+    vac = vacuum(9)
+    form = real_form(NONLINEAR, vac.truncation)
+    monkeypatch.setattr(noise, "real_form", lambda *_: noise.RealForm(form.S, form.G_L, -form.G_W))
+    tiny = 1e-12 * np.arange(16)
+    first_chunk = np.concatenate([-tiny[:0:-1], tiny])
+    generating_function(NONLINEAR, vac, 2.0, first_chunk)
+    half = np.concatenate([tiny, [1.0, 2.0, 3.0]])
+    with pytest.raises(InternalConsistencyError, match="factor unreliable"):
+        generating_function(NONLINEAR, vac, 2.0, np.concatenate([-half[:0:-1], half]))
+
+
+def _dense_propagate_per_node(params, initial, t, J, form):
+    """One J node by the earlier per-node route: a step tau = t/2^k no
+    longer than t_check = 0.05/(1 + kappa1 + kappa2 + |J|/2), k full
+    squarings of the bordered exponential and a check against
+    ``expm_propagate`` over tau."""
+    if t == 0:
+        return initial.copy()
+    S = form.S
+    n = S.shape[0]
+    drive = 0.5j * J
+    t_check = 0.05 / (1.0 + params.kappa1 + params.kappa2 + abs(drive))
+    k = math.ceil(math.log2(t / t_check)) if t > t_check else 0
+    tau = t / 2**k
+    w = (S.T @ np.eye(initial.entries.shape[0]).ravel()).real
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = (form.G_L + J * form.G_W) * tau
+    B[n, :n] = w @ B[:n, :n]
+    E = sla.expm(B)
+    c = S.conj().T @ initial.entries.ravel().astype(complex)
+    via_dense = S @ (E[:n, :n] @ c)
+    via_expm = oracle.expm_propagate(params, initial, tau, drive=drive).entries.ravel()
+    assert np.max(np.abs(via_dense - via_expm)) <= 1e-8 * max(1.0, np.max(np.abs(via_expm)))
+    for _ in range(k):
+        E = E @ E
+    xi = (S @ (E[:n, :n] @ c)).reshape(initial.entries.shape)
+    xi[0, 0] += w @ c + E[n, :n] @ c - np.trace(xi)
+    return FockState(xi)
+
+
+def test_batched_grid_matches_the_per_node_route():
+    # the two final grids of the benchmark's noise_grid workload: Z from
+    # one batched pass against the per-node route
+    vac = vacuum(12)
+    form = real_form(NONLINEAR, vac.truncation)
+    for t, J_max in ((5.0, 16.0), (20.0, 8.0)):
+        grid = symmetric_J_grid(J_max, 129)
+        Z = generating_function(NONLINEAR, vac, t, grid)
+        half = grid[grid >= 0]
+        ref = [_dense_propagate_per_node(NONLINEAR, vac, t, J, form).trace() for J in half]
+        assert np.max(np.abs(Z[grid >= 0] - ref)) <= 1e-12, t
+
+
+def test_batch_over_several_chunks_equals_single_nodes():
+    # 37 nodes span three check chunks; each node's factor, squarings and
+    # chain do not depend on its batch, so the states agree bit for bit
+    coherent = FockState.coherent(Truncation(8), 0.5 - 0.2j)
+    Js = list(np.linspace(0.0, 9.0, 37))
+    batch = noise._evolve_nodes(NONLINEAR, Js, 3.0, coherent)
+    for J, xi in zip(Js, batch):
+        single = xi_evolve(NONLINEAR, J, 3.0, coherent)
+        assert np.array_equal(xi.entries, single.entries), J
 
 
 def test_dense_route_trace_is_smooth_in_J():
@@ -164,6 +232,22 @@ def test_generating_function_basics():
         generating_function(NONLINEAR, vac, 0.5, np.linspace(0.0, 4.0, 9))
     with pytest.raises(ValueError):
         generating_function(NONLINEAR, vac, -0.5, grid)
+
+
+def test_bad_times_are_rejected_before_any_node(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(noise, "_evolve_nodes", no_nodes)
+    vac = vacuum(8)
+    grid = symmetric_J_grid(4.0, 9)
+    for t in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            generating_function(NONLINEAR, vac, t, grid)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            generating_function(NONLINEAR, vac, t, grid, known={J: 1.0 for J in grid})
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run_noise(NONLINEAR, vac, t, J_max=4.0, N_J=9)
 
 
 def test_generating_function_gate_on_z0():
@@ -368,13 +452,13 @@ def test_run_noise_evaluates_each_J_once(monkeypatch):
     import kerrloss.noise as noise_module
 
     evolved = []
-    one_shot = noise_module.xi_evolve
+    batched = noise_module._evolve_nodes
 
-    def counting(params, J, *args, **kwargs):
-        evolved.append(J)
-        return one_shot(params, J, *args, **kwargs)
+    def counting(params, Js, *args, **kwargs):
+        evolved.extend(Js)
+        return batched(params, Js, *args, **kwargs)
 
-    monkeypatch.setattr(noise_module, "xi_evolve", counting)
+    monkeypatch.setattr(noise_module, "_evolve_nodes", counting)
     run = run_noise(NONLINEAR, vacuum(10), 5.0, J_max=4.7, N_J=39)
     monkeypatch.undo()
     assert len(run.J_grid) > 2 * 39 - 1
