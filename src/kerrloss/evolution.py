@@ -1,10 +1,12 @@
 """Exact time evolution from the spectral solution.
 
 The closed form holds one factorization per block,
-T_m(t) = R_m e^{Lambda_m t} L_m, whose eigenvector entries come from
+T_m(t) = R_m e^{Lambda_m t} L_m.  Its factors live in :mod:`kerrloss.spectral`:
+:class:`~kerrloss.spectral.PropagatorCoefficients` keeps those of all blocks
+in one zero-padded stack, filled by
 :class:`~kerrloss.spectral.EigenvectorBuilder` (at kappa2 = 0 its
-Gaussian-limit blocks).  :class:`PropagatorCoefficients` keeps the factors of
-all blocks in one zero-padded stack.  Propagation forms
+Gaussian-limit blocks), and :func:`~kerrloss.spectral.decompose` copies its
+blocks out of the same stack.  Propagation forms
 T_m(t) = (R_m e^{Lambda_m t}) L_m for every m >= 0 in one batched product
 (block -m is its conjugate), gathers every block diagonal of the matrix with
 one index, applies the stack with a second batched product and scatters the
@@ -19,12 +21,11 @@ the paper's formula that checks the factorization.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
-from .fockbasis import BlockVector, FockState, Truncation, block_layout, from_blocks, to_blocks
-from .spectral import EigenvectorBuilder, SpectralDecomposition, eigenvalue, x_parameter
+from .fockbasis import BlockVector, FockState, Truncation, from_blocks, to_blocks
+from .spectral import PropagatorCoefficients, SpectralDecomposition, eigenvalue, x_parameter
 from .specfun import double_factorial, hyp2f1_terminating
 from .superops import ModelParams
 
@@ -58,65 +59,6 @@ def g_coefficient(params: ModelParams, m: int, k: int, r: int, t: float) -> comp
             * hyp2f1_terminating(r - j, x, 2 * x + eta, 2.0)
         )
     return total
-
-
-class PropagatorCoefficients:
-    """Per-block factorization T_m(t) = R_m e^{Lambda_m t} L_m of the propagator.
-
-    Column k of R_m and row k of L_m are the right and left eigenvectors of
-    mode (m, k); at kappa2 > 0, (R_m e^{Lambda_m t} L_m)[k, q] is
-    sqrt(C(q+|m|, k+|m|) C(q, k)) G_{q-k,k}^(m)(t) term by term.  The
-    factors of every block live in one zero-padded stack, row m + n_max for
-    block m in the layout of :func:`~kerrloss.fockbasis.block_layout`:
-    Lambda (2 n_max + 1, n_max + 1), R and L (2 n_max + 1, n_max + 1, n_max + 1).
-    Blocks m and -m are built into it together on first use, so memory
-    depends on n_max only, not on the number of times asked for.
-    """
-
-    def __init__(self, params: ModelParams, trunc: Truncation):
-        self.params = params
-        self.truncation = trunc
-        rows, size = 2 * trunc.n_max + 1, trunc.dim
-        self._lam = np.zeros((rows, size), dtype=complex)
-        self._R = np.zeros((rows, size, size), dtype=complex)
-        self._L = np.zeros((rows, size, size), dtype=complex)
-        self._built = [False] * size
-        #: :func:`~kerrloss.fockbasis.block_layout` of the truncation
-        self.layout = block_layout(trunc)
-
-    @cached_property
-    def _builder(self) -> EigenvectorBuilder:
-        return EigenvectorBuilder(self.params, self.truncation)
-
-    def _build(self, am: int) -> None:
-        n, size = self.truncation.n_max, self.truncation.block_size(am)
-        R, L = self._builder.block(am)
-        self._R[n + am, :size, :size], self._L[n + am, :size, :size] = R, L
-        if am:
-            self._R[n - am, :size, :size], self._L[n - am, :size, :size] = R.conj(), L.conj()
-        for mm in {am, -am}:
-            self._lam[n + mm, :size] = [eigenvalue(self.params, mm, k) for k in range(size)]
-        self._built[am] = True
-
-    def factors(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lambda, R, L) of block m, views into the stack."""
-        size = self.truncation.block_size(m)
-        if not self._built[abs(m)]:
-            self._build(abs(m))
-        i = m + self.truncation.n_max
-        return self._lam[i, :size], self._R[i, :size, :size], self._L[i, :size, :size]
-
-    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Lambda, R, L) of every block, padded, after building what is missing."""
-        for am, built in enumerate(self._built):
-            if not built:
-                self._build(am)
-        return self._lam, self._R, self._L
-
-    def block_matrix(self, m: int, t: float) -> np.ndarray:
-        """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m."""
-        lam, R, L = self.factors(m)
-        return (R * np.exp(lam * t)) @ L
 
 
 def _apply_blocks(

@@ -46,7 +46,6 @@ __all__ = [
     "cumulants_from_moments",
     "cumulant_trace",
     "moment_by_correlator_quadrature",
-    "extensivity_ratio",
     "run_noise",
 ]
 
@@ -495,8 +494,7 @@ def moment_by_correlator_quadrature(
     """
     if n not in (1, 2):
         raise ValueError("quadrature oracle implemented for n in {1, 2}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("t must be finite and non-negative")
+    _check_time(t)
     t1s, w1s = _gauss_nodes(0.0, t, nodes)
     if n == 1:
         vals = multi_time_correlators(params, [[("o", s)] for s in t1s], initial)
@@ -506,12 +504,6 @@ def moment_by_correlator_quadrature(
     weights = np.concatenate([w1 * w2s for w1, (_, w2s) in zip(w1s, inner)])
     vals = multi_time_correlators(params, sequences, initial)
     return float(np.real((2.0 / 4.0) * np.dot(weights, vals)))
-
-
-def extensivity_ratio(params: ModelParams, initial: FockState, t: float) -> float:
-    """var(2t)/var(t): the long-time linear growth check of the exact variance."""
-    out = cumulant_trace(params, initial, [t, 2 * t])
-    return float(out[1]["cumulants"][1] / out[0]["cumulants"][1])
 
 
 @dataclass

@@ -15,7 +15,6 @@ the trace, each sequence with its own gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +33,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "IntegratorConfig",
     "triangular_eigendecomp",
     "ode_propagate",
     "expm_propagate",
@@ -45,29 +43,16 @@ __all__ = [
 ]
 
 DEGENERATE_PIVOT_TOL = 1e-10
+#: relative and absolute tolerances of the adaptive reference integrator
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
 #: bytes of the four (chunk, d, d) complex stacks that one chunk of
 #: :func:`multi_time_correlators` holds at once (state, exponentials, insertion)
 CHUNK_BYTES = 1 << 22
 
 
 class StiffnessError(RuntimeError):
-    """The fixed-step integrator would need more steps than allowed."""
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and method tag for the reference integrator."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_step: float = np.inf
-    method: str = "adaptive"  # "adaptive" (embedded 4/5 pair) or "rk4"
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("integrator tolerances must be positive")
-        if self.method not in ("adaptive", "rk4"):
-            raise ValueError("method must be 'adaptive' or 'rk4'")
+    """The adaptive reference integrator of :func:`ode_propagate` failed."""
 
 
 def triangular_eigendecomp(Lb: BlockMatrix):
@@ -132,30 +117,17 @@ def left_residual(Lb: BlockMatrix, lam: complex, u: np.ndarray) -> float:
     return float(np.linalg.norm(u @ Lb.entries - lam * u) / (scale * np.linalg.norm(u)))
 
 
-def ode_propagate(
-    action: GeneratorAction,
-    initial: FockState,
-    t: float,
-    config: IntegratorConfig | None = None,
-    t_eval=None,
-):
-    """Reference integration of dX/dt = action(X) from X(0) = initial.
-
-    With ``t_eval`` (increasing times in [0, t]) a list of states is
-    returned, otherwise the single state at time t.
-    """
+def ode_propagate(action: GeneratorAction, initial: FockState, t: float) -> FockState:
+    """Reference integration of dX/dt = action(X) from X(0) = initial to time
+    t, by the embedded 4/5 Runge-Kutta pair at :data:`ODE_RTOL` and
+    :data:`ODE_ATOL`."""
     from scipy.integrate import solve_ivp
 
     if t < 0:
         raise ValueError("t must be non-negative")
-    config = config or IntegratorConfig()
-    d = initial.entries.shape[0]
-    if t == 0 and t_eval is None:
+    if t == 0:
         return initial.copy()
-    if config.method == "rk4":
-        if t_eval is not None:
-            raise ValueError("t_eval is only supported by the adaptive method")
-        return _rk4_propagate(action, initial, t, config)
+    d = initial.entries.shape[0]
 
     def rhs(_, y):
         return action.apply(y.reshape(d, d)).ravel()
@@ -165,38 +137,12 @@ def ode_propagate(
         (0.0, t),
         initial.entries.ravel().astype(complex),
         method="RK45",
-        rtol=config.rtol,
-        atol=config.atol,
-        max_step=config.max_step,
-        t_eval=t_eval,
-        dense_output=False,
+        rtol=ODE_RTOL,
+        atol=ODE_ATOL,
     )
     if not sol.success:
         raise StiffnessError(f"adaptive integrator failed: {sol.message}")
-    if t_eval is None:
-        return FockState(sol.y[:, -1].reshape(d, d))
-    return [FockState(sol.y[:, j].reshape(d, d)) for j in range(sol.y.shape[1])]
-
-
-def _rk4_propagate(
-    action: GeneratorAction, initial: FockState, t: float, config: IntegratorConfig
-) -> FockState:
-    """Fixed-step classical 4th-order run for reproducibility checks."""
-    # step chosen against the diagonal stiffness scale of the generator
-    p, n = action.params, action.trunc.n_max
-    rate = p.kappa1 * n + p.kappa2 * n * n + abs(p.omega) + abs(p.U) * n * n + abs(action.drive) * n
-    steps = max(16, int(np.ceil(8 * rate * t)))
-    if steps > 2_000_000:
-        raise StiffnessError(f"fixed-step integration would need {steps} steps")
-    h = t / steps
-    X = initial.entries.astype(complex)
-    for _ in range(steps):
-        k1 = action.apply(X)
-        k2 = action.apply(X + 0.5 * h * k1)
-        k3 = action.apply(X + 0.5 * h * k2)
-        k4 = action.apply(X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return FockState(X)
+    return FockState(sol.y[:, -1].reshape(d, d))
 
 
 def expm_propagate(

@@ -28,10 +28,11 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .fockbasis import BlockVector, Truncation
+from .fockbasis import BlockVector, Truncation, block_layout
 from .specfun import DENOMINATOR_FLOOR, VanishingDenominatorError
 from .superops import (
     BlockMatrix,
@@ -48,6 +49,7 @@ __all__ = [
     "eigenvalue",
     "x_parameter",
     "EigenvectorBuilder",
+    "PropagatorCoefficients",
     "check_biorthogonality",
     "right_eigenvector",
     "right_eigenvector_productform",
@@ -315,6 +317,65 @@ class EigenvectorBuilder:
         return R, L
 
 
+class PropagatorCoefficients:
+    """Per-block factorization T_m(t) = R_m e^{Lambda_m t} L_m of the propagator.
+
+    Column k of R_m and row k of L_m are the right and left eigenvectors of
+    mode (m, k); at kappa2 > 0, (R_m e^{Lambda_m t} L_m)[k, q] is
+    sqrt(C(q+|m|, k+|m|) C(q, k)) G_{q-k,k}^(m)(t) term by term.  The
+    factors of every block live in one zero-padded stack, row m + n_max for
+    block m in the layout of :func:`~kerrloss.fockbasis.block_layout`:
+    Lambda (2 n_max + 1, n_max + 1), R and L (2 n_max + 1, n_max + 1, n_max + 1).
+    Blocks m and -m are built into it together on first use, so memory
+    depends on n_max only, not on the number of times asked for.
+    """
+
+    def __init__(self, params: ModelParams, trunc: Truncation):
+        self.params = params
+        self.truncation = trunc
+        rows, size = 2 * trunc.n_max + 1, trunc.dim
+        self._lam = np.zeros((rows, size), dtype=complex)
+        self._R = np.zeros((rows, size, size), dtype=complex)
+        self._L = np.zeros((rows, size, size), dtype=complex)
+        self._built = [False] * size
+        #: :func:`~kerrloss.fockbasis.block_layout` of the truncation
+        self.layout = block_layout(trunc)
+
+    @cached_property
+    def _builder(self) -> EigenvectorBuilder:
+        return EigenvectorBuilder(self.params, self.truncation)
+
+    def _build(self, am: int) -> None:
+        n, size = self.truncation.n_max, self.truncation.block_size(am)
+        R, L = self._builder.block(am)
+        self._R[n + am, :size, :size], self._L[n + am, :size, :size] = R, L
+        if am:  # block -m is the conjugate; + 0.0 keeps -0 out of it
+            self._R[n - am, :size, :size], self._L[n - am, :size, :size] = R.conj() + 0.0, L.conj() + 0.0
+        for mm in {am, -am}:
+            self._lam[n + mm, :size] = [eigenvalue(self.params, mm, k) for k in range(size)]
+        self._built[am] = True
+
+    def factors(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda, R, L) of block m, views into the stack."""
+        size = self.truncation.block_size(m)
+        if not self._built[abs(m)]:
+            self._build(abs(m))
+        i = m + self.truncation.n_max
+        return self._lam[i, :size], self._R[i, :size, :size], self._L[i, :size, :size]
+
+    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Lambda, R, L) of every block, padded, after building what is missing."""
+        for am, built in enumerate(self._built):
+            if not built:
+                self._build(am)
+        return self._lam, self._R, self._L
+
+    def block_matrix(self, m: int, t: float) -> np.ndarray:
+        """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m."""
+        lam, R, L = self.factors(m)
+        return (R * np.exp(lam * t)) @ L
+
+
 def right_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
     """Right eigenvector of block m for eigenvalue lambda_k^(m), phi_k coefficient 1."""
     return BlockVector(m, EigenvectorBuilder(params, trunc).entries(m, k, "right"))
@@ -435,18 +496,19 @@ def _degeneracy_scan(params: ModelParams, trunc: Truncation, case: CaseTag) -> t
 def decompose(params: ModelParams, trunc: Truncation) -> SpectralDecomposition:
     """Assemble the complete truncated eigensystem with case dispatch.
 
-    Blocks m >= 0 come from :class:`EigenvectorBuilder`; block -m is their
-    complex conjugate.
+    Every block is a copy of the factors of one fully built
+    :class:`PropagatorCoefficients` stack; copies, not views, so the padded
+    stack is freed on return.
     """
     case = classify(params)
     decomp = SpectralDecomposition(params=params, truncation=trunc, case=case)
     if case != CaseTag.HAMILTONIAN_ONLY:
         decomp.degenerate_modes = _degeneracy_scan(params, trunc, case)
-    builder = EigenvectorBuilder(params, trunc)
-    built = {m: builder.block(m) for m in range(trunc.n_max + 1)}
+    coeffs = PropagatorCoefficients(params, trunc)
+    coeffs.stack()
     for m in trunc.blocks():
-        R, L = (v if m >= 0 else v.conj() + 0.0 for v in built[abs(m)])  # + 0.0: no -0
-        decomp.eigenvalues[m] = np.array([eigenvalue(params, m, k) for k in range(len(R))])
+        lam, R, L = (f.copy() for f in coeffs.factors(m))
+        decomp.eigenvalues[m] = lam
         decomp.R[m], decomp.Lmat[m] = BlockMatrix(m, R), BlockMatrix(m, L)
     return decomp
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrloss import evolution
+from kerrloss import evolution, spectral
 from kerrloss.evolution import (
     PropagatorCoefficients,
     g_coefficient,
@@ -318,13 +318,13 @@ def test_a_factor_column_matches_full_block():
 
 def test_factors_built_once_per_block(monkeypatch):
     calls = []
-    original = evolution.EigenvectorBuilder.block
+    original = spectral.EigenvectorBuilder.block
 
     def counted(self, m):
         calls.append(m)
         return original(self, m)
 
-    monkeypatch.setattr(evolution.EigenvectorBuilder, "block", counted)
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", counted)
     tr = Truncation(8)
     rho0 = FockState.coherent(tr, 0.7)
     coeffs = PropagatorCoefficients(GENERIC, tr)

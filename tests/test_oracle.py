@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 from kerrloss import noise, oracle
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.oracle import (
-    IntegratorConfig,
     expm_propagate,
     left_residual,
     multi_time_correlator,
@@ -32,13 +31,6 @@ from kerrloss.superops import (
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
 LINEAR = ModelParams(1.0, 0.0, 1.0, 0.0)
 NONLINEAR = ModelParams(1.0, 0.0, 1.0, 10.0)
-
-
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
 
 
 def test_triangular_eigendecomp_2x2():
@@ -108,26 +100,12 @@ def test_ode_vs_dense_matrix_exponential():
     assert np.max(np.abs(out.entries - ref)) < 1e-8
 
 
-def test_rk4_agrees_with_adaptive():
-    tr = Truncation(6)
-    rho0 = FockState.coherent(tr, 0.6)
-    gen = full_generator(GENERIC, tr)
-    a = ode_propagate(gen, rho0, 0.5)
-    b = ode_propagate(gen, rho0, 0.5, IntegratorConfig(method="rk4"))
-    assert np.max(np.abs(a.entries - b.entries)) < 1e-7
-
-
 def test_ode_t_eval_and_validation():
     tr = Truncation(5)
     rho0 = FockState.vacuum(tr)
     gen = full_generator(GENERIC, tr)
-    states = ode_propagate(gen, rho0, 1.0, t_eval=[0.0, 0.5, 1.0])
-    assert len(states) == 3
-    assert np.max(np.abs(states[0].entries - rho0.entries)) < 1e-9
     with pytest.raises(ValueError):
         ode_propagate(gen, rho0, -1.0)
-    with pytest.raises(ValueError):
-        ode_propagate(gen, rho0, 1.0, IntegratorConfig(method="rk4"), t_eval=[0.5])
 
 
 def test_correlator_vacuum_one_point():

@@ -9,6 +9,7 @@ from kerrloss.specfun import VanishingDenominatorError
 from kerrloss.spectral import (
     CaseTag,
     F_matrix,
+    PropagatorCoefficients,
     classify,
     decompose,
     eigenvalue,
@@ -205,3 +206,20 @@ def test_eigenvectors_csv_matches_numpy_loop(tag):
     assert text == _eigenvectors_csv_numpy_loop(decomp)
     assert "\n1,3,0,-0,0.5,right\n" in text and "\n1,3,1,0.25,-0,right\n" in text
     assert "\n1,3,2," not in text
+
+
+@pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
+def test_decompose_copies_the_one_build(tag):
+    # every block of decompose is an owned copy of the propagator factors,
+    # and no conjugated block -m leaves a -0 part for eigvecs.csv to print
+    tr = Truncation(12)
+    decomp = decompose(CASES[tag], tr)
+    coeffs = PropagatorCoefficients(CASES[tag], tr)
+    for m in tr.blocks():
+        lam, R, L = coeffs.factors(m)
+        assert np.array_equal(decomp.eigenvalues[m], lam)
+        for mine, ref in ((decomp.R[m].entries, R), (decomp.Lmat[m].entries, L)):
+            assert np.array_equal(mine, ref) and mine.base is None, m
+            z = mine[mine != 0]
+            negative_zero = ((z.real == 0) & np.signbit(z.real)) | ((z.imag == 0) & np.signbit(z.imag))
+            assert not negative_zero.any(), (m, int(negative_zero.sum()))
