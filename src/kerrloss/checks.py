@@ -96,18 +96,18 @@ def eigenvector_residuals(fault: bool = False) -> dict:
     worst = 0.0
     for case in CaseTag:
         params = seeded_draws(case, 1, seed=202)[0]
+        coeffs = spectral.PropagatorCoefficients(params, trunc)
         for m in (0, 1, -2, 3):
             Lb = superops.liouvillian_block(params, trunc, m)
             if fault:
                 _flip_superdiagonal(Lb.entries)
+            _, R, L = coeffs.factors(m)
             for k in range(trunc.block_size(m)):
                 lam = spectral.eigenvalue(params, m, k)
-                v = spectral.right_eigenvector(params, trunc, m, k).coeffs
-                u = spectral.left_eigenvector(params, trunc, m, k).coeffs
                 worst = max(
                     worst,
-                    oracle.right_residual(Lb, lam, v),
-                    oracle.left_residual(Lb, lam, u),
+                    oracle.right_residual(Lb, lam, R[:, k]),
+                    oracle.left_residual(Lb, lam, L[k]),
                 )
     return {"eigenvector_residuals": worst}
 

@@ -480,28 +480,26 @@ def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> lis
     return out
 
 
-def _gauss_nodes(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 def moment_by_correlator_quadrature(
     params: ModelParams, initial: FockState, t: float, n: int, nodes: int = 24
 ) -> float:
     """n-th moment of P as (n!/2^n) x the nested ordered V^o correlator integral.
 
-    All nodes of one order go to the oracle as one batch of sequences.
+    One Gauss-Legendre rule on [0, 1] is mapped onto [0, t] and onto each
+    [0, t1]; all nodes of one order go to the oracle as one batch of
+    sequences.
     """
     if n not in (1, 2):
         raise ValueError("quadrature oracle implemented for n in {1, 2}")
     _check_time(t)
-    t1s, w1s = _gauss_nodes(0.0, t, nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    t1s, w1s = t * x, t * w
     if n == 1:
         vals = multi_time_correlators(params, [[("o", s)] for s in t1s], initial)
         return float(np.real(0.5 * np.dot(w1s, vals)))
-    inner = [_gauss_nodes(0.0, t1, nodes) for t1 in t1s]
-    sequences = [[("o", t1), ("o", t2)] for t1, (t2s, _) in zip(t1s, inner) for t2 in t2s]
-    weights = np.concatenate([w1 * w2s for w1, (_, w2s) in zip(w1s, inner)])
+    sequences = [[("o", t1), ("o", t2)] for t1 in t1s for t2 in t1 * x]
+    weights = (w1s[:, None] * t1s[:, None] * w).ravel()
     vals = multi_time_correlators(params, sequences, initial)
     return float(np.real((2.0 / 4.0) * np.dot(weights, vals)))
 

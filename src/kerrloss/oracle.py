@@ -6,11 +6,14 @@ closed-form eigenvalue, eigenvector or propagator expressions from
 :mod:`kerrloss.spectral` / :mod:`kerrloss.evolution` may appear.  These
 routines arbitrate every derived value used in the tests.
 
-The multi-time correlators cut the vectorized generator into one dense
-block per coherence sector m = i - j, found from its own row-major indices
-and gated to be uncoupled, and evolve all sequences of one length at once:
-one stacked Pade exponential per step and per sector that can still reach
-the trace, each sequence with its own gap.
+The multi-time correlators run on the Fock levels their sequences can
+reach: K = min(n_max, max(2, n0 + n)) for a state whose highest nonzero
+level is n0 and a longest sequence of n insertions.  They cut the
+vectorized generator on those levels into one dense block per coherence
+sector m = i - j, found from its own row-major indices and gated to be
+uncoupled, and evolve all sequences of one length at once: one stacked
+Pade exponential per step and per sector that can still reach the trace,
+each sequence with its own gap.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fockbasis import FockState
+from .fockbasis import FockState, Truncation
 from .superops import (
     BlockMatrix,
     GeneratorAction,
@@ -298,8 +301,9 @@ def _assert_trace_invariance(B0: np.ndarray, kappa2: float) -> float:
     sectors and only sector 0 (the diagonal, in order) has a trace, so the
     condition is exactly 1^T B0 = 0; the inverse propagator must then keep
     1^T fixed, checked at a step where its amplification stays benign: the
-    two-body decay rate of level n_max is about kappa2 n_max^2, so the step
-    shrinks with it.  Returns the larger deviation-to-tolerance ratio.
+    two-body decay rate of the top level K of the block is about kappa2 K^2,
+    so the step 0.02/(kappa2 K^2) shrinks with it.  Returns the larger
+    deviation-to-tolerance ratio.
     """
     import scipy.linalg
 
@@ -308,8 +312,8 @@ def _assert_trace_invariance(B0: np.ndarray, kappa2: float) -> float:
         raise InternalConsistencyError(
             f"identity is not a left null vector of the generator (dev {dev0:.3e})"
         )
-    n_max = B0.shape[0] - 1
-    prop = scipy.linalg.expm(B0 * (-0.02 / max(1.0, kappa2 * n_max**2)))
+    top = B0.shape[0] - 1
+    prop = scipy.linalg.expm(B0 * (-0.02 / max(1.0, kappa2 * top**2)))
     dev = float(np.max(np.abs(prop.sum(axis=0) - 1.0)))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(prop))))
     if not dev <= tol:
@@ -339,7 +343,12 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     trace invariance (checked on every call).
 
     The generator is built once per call from the operator-level
-    definition.  It never couples two coherence sectors m = i - j of the
+    definition, on the levels <= K = min(n_max, max(2, n0 + n)), with n0
+    the highest level that holds a nonzero of ``initial`` and n the length
+    of the longest sequence; the state is cropped to K.  This is exact: L
+    never raises a level and each insertion raises one side by at most
+    one, so no a† leaves the cut.  At K = n_max nothing is cropped.  The
+    generator never couples two coherence sectors m = i - j of the
     row-major vectorisation (checked), so it is cut into one dense block
     per sector.  Every insertion moves m by exactly one and the trace reads
     m = 0, so with r insertions still to apply only the sectors |m| <= r
@@ -352,10 +361,16 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     sequences = [list(seq) for seq in sequences]
     for seq in sequences:
         _check_sequence(seq)
-    d = initial.entries.shape[0]
-    blocks = _sector_blocks(full_generator(params, initial.truncation).sparse_matrix(), d)
+    occupied = initial.entries != 0
+    held = np.flatnonzero(occupied.any(axis=0) | occupied.any(axis=1))
+    n0 = int(held[-1]) if held.size else 0
+    longest = max((len(seq) for seq in sequences), default=0)
+    cut = min(initial.n_max, max(2, n0 + longest))
+    d = cut + 1
+    trunc = Truncation(cut)
+    blocks = _sector_blocks(full_generator(params, trunc).sparse_matrix(), d)
     _assert_trace_invariance(blocks[d - 1], params.kappa2)
-    V = annihilation(initial.truncation)
+    V = annihilation(trunc)
     V = V + V.conj().T
     levels = np.arange(d)
     distance = np.abs(np.subtract.outer(levels, levels))  # |m| of each entry
@@ -369,7 +384,7 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     for length, members in chunks:
         tags = np.array([[tag for tag, _ in sequences[n]] for n in members])
         times = np.array([[t for _, t in sequences[n]] for n in members])
-        state = np.repeat(initial.entries.astype(complex)[None], len(members), axis=0)
+        state = np.repeat(initial.entries[:d, :d].astype(complex)[None], len(members), axis=0)
         prev = np.zeros(len(members))
         # from the last insertion back: evolve up to its time, then insert
         for step in range(length - 1, -1, -1):

@@ -296,14 +296,6 @@ class EigenvectorBuilder:
         out[slice(k - 1, None, -1) if right else slice(k + 1, None)] = vals
         return bits
 
-    def entries(self, m: int, k: int, side: str) -> np.ndarray:
-        """Column k of R_m (side "right") or row k of L_m (side "left")."""
-        if not 0 <= k < self.truncation.block_size(m) or side not in ("right", "left"):
-            raise ValueError("mode index outside truncation or side not 'right'/'left'")
-        out = np.zeros(self.truncation.block_size(m), dtype=complex)
-        self._fill(abs(m), k, side == "right", out)
-        return out if m >= 0 else out.conj() + 0.0
-
     def block(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(R_m, L_m) of block m >= 0, gated by :func:`check_biorthogonality`; each
         side runs from its longest sum down, every mode starting at ``self.bits``."""
@@ -376,14 +368,23 @@ class PropagatorCoefficients:
         return (R * np.exp(lam * t)) @ L
 
 
+def _mode_factors(params: ModelParams, trunc: Truncation, m: int, k: int):
+    """(lambda, R, L) of block m, once k is checked to be a mode of it."""
+    if not 0 <= k < trunc.block_size(m):
+        raise ValueError("mode index outside truncation")
+    return PropagatorCoefficients(params, trunc).factors(m)
+
+
 def right_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
-    """Right eigenvector of block m for eigenvalue lambda_k^(m), phi_k coefficient 1."""
-    return BlockVector(m, EigenvectorBuilder(params, trunc).entries(m, k, "right"))
+    """Right eigenvector of block m for eigenvalue lambda_k^(m), phi_k coefficient 1:
+    a copy of column k of R_m from :class:`PropagatorCoefficients`."""
+    return BlockVector(m, _mode_factors(params, trunc, m, k)[1][:, k].copy())
 
 
 def left_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
-    """Left eigenvector (bra coefficients over k') truncated at the block bound."""
-    return BlockVector(m, EigenvectorBuilder(params, trunc).entries(m, k, "left"))
+    """Left eigenvector (bra coefficients over k') truncated at the block bound:
+    a copy of row k of L_m from :class:`PropagatorCoefficients`."""
+    return BlockVector(m, _mode_factors(params, trunc, m, k)[2][k].copy())
 
 
 def right_eigenvector_productform(

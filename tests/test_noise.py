@@ -388,6 +388,22 @@ def test_quadrature_validates_before_the_oracle(monkeypatch):
             moment_by_correlator_quadrature(NONLINEAR, vac, t, n)
 
 
+def test_quadrature_builds_one_gauss_rule(monkeypatch):
+    # one leggauss call per quadrature call, mapped onto every interval
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    for order in (1, 2):
+        calls.clear()
+        moment_by_correlator_quadrature(NONLINEAR, vacuum(6), 0.5, order, nodes=5)
+        assert calls == [5], (order, calls)
+
+
 def test_quadrature_exponentials_per_sector(monkeypatch):
     # all nodes of one order share one stacked exponential per (step,
     # sector that is nonzero in some sequence and within reach of the trace)

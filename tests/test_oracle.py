@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import mpmath
@@ -213,6 +214,75 @@ def test_sector_correlators_match_full_space_route():
                     ref = _telescoped_by_expm_multiply(params, seq, rho0)
                     worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
     assert worst < 1e-12, worst
+
+
+def _low_level_state(tr, top, seed):
+    """A seeded density matrix on the levels <= top of the truncation."""
+    rng = np.random.default_rng(seed)
+    G = np.zeros((tr.dim, tr.dim), dtype=complex)
+    G[: top + 1, : top + 1] = rng.normal(size=(top + 1,) * 2) + 1j * rng.normal(size=(top + 1,) * 2)
+    rho = G @ G.conj().T
+    return FockState(rho / np.trace(rho))
+
+
+#: every tag at every position: all sequences of lengths 1 and 2, and the
+#: nine of length 3 whose tag pairs at any two positions are all distinct
+_CUT_SEQUENCES = [
+    [(tag, t) for tag, t in zip(tags, (1.3, 0.7, 0.25)[3 - len(tags):])]
+    for tags in [*itertools.product("+-o", repeat=1), *itertools.product("+-o", repeat=2),
+                 *(("+-o"[a], "+-o"[b], "+-o"[(a + b) % 3]) for a in range(3) for b in range(3))]
+]
+
+
+def test_cut_correlators_match_full_space_route():
+    # states on low levels run on the cut K = min(n_max, max(2, n0 + 3)):
+    # vacuum, |2><2| and a seeded state on levels <= 3, against the full
+    # sparse generator at the full n_max (NONLINEAR at n_max 6 only: its
+    # expm_multiply reference takes seconds per state at 12)
+    worst = 0.0
+    for n_max, channels in ((6, (GENERIC, LINEAR, NONLINEAR)), (12, (GENERIC, LINEAR))):
+        tr = Truncation(n_max)
+        states = (FockState.vacuum(tr), FockState.fock(tr, 2), _low_level_state(tr, 3, 17))
+        for params in channels:
+            for rho0 in states:
+                got = multi_time_correlators(params, _CUT_SEQUENCES, rho0)
+                for seq, value in zip(_CUT_SEQUENCES, got):
+                    ref = _telescoped_by_expm_multiply(params, seq, rho0)
+                    worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+    assert worst < 1e-12, worst
+
+
+def test_correlator_cut_follows_the_reach(monkeypatch):
+    # the generator is built on K = min(n_max, max(2, n0 + longest sequence))
+    cutoffs = []
+
+    def recorded(params, trunc):
+        cutoffs.append(trunc.n_max)
+        return full_generator(params, trunc)
+
+    monkeypatch.setattr(oracle, "full_generator", recorded)
+    one, three = [("o", 0.4)], [("+", 0.9), ("-", 0.5), ("o", 0.1)]
+    tr = Truncation(8)
+    cases = (
+        (FockState.vacuum(tr), [one], 2),
+        (FockState.vacuum(tr), [one, one], 2),
+        (FockState.vacuum(tr), [one, three], 3),
+        (FockState.fock(tr, 2), [three], 5),
+        (_low_level_state(tr, 3, 4), [one, three], 6),
+        (FockState.fock(tr, 6), [three], 8),
+        (FockState.fock(tr, 8), [one], 8),
+        (FockState.coherent(tr, 0.3), [one], 8),
+        (FockState.zero(tr), [three], 3),
+    )
+    for rho0, sequences, expected in cases:
+        cutoffs.clear()
+        multi_time_correlators(GENERIC, sequences, rho0)
+        assert cutoffs == [expected], (sequences, cutoffs, expected)
+
+
+def test_empty_sequence_list_gives_empty_array():
+    out = multi_time_correlators(GENERIC, [], FockState.vacuum(Truncation(6)))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def test_stacked_exponential_matches_scipy_on_sector_blocks():
