@@ -170,8 +170,6 @@ def cmd_evolve(settings: dict) -> int:
     _write(os.path.join(settings["out"], "evolution.csv"), header, "\n".join(traj_lines) + "\n")
     _write(os.path.join(settings["out"], "expectations.csv"), header, "\n".join(expect_lines) + "\n")
     if settings.get("heisenberg") == "a":
-        if params.kappa2 <= 0:
-            raise ValueError("the a-factor table needs kappa2 > 0 (G coefficients)")
         lines = ["t,k,re_factor,im_factor"]
         for t in times:
             for k, f in enumerate(evolution.heisenberg_a_factors(params, trunc, t, coeffs)):

@@ -4,14 +4,16 @@ The closed form holds one factorization per block,
 T_m(t) = R_m e^{Lambda_m t} L_m.  Its factors live in :mod:`kerrloss.spectral`:
 :class:`~kerrloss.spectral.PropagatorCoefficients` keeps those of all blocks
 in one zero-padded stack, filled by
-:class:`~kerrloss.spectral.EigenvectorBuilder` (at kappa2 = 0 its
-Gaussian-limit blocks), and :func:`~kerrloss.spectral.decompose` copies its
-blocks out of the same stack.  Propagation forms
-T_m(t) = (R_m e^{Lambda_m t}) L_m for every m >= 0 in one batched product
-(block -m is its conjugate), gathers every block diagonal of the matrix with
-one index, applies the stack with a second batched product and scatters the
-result back; the Heisenberg picture reads the stack reversed and transposed,
-and the a-factor rows are one row-vector product with block 1.  Spectral
+:class:`~kerrloss.spectral.EigenvectorBuilder`, and
+:func:`~kerrloss.spectral.decompose` copies its blocks out of the same stack.
+Propagation takes T_m(t) for every m >= 0 from
+:meth:`~kerrloss.spectral.PropagatorCoefficients.propagators` (block -m is its
+conjugate): at kappa2 > 0 one batched product (R_m e^{Lambda_m t}) L_m, at
+kappa2 = 0 the damped-Kerr product form, which builds no eigenvectors.  It
+gathers every block diagonal of the matrix with one index, applies the stack
+with a batched product and scatters the result back; the Heisenberg picture
+reads the stack reversed and transposed, and the a-factor rows are one
+row-vector product with block 1.  Spectral
 propagation through an assembled eigendecomposition, block by block, is the
 second route, and the scalar double sum :func:`g_coefficient` of the
 propagator coefficients G_{r,k}^(m)(t), summed in double precision, stays as
@@ -73,8 +75,7 @@ def _apply_blocks(
         coeffs = PropagatorCoefficients(params, trunc)
     elif coeffs.truncation != trunc:
         raise ValueError("state truncation does not match the coefficients")
-    lam, R, L = (f[trunc.n_max:] for f in coeffs.stack())  # blocks m >= 0
-    T = (R * np.exp(lam * t)[:, None, :]) @ L
+    T = coeffs.propagators(t)  # blocks m >= 0
     T = np.concatenate((T[:0:-1].conj(), T))  # T_{-m}(t) is the conjugate of T_m(t)
     if transpose:  # block m takes T_{-m}^T; block -m is the reversed row
         T = T[::-1].swapaxes(1, 2)
@@ -95,8 +96,10 @@ def propagate_phi(
 ) -> FockState:
     """Exact phi-basis solution of the master equation at time t >= 0.
 
-    Block m of rho(t) is T_m(t) rho_m with T_m(t) = (R_m e^{Lambda_m t}) L_m,
-    all blocks in two batched products over the padded stack.
+    Block m of rho(t) is T_m(t) rho_m, all blocks at once over the padded
+    stack of :meth:`PropagatorCoefficients.propagators`:
+    T_m(t) = (R_m e^{Lambda_m t}) L_m at kappa2 > 0, the damped-Kerr product
+    form at kappa2 = 0.
     """
     return _apply_blocks(params, initial, t, coeffs, transpose=False)
 
@@ -138,8 +141,10 @@ def heisenberg_a_factors(
     """Row scalings f_k of a^H(t), k < n_max: f_k = sum_q binom(k, q) G_{k-q,q}^(1)(t).
 
     binom(k, q) G = sqrt((q+1)/(k+1)) T_1[q, k] with T_1 the block-1
-    propagator, so the whole table is ((sqrt(q+1)^T R_1) e^{Lambda_1 t}) L_1
-    over sqrt(k+1): one row-vector product per side, and only block 1 is built.
+    propagator, so the table is (sqrt(q+1)^T T_1(t)) over sqrt(k+1).  At
+    kappa2 > 0 it is ((sqrt(q+1)^T R_1) e^{Lambda_1 t}) L_1: one row-vector
+    product per side, and only block 1 is built.  At kappa2 = 0, T_1 is block
+    1 of the product form of :meth:`PropagatorCoefficients.propagators`.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -147,8 +152,10 @@ def heisenberg_a_factors(
         coeffs = PropagatorCoefficients(params, trunc)
     elif coeffs.truncation != trunc:
         raise ValueError("truncation does not match the coefficients")
+    root = np.sqrt(np.arange(1, trunc.n_max + 1))
+    if coeffs.params.kappa2 == 0:
+        return root @ coeffs.propagators(t)[1, :-1, :-1] / root
     lam, R, L = coeffs.factors(1)
-    root = np.sqrt(np.arange(1, len(lam) + 1))
     return (root @ R * np.exp(lam * t)) @ L / root
 
 

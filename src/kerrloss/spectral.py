@@ -320,6 +320,12 @@ class PropagatorCoefficients:
     Lambda (2 n_max + 1, n_max + 1), R and L (2 n_max + 1, n_max + 1, n_max + 1).
     Blocks m and -m are built into it together on first use, so memory
     depends on n_max only, not on the number of times asked for.
+
+    :meth:`propagators` is T_m(t) itself.  At kappa2 = 0 it is the exact
+    damped-Kerr solution in product form (Milburn & Holmes, PRL 56, 2237
+    (1986)), which needs no eigenvectors: the entries of R_m and L_m grow at
+    binomial size and their product cancels, while every term of the product
+    form is a binomial-thinning weight.
     """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
@@ -362,10 +368,48 @@ class PropagatorCoefficients:
                 self._build(am)
         return self._lam, self._R, self._L
 
+    @cached_property
+    def _damped_kerr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Time-independent pieces of the kappa2 = 0 product form on the
+        blocks m >= 0, row k and column q of each: (lambda, gamma, B, j) with
+        lambda[m, k] the eigenvalues, gamma_m = kappa1 + i U m, the powers
+        j = max(q - k, 0) of x_m, and B[m, k, q] = sqrt(C(q+m, j) C(q, j)) for
+        k <= q <= K(m), zero elsewhere."""
+        n = self.truncation.n_max
+        m, k, q = np.arange(n + 1)[:, None, None], np.arange(n + 1)[:, None], np.arange(n + 1)
+        root = np.sqrt([[float(math.comb(a, i)) for i in range(n + 1)] for a in range(2 * n + 1)])
+        j = np.maximum(q - k, 0)
+        B = np.where((k <= q) & (q <= n - m), root[q + m, j] * root[q, j], 0.0)
+        gamma = self.params.kappa1 + 1j * self.params.U * m[:, 0, 0]
+        return eigenvalue(self.params, m[:, :, 0], q), gamma, B, j
+
+    def propagators(self, t: float) -> np.ndarray:
+        """T_m(t) of every block m >= 0, stack row m of (n_max + 1, n_max + 1,
+        n_max + 1), zero padded: coeffs_k(t) = sum_q T_m[k, q] coeffs_q(0).
+
+        At kappa2 > 0 it is (R_m e^{Lambda_m t}) L_m.  At kappa2 = 0 the level
+        (k+m, k) decays at mu = -lambda_k^(m) = i(E_(k+m) - E_k) + kappa1 (2k+m)/2
+        and each jump into it from one level up adds gamma_m = kappa1 + i U m,
+        so T_m(t) = diag(e^{lambda t}) (B_m * x_m^(q-k)) with
+        x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m, which is kappa1 t at
+        gamma_m = 0.  The factors are never built for it.
+        """
+        if self.params.kappa2 > 0:
+            lam, R, L = (f[self.truncation.n_max:] for f in self.stack())
+            return (R * np.exp(lam * t)[:, None, :]) @ L
+        lam, gamma, B, j = self._damped_kerr
+        kappa1 = self.params.kappa1
+        # gamma_m vanishes only at kappa1 = 0, where x_m = kappa1 t = 0
+        x = -kappa1 * np.expm1(-gamma * t) / gamma if kappa1 else np.zeros_like(gamma)
+        powers = x[:, None] ** np.arange(len(x))
+        return np.exp(lam * t)[:, :, None] * B * powers[:, j]
+
     def block_matrix(self, m: int, t: float) -> np.ndarray:
-        """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m."""
-        lam, R, L = self.factors(m)
-        return (R * np.exp(lam * t)) @ L
+        """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m: block |m|
+        of :meth:`propagators`, conjugated for m < 0."""
+        size = self.truncation.block_size(m)
+        T = self.propagators(t)[abs(m), :size, :size]
+        return T.conj() if m < 0 else T
 
 
 def _mode_factors(params: ModelParams, trunc: Truncation, m: int, k: int):
@@ -482,10 +526,9 @@ def _degeneracy_scan(params: ModelParams, trunc: Truncation, case: CaseTag) -> t
     found = []
     for m in trunc.blocks():
         lams = np.array([eigenvalue(params, m, k) for k in range(trunc.block_size(m))])
-        for k in range(len(lams)):
-            for q in range(k + 1, len(lams)):
-                if abs(lams[k] - lams[q]) / rate < INTEGER_RATIO_TOL:
-                    found.append((m, k, q))
+        k, q = np.triu_indices(len(lams), 1)  # every pair k < q, in loop order
+        hit = np.abs(lams[k] - lams[q]) / rate < INTEGER_RATIO_TOL
+        found += [(m, int(a), int(b)) for a, b in zip(k[hit], q[hit])]
     expected = [(0, 0, 1)] if case == CaseTag.ZERO_KAPPA1 else []
     if found != expected:
         raise InternalConsistencyError(

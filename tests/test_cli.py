@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from kerrloss import checks, cli
+from kerrloss import checks, cli, evolution
+from kerrloss.fockbasis import Truncation
+from kerrloss.superops import ModelParams
 
 
 def run(argv):
@@ -103,6 +105,32 @@ def test_evolve_with_oracle_and_heisenberg(tmp_path):
     heis = read(out + "/heisenberg_a.csv").splitlines()
     assert heis[1] == "t,k,re_factor,im_factor"
     assert len(heis) == 2 + 2 * 8
+
+
+def test_evolve_heisenberg_table_at_zero_kappa2(tmp_path):
+    # the a-factor table of the damped-Kerr product form, row for row the
+    # library's, at the times asked for
+    out = str(tmp_path / "gauss")
+    argv = ["evolve", "--kappa2", "0", "--U", "0.5", "--kappa1", "0.8", "--nmax", "8",
+            "--times", "0.2,1.0", "--heisenberg", "a", "--out", out]
+    assert run(argv) == cli.EXIT_OK
+    rows = [line.split(",") for line in read(out + "/heisenberg_a.csv").splitlines()[2:]]
+    assert len(rows) == 2 * 8
+    params, trunc = ModelParams(1.0, 0.5, 0.8, 0.0), Truncation(8)
+    for t, chunk in zip((0.2, 1.0), (rows[:8], rows[8:])):
+        ref = evolution.heisenberg_a_factors(params, trunc, t)
+        assert [complex(float(re), float(im)) for _, _, re, im in chunk] == list(ref)
+
+
+def test_evolve_oracle_at_zero_kappa2_top_fock_level(tmp_path, capsys):
+    # the Gaussian limit from the top Fock level at n_max 30, where a product
+    # of the eigenvector factors would cancel to a 1e-4 oracle deviation
+    out = str(tmp_path / "fock30")
+    argv = ["evolve", "--kappa2", "0", "--U", "0.5", "--kappa1", "0.8", "--nmax", "30",
+            "--initial", "fock:30", "--oracle", "--out", out]
+    assert run(argv) == cli.EXIT_OK
+    dev = float(capsys.readouterr().out.split("integration: ")[1].split()[0])
+    assert dev < 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from kerrloss.evolution import (
     spectral_propagate,
 )
 from kerrloss.fockbasis import BlockVector, FockState, Truncation, from_blocks
-from kerrloss.oracle import ode_propagate
+from kerrloss.oracle import expm_propagate, ode_propagate
 from kerrloss.specfun import sqrt_binom
 from kerrloss.spectral import decompose, eigenvalue
 from kerrloss.superops import ModelParams, annihilation, full_generator
@@ -344,3 +344,99 @@ def test_factors_built_once_per_block(monkeypatch):
         for k in range(tr.n_max):
             heisenberg_a_factor(GENERIC, tr, k, t, fresh)
     assert calls == [1]
+
+
+#: (omega, U, kappa1) of the kappa2 = 0 product-form checks, and U = 0
+GAUSSIAN = ModelParams(1.0, 0.5, 0.8, 0.0)
+GAUSSIAN_LINEAR = ModelParams(1.0, 0.0, 0.8, 0.0)
+UNITARY = ModelParams(1.0, 0.5, 0.0, 0.0, allow_unitary=True)
+
+
+@pytest.mark.parametrize("n_max", [30, 40])
+@pytest.mark.parametrize("params", [GAUSSIAN, GAUSSIAN_LINEAR], ids=["kerr", "U0"])
+def test_product_form_matches_expm(params, n_max):
+    # the damped-Kerr product form against the sparse matrix exponential, on a
+    # full-support state at cutoffs where a double-precision product of the
+    # eigenvector factors cancels to 1e-4 (n_max 30) and O(1) (n_max 40)
+    tr = Truncation(n_max)
+    rho0 = random_hermitian_state(tr, 31)
+    for t in (0.1, 1.0):
+        ref = expm_propagate(params, rho0, t).entries
+        mine = propagate_phi(params, rho0, t).entries
+        dev = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
+        assert dev <= 1e-12, (n_max, t, dev)
+
+
+def test_product_form_linear_loss_is_binomial_thinning():
+    # at U = 0, x_m = 1 - e^{-kappa1 t} for every block: a Fock state thins
+    # binomially, p_k(t) = C(n, k) x^(n-k) (1 - x)^k
+    tr, n, t = Truncation(20), 20, 0.7
+    x = 1.0 - math.exp(-GAUSSIAN_LINEAR.kappa1 * t)
+    out = propagate_phi(GAUSSIAN_LINEAR, FockState.fock(tr, n), t).entries
+    ref = [math.comb(n, k) * x ** (n - k) * (1 - x) ** k for k in range(n + 1)]
+    assert np.max(np.abs(np.diag(out) - ref)) < 1e-15
+    assert np.max(np.abs(out - np.diag(np.diag(out)))) == 0
+
+
+def test_product_form_hamiltonian_only_is_exact_phases():
+    # no loss: rho_pq(t) = e^{-i(E_p - E_q) t} rho_pq(0), nothing mixes
+    tr = Truncation(20)
+    rho0 = random_hermitian_state(tr, 32)
+    n = np.arange(tr.dim)
+    E = UNITARY.omega * n + 0.5 * UNITARY.U * n * (n - 1)
+    for t in (0.1, 1.0, 7.0):
+        ref = np.exp(-1j * (E[:, None] - E[None, :]) * t) * rho0.entries
+        out = propagate_phi(UNITARY, rho0, t).entries
+        # every modulus kept to rounding: no decay and no mixing
+        moduli = np.abs(np.abs(out) - np.abs(rho0.entries))
+        assert np.max(moduli) <= 4 * np.finfo(float).eps * np.max(np.abs(rho0.entries))
+        # E_p - E_q is exact in binary here, so the phases are too
+        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(rho0.entries)), t
+
+
+@pytest.mark.parametrize("params", [GAUSSIAN, GAUSSIAN_LINEAR, UNITARY],
+                         ids=["kerr", "U0", "unitary"])
+def test_product_form_heisenberg_duality(params):
+    # tr[O^H(t) rho0] = tr[O rho(t)] for N and a, and the a-factor rows are
+    # the superdiagonal of a^H(t)
+    tr = Truncation(16)
+    rho0 = random_hermitian_state(tr, 33)
+    coeffs = PropagatorCoefficients(params, tr)
+    number = FockState(np.diag(np.arange(tr.dim, dtype=complex)), hermitian=True)
+    a_op = FockState(annihilation(tr))
+    k = np.arange(tr.n_max)
+    for t in (0.1, 1.0, 4.0):
+        rho_t = propagate_phi(params, rho0, t, coeffs).entries
+        for obs in (number, a_op):
+            sched = np.trace(obs.entries @ rho_t)
+            heis = np.trace(heisenberg_phi(params, obs, t, coeffs).entries @ rho0.entries)
+            assert abs(sched - heis) < 1e-13 * max(1.0, abs(sched)), (t, sched, heis)
+        aH = heisenberg_phi(params, a_op, t, coeffs).entries
+        f = heisenberg_a_factors(params, tr, t, coeffs)
+        assert np.max(np.abs(aH[k, k + 1] - f * np.sqrt(k + 1))) < 1e-14
+
+
+def test_product_form_never_builds_eigenvectors(monkeypatch):
+    def forbidden(self, m):
+        raise AssertionError(f"eigenvector block {m} built at kappa2 = 0")
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", forbidden)
+    tr = Truncation(10)
+    rho0 = FockState.coherent(tr, 0.7)
+    for params in (GAUSSIAN, UNITARY):
+        coeffs = PropagatorCoefficients(params, tr)
+        for route in (propagate_phi, heisenberg_phi):
+            route(params, rho0, 0.5)
+            route(params, rho0, 0.5, coeffs)
+        heisenberg_a_factors(params, tr, 0.5, coeffs)
+        coeffs.block_matrix(-2, 0.5)
+
+
+def test_propagator_stack_is_the_factor_product():
+    # at kappa2 > 0 the stack is (R e^{Lambda t}) L of the factors, bit for bit
+    tr = Truncation(10)
+    for params in (GENERIC, ModelParams(1.0, 0.5, 2.0, 1.0), ModelParams(1.0, 0.5, 0.0, 1.0)):
+        coeffs = PropagatorCoefficients(params, tr)
+        lam, R, L = (f[tr.n_max:] for f in coeffs.stack())
+        for t in (0.0, 0.3, 2.0):
+            assert np.array_equal(coeffs.propagators(t), (R * np.exp(lam * t)[:, None, :]) @ L)

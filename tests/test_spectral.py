@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from kerrloss.fockbasis import FockState, Truncation, to_blocks
 from kerrloss.specfun import VanishingDenominatorError
 from kerrloss.spectral import (
+    INTEGER_RATIO_TOL,
     CaseTag,
     F_matrix,
     PropagatorCoefficients,
+    _degeneracy_scan,
     classify,
     decompose,
     eigenvalue,
@@ -20,7 +23,12 @@ from kerrloss.spectral import (
     spectrum_csv,
     x_parameter,
 )
-from kerrloss.superops import ModelParams, liouvillian_block, transformed_block
+from kerrloss.superops import (
+    InternalConsistencyError,
+    ModelParams,
+    liouvillian_block,
+    transformed_block,
+)
 from kerrloss.oracle import left_residual, right_residual
 
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
@@ -125,6 +133,45 @@ def test_degeneracy_scan_results():
             decomp = decompose(ModelParams(0.3, 1.0, ratio, 1.0), Truncation(14))
         assert decomp.case == CaseTag.GENERIC_RATIO
         assert decomp.degenerate_modes == ()
+
+
+def _degeneracy_scan_loop(params, trunc):
+    """The scan as it was first written: one numpy-scalar gap per pair."""
+    rate = params.kappa2 or params.kappa1
+    found = []
+    for m in trunc.blocks():
+        lams = np.array([eigenvalue(params, m, k) for k in range(trunc.block_size(m))])
+        for k in range(len(lams)):
+            for q in range(k + 1, len(lams)):
+                if abs(lams[k] - lams[q]) / rate < INTEGER_RATIO_TOL:
+                    found.append((m, k, q))
+    return tuple(found)
+
+
+def test_degeneracy_scan_matches_pairwise_loop():
+    # seeded draws of every case, and the near-threshold ratios of classify;
+    # with no loss rate every gap is 0 / 0, a collision on neither side
+    tr = Truncation(10)
+    rng = np.random.default_rng(41)
+    draws = list(CASES.values())
+    for _ in range(4):
+        omega, U = rng.uniform(-1, 1, 2)
+        k1, k2 = rng.uniform(0.1, 2, 2)
+        draws += [ModelParams(omega, U, k1, k2), ModelParams(omega, U, float(rng.integers(1, 4)) * k2, k2),
+                  ModelParams(omega, U, 0.0, k2), ModelParams(omega, U, k1, 0.0),
+                  ModelParams(omega, U, 0.0, 0.0, allow_unitary=True)]
+    for ratio in (1e-9, 1.5e-9):
+        draws.append(ModelParams(0.3, 1.0, ratio, 1.0))
+    for params in draws:
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            case = classify(params)
+            ref = _degeneracy_scan_loop(params, tr)
+            assert _degeneracy_scan(params, tr, case) == ref, params
+        assert ref == (((0, 0, 1),) if case == CaseTag.ZERO_KAPPA1 else ())
+    # a found collision the case does not expect raises, as in the loop
+    with pytest.raises(InternalConsistencyError, match="degeneracy scan found"):
+        _degeneracy_scan(CASES[CaseTag.ZERO_KAPPA1], tr, CaseTag.GENERIC_RATIO)
 
 
 def test_F_inverse_and_diagonalization():
