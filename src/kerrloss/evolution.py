@@ -6,18 +6,17 @@ T_m(t) = R_m e^{Lambda_m t} L_m.  Its factors live in :mod:`kerrloss.spectral`:
 in one zero-padded stack, filled by
 :class:`~kerrloss.spectral.EigenvectorBuilder`, and
 :func:`~kerrloss.spectral.decompose` copies its blocks out of the same stack.
-Propagation takes T_m(t) for every m >= 0 from
-:meth:`~kerrloss.spectral.PropagatorCoefficients.propagators` (block -m is its
-conjugate): at kappa2 > 0 one batched product (R_m e^{Lambda_m t}) L_m, at
-kappa2 = 0 the damped-Kerr product form, which builds no eigenvectors.  It
-gathers every block diagonal of the matrix with one index, applies the stack
-with a batched product and scatters the result back; the Heisenberg picture
-reads the stack reversed and transposed, and the a-factor rows are one
-row-vector product with block 1.  Spectral
-propagation through an assembled eigendecomposition, block by block, is the
-second route, and the scalar double sum :func:`g_coefficient` of the
-propagator coefficients G_{r,k}^(m)(t), summed in double precision, stays as
-the paper's formula that checks the factorization.
+Propagation gathers every block diagonal of the matrix with one index, hands
+the stack to :meth:`~kerrloss.spectral.PropagatorCoefficients.apply` and
+scatters the result back: at kappa2 > 0 it applies L_m, e^{Lambda_m t} and
+R_m in turn, two batched matrix-vector products that never form T_m(t); at
+kappa2 = 0 it applies the damped-Kerr product form, which builds no
+eigenvectors.  The Heisenberg picture reads the stack reversed and
+transposed, and the a-factor rows are one row-vector product with block 1.
+Spectral propagation through an assembled eigendecomposition, block by
+block, is the second route, and the scalar double sum :func:`g_coefficient`
+of the propagator coefficients G_{r,k}^(m)(t), summed in double precision,
+stays as the paper's formula that checks the factorization.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from .fockbasis import BlockVector, FockState, Truncation, from_blocks, to_blocks
 from .spectral import PropagatorCoefficients, SpectralDecomposition, eigenvalue, x_parameter
 from .specfun import double_factorial, hyp2f1_terminating
-from .superops import ModelParams
+from .superops import ModelParams, check_time
 
 __all__ = [
     "g_coefficient",
@@ -63,24 +62,29 @@ def g_coefficient(params: ModelParams, m: int, k: int, r: int, t: float) -> comp
     return total
 
 
+def _coefficients(
+    params: ModelParams, trunc: Truncation, t: float,
+    coeffs: PropagatorCoefficients | None,
+) -> PropagatorCoefficients:
+    """``coeffs``, or a fresh set, once t and the set's channel and cutoff are checked."""
+    check_time(t)
+    if coeffs is None:
+        return PropagatorCoefficients(params, trunc)
+    if coeffs.truncation != trunc:
+        raise ValueError("truncation does not match the coefficients")
+    if coeffs.params != params:
+        raise ValueError("model parameters do not match the coefficients")
+    return coeffs
+
+
 def _apply_blocks(
     params: ModelParams, op: FockState, t: float,
     coeffs: PropagatorCoefficients | None, transpose: bool,
 ) -> FockState:
     """T_m(t) (or T_{-m}(t)^T) on every block diagonal of ``op`` at once."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    trunc = op.truncation
-    if coeffs is None:
-        coeffs = PropagatorCoefficients(params, trunc)
-    elif coeffs.truncation != trunc:
-        raise ValueError("state truncation does not match the coefficients")
-    T = coeffs.propagators(t)  # blocks m >= 0
-    T = np.concatenate((T[:0:-1].conj(), T))  # T_{-m}(t) is the conjugate of T_m(t)
-    if transpose:  # block m takes T_{-m}^T; block -m is the reversed row
-        T = T[::-1].swapaxes(1, 2)
+    coeffs = _coefficients(params, op.truncation, t, coeffs)
     rows, cols, filled = coeffs.layout
-    w = (T @ op.entries[rows, cols][..., None])[..., 0]
+    w = coeffs.apply(op.entries[rows, cols], t, transpose)
     entries = np.zeros_like(op.entries)
     entries[rows[filled], cols[filled]] = w[filled]
     state = FockState(entries)
@@ -96,10 +100,10 @@ def propagate_phi(
 ) -> FockState:
     """Exact phi-basis solution of the master equation at time t >= 0.
 
-    Block m of rho(t) is T_m(t) rho_m, all blocks at once over the padded
-    stack of :meth:`PropagatorCoefficients.propagators`:
-    T_m(t) = (R_m e^{Lambda_m t}) L_m at kappa2 > 0, the damped-Kerr product
-    form at kappa2 = 0.
+    Block m of rho(t) is T_m(t) rho_m, all blocks at once by
+    :meth:`PropagatorCoefficients.apply` on the gathered stack: at kappa2 > 0
+    R_m (e^{Lambda_m t} (L_m rho_m)), factor by factor, at kappa2 = 0 the
+    damped-Kerr product form.
     """
     return _apply_blocks(params, initial, t, coeffs, transpose=False)
 
@@ -128,8 +132,9 @@ def heisenberg_phi(
 ) -> FockState:
     """Heisenberg-picture operator O^H(t) = e^{L'^dag t} O in the phi basis.
 
-    Block m of O^H(t) is block_matrix(-m, t)^T applied to block m of O; the
-    blocks -m are the stack read in reverse.
+    Block m of O^H(t) is T_{-m}(t)^T applied to block m of O, by
+    :meth:`PropagatorCoefficients.apply` with the stack read reversed and
+    transposed: L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T O_m)) at kappa2 > 0.
     """
     return _apply_blocks(params, observable, t, coeffs, transpose=True)
 
@@ -144,17 +149,12 @@ def heisenberg_a_factors(
     propagator, so the table is (sqrt(q+1)^T T_1(t)) over sqrt(k+1).  At
     kappa2 > 0 it is ((sqrt(q+1)^T R_1) e^{Lambda_1 t}) L_1: one row-vector
     product per side, and only block 1 is built.  At kappa2 = 0, T_1 is block
-    1 of the product form of :meth:`PropagatorCoefficients.propagators`.
+    1 of the product form, evaluated alone.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if coeffs is None:
-        coeffs = PropagatorCoefficients(params, trunc)
-    elif coeffs.truncation != trunc:
-        raise ValueError("truncation does not match the coefficients")
+    coeffs = _coefficients(params, trunc, t, coeffs)
     root = np.sqrt(np.arange(1, trunc.n_max + 1))
-    if coeffs.params.kappa2 == 0:
-        return root @ coeffs.propagators(t)[1, :-1, :-1] / root
+    if params.kappa2 == 0:
+        return root @ coeffs.product_form(t, slice(1, 2))[0, :-1, :-1] / root
     lam, R, L = coeffs.factors(1)
     return (root @ R * np.exp(lam * t)) @ L / root
 

@@ -29,7 +29,7 @@ from numpy.polynomial import polynomial as P
 
 from .fockbasis import FockState, Truncation
 from .oracle import _THETA13, expm_propagate, multi_time_correlators
-from .superops import InternalConsistencyError, ModelParams, full_generator
+from .superops import InternalConsistencyError, ModelParams, check_time, full_generator
 
 __all__ = [
     "NoiseRun",
@@ -223,11 +223,6 @@ def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> st
     return backend
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"evolution time must be finite and non-negative, got {t!r}")
-
-
 def xi_evolve(
     params: ModelParams,
     J: float,
@@ -262,7 +257,7 @@ def _evolve_nodes(
 ) -> list[FockState]:
     """:func:`xi_evolve` for every J in ``Js``; the dense backend takes all
     nodes in one :func:`_dense_propagate` call."""
-    _check_time(t)
+    check_time(t)
     backend = _resolve_backend(params, initial.truncation, backend)
     if backend == "dense":
         if form is None:
@@ -306,7 +301,7 @@ def generating_function(
     ``known`` maps J to Z(J) already evaluated for the same params, initial
     state and t; those nodes are reused and the new ones are added to it.
     """
-    _check_time(t)
+    check_time(t)
     J_grid = np.asarray(J_grid, dtype=float)
     if np.max(np.abs(J_grid + J_grid[::-1])) > 1e-12 or not np.any(J_grid == 0):
         raise ValueError("J grid must be symmetric about and include 0")
@@ -491,7 +486,7 @@ def moment_by_correlator_quadrature(
     """
     if n not in (1, 2):
         raise ValueError("quadrature oracle implemented for n in {1, 2}")
-    _check_time(t)
+    check_time(t)
     x, w = np.polynomial.legendre.leggauss(nodes)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     t1s, w1s = t * x, t * w

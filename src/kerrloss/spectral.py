@@ -321,7 +321,9 @@ class PropagatorCoefficients:
     Blocks m and -m are built into it together on first use, so memory
     depends on n_max only, not on the number of times asked for.
 
-    :meth:`propagators` is T_m(t) itself.  At kappa2 = 0 it is the exact
+    :meth:`apply` propagates a gathered block stack: at kappa2 > 0 it applies
+    L_m, e^{Lambda_m t} and R_m in turn and never forms T_m(t).
+    :meth:`propagators` is T_m(t) itself.  At kappa2 = 0 both use the exact
     damped-Kerr solution in product form (Milburn & Holmes, PRL 56, 2237
     (1986)), which needs no eigenvectors: the entries of R_m and L_m grow at
     binomial size and their product cancels, while every term of the product
@@ -397,12 +399,41 @@ class PropagatorCoefficients:
         if self.params.kappa2 > 0:
             lam, R, L = (f[self.truncation.n_max:] for f in self.stack())
             return (R * np.exp(lam * t)[:, None, :]) @ L
+        return self.product_form(t, slice(None))
+
+    def product_form(self, t: float, blocks: slice) -> np.ndarray:
+        """Rows ``blocks`` of the kappa2 = 0 stack of :meth:`propagators`, each
+        evaluated on its own: the same bits as slicing the whole stack."""
         lam, gamma, B, j = self._damped_kerr
+        lam, gamma, B = lam[blocks], gamma[blocks], B[blocks]
         kappa1 = self.params.kappa1
         # gamma_m vanishes only at kappa1 = 0, where x_m = kappa1 t = 0
         x = -kappa1 * np.expm1(-gamma * t) / gamma if kappa1 else np.zeros_like(gamma)
-        powers = x[:, None] ** np.arange(len(x))
+        powers = x[:, None] ** np.arange(self.truncation.dim)
         return np.exp(lam * t)[:, :, None] * B * powers[:, j]
+
+    def apply(self, v: np.ndarray, t: float, transpose: bool = False) -> np.ndarray:
+        """T_m(t) v_m on every row of the gathered (2 n_max + 1, n_max + 1)
+        block stack ``v`` (row m + n_max for block m); with ``transpose``,
+        T_{-m}(t)^T v_m, the Heisenberg picture.
+
+        At kappa2 > 0 the factors act in turn, R_m (e^{Lambda_m t} (L_m v_m)):
+        two batched matrix-vector products, O(n_max^3), and T is never
+        formed.  Transposed, the stack is read reversed and transposed,
+        L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T v_m)).  At kappa2 = 0 the product
+        form of :meth:`propagators` is applied, block -m its conjugate.
+        """
+        if self.params.kappa2 > 0:
+            lam, R, L = self.stack()
+            if transpose:
+                lam, R, L = lam[::-1], L[::-1].swapaxes(1, 2), R[::-1].swapaxes(1, 2)
+            w = np.exp(lam * t) * (L @ v[..., None])[..., 0]
+            return (R @ w[..., None])[..., 0]
+        T = self.propagators(t)
+        T = np.concatenate((T[:0:-1].conj(), T))  # T_{-m}(t) is the conjugate of T_m(t)
+        if transpose:  # block m takes T_{-m}^T; block -m is the reversed row
+            T = T[::-1].swapaxes(1, 2)
+        return (T @ v[..., None])[..., 0]
 
     def block_matrix(self, m: int, t: float) -> np.ndarray:
         """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m: block |m|

@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ModelParams",
+    "check_time",
     "BlockMatrix",
     "InternalConsistencyError",
     "annihilation",
@@ -75,6 +76,12 @@ class ModelParams:
                 "kappa1 = kappa2 = 0 is the Hamiltonian-only case; "
                 "pass allow_unitary=True to accept it"
             )
+
+
+def check_time(t: float) -> None:
+    """Reject an evolution time that is not finite and non-negative."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and non-negative, got {t!r}")
 
 
 @dataclass

@@ -440,3 +440,110 @@ def test_propagator_stack_is_the_factor_product():
         lam, R, L = (f[tr.n_max:] for f in coeffs.stack())
         for t in (0.0, 0.3, 2.0):
             assert np.array_equal(coeffs.propagators(t), (R * np.exp(lam * t)[:, None, :]) @ L)
+
+
+#: one channel per kappa2 > 0 case tag: generic ratio, integer ratio, kappa1 = 0
+LOSSY_CHANNELS = (GENERIC, ModelParams(1.0, 0.5, 2.0, 1.0), ModelParams(1.0, 0.5, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n_max", [12, 30])
+@pytest.mark.parametrize("params", LOSSY_CHANNELS, ids=["generic", "integer", "zero_kappa1"])
+def test_factor_route_matches_propagator_stack(params, n_max):
+    # R (e^{Lambda t} (L v)) against T(t) = (R e^{Lambda t}) L formed and then
+    # applied, both pictures; at t = 0 both orders carry the cancellation of
+    # R L = I at binomial size (about 5e-13 at n_max 30), so t > 0 here
+    tr = Truncation(n_max)
+    coeffs = PropagatorCoefficients(params, tr)
+    rows, cols, filled = coeffs.layout
+    rng = np.random.default_rng(n_max)
+    v = (rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim)))[rows, cols]
+    for t in (0.1, 1.0):
+        T = coeffs.propagators(t)
+        T = np.concatenate((T[:0:-1].conj(), T))
+        for transpose, ref_T in ((False, T), (True, T[::-1].swapaxes(1, 2))):
+            ref = (ref_T @ v[..., None])[..., 0][filled]
+            out = coeffs.apply(v, t, transpose)[filled]
+            dev = np.max(np.abs(out - ref)) / np.max(np.abs(out))
+            assert dev <= 1e-14, (t, transpose, dev)
+
+
+@pytest.mark.parametrize("n_max", [30, 40])
+def test_factor_route_matches_expm(n_max):
+    tr = Truncation(n_max)
+    rho0 = random_hermitian_state(tr, 31)
+    coeffs = PropagatorCoefficients(GENERIC, tr)
+    for t in (0.1, 1.0):
+        ref = expm_propagate(GENERIC, rho0, t).entries
+        mine = propagate_phi(GENERIC, rho0, t, coeffs).entries
+        dev = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
+        assert dev <= 1e-12, (t, dev)
+
+
+def test_factor_route_heisenberg_duality():
+    # tr[O^H(t) rho0] = tr[O rho(t)] at n_max 30 for N, a and a full
+    # non-Hermitian observable
+    tr = Truncation(30)
+    rho0 = random_hermitian_state(tr, 33)
+    rng = np.random.default_rng(34)
+    observables = (
+        FockState(np.diag(np.arange(tr.dim, dtype=complex)), hermitian=True),
+        FockState(annihilation(tr)),
+        FockState(rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim))),
+    )
+    assert {spectral.classify(p) for p in LOSSY_CHANNELS} == {
+        spectral.CaseTag.GENERIC_RATIO, spectral.CaseTag.INTEGER_RATIO, spectral.CaseTag.ZERO_KAPPA1}
+    for params in LOSSY_CHANNELS:
+        coeffs = PropagatorCoefficients(params, tr)
+        for t in (0.1, 1.0, 4.0):
+            rho_t = propagate_phi(params, rho0, t, coeffs).entries
+            for obs in observables:
+                sched = np.trace(obs.entries @ rho_t)
+                heis = np.trace(heisenberg_phi(params, obs, t, coeffs).entries @ rho0.entries)
+                assert abs(sched - heis) < 1e-13 * max(1.0, abs(sched)), (params, t)
+
+
+def test_routes_never_form_the_propagator_stack(monkeypatch):
+    # at kappa2 > 0 the state meets the factors one at a time, and at
+    # kappa2 = 0 the a-factor rows evaluate block 1 of the product form alone
+    def forbidden(self, t):
+        raise AssertionError("propagator stack formed")
+
+    tr = Truncation(10)
+    rho0 = FockState.coherent(tr, 0.7)
+    refs = {p: PropagatorCoefficients(p, tr).propagators(0.5) for p in (GAUSSIAN, UNITARY)}
+    monkeypatch.setattr(spectral.PropagatorCoefficients, "propagators", forbidden)
+    for params in LOSSY_CHANNELS:
+        coeffs = PropagatorCoefficients(params, tr)
+        for route in (propagate_phi, heisenberg_phi):
+            route(params, rho0, 0.5)
+            route(params, rho0, 0.5, coeffs)
+        heisenberg_a_factors(params, tr, 0.5, coeffs)
+    root = np.sqrt(np.arange(1, tr.dim))
+    for params, T in refs.items():
+        f = heisenberg_a_factors(params, tr, 0.5, PropagatorCoefficients(params, tr))
+        assert np.array_equal(f, root @ T[1, :-1, :-1] / root)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("params", [GENERIC, GAUSSIAN], ids=["lossy", "kappa2_0"])
+def test_routes_reject_bad_times(params, t):
+    tr = Truncation(6)
+    rho0 = FockState.coherent(tr, 0.5)
+    coeffs = PropagatorCoefficients(params, tr)
+    for route in (propagate_phi, heisenberg_phi):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            route(params, rho0, t, coeffs)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        heisenberg_a_factors(params, tr, t, coeffs)
+
+
+def test_routes_reject_coefficients_of_another_channel():
+    tr = Truncation(6)
+    rho0 = FockState.coherent(tr, 0.5)
+    for mine, other in ((GENERIC, ModelParams(0.9, 0.6, 0.37, 1.2)), (GAUSSIAN, GAUSSIAN_LINEAR)):
+        coeffs = PropagatorCoefficients(other, tr)
+        for route in (propagate_phi, heisenberg_phi):
+            with pytest.raises(ValueError, match="parameters do not match"):
+                route(mine, rho0, 0.5, coeffs)
+        with pytest.raises(ValueError, match="parameters do not match"):
+            heisenberg_a_factors(mine, tr, 0.5, coeffs)
