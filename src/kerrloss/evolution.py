@@ -81,8 +81,14 @@ def _apply_blocks(
     params: ModelParams, op: FockState, t: float,
     coeffs: PropagatorCoefficients | None, transpose: bool,
 ) -> FockState:
-    """T_m(t) (or T_{-m}(t)^T) on every block diagonal of ``op`` at once."""
+    """T_m(t) (or T_{-m}(t)^T) on every block diagonal of ``op`` at once.
+
+    At t = 0 this is ``op`` itself: R_m L_m = I holds only to the rounding
+    of binomial-size entries.
+    """
     coeffs = _coefficients(params, op.truncation, t, coeffs)
+    if t == 0:
+        return op.copy()
     rows, cols, filled = coeffs.layout
     w = coeffs.apply(op.entries[rows, cols], t, transpose)
     entries = np.zeros_like(op.entries)
@@ -152,6 +158,9 @@ def heisenberg_a_factors(
     1 of the product form, evaluated alone.
     """
     coeffs = _coefficients(params, trunc, t, coeffs)
+    if t == 0:
+        # T_1(0) = I
+        return np.ones(trunc.n_max, dtype=complex)
     root = np.sqrt(np.arange(1, trunc.n_max + 1))
     if params.kappa2 == 0:
         return root @ coeffs.product_form(t, slice(1, 2))[0, :-1, :-1] / root

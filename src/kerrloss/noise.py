@@ -10,10 +10,10 @@ come by four routes that the tests compare:
 - finite differences of Z at J = 0 (:func:`fd_moments`);
 - moments of P(x), reconstructed from Z on a J grid by inverse Fourier
   quadrature (:func:`run_noise`); all new nodes of a grid are evaluated in
-  one pass, each node one dense exponential of the real form of the tilted
-  generator over a step set by its norm, squared a few times and then
-  applied to the state, and each chunk of up to 16 factors checked by one
-  sparse exponential;
+  one pass, each node by one LU of I - (t/10) B, with B the real form of
+  the tilted generator, and a shift-and-invert Krylov space on it, and each
+  chunk of up to 16 nodes checked at a short step by one sparse
+  exponential;
 - nested time-ordered quadrature of multi-time V^o correlators
   (:func:`moment_by_correlator_quadrature`).
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,43 +126,142 @@ def real_form(params: ModelParams, trunc: Truncation) -> RealForm:
     return RealForm(S, G_L.real.copy(), G_W.real.copy())
 
 
-#: longest factor-vector chain after the squarings: one more squaring would
-#: cost as much as about fifty products of the factor with a vector
-_CHAIN = 32
-#: J nodes whose factors one sparse exponential checks at once
+#: shift of the Krylov space of each node, as a fraction of t:
+#: gamma = t / 10 in (I - gamma B)^-1
+_SHIFT = 0.1
+#: Krylov dimensions between two convergence checks of a node
+_STRIDE = 4
+#: change of a node's solution between two checks, relative to the start
+#: vector, below which it counts as converged
+_KRYLOV_TOL = 1e-13
+#: Krylov dimension at which a node that has not converged raises.  It is
+#: 33^2, the real-form dimension at the largest cutoff "auto" sends to the
+#: dense route; a smaller real form caps the space at its own dimension,
+#: where the space is the whole space and the solution exact
+_KRYLOV_CAP = 1089
+#: deviation of a node's short-step solution from the sparse exponential,
+#: relative to max(1, its largest entry), above which the node is refused
+_NODE_CHECK_TOL = 1e-8
+#: J nodes whose short-step solutions one sparse exponential checks at once
 _CHECK_CHUNK = 16
+
+
+def _exp_e1(ritz: np.ndarray, time: float) -> np.ndarray:
+    """Rows e^{time A} e_1 and int_0^time e^{sA} e_1 ds / time.
+
+    The integral is the last column of one exponential of A bordered by e_1
+    (Van Loan, IEEE TAC 23, 395 (1978)).
+    """
+    import scipy.linalg as sla
+
+    m = ritz.shape[0]
+    K = np.zeros((m + 1, m + 1))
+    K[:m, :m] = ritz * time
+    K[0, m] = time
+    E = sla.expm(K)
+    return np.stack([E[:m, 0], E[:m, m] / time])
+
+
+def _moved(new: np.ndarray, old: np.ndarray) -> float:
+    """Largest 2-norm change of the rows of ``new`` from ``old`` padded by zeros."""
+    change = new.copy()
+    change[:, : old.shape[1]] -= old
+    return float(np.max(np.linalg.norm(change, axis=1)))
+
+
+def _shift_invert_krylov(lu, v: np.ndarray, t: float, tau: float) -> tuple:
+    """x(t), int_0^t x(s) ds and x(tau) for x' = B x from x(0) = v, and the
+    Krylov dimension that gave them.
+
+    ``lu`` is the LU factor of I - gamma B with gamma = t / 10.  Arnoldi on
+    (I - gamma B)^-1 from v gives V_m and H_m, and A_m = (I - H_m^-1) / gamma
+    is the projection of B, so x(s) ~ |v| V_m e^{s A_m} e_1 (van den Eshof &
+    Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006)); the cost does not grow
+    with |B| t.  Every _STRIDE steps the solution at t, with its integral,
+    is compared with the previous check, and once it has converged so is
+    the solution at tau; each counts as converged when it moves by less
+    than _KRYLOV_TOL.  A space that reaches the real-form dimension, or an
+    invariant subspace, holds the exact solution.  A node that has not
+    converged at _KRYLOV_CAP raises.
+    """
+    from scipy.linalg import lapack
+
+    n = v.size
+    gamma = _SHIFT * t
+    cap = min(n, _KRYLOV_CAP)
+    beta = np.linalg.norm(v)
+    V = np.empty((cap + 1, n))
+    H = np.zeros((cap + 1, cap))
+    V[0] = v / beta
+    at_t = last_t = last_tau = None
+    for m in range(1, cap + 1):
+        w, _ = lapack.dgetrs(*lu, V[m - 1])
+        size = np.linalg.norm(w)
+        # classical Gram-Schmidt, repeated once to keep V orthonormal
+        for _ in range(2):
+            h = V[:m] @ w
+            w -= h @ V[:m]
+            H[:m, m - 1] += h
+        H[m, m - 1] = np.linalg.norm(w)
+        whole = m == n or H[m, m - 1] <= np.finfo(float).eps * size
+        if whole or m % _STRIDE == 0:
+            ritz = (np.eye(m) - np.linalg.inv(H[:m, :m])) / gamma
+            if at_t is None:
+                y = _exp_e1(ritz, t)
+                if whole or (last_t is not None and _moved(y, last_t) <= _KRYLOV_TOL):
+                    at_t = beta * (y @ V[:m])
+                last_t = y
+            if at_t is not None:
+                y = _exp_e1(ritz, tau)
+                if whole or (last_tau is not None and _moved(y, last_tau) <= _KRYLOV_TOL):
+                    return at_t[0], at_t[1] * t, beta * (y[0] @ V[:m]), m
+                last_tau = y
+        if m == cap:
+            break
+        V[m] = w / H[m, m - 1]
+    raise InternalConsistencyError(
+        f"shift-and-invert Krylov space not converged at dimension {cap}"
+    )
+
+
+@dataclass
+class _NodeReport:
+    """Worst figures of the dense route's nodes over one :func:`run_noise`."""
+
+    krylov_dim: int = 0
+    check_dev: float = 0.0
+
+
+#: the report of the :func:`run_noise` call in progress, if any
+_REPORT: ContextVar[_NodeReport | None] = ContextVar("noise_node_report", default=None)
 
 
 def _dense_propagate(
     params: ModelParams, initial: FockState, t: float, Js, form: RealForm
 ) -> list[FockState]:
-    """Propagation of one state under G_L + J G_W for every J in ``Js``.
+    """Propagation of one state under B = G_L + J G_W for every J in ``Js``.
 
-    Per node, B is G tau bordered by its trace row w^T G tau (w^T x = tr S x)
-    with tau = t / (N 2^j): steps = ceil(|B|_1 t / theta13) sets j, the
-    fewest squarings that leave a chain of N = ceil(steps / 2^j) <= 32, so
-    |B tau|_1 <= theta13 and E = e^{B tau} is one degree-13 Pade
-    exponential without scaling (Higham 2005; Al-Mohy & Higham 2009).  E is
-    squared j times and then applied N times to the bordered vector
-    [Re c, Im c; 0] with c = S^-1 xi(0), matrix-vector products only.
+    Per node, one dense real LU of I - gamma B (gamma = t / 10) serves a
+    shift-and-invert Krylov space for each nonzero part of [Re c, Im c],
+    c = S^-1 xi(0); see :func:`_shift_invert_krylov`.  Only one LU is held at
+    a time.
 
-    E has an eigenvalue near 1, since the trace is nearly conserved, and
-    each squaring or product doubles the rounding of it, which would leave
-    noise in Z(J) that swamps finite differences in J.  The border of the
-    bordered exponential is y = w^T (E - I); squaring maps y to y + y E and
-    each product adds y E^i c to the last entry of the vector, each exact
-    relative to its own size.  tr xi(t) = w^T c + sum_i y E^i c is then
-    exact to rounding, and the vacuum population takes up its difference to
-    the trace of the evolved state.
+    A Krylov solution carries rounding relative to |c|, which would leave
+    noise in Z(J) that swamps finite differences in J.  Since w^T G_L = 0
+    (w^T x = tr S x), the trace obeys d/dt w^T x = J (G_W^T w) x, so
+    tr xi(t) = w^T c + J (G_W^T w) int_0^t x(s) ds, exact relative to the
+    J term; the vacuum population takes up its difference to the trace of
+    the evolved state.
 
-    Before it is squared, each factor E is checked against a sparse
-    exponential over its own tau of the operator-level generator
-    L + i(J/2) W: one ``expm_multiply`` on the block diagonal of up to 16
-    nodes.  Only one bordered matrix is held at a time.
+    Each node's solution at a short step tau, with |B|_1 tau <= theta13, is
+    checked against a sparse exponential over tau of the operator-level
+    generator L + i(J/2) W: one ``expm_multiply`` on the block diagonal of
+    up to 16 nodes.  The largest Krylov dimension and the worst check
+    deviation go to the report of the :func:`run_noise` call in progress.
     """
-    import scipy.linalg as sla
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
 
     if t == 0:
         return [initial.copy() for _ in Js]
@@ -170,45 +270,43 @@ def _dense_propagate(
     shape = initial.entries.shape
     # the diagonal basis vectors of S carry the phase (-1)^i, the others no trace
     w = (S.T @ np.eye(shape[0]).ravel()).real
+    drift = form.G_W.T @ w
     rho0 = initial.entries.ravel().astype(complex)
     # S is unitary, so S^-1 = S^H
     c = S.conj().T @ rho0
-    start = np.zeros((n + 1, 2))
-    start[:n, 0], start[:n, 1] = c.real, c.imag
+    parts = [(unit, part) for unit, part in ((1, c.real), (1j, c.imag)) if part.any()]
     action = full_generator(params, initial.truncation)
     L, W = action.sparse_matrix(), action.source_matrix()
-
-    def bordered(J: float) -> np.ndarray:
-        B = np.zeros((n + 1, n + 1))
-        B[:n, :n] = form.G_L + J * form.G_W
-        B[n, :n] = w @ B[:n, :n]
-        return B
+    report = _REPORT.get() or _NodeReport()
 
     out = []
     for first in range(0, len(Js), _CHECK_CHUNK):
         chunk = []
         for J in Js[first : first + _CHECK_CHUNK]:
-            steps = max(1, math.ceil(np.linalg.norm(bordered(J), 1) * t / _THETA13))
-            j = max(0, math.ceil(math.log2(steps / _CHAIN)))
-            N = math.ceil(steps / 2**j)
-            chunk.append((J, j, N, t / (N * 2**j)))
-        tilted = sp.block_diag([(L + 0.5j * J * W) * tau for J, _, _, tau in chunk], format="csr")
+            B = form.G_L + J * form.G_W
+            tau = t / max(1, math.ceil(np.linalg.norm(B, 1) * t / _THETA13))
+            lu, piv, info = lapack.dgetrf(np.eye(n) - _SHIFT * t * B)
+            if info != 0:
+                raise InternalConsistencyError(f"I - gamma B singular at J={J}")
+            x, integral, short = np.zeros((3, n), dtype=complex)
+            for unit, part in parts:
+                xp, ip, xs, dim = _shift_invert_krylov((lu, piv), part, t, tau)
+                x += unit * xp
+                integral += unit * ip
+                short += unit * xs
+                report.krylov_dim = max(report.krylov_dim, dim)
+            chunk.append((J, tau, x, integral, short))
+        tilted = sp.block_diag([(L + 0.5j * J * W) * tau for J, tau, *_ in chunk], format="csr")
         refs = spla.expm_multiply(tilted, np.tile(rho0, len(chunk))).reshape(len(chunk), n)
-        for (J, j, N, tau), via_expm in zip(chunk, refs):
-            E = sla.expm(bordered(J) * tau)
-            via_dense = S @ (E[:n, :n] @ c)
-            dev = np.max(np.abs(via_dense - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
-            if dev > 1e-8:
+        for (J, tau, x, integral, short), via_expm in zip(chunk, refs):
+            dev = np.max(np.abs(S @ short - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
+            report.check_dev = max(report.check_dev, dev)
+            if dev > _NODE_CHECK_TOL:
                 raise InternalConsistencyError(
-                    f"tilted-generator exponential factor unreliable (dev {dev:.3e}, J={J})"
+                    f"tilted-generator Krylov solution unreliable (dev {dev:.3e}, J={J})"
                 )
-            for _ in range(j):
-                E = E @ E
-            v = start
-            for _ in range(N):
-                v = E @ v
-            xi = (S @ (v[:n, 0] + 1j * v[:n, 1])).reshape(shape)
-            xi[0, 0] += w @ c + complex(v[n, 0], v[n, 1]) - np.trace(xi)
+            xi = (S @ x).reshape(shape)
+            xi[0, 0] += w @ c + J * (drift @ integral) - np.trace(xi)
             out.append(FockState(xi))
     return out
 
@@ -234,9 +332,10 @@ def xi_evolve(
 ) -> FockState:
     """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial.
 
-    Backends: "dense" (the real form G_L + J G_W of the tilted generator,
-    see :func:`real_form`, exponentiated over a short step, squared and
-    applied to the state; best for stiff two-body-loss runs) and "expm"
+    Backends: "dense" (the real form B = G_L + J G_W of the tilted
+    generator, see :func:`real_form`, applied to the state through one LU
+    of I - (t/10) B and a shift-and-invert Krylov space, whose cost does
+    not grow with |B| t; best for stiff two-body-loss runs) and "expm"
     (Taylor-stepped sparse exponential); "auto" picks dense for small stiff
     systems and expm otherwise.  ``form`` lets a caller that evolves many J
     on one truncation build the real form once.  The cutoff row/column
@@ -512,6 +611,10 @@ class NoiseRun:
     P_values: np.ndarray = field(default=None)
     moments: np.ndarray = field(default=None)    # n = 1..6, from P
     cumulants: np.ndarray = field(default=None)  # n = 1..4, exact (cumulant_trace)
+    doublings: int = 0                 # J-grid doublings of the tail gate
+    backend: str | None = None         # of the Z(J) nodes, as "auto" resolved it
+    krylov_dim: int | None = None      # largest Krylov dimension of a dense node
+    check_dev: float | None = None     # worst dense node-check deviation
 
     @property
     def excess_kurtosis(self) -> float:
@@ -538,6 +641,11 @@ class NoiseRun:
                 "moments": list(self.moments),
                 "cumulants": list(self.cumulants),
                 "excess_kurtosis": self.excess_kurtosis,
+                "grid_doublings": self.doublings,
+                "backend": self.backend,
+                "krylov_dim_max": self.krylov_dim,
+                "node_check_dev": self.check_dev,
+                "node_check_tol": _NODE_CHECK_TOL if self.backend == "dense" else None,
             }
         )
 
@@ -567,26 +675,34 @@ def run_noise(
     If the tail gate |Z(J_max)| < Z_TAIL_TOL fails, J_max and N_J are doubled
     (keeping the J resolution) up to ``max_doublings`` times.  The doubled
     grid carries the previous nodes bit for bit, so each J is evaluated once.
+    The run reports its doublings, the backend of its nodes and, on the
+    dense backend, the largest Krylov dimension and the worst node check.
     """
     J_grid = symmetric_J_grid(J_max, N_J)
     known: dict[float, complex] = {}
-    for attempt in range(max_doublings + 1):
-        Z = generating_function(params, initial, t, J_grid, known=known)
-        if max(abs(Z[0]), abs(Z[-1])) < Z_TAIL_TOL:
-            break
-        if attempt == max_doublings:
-            raise GridAdequacyError(
-                f"|Z(J_max)| = {abs(Z[-1]):.3e} after {max_doublings} doublings"
-            )
-        J_max *= 2
-        inner, N_J = J_grid, 2 * N_J - 1
-        J_grid = symmetric_J_grid(J_max, N_J)
-        # linspace rounds the old nodes differently on the wider grid
-        offset = (len(inner) - 1) // 2
-        J_grid[offset : offset + len(inner)] = inner
+    report = _NodeReport()
+    token = _REPORT.set(report)
+    try:
+        for doublings in range(max_doublings + 1):
+            Z = generating_function(params, initial, t, J_grid, known=known)
+            if max(abs(Z[0]), abs(Z[-1])) < Z_TAIL_TOL:
+                break
+            if doublings == max_doublings:
+                raise GridAdequacyError(
+                    f"|Z(J_max)| = {abs(Z[-1]):.3e} after {max_doublings} doublings"
+                )
+            J_max *= 2
+            inner, N_J = J_grid, 2 * N_J - 1
+            J_grid = symmetric_J_grid(J_max, N_J)
+            # linspace rounds the old nodes differently on the wider grid
+            offset = (len(inner) - 1) // 2
+            J_grid[offset : offset + len(inner)] = inner
+    finally:
+        _REPORT.reset(token)
     x_grid, Pv = probability_density(Z, J_grid)
     moments = moments_from_grid(x_grid, Pv, range(1, 7))
     trace = cumulant_trace(params, initial, [t])
+    backend = _resolve_backend(params, initial.truncation, "auto")
     return NoiseRun(
         params=params,
         initial=initial,
@@ -597,4 +713,8 @@ def run_noise(
         P_values=Pv,
         moments=moments,
         cumulants=trace[0]["cumulants"],
+        doublings=doublings,
+        backend=backend,
+        krylov_dim=report.krylov_dim if backend == "dense" else None,
+        check_dev=report.check_dev if backend == "dense" else None,
     )

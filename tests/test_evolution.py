@@ -524,6 +524,21 @@ def test_routes_never_form_the_propagator_stack(monkeypatch):
         assert np.array_equal(f, root @ T[1, :-1, :-1] / root)
 
 
+@pytest.mark.parametrize("n_max", [30, 40])
+def test_routes_return_the_input_at_t0(n_max):
+    # R_m L_m = I holds only to the rounding of binomial-size entries (5e-13
+    # at n_max 30 on this state), so at t = 0 every route returns its input
+    tr = Truncation(n_max)
+    rho0 = random_hermitian_state(tr, 35)
+    for params in (ModelParams(0.7, 0.4, 0.3, 0.6), GAUSSIAN):
+        coeffs = PropagatorCoefficients(params, tr)
+        for route in (propagate_phi, heisenberg_phi):
+            out = route(params, rho0, 0.0, coeffs)
+            assert np.array_equal(out.entries, rho0.entries), (params, route)
+            assert out.hermitian is True
+        assert np.array_equal(heisenberg_a_factors(params, tr, 0.0, coeffs), np.ones(n_max))
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("params", [GENERIC, GAUSSIAN], ids=["lossy", "kappa2_0"])
 def test_routes_reject_bad_times(params, t):

@@ -109,10 +109,10 @@ def test_real_form_gate_fires_on_a_complex_generator(monkeypatch):
         real_form(NONLINEAR, Truncation(5))
 
 
-def test_dense_route_matches_expm_across_squarings():
-    # t = 0 returns the initial state untouched; t = 0.01 takes a short
-    # chain of factor-vector products and no squaring; t = 5 and 20 take
-    # up to nine squarings of one factor and then a chain
+def test_dense_route_matches_expm_across_times():
+    # t = 0 returns the initial state untouched; from t = 0.01 to 20 the
+    # shifted matrix gamma B (gamma = t/10) grows from 1-norm 0.17 to 3000,
+    # and the check step tau from t itself to about t/5500
     n_max = 9
     coherent = FockState.coherent(Truncation(n_max), 0.6 + 0.3j)
     for params in (NONLINEAR, GENERIC):
@@ -127,13 +127,13 @@ def test_dense_route_matches_expm_across_squarings():
 
 
 def test_dense_route_self_check_fires_on_a_wrong_form():
-    # with the sign of G_W flipped the squared factor would evolve under
-    # -J; the check of that factor against the sparse exponential catches it
+    # with the sign of G_W flipped the Krylov solution evolves under -J;
+    # the check of its short step against the sparse exponential catches it
     vac = vacuum(9)
     form = real_form(NONLINEAR, vac.truncation)
     flipped = noise.RealForm(form.S, form.G_L, -form.G_W)
     xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=form)
-    with pytest.raises(InternalConsistencyError, match="factor unreliable"):
+    with pytest.raises(InternalConsistencyError, match="solution unreliable"):
         xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=flipped)
 
 
@@ -148,8 +148,34 @@ def test_dense_route_flags_the_unreliable_chunk_of_a_grid(monkeypatch):
     first_chunk = np.concatenate([-tiny[:0:-1], tiny])
     generating_function(NONLINEAR, vac, 2.0, first_chunk)
     half = np.concatenate([tiny, [1.0, 2.0, 3.0]])
-    with pytest.raises(InternalConsistencyError, match="factor unreliable"):
+    with pytest.raises(InternalConsistencyError, match="solution unreliable"):
         generating_function(NONLINEAR, vac, 2.0, np.concatenate([-half[:0:-1], half]))
+
+
+def test_dense_route_checks_every_node_of_a_chunk():
+    # among nodes within 1e-11 of J = 0 a flipped G_W moves only the one at
+    # J = 1; wherever that node sits in its chunk, its own check catches it
+    vac = vacuum(6)
+    form = real_form(NONLINEAR, vac.truncation)
+    flipped = noise.RealForm(form.S, form.G_L, -form.G_W)
+    tiny = list(1e-12 * np.arange(noise._CHECK_CHUNK))
+    noise._dense_propagate(NONLINEAR, vac, 2.0, tiny, flipped)
+    for k in range(noise._CHECK_CHUNK):
+        Js = tiny.copy()
+        Js[k] = 1.0
+        with pytest.raises(InternalConsistencyError, match="solution unreliable"):
+            noise._dense_propagate(NONLINEAR, vac, 2.0, Js, flipped)
+
+
+def test_unconverged_krylov_space_raises(monkeypatch):
+    # the nodes need a Krylov dimension of 16 or more; capped at 8 the run
+    # raises instead of returning a state
+    vac = vacuum(9)
+    monkeypatch.setattr(noise, "_KRYLOV_CAP", 8)
+    with pytest.raises(InternalConsistencyError, match="not converged at dimension 8"):
+        xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
+    monkeypatch.undo()
+    xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
 
 
 def _dense_propagate_per_node(params, initial, t, J, form):
@@ -195,8 +221,8 @@ def test_batched_grid_matches_the_per_node_route():
 
 
 def test_batch_over_several_chunks_equals_single_nodes():
-    # 37 nodes span three check chunks; each node's factor, squarings and
-    # chain do not depend on its batch, so the states agree bit for bit
+    # 37 nodes span three check chunks; each node's LU and Krylov space do
+    # not depend on its batch, so the states agree bit for bit
     coherent = FockState.coherent(Truncation(8), 0.5 - 0.2j)
     Js = list(np.linspace(0.0, 9.0, 37))
     batch = noise._evolve_nodes(NONLINEAR, Js, 3.0, coherent)
@@ -206,9 +232,9 @@ def test_batch_over_several_chunks_equals_single_nodes():
 
 
 def test_dense_route_trace_is_smooth_in_J():
-    # squaring a factor with an eigenvalue near 1 would leave ~2^k eps of
-    # rounding noise in tr xi; the bordered trace row keeps Z(J) smooth to
-    # rounding, which finite differences in J rely on
+    # a Krylov solution carries rounding relative to the state, which would
+    # be noise in tr xi; the trace from the integral of the source term
+    # keeps Z(J) smooth to rounding, which finite differences in J rely on
     vac = vacuum(12)
     form = real_form(NONLINEAR, vac.truncation)
     J = np.linspace(0.0, 0.04, 21)
@@ -218,6 +244,19 @@ def test_dense_route_trace_is_smooth_in_J():
     fit = np.polynomial.polynomial.polyval(u, np.polynomial.polynomial.polyfit(u, Z.real, 8))
     assert np.max(np.abs(Z.real - fit)) < 1e-14
     assert np.max(np.abs(Z.imag)) < 1e-14
+
+
+def test_dense_route_trace_is_smooth_in_J_at_long_times():
+    # the Krylov rounding grows with t; without the trace from the source
+    # integral it reads 4.5e-14 (vacuum, t = 20) and 1.1e-13 (complex
+    # coherent state, t = 5) on this fit, with it about 1.4e-15
+    for initial, t in ((vacuum(12), 20.0), (FockState.coherent(Truncation(12), 0.6 + 0.3j), 5.0)):
+        J = np.linspace(0.0, 0.04, 21)
+        Z = np.array([xi.trace() for xi in noise._evolve_nodes(NONLINEAR, list(J), t, initial)])
+        u = J / J[-1]
+        for part in (Z.real, Z.imag):
+            fit = np.polynomial.polynomial.polyval(u, np.polynomial.polynomial.polyfit(u, part, 8))
+            assert np.max(np.abs(part - fit)) < 1e-14, t
 
 
 def test_generating_function_basics():
@@ -460,6 +499,23 @@ def test_run_noise_adaptive_doubling():
     assert abs(run.Z_values[-1]) < 1e-6
     with pytest.raises(GridAdequacyError):
         run_noise(NONLINEAR, vacuum(14), 2.0, J_max=8.0, N_J=129, max_doublings=0)
+
+
+def test_run_noise_reports_doublings_and_node_figures():
+    # the t = 5 run of the benchmark's noise_grid workload doubles its J grid
+    # once; its Krylov dimension and node-check margin are reported on success
+    import json
+
+    run = run_noise(NONLINEAR, vacuum(12), 5.0, J_max=8.0, N_J=65)
+    assert run.doublings == 1 and len(run.J_grid) == 129
+    assert run.backend == "dense"
+    assert 1 <= run.krylov_dim <= 13**2
+    assert 0 < run.check_dev <= noise._NODE_CHECK_TOL
+    payload = json.loads(run.to_json())
+    assert payload["grid_doublings"] == 1
+    assert payload["krylov_dim_max"] == run.krylov_dim
+    assert payload["node_check_dev"] == run.check_dev
+    assert payload["node_check_tol"] == noise._NODE_CHECK_TOL
 
 
 def test_run_noise_evaluates_each_J_once(monkeypatch):
