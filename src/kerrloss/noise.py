@@ -10,8 +10,9 @@ come by four routes that the tests compare:
 - finite differences of Z at J = 0 (:func:`fd_moments`);
 - moments of P(x), reconstructed from Z on a J grid by inverse Fourier
   quadrature (:func:`run_noise`); all new nodes of a grid are evaluated in
-  one pass, each node by one LU of I - (t/10) B, with B the real form of
-  the tilted generator, and a shift-and-invert Krylov space on it, and each
+  one pass, each node by one banded LU of I - (t/10) B, with B the real
+  form of the tilted generator (banded with half-bandwidth 2 n_max in its
+  |m|-major basis), and a shift-and-invert Krylov space on it, and each
   chunk of up to 16 nodes checked at a short step by one sparse
   exponential;
 - nested time-ordered quadrature of multi-time V^o correlators
@@ -74,13 +75,14 @@ class RealForm:
     """The tilted generator made real: S^-1 (L + i(J/2) W) S = G_L + J G_W.
 
     ``S`` (sparse CSR, unitary) is the phase change i^(n1+n2) of entry
-    (n1, n2) followed by an orthonormal Hermitian basis in row-major
-    positions; ``G_L`` and ``G_W`` are dense and real.
+    (n1, n2) followed by an orthonormal Hermitian basis ordered by the
+    coherence label |m| = |n1 - n2|; ``G_L`` and ``G_W`` are real sparse
+    CSR matrices, banded in that order.
     """
 
     S: object
-    G_L: np.ndarray
-    G_W: np.ndarray
+    G_L: object
+    G_W: object
 
 
 #: imaginary residue of the real form, relative to its largest entry, above
@@ -97,6 +99,12 @@ def real_form(params: ModelParams, trunc: Truncation) -> RealForm:
     Hermitian matrices to Hermitian matrices.  Column (i, j) of the basis is
     |i><i| for i = j, (|i><j| + |j><i|)/sqrt2 for i < j and
     i(|j><i| - |i><j|)/sqrt2 for i > j, so in it the generator is real.
+
+    The columns run |m|-major: by |i - j|, then min(i, j), then i <= j
+    before i > j.  L keeps m and feeds min(i, j) from min(i, j) + 1 and + 2
+    (one- and two-body loss), so G_L stays within 4 of its diagonal; the
+    source W moves |m| by one, so G_L + J G_W is banded with half-bandwidth
+    2 n_max, against (n_max + 1)^2 - 1 in row-major order.
     """
     import scipy.sparse as sp
 
@@ -105,20 +113,22 @@ def real_form(params: ModelParams, trunc: Truncation) -> RealForm:
     i, j = np.divmod(pos, d)
     phase = np.array([1, 1j, -1, -1j])[(i + j) % 4]
     r = 1 / np.sqrt(2)
-    # column p holds Q[p, p] and, off the diagonal, Q[transpose(p), p]
+    # column col[p] holds Q[p, p] and, off the diagonal, Q[transpose(p), p]
     own = np.where(i == j, 1, np.where(i < j, r, -1j * r))
     off = i != j
     mirror = (j * d + i)[off]
+    col = np.empty_like(pos)
+    col[np.lexsort((i > j, np.minimum(i, j), np.abs(i - j)))] = pos
     rows = np.concatenate([pos, mirror])
-    cols = np.concatenate([pos, pos[off]])
+    cols = col[np.concatenate([pos, pos[off]])]
     vals = np.concatenate([own, np.where(i < j, r, 1j * r)[off]]) * phase[rows]
     S = sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
     action = full_generator(params, trunc)
     Sh = S.conj().T.tocsr()
-    G_L = (Sh @ action.sparse_matrix() @ S).toarray()
-    G_W = (Sh @ (0.5j * action.source_matrix()) @ S).toarray()
-    scale = max(1.0, np.max(np.abs(G_L)), np.max(np.abs(G_W)))
-    residue = max(np.max(np.abs(G_L.imag)), np.max(np.abs(G_W.imag)))
+    G_L = (Sh @ action.sparse_matrix() @ S).tocsr()
+    G_W = (Sh @ (0.5j * action.source_matrix()) @ S).tocsr()
+    scale = max(1.0, *(np.max(np.abs(G.data), initial=0.0) for G in (G_L, G_W)))
+    residue = max(np.max(np.abs(G.data.imag), initial=0.0) for G in (G_L, G_W))
     if residue > REAL_FORM_TOL * scale:
         raise InternalConsistencyError(
             f"tilted generator not real in the Hermitian basis (residue {residue:.3e})"
@@ -134,10 +144,10 @@ _STRIDE = 4
 #: change of a node's solution between two checks, relative to the start
 #: vector, below which it counts as converged
 _KRYLOV_TOL = 1e-13
-#: Krylov dimension at which a node that has not converged raises.  It is
-#: 33^2, the real-form dimension at the largest cutoff "auto" sends to the
-#: dense route; a smaller real form caps the space at its own dimension,
-#: where the space is the whole space and the solution exact
+#: Krylov dimension at which a node that has not converged raises.  Nodes
+#: converge at 16-40 (n_max 12 to 40); a real form smaller than this caps
+#: the space at its own dimension, where the space is the whole space and
+#: the solution exact
 _KRYLOV_CAP = 1089
 #: deviation of a node's short-step solution from the sparse exponential,
 #: relative to max(1, its largest entry), above which the node is refused
@@ -169,11 +179,12 @@ def _moved(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(change, axis=1)))
 
 
-def _shift_invert_krylov(lu, v: np.ndarray, t: float, tau: float) -> tuple:
+def _shift_invert_krylov(solve, v: np.ndarray, t: float, tau: float) -> tuple:
     """x(t), int_0^t x(s) ds and x(tau) for x' = B x from x(0) = v, and the
     Krylov dimension that gave them.
 
-    ``lu`` is the LU factor of I - gamma B with gamma = t / 10.  Arnoldi on
+    ``solve`` maps b to (I - gamma B)^-1 b, gamma = t / 10, from one LU
+    factor of I - gamma B, in a new array.  Arnoldi on
     (I - gamma B)^-1 from v gives V_m and H_m, and A_m = (I - H_m^-1) / gamma
     is the projection of B, so x(s) ~ |v| V_m e^{s A_m} e_1 (van den Eshof &
     Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006)); the cost does not grow
@@ -184,8 +195,6 @@ def _shift_invert_krylov(lu, v: np.ndarray, t: float, tau: float) -> tuple:
     invariant subspace, holds the exact solution.  A node that has not
     converged at _KRYLOV_CAP raises.
     """
-    from scipy.linalg import lapack
-
     n = v.size
     gamma = _SHIFT * t
     cap = min(n, _KRYLOV_CAP)
@@ -195,7 +204,7 @@ def _shift_invert_krylov(lu, v: np.ndarray, t: float, tau: float) -> tuple:
     V[0] = v / beta
     at_t = last_t = last_tau = None
     for m in range(1, cap + 1):
-        w, _ = lapack.dgetrs(*lu, V[m - 1])
+        w = solve(V[m - 1])
         size = np.linalg.norm(w)
         # classical Gram-Schmidt, repeated once to keep V orthonormal
         for _ in range(2):
@@ -230,6 +239,7 @@ class _NodeReport:
 
     krylov_dim: int = 0
     check_dev: float = 0.0
+    bandwidth: int = 0
 
 
 #: the report of the :func:`run_noise` call in progress, if any
@@ -241,10 +251,14 @@ def _dense_propagate(
 ) -> list[FockState]:
     """Propagation of one state under B = G_L + J G_W for every J in ``Js``.
 
-    Per node, one dense real LU of I - gamma B (gamma = t / 10) serves a
-    shift-and-invert Krylov space for each nonzero part of [Re c, Im c],
-    c = S^-1 xi(0); see :func:`_shift_invert_krylov`.  Only one LU is held at
-    a time.
+    Per node, one banded real LU (LAPACK ``dgbtrf``) of I - gamma B
+    (gamma = t / 10) serves a shift-and-invert Krylov space for each nonzero
+    part of [Re c, Im c], c = S^-1 xi(0); see :func:`_shift_invert_krylov`.
+    The bands of G_L and G_W are read once per call, their widths kl below
+    and ku above the diagonal taken from their nonzeros (2 n_max each for
+    :func:`real_form`), so the LU and its solves cost O(n kl^2) and O(n kl)
+    on the real-form dimension n = (n_max + 1)^2.  Only one LU is held at a
+    time.
 
     A Krylov solution carries rounding relative to |c|, which would leave
     noise in Z(J) that swamps finite differences in J.  Since w^T G_L = 0
@@ -256,8 +270,9 @@ def _dense_propagate(
     Each node's solution at a short step tau, with |B|_1 tau <= theta13, is
     checked against a sparse exponential over tau of the operator-level
     generator L + i(J/2) W: one ``expm_multiply`` on the block diagonal of
-    up to 16 nodes.  The largest Krylov dimension and the worst check
-    deviation go to the report of the :func:`run_noise` call in progress.
+    up to 16 nodes.  The largest Krylov dimension, the worst check
+    deviation and the LU half-bandwidth max(kl, ku) go to the report of the
+    :func:`run_noise` call in progress.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -278,25 +293,45 @@ def _dense_propagate(
     action = full_generator(params, initial.truncation)
     L, W = action.sparse_matrix(), action.source_matrix()
     report = _REPORT.get() or _NodeReport()
+    # entry (r, col) of G_L and G_W in row ku + r - col of column col
+    coo = [sp.coo_matrix(G) for G in (form.G_L, form.G_W)]
+    offsets = np.concatenate([G.row - G.col for G in coo])
+    kl = int(max(0, offsets.max(initial=0)))
+    ku = int(max(0, -offsets.min(initial=0)))
+    bands = np.zeros((2, kl + ku + 1, n))
+    for band, G in zip(bands, coo):
+        np.add.at(band, (ku + G.row - G.col, G.col), G.data)
+    report.bandwidth = max(report.bandwidth, kl, ku)
 
     out = []
     for first in range(0, len(Js), _CHECK_CHUNK):
         chunk = []
         for J in Js[first : first + _CHECK_CHUNK]:
-            B = form.G_L + J * form.G_W
-            tau = t / max(1, math.ceil(np.linalg.norm(B, 1) * t / _THETA13))
-            lu, piv, info = lapack.dgetrf(np.eye(n) - _SHIFT * t * B)
+            band = bands[0] + J * bands[1]
+            tau = t / max(1, math.ceil(np.abs(band).sum(axis=0).max() * t / _THETA13))
+            # dgbtrf layout: kl rows for the fill-in of the LU above the band
+            ab = np.zeros((2 * kl + ku + 1, n), order="F")
+            ab[kl:] = -_SHIFT * t * band
+            ab[kl + ku] += 1
+            lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
             if info != 0:
                 raise InternalConsistencyError(f"I - gamma B singular at J={J}")
+
+            def solve(b):
+                return lapack.dgbtrs(lu, kl, ku, b, piv)[0]
+
             x, integral, short = np.zeros((3, n), dtype=complex)
             for unit, part in parts:
-                xp, ip, xs, dim = _shift_invert_krylov((lu, piv), part, t, tau)
+                xp, ip, xs, dim = _shift_invert_krylov(solve, part, t, tau)
                 x += unit * xp
                 integral += unit * ip
                 short += unit * xs
                 report.krylov_dim = max(report.krylov_dim, dim)
             chunk.append((J, tau, x, integral, short))
-        tilted = sp.block_diag([(L + 0.5j * J * W) * tau for J, tau, *_ in chunk], format="csr")
+        J_c, tau_c = np.array([(J, tau) for J, tau, *_ in chunk]).T
+        tilted = sp.kron(sp.diags(tau_c), L, format="csr") + sp.kron(
+            sp.diags(0.5j * J_c * tau_c), W, format="csr"
+        )
         refs = spla.expm_multiply(tilted, np.tile(rho0, len(chunk))).reshape(len(chunk), n)
         for (J, tau, x, integral, short), via_expm in zip(chunk, refs):
             dev = np.max(np.abs(S @ short - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
@@ -312,10 +347,10 @@ def _dense_propagate(
 
 
 def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> str:
-    """Resolve "auto": the dense route for small stiff runs (kappa2 > 0,
-    dim <= 33), the sparse exponential otherwise."""
+    """Resolve "auto": the dense route for stiff runs (kappa2 > 0) at any
+    cutoff, the sparse exponential otherwise."""
     if backend == "auto":
-        return "dense" if (params.kappa2 > 0 and trunc.dim <= 33) else "expm"
+        return "dense" if params.kappa2 > 0 else "expm"
     if backend not in ("dense", "expm"):
         raise ValueError("backend must be 'auto', 'dense' or 'expm'")
     return backend
@@ -333,11 +368,12 @@ def xi_evolve(
     """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial.
 
     Backends: "dense" (the real form B = G_L + J G_W of the tilted
-    generator, see :func:`real_form`, applied to the state through one LU
-    of I - (t/10) B and a shift-and-invert Krylov space, whose cost does
-    not grow with |B| t; best for stiff two-body-loss runs) and "expm"
-    (Taylor-stepped sparse exponential); "auto" picks dense for small stiff
-    systems and expm otherwise.  ``form`` lets a caller that evolves many J
+    generator, see :func:`real_form`, applied to the state through one
+    banded LU of I - (t/10) B, half-bandwidth 2 n_max, and a
+    shift-and-invert Krylov space, whose cost does not grow with |B| t;
+    best for stiff two-body-loss runs) and "expm" (Taylor-stepped sparse
+    exponential); "auto" picks dense for every kappa2 > 0, whatever the
+    cutoff, and expm at kappa2 = 0.  ``form`` lets a caller that evolves many J
     on one truncation build the real form once.  The cutoff row/column
     weight is gated against ``top_tol`` relative to the largest entry.
     This is :func:`_evolve_nodes` at one J.
@@ -615,6 +651,7 @@ class NoiseRun:
     backend: str | None = None         # of the Z(J) nodes, as "auto" resolved it
     krylov_dim: int | None = None      # largest Krylov dimension of a dense node
     check_dev: float | None = None     # worst dense node-check deviation
+    lu_bandwidth: int | None = None    # half-bandwidth of the dense nodes' LU
 
     @property
     def excess_kurtosis(self) -> float:
@@ -644,6 +681,7 @@ class NoiseRun:
                 "grid_doublings": self.doublings,
                 "backend": self.backend,
                 "krylov_dim_max": self.krylov_dim,
+                "lu_bandwidth": self.lu_bandwidth,
                 "node_check_dev": self.check_dev,
                 "node_check_tol": _NODE_CHECK_TOL if self.backend == "dense" else None,
             }
@@ -676,7 +714,8 @@ def run_noise(
     (keeping the J resolution) up to ``max_doublings`` times.  The doubled
     grid carries the previous nodes bit for bit, so each J is evaluated once.
     The run reports its doublings, the backend of its nodes and, on the
-    dense backend, the largest Krylov dimension and the worst node check.
+    dense backend, the largest Krylov dimension, the worst node check and
+    the half-bandwidth of the nodes' LU.
     """
     J_grid = symmetric_J_grid(J_max, N_J)
     known: dict[float, complex] = {}
@@ -717,4 +756,5 @@ def run_noise(
         backend=backend,
         krylov_dim=report.krylov_dim if backend == "dense" else None,
         check_dev=report.check_dev if backend == "dense" else None,
+        lu_bandwidth=report.bandwidth if backend == "dense" else None,
     )

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from kerrloss import noise, oracle
 from kerrloss.fockbasis import FockState, Truncation
@@ -109,6 +110,28 @@ def test_real_form_gate_fires_on_a_complex_generator(monkeypatch):
         real_form(NONLINEAR, Truncation(5))
 
 
+def test_real_form_is_banded_in_the_coherence_order():
+    # ordered |m|-major, the real form is banded: G_W moves |m| by one and
+    # reaches exactly 2 n_max off the diagonal, and no nonzero of G_L or
+    # G_W lies beyond it
+    for params in (LINEAR, NONLINEAR, GENERIC):
+        for n_max in (5, 9, 12, 20):
+            form = real_form(params, Truncation(n_max))
+            reach = [np.max(np.abs(G.row - G.col)) for G in map(sp.coo_matrix, (form.G_L, form.G_W))]
+            assert max(reach) == 2 * n_max, (params, n_max, reach)
+
+
+def test_auto_backend_is_dense_at_every_cutoff():
+    # auto sends every kappa2 > 0 run to the banded route, past the old
+    # dense-dimension ceiling of 33 levels too, and kappa2 = 0 to expm
+    assert noise._resolve_backend(NONLINEAR, Truncation(34), "auto") == "dense"
+    assert noise._resolve_backend(LINEAR, Truncation(34), "auto") == "expm"
+    coherent = FockState.coherent(Truncation(34), 0.6 + 0.3j)
+    a = xi_evolve(NONLINEAR, 6.0, 0.05, coherent)
+    b = xi_evolve(NONLINEAR, 6.0, 0.05, coherent, backend="expm")
+    assert np.max(np.abs(a.entries - b.entries)) <= 1e-10
+
+
 def test_dense_route_matches_expm_across_times():
     # t = 0 returns the initial state untouched; from t = 0.01 to 20 the
     # shifted matrix gamma B (gamma = t/10) grows from 1-norm 0.17 to 3000,
@@ -193,7 +216,7 @@ def _dense_propagate_per_node(params, initial, t, J, form):
     tau = t / 2**k
     w = (S.T @ np.eye(initial.entries.shape[0]).ravel()).real
     B = np.zeros((n + 1, n + 1))
-    B[:n, :n] = (form.G_L + J * form.G_W) * tau
+    B[:n, :n] = (form.G_L + J * form.G_W).toarray() * tau
     B[n, :n] = w @ B[:n, :n]
     E = sla.expm(B)
     c = S.conj().T @ initial.entries.ravel().astype(complex)
@@ -205,6 +228,49 @@ def _dense_propagate_per_node(params, initial, t, J, form):
     xi = (S @ (E[:n, :n] @ c)).reshape(initial.entries.shape)
     xi[0, 0] += w @ c + E[n, :n] @ c - np.trace(xi)
     return FockState(xi)
+
+
+def _dense_lu_nodes(initial, t, Js, form):
+    """Z(J) nodes by the earlier dense-LU route: the real form densified,
+    one ``dgetrf`` of I - (t/10) B per node and the shift-and-invert Krylov
+    space solved by ``dgetrs``, with the trace from the source integral.
+    The chunked check against ``expm_multiply`` changes no value and is
+    left out."""
+    S = form.S
+    n = S.shape[0]
+    G_L, G_W = form.G_L.toarray(), form.G_W.toarray()
+    w = (S.T @ np.eye(initial.entries.shape[0]).ravel()).real
+    c = S.conj().T @ initial.entries.ravel().astype(complex)
+    Z = []
+    for J in Js:
+        B = G_L + J * G_W
+        tau = t / max(1, math.ceil(np.linalg.norm(B, 1) * t / oracle._THETA13))
+        lu, piv, info = lapack.dgetrf(np.eye(n) - noise._SHIFT * t * B)
+        assert info == 0
+        x, integral = np.zeros((2, n), dtype=complex)
+        for unit, part in ((1, c.real), (1j, c.imag)):
+            if part.any():
+                xp, ip, *_ = noise._shift_invert_krylov(
+                    lambda b: lapack.dgetrs(lu, piv, b)[0], part, t, tau
+                )
+                x += unit * xp
+                integral += unit * ip
+        xi = (S @ x).reshape(initial.entries.shape)
+        xi[0, 0] += w @ c + J * ((G_W.T @ w) @ integral) - np.trace(xi)
+        Z.append(np.trace(xi))
+    return np.array(Z)
+
+
+def test_banded_lu_matches_the_dense_lu_route():
+    # the two final grids of the benchmark's noise_grid workload: the banded
+    # LU of each node against a dense LU of the same matrix
+    vac = vacuum(12)
+    form = real_form(NONLINEAR, vac.truncation)
+    for t, J_max in ((5.0, 16.0), (20.0, 8.0)):
+        grid = symmetric_J_grid(J_max, 129)
+        Z = generating_function(NONLINEAR, vac, t, grid)
+        ref = _dense_lu_nodes(vac, t, grid[grid >= 0], form)
+        assert np.max(np.abs(Z[grid >= 0] - ref)) <= 1e-13, t
 
 
 def test_batched_grid_matches_the_per_node_route():
@@ -516,6 +582,18 @@ def test_run_noise_reports_doublings_and_node_figures():
     assert payload["krylov_dim_max"] == run.krylov_dim
     assert payload["node_check_dev"] == run.check_dev
     assert payload["node_check_tol"] == noise._NODE_CHECK_TOL
+
+
+def test_run_noise_reports_the_lu_bandwidth():
+    # the dense nodes factor a band of half-bandwidth 2 n_max, reported on
+    # success beside the Krylov dimension and the node-check margin
+    import json
+
+    run = run_noise(NONLINEAR, vacuum(14), 2.0, J_max=8.0, N_J=33)
+    assert run.backend == "dense" and run.lu_bandwidth == 28
+    payload = json.loads(run.to_json())
+    assert payload["lu_bandwidth"] == 28
+    assert payload["krylov_dim_max"] == run.krylov_dim
 
 
 def test_run_noise_evaluates_each_J_once(monkeypatch):
