@@ -12,9 +12,10 @@ come by four routes that the tests compare:
   quadrature (:func:`run_noise`); all new nodes of a grid are evaluated in
   one pass, each node by one banded LU of I - (t/10) B, with B the real
   form of the tilted generator (banded with half-bandwidth 2 n_max in its
-  |m|-major basis), and a shift-and-invert Krylov space on it, and each
-  chunk of up to 16 nodes checked at a short step by one sparse
-  exponential;
+  |m|-major basis), and a shift-and-invert Krylov space on it; the Krylov
+  spaces of a group of nodes, as many as a byte budget on their LUs and
+  bases allows, run in lockstep, and each chunk of up to 16 nodes is
+  checked at a short step by one sparse exponential;
 - nested time-ordered quadrature of multi-time V^o correlators
   (:func:`moment_by_correlator_quadrature`).
 """
@@ -154,22 +155,45 @@ _KRYLOV_CAP = 1089
 _NODE_CHECK_TOL = 1e-8
 #: J nodes whose short-step solutions one sparse exponential checks at once
 _CHECK_CHUNK = 16
+#: bytes of banded LUs and Krylov bases held by one group of nodes whose
+#: Krylov spaces run in lockstep: 9 nodes from the vacuum at n_max 12 (so
+#: a 16-node chunk runs as two groups of 8), one node from n_max 19 up
+_GROUP_BYTES = 3 * 2**20
+#: unit roundoff, against which an Arnoldi step counts as a breakdown
+_EPS = float(np.finfo(float).eps)
 
 
-def _exp_e1(ritz: np.ndarray, time: float) -> np.ndarray:
-    """Rows e^{time A} e_1 and int_0^time e^{sA} e_1 ds / time.
+def _group_width(n: int, lu_rows: int, parts: int) -> int:
+    """Nodes per group: as many as fit in _GROUP_BYTES, each holding a
+    ``dgbtrf`` LU of ``lu_rows`` rows and ``parts`` Krylov bases of
+    min(n, _KRYLOV_CAP) + 1 rows, on the real-form dimension ``n``; at least
+    one and at most _CHECK_CHUNK."""
+    per_node = 8 * n * (lu_rows + parts * (min(n, _KRYLOV_CAP) + 1))
+    return max(1, min(_CHECK_CHUNK, _GROUP_BYTES // per_node))
+
+
+def _exp_e1(ritz: np.ndarray, time) -> np.ndarray:
+    """Rows e^{time A} e_1 and int_0^time e^{sA} e_1 ds / time for each A of
+    the stack ``ritz``, at its own entry of ``time``.
 
     The integral is the last column of one exponential of A bordered by e_1
-    (Van Loan, IEEE TAC 23, 395 (1978)).
+    (Van Loan, IEEE TAC 23, 395 (1978)); ``scipy.linalg.expm`` scales each
+    matrix of the stack on its own.
     """
     import scipy.linalg as sla
 
-    m = ritz.shape[0]
-    K = np.zeros((m + 1, m + 1))
-    K[:m, :m] = ritz * time
-    K[0, m] = time
+    k, m = ritz.shape[:2]
+    time = np.broadcast_to(np.asarray(time, dtype=float), (k,))
+    K = np.zeros((k, m + 1, m + 1))
+    K[:, :m, :m] = ritz * time[:, None, None]
+    K[:, 0, m] = time
     E = sla.expm(K)
-    return np.stack([E[:m, 0], E[:m, m] / time])
+    return np.stack([E[:, :m, 0], E[:, :m, m] / time[:, None]], axis=1)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of each row of ``rows``, from one BLAS dot product each."""
+    return np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0, 0])
 
 
 def _moved(new: np.ndarray, old: np.ndarray) -> float:
@@ -179,55 +203,89 @@ def _moved(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(change, axis=1)))
 
 
-def _shift_invert_krylov(solve, v: np.ndarray, t: float, tau: float) -> tuple:
-    """x(t), int_0^t x(s) ds and x(tau) for x' = B x from x(0) = v, and the
-    Krylov dimension that gave them.
+def _shift_invert_krylov(solves, vs: np.ndarray, t: float, taus) -> list[tuple]:
+    """For each start vector v = vs[k]: x(t), int_0^t x(s) ds and x(taus[k])
+    for x' = B_k x from x(0) = v, the Krylov dimension that gave them and
+    the one at which x(t) had converged.
 
-    ``solve`` maps b to (I - gamma B)^-1 b, gamma = t / 10, from one LU
-    factor of I - gamma B, in a new array.  Arnoldi on
-    (I - gamma B)^-1 from v gives V_m and H_m, and A_m = (I - H_m^-1) / gamma
-    is the projection of B, so x(s) ~ |v| V_m e^{s A_m} e_1 (van den Eshof &
-    Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006)); the cost does not grow
-    with |B| t.  Every _STRIDE steps the solution at t, with its integral,
-    is compared with the previous check, and once it has converged so is
-    the solution at tau; each counts as converged when it moves by less
-    than _KRYLOV_TOL.  A space that reaches the real-form dimension, or an
-    invariant subspace, holds the exact solution.  A node that has not
-    converged at _KRYLOV_CAP raises.
+    ``solves[k]`` maps b to (I - gamma B_k)^-1 b, gamma = t / 10, from one
+    LU factor of I - gamma B_k, in a new array.  Arnoldi on
+    (I - gamma B_k)^-1 from v gives V_m and H_m, and A_m = (I - H_m^-1) / gamma
+    is the projection of B_k, so x(s) ~ |v| V_m e^{s A_m} e_1 (van den Eshof
+    & Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006)); the cost does not
+    grow with |B_k| t.  Every _STRIDE steps the solution at t, with its
+    integral, is compared with the previous check, and once it has
+    converged so is the solution at tau; each counts as converged when it
+    moves by less than _KRYLOV_TOL.  A space that reaches the real-form
+    dimension, or an invariant subspace, holds the exact solution.  A space
+    that has not converged at _KRYLOV_CAP raises.
+
+    The spaces run in lockstep, one dimension at a time: one solve per live
+    space, then Gram-Schmidt (classical, repeated once), the norms and the
+    H updates as stacked products over the live spaces.  A check takes one
+    stacked inverse of the H_m, one stacked bordered exponential for the
+    spaces still solving at t and one for those at their tau.  A space
+    leaves once its solution at tau has converged.  No operation mixes two
+    spaces, so each result is, bit for bit, the one the space gives alone.
+    V and H grow by doubling, so they hold about the dimensions reached.
     """
-    n = v.size
+    k, n = vs.shape
     gamma = _SHIFT * t
     cap = min(n, _KRYLOV_CAP)
-    beta = np.linalg.norm(v)
-    V = np.empty((cap + 1, n))
-    H = np.zeros((cap + 1, cap))
-    V[0] = v / beta
-    at_t = last_t = last_tau = None
+    taus = np.asarray(taus, dtype=float)
+    beta = _norms(vs)
+    V = np.empty((k, min(cap, 4 * _STRIDE) + 1, n))
+    H = np.zeros((k, V.shape[1], V.shape[1] - 1))
+    V[:, 0] = vs / beta[:, None]
+    # the space in each slot of V and H; x(t) and its dimension, the
+    # solution of the current phase at the last check, and the result, per space
+    live = list(range(k))
+    at_t, t_dim, last, out = [None] * k, [0] * k, [None] * k, [None] * k
     for m in range(1, cap + 1):
-        w = solve(V[m - 1])
-        size = np.linalg.norm(w)
-        # classical Gram-Schmidt, repeated once to keep V orthonormal
+        if m == V.shape[1]:
+            rows = min(2 * m, cap + 1)
+            V = np.concatenate([V, np.empty((k, rows - m, n))], axis=1)
+            H = np.pad(H, ((0, 0), (0, rows - m), (0, rows - m)))
+        nlive = len(live)
+        w = np.empty((nlive, n))
+        for s, i in enumerate(live):
+            w[s] = solves[i](V[s, m - 1])
+        size = _norms(w)
+        Vm = V[:nlive, :m]
         for _ in range(2):
-            h = V[:m] @ w
-            w -= h @ V[:m]
-            H[:m, m - 1] += h
-        H[m, m - 1] = np.linalg.norm(w)
-        whole = m == n or H[m, m - 1] <= np.finfo(float).eps * size
-        if whole or m % _STRIDE == 0:
-            ritz = (np.eye(m) - np.linalg.inv(H[:m, :m])) / gamma
-            if at_t is None:
-                y = _exp_e1(ritz, t)
-                if whole or (last_t is not None and _moved(y, last_t) <= _KRYLOV_TOL):
-                    at_t = beta * (y @ V[:m])
-                last_t = y
-            if at_t is not None:
-                y = _exp_e1(ritz, tau)
-                if whole or (last_tau is not None and _moved(y, last_tau) <= _KRYLOV_TOL):
-                    return at_t[0], at_t[1] * t, beta * (y[0] @ V[:m]), m
-                last_tau = y
-        if m == cap:
-            break
-        V[m] = w / H[m, m - 1]
+            h = (Vm @ w[:, :, None])[:, :, 0]
+            w -= (h[:, None] @ Vm)[:, 0]
+            H[:nlive, :m, m - 1] += h
+        H[:nlive, m, m - 1] = _norms(w)
+        whole = [True] * nlive if m == n else (H[:nlive, m, m - 1] <= _EPS * size).tolist()
+        slots = range(nlive) if m % _STRIDE == 0 else [s for s in range(nlive) if whole[s]]
+        if slots:
+            ritz = (np.eye(m) - np.linalg.inv(H[slots, :m, :m])) / gamma
+            at_t_phase = [c for c, s in enumerate(slots) if at_t[live[s]] is None]
+            if at_t_phase:
+                for c, y in zip(at_t_phase, _exp_e1(ritz[at_t_phase], t)):
+                    s, i = slots[c], live[slots[c]]
+                    if whole[s] or (last[i] is not None and _moved(y, last[i]) <= _KRYLOV_TOL):
+                        # converged at t: the phase at tau starts at this check
+                        at_t[i], t_dim[i], y = beta[i] * (y @ V[s, :m]), m, None
+                    last[i] = y
+            at_tau = [c for c, s in enumerate(slots) if at_t[live[s]] is not None]
+            if at_tau:
+                spaces = [live[slots[c]] for c in at_tau]
+                for c, i, y in zip(at_tau, spaces, _exp_e1(ritz[at_tau], taus[spaces])):
+                    s = slots[c]
+                    if whole[s] or (last[i] is not None and _moved(y, last[i]) <= _KRYLOV_TOL):
+                        x, integral = at_t[i]
+                        out[i] = (x, integral * t, beta[i] * (y[0] @ V[s, :m]), m, t_dim[i])
+                    last[i] = y
+            kept = [s for s in range(nlive) if out[live[s]] is None]
+            if not kept:
+                return out
+            if len(kept) < nlive:
+                live, w = [live[s] for s in kept], w[kept]
+                V[: len(kept), :m] = V[kept, :m]
+                H[: len(kept), : m + 1, :m] = H[kept, : m + 1, :m]
+        V[: len(live), m] = w / H[: len(live), m, m - 1][:, None]
     raise InternalConsistencyError(
         f"shift-and-invert Krylov space not converged at dimension {cap}"
     )
@@ -235,11 +293,17 @@ def _shift_invert_krylov(solve, v: np.ndarray, t: float, tau: float) -> tuple:
 
 @dataclass
 class _NodeReport:
-    """Worst figures of the dense route's nodes over one :func:`run_noise`."""
+    """Figures of the dense route's nodes over one :func:`run_noise`: the
+    worst ones, the Arnoldi steps summed over every Krylov space, the steps
+    a space ran after its solution at t had converged, for the check at
+    tau alone, and the widest group of nodes run in lockstep."""
 
     krylov_dim: int = 0
     check_dev: float = 0.0
     bandwidth: int = 0
+    steps: int = 0
+    tau_steps: int = 0
+    group_width: int = 0
 
 
 #: the report of the :func:`run_noise` call in progress, if any
@@ -257,8 +321,13 @@ def _dense_propagate(
     The bands of G_L and G_W are read once per call, their widths kl below
     and ku above the diagonal taken from their nonzeros (2 n_max each for
     :func:`real_form`), so the LU and its solves cost O(n kl^2) and O(n kl)
-    on the real-form dimension n = (n_max + 1)^2.  Only one LU is held at a
-    time.
+    on the real-form dimension n = (n_max + 1)^2.  The nodes run in groups
+    within their check chunk: a group factors the LUs of its nodes and runs
+    all their Krylov spaces in lockstep, so that each step is a few stacked
+    products over the group and not a dozen small calls per node.  The group
+    width comes from a byte budget on the LUs and Krylov bases it holds
+    (:func:`_group_width`): 9 nodes from the vacuum at n_max 12, and one
+    from n_max 19 up, where one LU and one basis fill the budget.
 
     A Krylov solution carries rounding relative to |c|, which would leave
     noise in Z(J) that swamps finite differences in J.  Since w^T G_L = 0
@@ -271,8 +340,9 @@ def _dense_propagate(
     checked against a sparse exponential over tau of the operator-level
     generator L + i(J/2) W: one ``expm_multiply`` on the block diagonal of
     up to 16 nodes.  The largest Krylov dimension, the worst check
-    deviation and the LU half-bandwidth max(kl, ku) go to the report of the
-    :func:`run_noise` call in progress.
+    deviation, the LU half-bandwidth max(kl, ku), the Arnoldi steps, those
+    run after x(t) had converged, and the widest group go to the report of
+    the :func:`run_noise` call in progress.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -293,41 +363,56 @@ def _dense_propagate(
     action = full_generator(params, initial.truncation)
     L, W = action.sparse_matrix(), action.source_matrix()
     report = _REPORT.get() or _NodeReport()
-    # entry (r, col) of G_L and G_W in row ku + r - col of column col
+    # entry (r, col) of G_L and G_W in row ku + r - col of column col, each
+    # band stored column by column, as the dgbtrf layout is
     coo = [sp.coo_matrix(G) for G in (form.G_L, form.G_W)]
     offsets = np.concatenate([G.row - G.col for G in coo])
     kl = int(max(0, offsets.max(initial=0)))
     ku = int(max(0, -offsets.min(initial=0)))
-    bands = np.zeros((2, kl + ku + 1, n))
+    bands = np.zeros((2, n, kl + ku + 1)).transpose(0, 2, 1)
     for band, G in zip(bands, coo):
         np.add.at(band, (ku + G.row - G.col, G.col), G.data)
     report.bandwidth = max(report.bandwidth, kl, ku)
 
+    width = _group_width(n, 2 * kl + ku + 1, len(parts))
     out = []
     for first in range(0, len(Js), _CHECK_CHUNK):
+        nodes = np.asarray(Js[first : first + _CHECK_CHUNK], dtype=float)
         chunk = []
-        for J in Js[first : first + _CHECK_CHUNK]:
-            band = bands[0] + J * bands[1]
-            tau = t / max(1, math.ceil(np.abs(band).sum(axis=0).max() * t / _THETA13))
-            # dgbtrf layout: kl rows for the fill-in of the LU above the band
-            ab = np.zeros((2 * kl + ku + 1, n), order="F")
-            ab[kl:] = -_SHIFT * t * band
-            ab[kl + ku] += 1
-            lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
-            if info != 0:
-                raise InternalConsistencyError(f"I - gamma B singular at J={J}")
-
-            def solve(b):
-                return lapack.dgbtrs(lu, kl, ku, b, piv)[0]
-
-            x, integral, short = np.zeros((3, n), dtype=complex)
-            for unit, part in parts:
-                xp, ip, xs, dim = _shift_invert_krylov(solve, part, t, tau)
-                x += unit * xp
-                integral += unit * ip
-                short += unit * xs
-                report.krylov_dim = max(report.krylov_dim, dim)
-            chunk.append((J, tau, x, integral, short))
+        # groups of at most ``width`` nodes, of sizes that differ by one at most
+        for group in np.array_split(nodes, -(-nodes.size // width)):
+            taus, solves = [], []
+            for J in group:
+                # dgbtrf layout: kl rows for the fill-in of the LU above the band
+                ab = np.zeros((2 * kl + ku + 1, n), order="F")
+                band = np.multiply(bands[1], J, out=ab[kl:])
+                band += bands[0]
+                taus.append(t / max(1, math.ceil(np.abs(band).sum(axis=0).max() * t / _THETA13)))
+                band *= -_SHIFT * t
+                ab[kl + ku] += 1
+                lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+                if info != 0:
+                    raise InternalConsistencyError(f"I - gamma B singular at J={J}")
+                solves.append(lambda b, lu=lu, piv=piv: lapack.dgbtrs(lu, kl, ku, b, piv)[0])
+            # one Krylov space per node and nonzero part, node-major
+            spaces = iter(_shift_invert_krylov(
+                [solve for solve in solves for _ in parts],
+                np.array([part for _ in group for _, part in parts]),
+                t,
+                [tau for tau in taus for _ in parts],
+            ))
+            report.group_width = max(report.group_width, group.size)
+            for J, tau in zip(group, taus):
+                x, integral, short = np.zeros((3, n), dtype=complex)
+                for unit, _ in parts:
+                    xp, ip, xs, dim, t_dim = next(spaces)
+                    x += unit * xp
+                    integral += unit * ip
+                    short += unit * xs
+                    report.krylov_dim = max(report.krylov_dim, dim)
+                    report.steps += dim
+                    report.tau_steps += dim - t_dim
+                chunk.append((J, tau, x, integral, short))
         J_c, tau_c = np.array([(J, tau) for J, tau, *_ in chunk]).T
         tilted = sp.kron(sp.diags(tau_c), L, format="csr") + sp.kron(
             sp.diags(0.5j * J_c * tau_c), W, format="csr"
@@ -501,6 +586,14 @@ def probability_density(
 
 
 def moments_from_grid(x_grid: np.ndarray, P_values: np.ndarray, orders=range(1, 7)) -> np.ndarray:
+    """Raw moments int x^n P(x) dx by the trapezoidal rule on ``x_grid``.
+
+    The weight x^n amplifies the rounding of P (and of Z behind it) towards
+    the edges of the x window, so orders 5 and 6 carry about 8 significant
+    digits: at the ``kerrloss noise`` defaults a change of Z by 4e-15 moves
+    m_6 = 142.13 by 1.8e-6 and m_4 by 7e-10.  Compare runs to that many
+    digits, not to all 17 that ``noise.json`` prints.
+    """
     return np.array(
         [float(np.trapezoid(P_values * x_grid**n, x_grid)) for n in orders]
     )
@@ -645,13 +738,16 @@ class NoiseRun:
     x_grid: np.ndarray = field(default=None)
     Z_values: np.ndarray = field(default=None)
     P_values: np.ndarray = field(default=None)
-    moments: np.ndarray = field(default=None)    # n = 1..6, from P
+    moments: np.ndarray = field(default=None)    # n = 1..6, from P; n = 5, 6 to ~8 digits
     cumulants: np.ndarray = field(default=None)  # n = 1..4, exact (cumulant_trace)
     doublings: int = 0                 # J-grid doublings of the tail gate
     backend: str | None = None         # of the Z(J) nodes, as "auto" resolved it
     krylov_dim: int | None = None      # largest Krylov dimension of a dense node
     check_dev: float | None = None     # worst dense node-check deviation
     lu_bandwidth: int | None = None    # half-bandwidth of the dense nodes' LU
+    krylov_steps: int | None = None    # Arnoldi steps over every Krylov space
+    tau_steps: int | None = None       # of them, steps after x(t) had converged
+    group_width: int | None = None     # most nodes run in lockstep
 
     @property
     def excess_kurtosis(self) -> float:
@@ -683,6 +779,9 @@ class NoiseRun:
                 "krylov_dim_max": self.krylov_dim,
                 "lu_bandwidth": self.lu_bandwidth,
                 "node_check_dev": self.check_dev,
+                "krylov_steps": self.krylov_steps,
+                "krylov_tau_steps": self.tau_steps,
+                "group_width": self.group_width,
                 "node_check_tol": _NODE_CHECK_TOL if self.backend == "dense" else None,
             }
         )
@@ -714,8 +813,10 @@ def run_noise(
     (keeping the J resolution) up to ``max_doublings`` times.  The doubled
     grid carries the previous nodes bit for bit, so each J is evaluated once.
     The run reports its doublings, the backend of its nodes and, on the
-    dense backend, the largest Krylov dimension, the worst node check and
-    the half-bandwidth of the nodes' LU.
+    dense backend, the largest Krylov dimension, the worst node check, the
+    half-bandwidth of the nodes' LU, the Arnoldi steps of all nodes, those
+    among them that served only the check at tau, and the widest group of
+    nodes run in lockstep.
     """
     J_grid = symmetric_J_grid(J_max, N_J)
     known: dict[float, complex] = {}
@@ -757,4 +858,7 @@ def run_noise(
         krylov_dim=report.krylov_dim if backend == "dense" else None,
         check_dev=report.check_dev if backend == "dense" else None,
         lu_bandwidth=report.bandwidth if backend == "dense" else None,
+        krylov_steps=report.steps if backend == "dense" else None,
+        tau_steps=report.tau_steps if backend == "dense" else None,
+        group_width=report.group_width if backend == "dense" else None,
     )

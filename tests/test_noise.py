@@ -197,8 +197,55 @@ def test_unconverged_krylov_space_raises(monkeypatch):
     monkeypatch.setattr(noise, "_KRYLOV_CAP", 8)
     with pytest.raises(InternalConsistencyError, match="not converged at dimension 8"):
         xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
+    # in a group run in lockstep, the stationary node J = 0 converges at
+    # dimension 1 and leaves; the others still raise at the cap
+    with pytest.raises(InternalConsistencyError, match="not converged at dimension 8"):
+        noise._evolve_nodes(NONLINEAR, [0.0, 2.0, 6.0], 2.0, vac)
     monkeypatch.undo()
     xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
+
+
+def _reported(run):
+    """The value of ``run()`` and the node report it filled."""
+    report = noise._NodeReport()
+    token = noise._REPORT.set(report)
+    try:
+        return run(), report
+    finally:
+        noise._REPORT.reset(token)
+
+
+def test_lockstep_group_with_a_stationary_node_equals_single_nodes():
+    # from the vacuum J = 0 is stationary: its Krylov space breaks down at
+    # dimension 1 and leaves the group at once, while the others run on to
+    # dimension 24-32 and leave at different checks; nine nodes fit one
+    # group at n_max 12, and each state equals its single-node result bit
+    # for bit, with the same Arnoldi steps
+    vac = vacuum(12)
+    form = real_form(NONLINEAR, vac.truncation)
+    Js = [float(J) for J in range(9)]
+    group, report = _reported(lambda: noise._evolve_nodes(NONLINEAR, Js, 5.0, vac, form=form))
+    assert report.group_width == len(Js)
+    singles = [_reported(lambda J=J: xi_evolve(NONLINEAR, J, 5.0, vac, form=form)) for J in Js]
+    assert singles[0][1].steps == 1 and singles[0][1].tau_steps == 0
+    assert all(24 <= single.steps <= 32 for _, single in singles[1:])
+    assert len({single.steps for _, single in singles[1:]}) > 1
+    assert report.steps == sum(single.steps for _, single in singles)
+    assert report.tau_steps == sum(single.tau_steps for _, single in singles)
+    for J, xi, (alone, _) in zip(Js, group, singles):
+        assert np.array_equal(xi.entries, alone.entries), J
+
+
+def test_group_width_follows_the_byte_budget():
+    # a group holds the LUs (3 * 2 n_max + 1 rows in dgbtrf layout) and the
+    # Krylov bases of its nodes: several nodes at n_max 12, one at n_max 40,
+    # where one LU and one basis of the capped dimension take about 18 MB
+    def width(n_max, parts=1):
+        return noise._group_width((n_max + 1) ** 2, 6 * n_max + 1, parts)
+
+    assert width(12) >= 2
+    assert 1 <= width(12, parts=2) <= width(12) <= noise._CHECK_CHUNK
+    assert width(40) == width(40, parts=2) == 1
 
 
 def _dense_propagate_per_node(params, initial, t, J, form):
@@ -251,8 +298,8 @@ def _dense_lu_nodes(initial, t, Js, form):
         for unit, part in ((1, c.real), (1j, c.imag)):
             if part.any():
                 xp, ip, *_ = noise._shift_invert_krylov(
-                    lambda b: lapack.dgetrs(lu, piv, b)[0], part, t, tau
-                )
+                    [lambda b: lapack.dgetrs(lu, piv, b)[0]], part[None], t, [tau]
+                )[0]
                 x += unit * xp
                 integral += unit * ip
         xi = (S @ x).reshape(initial.entries.shape)
@@ -582,6 +629,23 @@ def test_run_noise_reports_doublings_and_node_figures():
     assert payload["krylov_dim_max"] == run.krylov_dim
     assert payload["node_check_dev"] == run.check_dev
     assert payload["node_check_tol"] == noise._NODE_CHECK_TOL
+
+
+def test_run_noise_reports_arnoldi_steps_and_group_width():
+    # the t = 5 run of the benchmark's noise_grid workload: its 65 nodes take
+    # 1 (J = 0) to 32 Arnoldi steps each, some of them only for the check at
+    # tau once the solution at t has converged; they run in groups of several
+    import json
+
+    run = run_noise(NONLINEAR, vacuum(12), 5.0, J_max=8.0, N_J=65)
+    nodes = np.count_nonzero(run.J_grid >= 0)
+    assert nodes <= run.krylov_steps <= nodes * run.krylov_dim
+    assert 0 < run.tau_steps < run.krylov_steps
+    assert 2 <= run.group_width <= noise._CHECK_CHUNK
+    payload = json.loads(run.to_json())
+    assert payload["krylov_steps"] == run.krylov_steps
+    assert payload["krylov_tau_steps"] == run.tau_steps
+    assert payload["group_width"] == run.group_width
 
 
 def test_run_noise_reports_the_lu_bandwidth():
