@@ -14,8 +14,8 @@ come by four routes that the tests compare:
   form of the tilted generator (banded with half-bandwidth 2 n_max in its
   |m|-major basis), and a shift-and-invert Krylov space on it; the Krylov
   spaces of a group of nodes, as many as a byte budget on their LUs and
-  bases allows, run in lockstep, and each chunk of up to 16 nodes is
-  checked at a short step by one sparse exponential;
+  bases allows, run in lockstep, and each space is checked on its
+  shift-and-invert relation against the operator-level generator;
 - nested time-ordered quadrature of multi-time V^o correlators
   (:func:`moment_by_correlator_quadrature`).
 """
@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .fockbasis import FockState, Truncation
-from .oracle import _THETA13, expm_propagate, multi_time_correlators
+from .oracle import expm_propagate, multi_time_correlators
 from .superops import InternalConsistencyError, ModelParams, check_time, full_generator
 
 __all__ = [
@@ -146,18 +146,18 @@ _STRIDE = 4
 #: vector, below which it counts as converged
 _KRYLOV_TOL = 1e-13
 #: Krylov dimension at which a node that has not converged raises.  Nodes
-#: converge at 16-40 (n_max 12 to 40); a real form smaller than this caps
+#: converge by dimension 32 (n_max 12 to 40); a real form smaller than this caps
 #: the space at its own dimension, where the space is the whole space and
 #: the solution exact
 _KRYLOV_CAP = 1089
-#: deviation of a node's short-step solution from the sparse exponential,
-#: relative to max(1, its largest entry), above which the node is refused
-_NODE_CHECK_TOL = 1e-8
-#: J nodes whose short-step solutions one sparse exponential checks at once
-_CHECK_CHUNK = 16
+#: deviation of a node's shift-and-invert relation from the operator-level
+#: generator, on unit Krylov vectors, above which the node is refused.  The
+#: right form gives at most 1.1e-14 (n_max 12 to 40, t 0.01 to 20); a G_W of
+#: the wrong sign gives 4e-4 at J = 1e-3
+_NODE_CHECK_TOL = 1e-10
 #: bytes of banded LUs and Krylov bases held by one group of nodes whose
-#: Krylov spaces run in lockstep: 9 nodes from the vacuum at n_max 12 (so
-#: a 16-node chunk runs as two groups of 8), one node from n_max 19 up
+#: Krylov spaces run in lockstep: 9 nodes from the vacuum at n_max 12, one
+#: node from n_max 19 up
 _GROUP_BYTES = 3 * 2**20
 #: unit roundoff, against which an Arnoldi step counts as a breakdown
 _EPS = float(np.finfo(float).eps)
@@ -167,14 +167,14 @@ def _group_width(n: int, lu_rows: int, parts: int) -> int:
     """Nodes per group: as many as fit in _GROUP_BYTES, each holding a
     ``dgbtrf`` LU of ``lu_rows`` rows and ``parts`` Krylov bases of
     min(n, _KRYLOV_CAP) + 1 rows, on the real-form dimension ``n``; at least
-    one and at most _CHECK_CHUNK."""
+    one."""
     per_node = 8 * n * (lu_rows + parts * (min(n, _KRYLOV_CAP) + 1))
-    return max(1, min(_CHECK_CHUNK, _GROUP_BYTES // per_node))
+    return max(1, _GROUP_BYTES // per_node)
 
 
-def _exp_e1(ritz: np.ndarray, time) -> np.ndarray:
-    """Rows e^{time A} e_1 and int_0^time e^{sA} e_1 ds / time for each A of
-    the stack ``ritz``, at its own entry of ``time``.
+def _exp_e1(ritz: np.ndarray, t: float) -> np.ndarray:
+    """Rows e^{tA} e_1 and int_0^t e^{sA} e_1 ds / t for each A of the
+    stack ``ritz``.
 
     The integral is the last column of one exponential of A bordered by e_1
     (Van Loan, IEEE TAC 23, 395 (1978)); ``scipy.linalg.expm`` scales each
@@ -183,12 +183,11 @@ def _exp_e1(ritz: np.ndarray, time) -> np.ndarray:
     import scipy.linalg as sla
 
     k, m = ritz.shape[:2]
-    time = np.broadcast_to(np.asarray(time, dtype=float), (k,))
     K = np.zeros((k, m + 1, m + 1))
-    K[:, :m, :m] = ritz * time[:, None, None]
-    K[:, 0, m] = time
+    K[:, :m, :m] = ritz * t
+    K[:, 0, m] = t
     E = sla.expm(K)
-    return np.stack([E[:, :m, 0], E[:, :m, m] / time[:, None]], axis=1)
+    return np.stack([E[:, :m, 0], E[:, :m, m] / t], axis=1)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -203,10 +202,10 @@ def _moved(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(change, axis=1)))
 
 
-def _shift_invert_krylov(solves, vs: np.ndarray, t: float, taus) -> list[tuple]:
-    """For each start vector v = vs[k]: x(t), int_0^t x(s) ds and x(taus[k])
-    for x' = B_k x from x(0) = v, the Krylov dimension that gave them and
-    the one at which x(t) had converged.
+def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tuple]:
+    """For each start vector v = vs[k]: x(t) and int_0^t x(s) ds for
+    x' = B_k x from x(0) = v, the Krylov dimension that gave them and the
+    deviation of the space's shift-and-invert relation.
 
     ``solves[k]`` maps b to (I - gamma B_k)^-1 b, gamma = t / 10, from one
     LU factor of I - gamma B_k, in a new array.  Arnoldi on
@@ -214,33 +213,39 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, taus) -> list[tuple]:
     is the projection of B_k, so x(s) ~ |v| V_m e^{s A_m} e_1 (van den Eshof
     & Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006)); the cost does not
     grow with |B_k| t.  Every _STRIDE steps the solution at t, with its
-    integral, is compared with the previous check, and once it has
-    converged so is the solution at tau; each counts as converged when it
-    moves by less than _KRYLOV_TOL.  A space that reaches the real-form
-    dimension, or an invariant subspace, holds the exact solution.  A space
-    that has not converged at _KRYLOV_CAP raises.
+    integral, is compared with the previous check and counts as converged
+    when it moves by less than _KRYLOV_TOL.  A space that reaches the
+    real-form dimension, or an invariant subspace, holds the exact solution.
+    A space that has not converged at _KRYLOV_CAP raises.
+
+    A space accepted at dimension m is checked against B_k itself, which
+    ``operator(owners, X)`` applies to each row X[r] as B of space
+    owners[r], independently of the LU: the columns w_j of V_{m+1} Hbar_m,
+    the solve outputs the projection stands for, must satisfy
+    (I - gamma B_k) w_j = v_j; the deviation is the largest 2-norm of
+    (I - gamma B_k) w_j - v_j over j.  A wrong form or LU shows in it at
+    full size, not scaled down by a short step.
 
     The spaces run in lockstep, one dimension at a time: one solve per live
     space, then Gram-Schmidt (classical, repeated once), the norms and the
     H updates as stacked products over the live spaces.  A check takes one
-    stacked inverse of the H_m, one stacked bordered exponential for the
-    spaces still solving at t and one for those at their tau.  A space
-    leaves once its solution at tau has converged.  No operation mixes two
-    spaces, so each result is, bit for bit, the one the space gives alone.
-    V and H grow by doubling, so they hold about the dimensions reached.
+    stacked inverse of the H_m, one stacked bordered exponential and, for
+    the spaces it accepts, one ``operator`` call on all their w_j.  A space
+    leaves once accepted.  No operation mixes two spaces, so each result is,
+    bit for bit, the one the space gives alone.  V and H grow by doubling,
+    so they hold about the dimensions reached.
     """
     k, n = vs.shape
     gamma = _SHIFT * t
     cap = min(n, _KRYLOV_CAP)
-    taus = np.asarray(taus, dtype=float)
     beta = _norms(vs)
     V = np.empty((k, min(cap, 4 * _STRIDE) + 1, n))
     H = np.zeros((k, V.shape[1], V.shape[1] - 1))
     V[:, 0] = vs / beta[:, None]
-    # the space in each slot of V and H; x(t) and its dimension, the
-    # solution of the current phase at the last check, and the result, per space
+    # the space in each slot of V and H; its solution at the last check and
+    # its result, per space
     live = list(range(k))
-    at_t, t_dim, last, out = [None] * k, [0] * k, [None] * k, [None] * k
+    last, out = [None] * k, [None] * k
     for m in range(1, cap + 1):
         if m == V.shape[1]:
             rows = min(2 * m, cap + 1)
@@ -261,27 +266,28 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, taus) -> list[tuple]:
         slots = range(nlive) if m % _STRIDE == 0 else [s for s in range(nlive) if whole[s]]
         if slots:
             ritz = (np.eye(m) - np.linalg.inv(H[slots, :m, :m])) / gamma
-            at_t_phase = [c for c, s in enumerate(slots) if at_t[live[s]] is None]
-            if at_t_phase:
-                for c, y in zip(at_t_phase, _exp_e1(ritz[at_t_phase], t)):
-                    s, i = slots[c], live[slots[c]]
-                    if whole[s] or (last[i] is not None and _moved(y, last[i]) <= _KRYLOV_TOL):
-                        # converged at t: the phase at tau starts at this check
-                        at_t[i], t_dim[i], y = beta[i] * (y @ V[s, :m]), m, None
-                    last[i] = y
-            at_tau = [c for c, s in enumerate(slots) if at_t[live[s]] is not None]
-            if at_tau:
-                spaces = [live[slots[c]] for c in at_tau]
-                for c, i, y in zip(at_tau, spaces, _exp_e1(ritz[at_tau], taus[spaces])):
-                    s = slots[c]
-                    if whole[s] or (last[i] is not None and _moved(y, last[i]) <= _KRYLOV_TOL):
-                        x, integral = at_t[i]
-                        out[i] = (x, integral * t, beta[i] * (y[0] @ V[s, :m]), m, t_dim[i])
-                    last[i] = y
-            kept = [s for s in range(nlive) if out[live[s]] is None]
-            if not kept:
-                return out
-            if len(kept) < nlive:
+            # x(t) and its integral over t of each space accepted at this check
+            done = {}
+            for s, y in zip(slots, _exp_e1(ritz, t)):
+                i = live[s]
+                if whole[s] or (last[i] is not None and _moved(y, last[i]) <= _KRYLOV_TOL):
+                    done[s] = beta[i] * (y @ V[s, :m])
+                last[i] = y
+            if done:
+                acc = list(done)
+                # column j of V_{m+1} Hbar_m; the last one adds w = h_{m+1,m} v_{m+1}
+                solved = H[acc, :m, :m].transpose(0, 2, 1) @ V[acc, :m]
+                solved[:, m - 1] += w[acc]
+                owners = np.repeat([live[s] for s in acc], m)
+                moved = operator(owners, solved.reshape(-1, n)).reshape(len(acc), m, n)
+                residual = solved - gamma * moved - V[acc, :m]
+                devs = np.max(np.linalg.norm(residual, axis=2), axis=1)
+                for s, dev in zip(acc, devs):
+                    x, integral = done[s]
+                    out[live[s]] = (x, integral * t, m, float(dev))
+                kept = [s for s in range(nlive) if out[live[s]] is None]
+                if not kept:
+                    return out
                 live, w = [live[s] for s in kept], w[kept]
                 V[: len(kept), :m] = V[kept, :m]
                 H[: len(kept), : m + 1, :m] = H[kept, : m + 1, :m]
@@ -294,15 +300,13 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, taus) -> list[tuple]:
 @dataclass
 class _NodeReport:
     """Figures of the dense route's nodes over one :func:`run_noise`: the
-    worst ones, the Arnoldi steps summed over every Krylov space, the steps
-    a space ran after its solution at t had converged, for the check at
-    tau alone, and the widest group of nodes run in lockstep."""
+    worst ones, the Arnoldi steps summed over every Krylov space and the
+    widest group of nodes run in lockstep."""
 
     krylov_dim: int = 0
     check_dev: float = 0.0
     bandwidth: int = 0
     steps: int = 0
-    tau_steps: int = 0
     group_width: int = 0
 
 
@@ -321,13 +325,13 @@ def _dense_propagate(
     The bands of G_L and G_W are read once per call, their widths kl below
     and ku above the diagonal taken from their nonzeros (2 n_max each for
     :func:`real_form`), so the LU and its solves cost O(n kl^2) and O(n kl)
-    on the real-form dimension n = (n_max + 1)^2.  The nodes run in groups
-    within their check chunk: a group factors the LUs of its nodes and runs
-    all their Krylov spaces in lockstep, so that each step is a few stacked
-    products over the group and not a dozen small calls per node.  The group
-    width comes from a byte budget on the LUs and Krylov bases it holds
-    (:func:`_group_width`): 9 nodes from the vacuum at n_max 12, and one
-    from n_max 19 up, where one LU and one basis fill the budget.
+    on the real-form dimension n = (n_max + 1)^2.  The nodes run in groups:
+    a group factors the LUs of its nodes and runs all their Krylov spaces
+    in lockstep, so that each step is a few stacked products over the group
+    and not a dozen small calls per node.  The group width comes from a
+    byte budget on the LUs and Krylov bases it holds (:func:`_group_width`):
+    9 nodes from the vacuum at n_max 12, and one from n_max 19 up, where
+    one LU and one basis fill the budget.
 
     A Krylov solution carries rounding relative to |c|, which would leave
     noise in Z(J) that swamps finite differences in J.  Since w^T G_L = 0
@@ -336,29 +340,27 @@ def _dense_propagate(
     J term; the vacuum population takes up its difference to the trace of
     the evolved state.
 
-    Each node's solution at a short step tau, with |B|_1 tau <= theta13, is
-    checked against a sparse exponential over tau of the operator-level
-    generator L + i(J/2) W: one ``expm_multiply`` on the block diagonal of
-    up to 16 nodes.  The largest Krylov dimension, the worst check
-    deviation, the LU half-bandwidth max(kl, ku), the Arnoldi steps, those
-    run after x(t) had converged, and the widest group go to the report of
-    the :func:`run_noise` call in progress.
+    Each Krylov space is checked on its shift-and-invert relation against
+    the operator-level generator, B x = S^H (L + i(J/2) W)(S x), which
+    takes neither G_L, G_W nor the LU; a node whose deviation exceeds
+    _NODE_CHECK_TOL raises.  The largest Krylov dimension, the worst
+    deviation, the LU half-bandwidth max(kl, ku), the Arnoldi steps and the
+    widest group go to the report of the :func:`run_noise` call in progress.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
     from scipy.linalg import lapack
 
-    if t == 0:
+    if t == 0 or len(Js) == 0:
         return [initial.copy() for _ in Js]
     S = form.S
+    Sh = S.conj().T.tocsr()
     n = S.shape[0]
     shape = initial.entries.shape
     # the diagonal basis vectors of S carry the phase (-1)^i, the others no trace
     w = (S.T @ np.eye(shape[0]).ravel()).real
     drift = form.G_W.T @ w
-    rho0 = initial.entries.ravel().astype(complex)
     # S is unitary, so S^-1 = S^H
-    c = S.conj().T @ rho0
+    c = Sh @ initial.entries.ravel().astype(complex)
     parts = [(unit, part) for unit, part in ((1, c.real), (1j, c.imag)) if part.any()]
     action = full_generator(params, initial.truncation)
     L, W = action.sparse_matrix(), action.source_matrix()
@@ -374,57 +376,50 @@ def _dense_propagate(
         np.add.at(band, (ku + G.row - G.col, G.col), G.data)
     report.bandwidth = max(report.bandwidth, kl, ku)
 
+    nodes = np.asarray(Js, dtype=float)
     width = _group_width(n, 2 * kl + ku + 1, len(parts))
     out = []
-    for first in range(0, len(Js), _CHECK_CHUNK):
-        nodes = np.asarray(Js[first : first + _CHECK_CHUNK], dtype=float)
-        chunk = []
-        # groups of at most ``width`` nodes, of sizes that differ by one at most
-        for group in np.array_split(nodes, -(-nodes.size // width)):
-            taus, solves = [], []
-            for J in group:
-                # dgbtrf layout: kl rows for the fill-in of the LU above the band
-                ab = np.zeros((2 * kl + ku + 1, n), order="F")
-                band = np.multiply(bands[1], J, out=ab[kl:])
-                band += bands[0]
-                taus.append(t / max(1, math.ceil(np.abs(band).sum(axis=0).max() * t / _THETA13)))
-                band *= -_SHIFT * t
-                ab[kl + ku] += 1
-                lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
-                if info != 0:
-                    raise InternalConsistencyError(f"I - gamma B singular at J={J}")
-                solves.append(lambda b, lu=lu, piv=piv: lapack.dgbtrs(lu, kl, ku, b, piv)[0])
-            # one Krylov space per node and nonzero part, node-major
-            spaces = iter(_shift_invert_krylov(
-                [solve for solve in solves for _ in parts],
-                np.array([part for _ in group for _, part in parts]),
-                t,
-                [tau for tau in taus for _ in parts],
-            ))
-            report.group_width = max(report.group_width, group.size)
-            for J, tau in zip(group, taus):
-                x, integral, short = np.zeros((3, n), dtype=complex)
-                for unit, _ in parts:
-                    xp, ip, xs, dim, t_dim = next(spaces)
-                    x += unit * xp
-                    integral += unit * ip
-                    short += unit * xs
-                    report.krylov_dim = max(report.krylov_dim, dim)
-                    report.steps += dim
-                    report.tau_steps += dim - t_dim
-                chunk.append((J, tau, x, integral, short))
-        J_c, tau_c = np.array([(J, tau) for J, tau, *_ in chunk]).T
-        tilted = sp.kron(sp.diags(tau_c), L, format="csr") + sp.kron(
-            sp.diags(0.5j * J_c * tau_c), W, format="csr"
-        )
-        refs = spla.expm_multiply(tilted, np.tile(rho0, len(chunk))).reshape(len(chunk), n)
-        for (J, tau, x, integral, short), via_expm in zip(chunk, refs):
-            dev = np.max(np.abs(S @ short - via_expm)) / max(1.0, np.max(np.abs(via_expm)))
-            report.check_dev = max(report.check_dev, dev)
-            if dev > _NODE_CHECK_TOL:
-                raise InternalConsistencyError(
-                    f"tilted-generator Krylov solution unreliable (dev {dev:.3e}, J={J})"
-                )
+    # groups of at most ``width`` nodes, of sizes that differ by one at most
+    for group in np.array_split(nodes, -(-nodes.size // width)):
+        solves = []
+        for J in group:
+            # dgbtrf layout: kl rows for the fill-in of the LU above the band
+            ab = np.zeros((2 * kl + ku + 1, n), order="F")
+            band = np.multiply(bands[1], J, out=ab[kl:])
+            band += bands[0]
+            band *= -_SHIFT * t
+            ab[kl + ku] += 1
+            lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+            if info != 0:
+                raise InternalConsistencyError(f"I - gamma B singular at J={J}")
+            solves.append(lambda b, lu=lu, piv=piv: lapack.dgbtrs(lu, kl, ku, b, piv)[0])
+        # one Krylov space per node and nonzero part, node-major
+        drives = 0.5j * np.repeat(group, len(parts))
+
+        def operator(owners, X):
+            Y = S @ X.T
+            return (Sh @ (L @ Y + (W @ Y) * drives[owners])).T
+
+        results = iter(_shift_invert_krylov(
+            [solve for solve in solves for _ in parts],
+            np.array([part for _ in group for _, part in parts]),
+            t,
+            operator,
+        ))
+        report.group_width = max(report.group_width, group.size)
+        for J in group:
+            x, integral = np.zeros((2, n), dtype=complex)
+            for unit, _ in parts:
+                xp, ip, dim, dev = next(results)
+                x += unit * xp
+                integral += unit * ip
+                report.krylov_dim = max(report.krylov_dim, dim)
+                report.steps += dim
+                report.check_dev = max(report.check_dev, dev)
+                if dev > _NODE_CHECK_TOL:
+                    raise InternalConsistencyError(
+                        f"tilted-generator Krylov solution unreliable (dev {dev:.3e}, J={J})"
+                    )
             xi = (S @ x).reshape(shape)
             xi[0, 0] += w @ c + J * (drift @ integral) - np.trace(xi)
             out.append(FockState(xi))
@@ -743,10 +738,9 @@ class NoiseRun:
     doublings: int = 0                 # J-grid doublings of the tail gate
     backend: str | None = None         # of the Z(J) nodes, as "auto" resolved it
     krylov_dim: int | None = None      # largest Krylov dimension of a dense node
-    check_dev: float | None = None     # worst dense node-check deviation
+    check_dev: float | None = None     # worst shift-and-invert relation deviation
     lu_bandwidth: int | None = None    # half-bandwidth of the dense nodes' LU
     krylov_steps: int | None = None    # Arnoldi steps over every Krylov space
-    tau_steps: int | None = None       # of them, steps after x(t) had converged
     group_width: int | None = None     # most nodes run in lockstep
 
     @property
@@ -780,7 +774,6 @@ class NoiseRun:
                 "lu_bandwidth": self.lu_bandwidth,
                 "node_check_dev": self.check_dev,
                 "krylov_steps": self.krylov_steps,
-                "krylov_tau_steps": self.tau_steps,
                 "group_width": self.group_width,
                 "node_check_tol": _NODE_CHECK_TOL if self.backend == "dense" else None,
             }
@@ -813,10 +806,10 @@ def run_noise(
     (keeping the J resolution) up to ``max_doublings`` times.  The doubled
     grid carries the previous nodes bit for bit, so each J is evaluated once.
     The run reports its doublings, the backend of its nodes and, on the
-    dense backend, the largest Krylov dimension, the worst node check, the
-    half-bandwidth of the nodes' LU, the Arnoldi steps of all nodes, those
-    among them that served only the check at tau, and the widest group of
-    nodes run in lockstep.
+    dense backend, the largest Krylov dimension, the worst deviation of a
+    node's shift-and-invert relation (against _NODE_CHECK_TOL), the
+    half-bandwidth of the nodes' LU, the Arnoldi steps of all nodes and the
+    widest group of nodes run in lockstep.
     """
     J_grid = symmetric_J_grid(J_max, N_J)
     known: dict[float, complex] = {}
@@ -859,6 +852,5 @@ def run_noise(
         check_dev=report.check_dev if backend == "dense" else None,
         lu_bandwidth=report.bandwidth if backend == "dense" else None,
         krylov_steps=report.steps if backend == "dense" else None,
-        tau_steps=report.tau_steps if backend == "dense" else None,
         group_width=report.group_width if backend == "dense" else None,
     )

@@ -134,8 +134,7 @@ def test_auto_backend_is_dense_at_every_cutoff():
 
 def test_dense_route_matches_expm_across_times():
     # t = 0 returns the initial state untouched; from t = 0.01 to 20 the
-    # shifted matrix gamma B (gamma = t/10) grows from 1-norm 0.17 to 3000,
-    # and the check step tau from t itself to about t/5500
+    # shifted matrix gamma B (gamma = t/10) grows from 1-norm 0.17 to 3000
     n_max = 9
     coherent = FockState.coherent(Truncation(n_max), 0.6 + 0.3j)
     for params in (NONLINEAR, GENERIC):
@@ -150,40 +149,58 @@ def test_dense_route_matches_expm_across_times():
 
 
 def test_dense_route_self_check_fires_on_a_wrong_form():
-    # with the sign of G_W flipped the Krylov solution evolves under -J;
-    # the check of its short step against the sparse exponential catches it
+    # with the sign of G_W flipped the LU solves (I - gamma B) for -J; the
+    # shift-and-invert relation against the operator-level generator sees
+    # it on every Krylov vector at full size: dev 4.2e-4 at J = 1e-3
     vac = vacuum(9)
     form = real_form(NONLINEAR, vac.truncation)
     flipped = noise.RealForm(form.S, form.G_L, -form.G_W)
-    xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=form)
+    for J in (1e-3, 6.0):
+        xi_evolve(NONLINEAR, J, 2.0, vac, backend="dense", form=form)
+        with pytest.raises(InternalConsistencyError, match="solution unreliable"):
+            xi_evolve(NONLINEAR, J, 2.0, vac, backend="dense", form=flipped)
+
+
+def test_dense_route_self_check_fires_on_a_perturbed_lu(monkeypatch):
+    # banded solves off by up to 1e-6 relative, entry by entry, leave the
+    # real form intact but break (I - gamma B) w_j = v_j by about as much
+    vac = vacuum(9)
+    solve = lapack.dgbtrs
+
+    def perturbed(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        return x * (1 + 1e-6 * np.cos(np.arange(x.size))), info
+
+    monkeypatch.setattr(lapack, "dgbtrs", perturbed)
     with pytest.raises(InternalConsistencyError, match="solution unreliable"):
-        xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense", form=flipped)
+        xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
 
 
-def test_dense_route_flags_the_unreliable_chunk_of_a_grid(monkeypatch):
-    # the sparse check runs per chunk of 16 nodes: on a grid whose first 16
-    # nodes sit within 1e-11 of J = 0 a flipped G_W passes the first chunk
-    # and is caught in the second
+def test_dense_route_flags_the_unreliable_nodes_of_a_grid(monkeypatch):
+    # a flipped G_W moves the relation by about 6e-12 within 1.5e-11 of
+    # J = 0, below the tolerance: a grid of such nodes passes, and the same
+    # grid widened by J = 1, 2, 3 raises
     vac = vacuum(9)
     form = real_form(NONLINEAR, vac.truncation)
     monkeypatch.setattr(noise, "real_form", lambda *_: noise.RealForm(form.S, form.G_L, -form.G_W))
     tiny = 1e-12 * np.arange(16)
-    first_chunk = np.concatenate([-tiny[:0:-1], tiny])
-    generating_function(NONLINEAR, vac, 2.0, first_chunk)
+    generating_function(NONLINEAR, vac, 2.0, np.concatenate([-tiny[:0:-1], tiny]))
     half = np.concatenate([tiny, [1.0, 2.0, 3.0]])
     with pytest.raises(InternalConsistencyError, match="solution unreliable"):
         generating_function(NONLINEAR, vac, 2.0, np.concatenate([-half[:0:-1], half]))
 
 
-def test_dense_route_checks_every_node_of_a_chunk():
-    # among nodes within 1e-11 of J = 0 a flipped G_W moves only the one at
-    # J = 1; wherever that node sits in its chunk, its own check catches it
+def test_dense_route_checks_every_node_of_a_group():
+    # among nodes within 1.5e-11 of J = 0 a flipped G_W moves only the one
+    # at J = 1; wherever that node sits in its lockstep group, its own
+    # check catches it
     vac = vacuum(6)
     form = real_form(NONLINEAR, vac.truncation)
     flipped = noise.RealForm(form.S, form.G_L, -form.G_W)
-    tiny = list(1e-12 * np.arange(noise._CHECK_CHUNK))
+    tiny = list(1e-12 * np.arange(16))
+    assert noise._group_width(7**2, 6 * 6 + 1, 1) >= len(tiny)
     noise._dense_propagate(NONLINEAR, vac, 2.0, tiny, flipped)
-    for k in range(noise._CHECK_CHUNK):
+    for k in range(len(tiny)):
         Js = tiny.copy()
         Js[k] = 1.0
         with pytest.raises(InternalConsistencyError, match="solution unreliable"):
@@ -218,20 +235,20 @@ def _reported(run):
 def test_lockstep_group_with_a_stationary_node_equals_single_nodes():
     # from the vacuum J = 0 is stationary: its Krylov space breaks down at
     # dimension 1 and leaves the group at once, while the others run on to
-    # dimension 24-32 and leave at different checks; nine nodes fit one
+    # dimension 12-16 and leave at different checks; nine nodes fit one
     # group at n_max 12, and each state equals its single-node result bit
     # for bit, with the same Arnoldi steps
     vac = vacuum(12)
     form = real_form(NONLINEAR, vac.truncation)
     Js = [float(J) for J in range(9)]
-    group, report = _reported(lambda: noise._evolve_nodes(NONLINEAR, Js, 5.0, vac, form=form))
+    group, report = _reported(lambda: noise._evolve_nodes(NONLINEAR, Js, 20.0, vac, form=form))
     assert report.group_width == len(Js)
-    singles = [_reported(lambda J=J: xi_evolve(NONLINEAR, J, 5.0, vac, form=form)) for J in Js]
-    assert singles[0][1].steps == 1 and singles[0][1].tau_steps == 0
-    assert all(24 <= single.steps <= 32 for _, single in singles[1:])
+    singles = [_reported(lambda J=J: xi_evolve(NONLINEAR, J, 20.0, vac, form=form)) for J in Js]
+    assert singles[0][1].steps == 1
+    assert all(12 <= single.steps <= 16 for _, single in singles[1:])
     assert len({single.steps for _, single in singles[1:]}) > 1
     assert report.steps == sum(single.steps for _, single in singles)
-    assert report.tau_steps == sum(single.tau_steps for _, single in singles)
+    assert report.check_dev == max(single.check_dev for _, single in singles)
     for J, xi, (alone, _) in zip(Js, group, singles):
         assert np.array_equal(xi.entries, alone.entries), J
 
@@ -243,8 +260,8 @@ def test_group_width_follows_the_byte_budget():
     def width(n_max, parts=1):
         return noise._group_width((n_max + 1) ** 2, 6 * n_max + 1, parts)
 
-    assert width(12) >= 2
-    assert 1 <= width(12, parts=2) <= width(12) <= noise._CHECK_CHUNK
+    assert width(12) == 9
+    assert 1 <= width(12, parts=2) <= width(12)
     assert width(40) == width(40, parts=2) == 1
 
 
@@ -281,8 +298,7 @@ def _dense_lu_nodes(initial, t, Js, form):
     """Z(J) nodes by the earlier dense-LU route: the real form densified,
     one ``dgetrf`` of I - (t/10) B per node and the shift-and-invert Krylov
     space solved by ``dgetrs``, with the trace from the source integral.
-    The chunked check against ``expm_multiply`` changes no value and is
-    left out."""
+    The Krylov relation is checked against the densified B itself."""
     S = form.S
     n = S.shape[0]
     G_L, G_W = form.G_L.toarray(), form.G_W.toarray()
@@ -291,15 +307,16 @@ def _dense_lu_nodes(initial, t, Js, form):
     Z = []
     for J in Js:
         B = G_L + J * G_W
-        tau = t / max(1, math.ceil(np.linalg.norm(B, 1) * t / oracle._THETA13))
         lu, piv, info = lapack.dgetrf(np.eye(n) - noise._SHIFT * t * B)
         assert info == 0
         x, integral = np.zeros((2, n), dtype=complex)
         for unit, part in ((1, c.real), (1j, c.imag)):
             if part.any():
-                xp, ip, *_ = noise._shift_invert_krylov(
-                    [lambda b: lapack.dgetrs(lu, piv, b)[0]], part[None], t, [tau]
+                xp, ip, _, dev = noise._shift_invert_krylov(
+                    [lambda b: lapack.dgetrs(lu, piv, b)[0]], part[None], t,
+                    lambda _, X: X @ B.T,
                 )[0]
+                assert dev <= 1e-13
                 x += unit * xp
                 integral += unit * ip
         xi = (S @ x).reshape(initial.entries.shape)
@@ -333,11 +350,12 @@ def test_batched_grid_matches_the_per_node_route():
         assert np.max(np.abs(Z[grid >= 0] - ref)) <= 1e-12, t
 
 
-def test_batch_over_several_chunks_equals_single_nodes():
-    # 37 nodes span three check chunks; each node's LU and Krylov space do
+def test_batch_over_several_groups_equals_single_nodes():
+    # 37 nodes span two lockstep groups; each node's LU and Krylov space do
     # not depend on its batch, so the states agree bit for bit
     coherent = FockState.coherent(Truncation(8), 0.5 - 0.2j)
     Js = list(np.linspace(0.0, 9.0, 37))
+    assert len(Js) > noise._group_width(9**2, 6 * 8 + 1, 2) >= len(Js) / 2
     batch = noise._evolve_nodes(NONLINEAR, Js, 3.0, coherent)
     for J, xi in zip(Js, batch):
         single = xi_evolve(NONLINEAR, J, 3.0, coherent)
@@ -615,37 +633,39 @@ def test_run_noise_adaptive_doubling():
 
 
 def test_run_noise_reports_doublings_and_node_figures():
-    # the t = 5 run of the benchmark's noise_grid workload doubles its J grid
-    # once; its Krylov dimension and node-check margin are reported on success
+    # the two runs of the benchmark's noise_grid workload, the first of which
+    # doubles its J grid once; the Krylov dimension and the worst deviation
+    # of a node's shift-and-invert relation are reported on success, with a
+    # margin of 1e3 or more below the tolerance
     import json
 
-    run = run_noise(NONLINEAR, vacuum(12), 5.0, J_max=8.0, N_J=65)
-    assert run.doublings == 1 and len(run.J_grid) == 129
-    assert run.backend == "dense"
-    assert 1 <= run.krylov_dim <= 13**2
-    assert 0 < run.check_dev <= noise._NODE_CHECK_TOL
-    payload = json.loads(run.to_json())
-    assert payload["grid_doublings"] == 1
-    assert payload["krylov_dim_max"] == run.krylov_dim
-    assert payload["node_check_dev"] == run.check_dev
-    assert payload["node_check_tol"] == noise._NODE_CHECK_TOL
+    for t, N_J, doublings in ((5.0, 65, 1), (20.0, 129, 0)):
+        run = run_noise(NONLINEAR, vacuum(12), t, J_max=8.0, N_J=N_J)
+        assert run.doublings == doublings and len(run.J_grid) == 129
+        assert run.backend == "dense"
+        assert 1 <= run.krylov_dim <= 13**2
+        assert 0 < run.check_dev <= 1e-13 <= 1e-3 * noise._NODE_CHECK_TOL
+        payload = json.loads(run.to_json())
+        assert payload["grid_doublings"] == doublings
+        assert payload["krylov_dim_max"] == run.krylov_dim
+        assert payload["node_check_dev"] == run.check_dev
+        assert payload["node_check_tol"] == noise._NODE_CHECK_TOL
 
 
 def test_run_noise_reports_arnoldi_steps_and_group_width():
-    # the t = 5 run of the benchmark's noise_grid workload: its 65 nodes take
-    # 1 (J = 0) to 32 Arnoldi steps each, some of them only for the check at
-    # tau once the solution at t has converged; they run in groups of several
+    # the t = 5 run of the benchmark's noise_grid workload: its 65 nodes
+    # take 1 (J = 0) to 16 Arnoldi steps each, each space stopping once its
+    # solution at t has converged; they run in groups of up to nine
     import json
 
     run = run_noise(NONLINEAR, vacuum(12), 5.0, J_max=8.0, N_J=65)
     nodes = np.count_nonzero(run.J_grid >= 0)
-    assert nodes <= run.krylov_steps <= nodes * run.krylov_dim
-    assert 0 < run.tau_steps < run.krylov_steps
-    assert 2 <= run.group_width <= noise._CHECK_CHUNK
+    assert nodes <= run.krylov_steps <= nodes * run.krylov_dim <= nodes * 16
+    assert run.group_width == noise._group_width(13**2, 6 * 12 + 1, 1) == 9
     payload = json.loads(run.to_json())
     assert payload["krylov_steps"] == run.krylov_steps
-    assert payload["krylov_tau_steps"] == run.tau_steps
     assert payload["group_width"] == run.group_width
+    assert "krylov_tau_steps" not in payload
 
 
 def test_run_noise_reports_the_lu_bandwidth():
