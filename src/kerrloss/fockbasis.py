@@ -205,13 +205,8 @@ def to_blocks(state: FockState) -> dict[int, BlockVector]:
             for m in trunc.blocks()}
 
 
-def from_blocks(blocks: dict[int, BlockVector], trunc: Truncation | None = None) -> FockState:
+def from_blocks(blocks: dict[int, BlockVector], trunc: Truncation) -> FockState:
     """Exact inverse of :func:`to_blocks`; missing blocks are taken as zero."""
-    if trunc is None:
-        if not blocks:
-            raise ValueError("cannot infer truncation from empty block set")
-        some = next(iter(blocks.values()))
-        trunc = Truncation(len(some.coeffs) - 1 + abs(some.m))
     rows, cols, _ = block_layout(trunc)
     entries = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     for m, block in blocks.items():

@@ -59,6 +59,8 @@ P_NORM_TOL = 1e-6
 #: cutoff weight, relative to the largest entry, above which a state counts
 #: as truncated
 TOP_TOL = 1e-6
+#: J-grid doublings of :func:`run_noise` before its tail gate gives up
+MAX_DOUBLINGS = 3
 #: highest Dyson order of Z at J = 0 that cumulant_trace carries (kappa_1..4)
 CUMULANT_ORDER = 4
 
@@ -426,76 +428,53 @@ def _dense_propagate(
     return out
 
 
-def _resolve_backend(params: ModelParams, trunc: Truncation, backend: str) -> str:
-    """Resolve "auto": the dense route for stiff runs (kappa2 > 0) at any
-    cutoff, the sparse exponential otherwise."""
-    if backend == "auto":
-        return "dense" if params.kappa2 > 0 else "expm"
-    if backend not in ("dense", "expm"):
-        raise ValueError("backend must be 'auto', 'dense' or 'expm'")
-    return backend
-
-
 def xi_evolve(
-    params: ModelParams,
-    J: float,
-    t: float,
-    initial: FockState,
-    backend: str = "auto",
-    top_tol: float = TOP_TOL,
-    form: RealForm | None = None,
+    params: ModelParams, J: float, t: float, initial: FockState, backend: str = "auto"
 ) -> FockState:
-    """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial.
+    """Tilted evolution of xi under L + i(J/2) V^o from xi(0) = initial,
+    gated on its cutoff weight.  "auto" is :func:`_evolve_nodes` at one J;
+    "expm" takes the sparse exponential at every kappa2, the reference for
+    the dense route."""
+    if backend == "auto":
+        return _evolve_nodes(params, [J], t, initial)[0]
+    if backend != "expm":
+        raise ValueError("backend must be 'auto' or 'expm'")
+    xi = expm_propagate(params, initial, t, drive=0.5j * J)
+    _gate_cutoff_weight(xi.entries, f"at n_max={initial.n_max}, J={J}, t={t}")
+    return xi
 
-    Backends: "dense" (the real form B = G_L + J G_W of the tilted
-    generator, see :func:`real_form`, applied to the state through one
-    banded LU of I - (t/10) B, half-bandwidth 2 n_max, and a
-    shift-and-invert Krylov space, whose cost does not grow with |B| t;
-    best for stiff two-body-loss runs) and "expm" (Taylor-stepped sparse
-    exponential); "auto" picks dense for every kappa2 > 0, whatever the
-    cutoff, and expm at kappa2 = 0.  ``form`` lets a caller that evolves many J
-    on one truncation build the real form once.  The cutoff row/column
-    weight is gated against ``top_tol`` relative to the largest entry.
-    This is :func:`_evolve_nodes` at one J.
+
+def _evolve_nodes(params: ModelParams, Js, t: float, initial: FockState) -> list[FockState]:
+    """xi(t) of :func:`xi_evolve` "auto" for every J in ``Js``, each gated
+    on its cutoff weight: at kappa2 > 0 one :func:`_dense_propagate` call
+    for all nodes, at any cutoff; at kappa2 = 0 one sparse exponential per node.
+
+    The dense route would serve kappa2 = 0 too (Z within 2.3e-14), but it is
+    slower there from complex starts (coherent 0.6 + 0.3i, 5 nodes in
+    [0, 1], one BLAS thread): at omega 1, U 0.5, kappa1 0.8 it took
+    374 / 422 ms against 55 / 121 ms at n_max 14, t = 1 / 5, and
+    1,651 / 627 against 137 / 462 ms at n_max 30; LINEAR at n_max 30, t = 1,
+    147 against 44 ms.  It was faster only from the vacuum at
+    kappa1 = kappa2 = 0 (241 against 656 ms at n_max 30, t = 5).
     """
-    return _evolve_nodes(params, [J], t, initial, backend, top_tol, form)[0]
-
-
-def _evolve_nodes(
-    params: ModelParams,
-    Js,
-    t: float,
-    initial: FockState,
-    backend: str = "auto",
-    top_tol: float = TOP_TOL,
-    form: RealForm | None = None,
-) -> list[FockState]:
-    """:func:`xi_evolve` for every J in ``Js``; the dense backend takes all
-    nodes in one :func:`_dense_propagate` call."""
     check_time(t)
-    backend = _resolve_backend(params, initial.truncation, backend)
-    if backend == "dense":
-        if form is None:
-            form = real_form(params, initial.truncation)
-        states = _dense_propagate(params, initial, t, Js, form)
+    if params.kappa2 > 0:
+        states = _dense_propagate(params, initial, t, Js, real_form(params, initial.truncation))
     else:
         states = [expm_propagate(params, initial, t, drive=0.5j * J) for J in Js]
-    if top_tol is not None:
-        for J, xi in zip(Js, states):
-            _gate_cutoff_weight(xi.entries, top_tol, f"at n_max={initial.n_max}, J={J}, t={t}")
+    for J, xi in zip(Js, states):
+        _gate_cutoff_weight(xi.entries, f"at n_max={initial.n_max}, J={J}, t={t}")
     return states
 
 
-def _gate_cutoff_weight(entries: np.ndarray, top_tol: float, where: str) -> None:
-    """Raise TruncationError if the top row/column carries more than top_tol."""
+def _gate_cutoff_weight(entries: np.ndarray, where: str) -> None:
+    """Raise TruncationError if the top row/column carries more than TOP_TOL."""
     scale = max(np.max(np.abs(entries)), 1e-300)
     edge = max(np.max(np.abs(entries[-1, :])), np.max(np.abs(entries[:, -1])))
     # once xi has decayed to rounding noise its edge weight is meaningless
     # and contributes nothing to Z, so only gate at observable magnitude
-    if edge > top_tol * scale and scale > 1e-9:
-        raise TruncationError(
-            f"cutoff weight {edge / scale:.3e} exceeds {top_tol:.1e} {where}"
-        )
+    if edge > TOP_TOL * scale and scale > 1e-9:
+        raise TruncationError(f"cutoff weight {edge / scale:.3e} exceeds {TOP_TOL:.1e} {where}")
 
 
 def symmetric_J_grid(J_max: float, N_J: int) -> np.ndarray:
@@ -545,10 +524,9 @@ def default_x_grid(J_grid: np.ndarray) -> np.ndarray:
     return (np.arange(N) - N // 2) * dx
 
 
-def probability_density(
-    Z_values: np.ndarray, J_grid: np.ndarray, x_grid: np.ndarray | None = None
-):
-    """P(x) by trapezoidal quadrature of (1/2pi) int dJ Z(J) e^{-iJx}.
+def probability_density(Z_values: np.ndarray, J_grid: np.ndarray):
+    """P(x) by trapezoidal quadrature of (1/2pi) int dJ Z(J) e^{-iJx} on
+    the :func:`default_x_grid` of ``J_grid``.
 
     Returns (x_grid, P).  Gates: |Z| at the grid ends below Z_TAIL_TOL,
     reconstruction real to P_REALNESS_TOL, total mass 1 to P_NORM_TOL.
@@ -563,8 +541,7 @@ def probability_density(
     sym_dev = np.max(np.abs(Z_values - np.conj(Z_values[::-1])))
     if sym_dev > Z_CONJ_TOL:
         raise GridAdequacyError(f"Z conjugation symmetry broken by {sym_dev:.3e}")
-    if x_grid is None:
-        x_grid = default_x_grid(J_grid)
+    x_grid = default_x_grid(J_grid)
     weights = np.ones(len(J_grid))
     weights[0] = weights[-1] = 0.5
     dJ = J_grid[1] - J_grid[0]
@@ -580,8 +557,8 @@ def probability_density(
     return x_grid, Pv
 
 
-def moments_from_grid(x_grid: np.ndarray, P_values: np.ndarray, orders=range(1, 7)) -> np.ndarray:
-    """Raw moments int x^n P(x) dx by the trapezoidal rule on ``x_grid``.
+def moments_from_grid(x_grid: np.ndarray, P_values: np.ndarray) -> np.ndarray:
+    """Raw moments int x^n P(x) dx, n = 1..6, by the trapezoidal rule on ``x_grid``.
 
     The weight x^n amplifies the rounding of P (and of Z behind it) towards
     the edges of the x window, so orders 5 and 6 carry about 8 significant
@@ -590,22 +567,22 @@ def moments_from_grid(x_grid: np.ndarray, P_values: np.ndarray, orders=range(1, 
     digits, not to all 17 that ``noise.json`` prints.
     """
     return np.array(
-        [float(np.trapezoid(P_values * x_grid**n, x_grid)) for n in orders]
+        [float(np.trapezoid(P_values * x_grid**n, x_grid)) for n in range(1, 7)]
     )
 
 
-def fd_moments(z_of_J, step: float, n_points: int = 9) -> np.ndarray:
-    """Moments m_1..m_{n_points-1} from derivatives of Z at J = 0.
+def fd_moments(z_of_J, step: float) -> np.ndarray:
+    """Moments m_1..m_8 from derivatives of Z at J = 0.
 
-    ``z_of_J`` maps a float J to Z(J); the stencil is interpolated exactly
-    by a degree n_points-1 polynomial in the scaled variable J/step, whose
-    coefficients give the derivatives without Vandermonde blow-up.
+    ``z_of_J`` maps a float J to Z(J); the nine-point stencil J = -4 step
+    .. 4 step is interpolated exactly by a degree-8 polynomial in the scaled
+    variable J/step, whose coefficients give the derivatives without
+    Vandermonde blow-up.
     """
-    half = n_points // 2
-    u = np.arange(-half, half + 1, dtype=float)
+    u = np.arange(-4, 5, dtype=float)
     Zs = np.array([z_of_J(step * uu) for uu in u], dtype=complex)
-    coeffs = P.polyfit(u, Zs, n_points - 1)
-    orders = np.arange(1, n_points)
+    coeffs = P.polyfit(u, Zs, 8)
+    orders = np.arange(1, 9)
     derivs = coeffs[1:] * np.array([float(math.factorial(n)) for n in orders]) / step**orders
     return np.real((-1j) ** orders * derivs)
 
@@ -687,9 +664,7 @@ def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> lis
         blocks = full.reshape(q + 1, d, d)
         if gated:
             for n in range(q + 1):
-                _gate_cutoff_weight(
-                    blocks[q - n], TOP_TOL, f"in order {n} at n_max={initial.n_max}, t={t}"
-                )
+                _gate_cutoff_weight(blocks[q - n], f"in order {n} at n_max={initial.n_max}, t={t}")
         # block q - n holds order n, so orders 1..q are blocks q-1..0
         orders = np.trace(blocks, axis1=1, axis2=2).real[q - 1 :: -1]
         kappa = cumulants_from_moments(weights * orders)
@@ -736,7 +711,7 @@ class NoiseRun:
     moments: np.ndarray = field(default=None)    # n = 1..6, from P; n = 5, 6 to ~8 digits
     cumulants: np.ndarray = field(default=None)  # n = 1..4, exact (cumulant_trace)
     doublings: int = 0                 # J-grid doublings of the tail gate
-    backend: str | None = None         # of the Z(J) nodes, as "auto" resolved it
+    backend: str | None = None         # of the Z(J) nodes: "dense" at kappa2 > 0, else "expm"
     krylov_dim: int | None = None      # largest Krylov dimension of a dense node
     check_dev: float | None = None     # worst shift-and-invert relation deviation
     lu_bandwidth: int | None = None    # half-bandwidth of the dense nodes' LU
@@ -798,12 +773,11 @@ def run_noise(
     t: float,
     J_max: float = 8.0,
     N_J: int = 257,
-    max_doublings: int = 3,
 ) -> NoiseRun:
     """Full pipeline: Z on the grid, P by inverse Fourier, moments, cumulants.
 
     If the tail gate |Z(J_max)| < Z_TAIL_TOL fails, J_max and N_J are doubled
-    (keeping the J resolution) up to ``max_doublings`` times.  The doubled
+    (keeping the J resolution) up to :data:`MAX_DOUBLINGS` times.  The doubled
     grid carries the previous nodes bit for bit, so each J is evaluated once.
     The run reports its doublings, the backend of its nodes and, on the
     dense backend, the largest Krylov dimension, the worst deviation of a
@@ -816,13 +790,13 @@ def run_noise(
     report = _NodeReport()
     token = _REPORT.set(report)
     try:
-        for doublings in range(max_doublings + 1):
+        for doublings in range(MAX_DOUBLINGS + 1):
             Z = generating_function(params, initial, t, J_grid, known=known)
             if max(abs(Z[0]), abs(Z[-1])) < Z_TAIL_TOL:
                 break
-            if doublings == max_doublings:
+            if doublings == MAX_DOUBLINGS:
                 raise GridAdequacyError(
-                    f"|Z(J_max)| = {abs(Z[-1]):.3e} after {max_doublings} doublings"
+                    f"|Z(J_max)| = {abs(Z[-1]):.3e} after {MAX_DOUBLINGS} doublings"
                 )
             J_max *= 2
             inner, N_J = J_grid, 2 * N_J - 1
@@ -833,9 +807,14 @@ def run_noise(
     finally:
         _REPORT.reset(token)
     x_grid, Pv = probability_density(Z, J_grid)
-    moments = moments_from_grid(x_grid, Pv, range(1, 7))
+    moments = moments_from_grid(x_grid, Pv)
     trace = cumulant_trace(params, initial, [t])
-    backend = _resolve_backend(params, initial.truncation, "auto")
+    # the node figures exist on the dense route only, taken at kappa2 > 0
+    nodes = dict(backend="expm")
+    if params.kappa2 > 0:
+        nodes = dict(backend="dense", krylov_dim=report.krylov_dim, check_dev=report.check_dev,
+                     lu_bandwidth=report.bandwidth, krylov_steps=report.steps,
+                     group_width=report.group_width)
     return NoiseRun(
         params=params,
         initial=initial,
@@ -847,10 +826,5 @@ def run_noise(
         moments=moments,
         cumulants=trace[0]["cumulants"],
         doublings=doublings,
-        backend=backend,
-        krylov_dim=report.krylov_dim if backend == "dense" else None,
-        check_dev=report.check_dev if backend == "dense" else None,
-        lu_bandwidth=report.bandwidth if backend == "dense" else None,
-        krylov_steps=report.steps if backend == "dense" else None,
-        group_width=report.group_width if backend == "dense" else None,
+        **nodes,
     )

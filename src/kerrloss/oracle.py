@@ -7,8 +7,8 @@ closed-form eigenvalue, eigenvector or propagator expressions from
 routines arbitrate every derived value used in the tests.
 
 The multi-time correlators run on the Fock levels their sequences can
-reach: K = min(n_max, max(2, n0 + n)) for a state whose highest nonzero
-level is n0 and a longest sequence of n insertions.  They cut the
+reach: K = min(n_max, max(2, n0 + n // 2)) for a state whose highest
+nonzero level is n0 and a longest sequence of n insertions.  They cut the
 vectorized generator on those levels into one dense block per coherence
 sector m = i - j, found from its own row-major indices and gated to be
 uncoupled, and evolve all sequences of one length at once: one stacked
@@ -29,6 +29,7 @@ from .superops import (
     InternalConsistencyError,
     ModelParams,
     annihilation,
+    check_time,
     full_generator,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "triangular_eigendecomp",
     "ode_propagate",
     "expm_propagate",
-    "multi_time_correlator",
     "multi_time_correlators",
     "right_residual",
     "left_residual",
@@ -126,8 +126,7 @@ def ode_propagate(action: GeneratorAction, initial: FockState, t: float) -> Fock
     :data:`ODE_ATOL`."""
     from scipy.integrate import solve_ivp
 
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    check_time(t)
     if t == 0:
         return initial.copy()
     d = initial.entries.shape[0]
@@ -158,8 +157,7 @@ def expm_propagate(
     """
     import scipy.sparse.linalg as spla
 
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    check_time(t)
     if t == 0:
         return initial.copy()
     d = initial.entries.shape[0]
@@ -343,16 +341,19 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     trace invariance (checked on every call).
 
     The generator is built once per call from the operator-level
-    definition, on the levels <= K = min(n_max, max(2, n0 + n)), with n0
-    the highest level that holds a nonzero of ``initial`` and n the length
-    of the longest sequence; the state is cropped to K.  This is exact: L
-    never raises a level and each insertion raises one side by at most
-    one, so no a† leaves the cut.  At K = n_max nothing is cropped.  The
-    generator never couples two coherence sectors m = i - j of the
-    row-major vectorisation (checked), so it is cut into one dense block
-    per sector.  Every insertion moves m by exactly one and the trace reads
-    m = 0, so with r insertions still to apply only the sectors |m| <= r
-    are evolved and the rest are dropped.  All sequences of one length are
+    definition, on the levels <= K = min(n_max, max(2, n0 + n // 2)), with
+    n0 the highest level that holds a nonzero of ``initial`` and n the
+    length of the longest sequence; the state is cropped to K (the floor 2
+    is the smallest truncation).  This is exact, by the argument of
+    :func:`~kerrloss.noise.cumulant_trace`: L never raises a level and keeps
+    m = i - j, each insertion moves one side by one, and a path that lifts
+    one side above n0 + n // 2 has left |m| too large to return to 0, where
+    the trace reads.  At K = n_max nothing is cropped.  The generator never
+    couples two coherence sectors m = i - j of the row-major vectorisation
+    (checked), so it is cut into one dense block per sector.  Every
+    insertion moves m by exactly one and the trace reads m = 0, so with r
+    insertions still to apply only the sectors |m| <= r are evolved and the
+    rest are dropped.  All sequences of one length are
     evolved together, in chunks whose (chunk, d, d) complex stacks stay
     within :data:`CHUNK_BYTES`: at each step, each sector that is nonzero in
     some sequence of the chunk takes one stacked exponential of its block
@@ -365,7 +366,7 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     held = np.flatnonzero(occupied.any(axis=0) | occupied.any(axis=1))
     n0 = int(held[-1]) if held.size else 0
     longest = max((len(seq) for seq in sequences), default=0)
-    cut = min(initial.n_max, max(2, n0 + longest))
+    cut = min(initial.n_max, max(2, n0 + longest // 2))
     d = cut + 1
     trunc = Truncation(cut)
     blocks = _sector_blocks(full_generator(params, trunc).sparse_matrix(), d)
@@ -402,8 +403,3 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
             prev = times[:, step]
         out[members] = np.trace(state, axis1=1, axis2=2)
     return out
-
-
-def multi_time_correlator(params: ModelParams, sequence, initial: FockState) -> complex:
-    """One sequence of :func:`multi_time_correlators`."""
-    return complex(multi_time_correlators(params, [sequence], initial)[0])

@@ -51,9 +51,7 @@ __all__ = [
     "EigenvectorBuilder",
     "PropagatorCoefficients",
     "check_biorthogonality",
-    "right_eigenvector",
     "right_eigenvector_productform",
-    "left_eigenvector",
     "F_matrix",
     "decompose",
     "spectrum_csv",
@@ -322,12 +320,12 @@ class PropagatorCoefficients:
     depends on n_max only, not on the number of times asked for.
 
     :meth:`apply` propagates a gathered block stack: at kappa2 > 0 it applies
-    L_m, e^{Lambda_m t} and R_m in turn and never forms T_m(t).
-    :meth:`propagators` is T_m(t) itself.  At kappa2 = 0 both use the exact
-    damped-Kerr solution in product form (Milburn & Holmes, PRL 56, 2237
-    (1986)), which needs no eigenvectors: the entries of R_m and L_m grow at
-    binomial size and their product cancels, while every term of the product
-    form is a binomial-thinning weight.
+    L_m, e^{Lambda_m t} and R_m in turn and never forms T_m(t).  At
+    kappa2 = 0 it uses the exact damped-Kerr solution in product form
+    (:meth:`product_form`; Milburn & Holmes, PRL 56, 2237 (1986)), which
+    needs no eigenvectors: the entries of R_m and L_m grow at binomial size
+    and their product cancels, while every term of the product form is a
+    binomial-thinning weight.
     """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
@@ -385,25 +383,15 @@ class PropagatorCoefficients:
         gamma = self.params.kappa1 + 1j * self.params.U * m[:, 0, 0]
         return eigenvalue(self.params, m[:, :, 0], q), gamma, B, j
 
-    def propagators(self, t: float) -> np.ndarray:
-        """T_m(t) of every block m >= 0, stack row m of (n_max + 1, n_max + 1,
-        n_max + 1), zero padded: coeffs_k(t) = sum_q T_m[k, q] coeffs_q(0).
-
-        At kappa2 > 0 it is (R_m e^{Lambda_m t}) L_m.  At kappa2 = 0 the level
-        (k+m, k) decays at mu = -lambda_k^(m) = i(E_(k+m) - E_k) + kappa1 (2k+m)/2
-        and each jump into it from one level up adds gamma_m = kappa1 + i U m,
-        so T_m(t) = diag(e^{lambda t}) (B_m * x_m^(q-k)) with
-        x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m, which is kappa1 t at
-        gamma_m = 0.  The factors are never built for it.
-        """
-        if self.params.kappa2 > 0:
-            lam, R, L = (f[self.truncation.n_max:] for f in self.stack())
-            return (R * np.exp(lam * t)[:, None, :]) @ L
-        return self.product_form(t, slice(None))
-
     def product_form(self, t: float, blocks: slice) -> np.ndarray:
-        """Rows ``blocks`` of the kappa2 = 0 stack of :meth:`propagators`, each
-        evaluated on its own: the same bits as slicing the whole stack."""
+        """T_m(t) at kappa2 = 0, coeffs_k(t) = sum_q T_m[k, q] coeffs_q(0), of
+        the blocks m >= 0 in ``blocks``: rows of a zero-padded (n_max + 1)^3
+        stack, each evaluated on its own, so a slice has the bits of the
+        whole stack.  The level (k+m, k) decays at mu = -lambda_k^(m) and each
+        jump into it from one level up adds gamma_m = kappa1 + i U m, so
+        T_m(t) = diag(e^{lambda t}) (B_m * x_m^(q-k)) with
+        x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m (kappa1 t at gamma_m = 0).
+        """
         lam, gamma, B, j = self._damped_kerr
         lam, gamma, B = lam[blocks], gamma[blocks], B[blocks]
         kappa1 = self.params.kappa1
@@ -420,8 +408,9 @@ class PropagatorCoefficients:
         At kappa2 > 0 the factors act in turn, R_m (e^{Lambda_m t} (L_m v_m)):
         two batched matrix-vector products, O(n_max^3), and T is never
         formed.  Transposed, the stack is read reversed and transposed,
-        L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T v_m)).  At kappa2 = 0 the product
-        form of :meth:`propagators` is applied, block -m its conjugate.
+        L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T v_m)).  At kappa2 = 0 the
+        :meth:`product_form` of every block m >= 0 is applied, block -m its
+        conjugate.
         """
         if self.params.kappa2 > 0:
             lam, R, L = self.stack()
@@ -429,37 +418,11 @@ class PropagatorCoefficients:
                 lam, R, L = lam[::-1], L[::-1].swapaxes(1, 2), R[::-1].swapaxes(1, 2)
             w = np.exp(lam * t) * (L @ v[..., None])[..., 0]
             return (R @ w[..., None])[..., 0]
-        T = self.propagators(t)
+        T = self.product_form(t, slice(None))
         T = np.concatenate((T[:0:-1].conj(), T))  # T_{-m}(t) is the conjugate of T_m(t)
         if transpose:  # block m takes T_{-m}^T; block -m is the reversed row
             T = T[::-1].swapaxes(1, 2)
         return (T @ v[..., None])[..., 0]
-
-    def block_matrix(self, m: int, t: float) -> np.ndarray:
-        """T with coeffs_k(t) = sum_q T[k, q] coeffs_q(0) on block m: block |m|
-        of :meth:`propagators`, conjugated for m < 0."""
-        size = self.truncation.block_size(m)
-        T = self.propagators(t)[abs(m), :size, :size]
-        return T.conj() if m < 0 else T
-
-
-def _mode_factors(params: ModelParams, trunc: Truncation, m: int, k: int):
-    """(lambda, R, L) of block m, once k is checked to be a mode of it."""
-    if not 0 <= k < trunc.block_size(m):
-        raise ValueError("mode index outside truncation")
-    return PropagatorCoefficients(params, trunc).factors(m)
-
-
-def right_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
-    """Right eigenvector of block m for eigenvalue lambda_k^(m), phi_k coefficient 1:
-    a copy of column k of R_m from :class:`PropagatorCoefficients`."""
-    return BlockVector(m, _mode_factors(params, trunc, m, k)[1][:, k].copy())
-
-
-def left_eigenvector(params: ModelParams, trunc: Truncation, m: int, k: int) -> BlockVector:
-    """Left eigenvector (bra coefficients over k') truncated at the block bound:
-    a copy of row k of L_m from :class:`PropagatorCoefficients`."""
-    return BlockVector(m, _mode_factors(params, trunc, m, k)[2][k].copy())
 
 
 def right_eigenvector_productform(

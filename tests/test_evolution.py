@@ -237,8 +237,8 @@ def test_heisenberg_a_sparsity_and_factor():
 
 def test_propagator_cache_block_matrix():
     tr = Truncation(7)
-    coeffs = PropagatorCoefficients(GENERIC, tr)
-    T = coeffs.block_matrix(1, 0.5)
+    lam, R, L = PropagatorCoefficients(GENERIC, tr).factors(1)
+    T = (R * np.exp(lam * 0.5)[..., None, :]) @ L
     assert np.all(np.tril(T, -1) == 0)
     assert T[0, 0] == pytest.approx(np.exp(eigenvalue(GENERIC, 1, 0) * 0.5))
     # kappa2 = 0 factors are the Gaussian-limit blocks of the spectral route
@@ -277,7 +277,8 @@ def test_block_factorization_matches_g_double_sum():
                                 * sqrt_binom(q, k)
                                 * g_coefficient(params, m, k, q - k, t)
                             )
-                    T = coeffs.block_matrix(m, t)
+                    lam, R, L = coeffs.factors(m)
+                    T = (R * np.exp(lam * t)[..., None, :]) @ L
                     dev = np.max(np.abs(T - ref)) / np.max(np.abs(ref))
                     assert dev < 1e-12, (params, n_max, m, t, dev)
             for t in (0.0, 0.3, 2.0):
@@ -298,11 +299,13 @@ def test_a_factor_column_matches_full_block():
     # to rounding, and each row is that table's entry
     tr = Truncation(20)
     coeffs = PropagatorCoefficients(GENERIC, tr)
+    lam, R, L = coeffs.factors(1)
     for t in (0.3, 2.0, 7.0):
+        T = (R * np.exp(lam * t)[..., None, :]) @ L
         ref = []
         for k in range(tr.dim - 1):
             q = np.arange(k + 1)
-            ref.append(np.sqrt((q + 1) / (k + 1)) @ coeffs.block_matrix(1, t)[q, k])
+            ref.append(np.sqrt((q + 1) / (k + 1)) @ T[q, k])
         ref = np.array(ref)
         mine = heisenberg_a_factors(GENERIC, tr, t, coeffs)
         dev = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
@@ -429,17 +432,7 @@ def test_product_form_never_builds_eigenvectors(monkeypatch):
             route(params, rho0, 0.5)
             route(params, rho0, 0.5, coeffs)
         heisenberg_a_factors(params, tr, 0.5, coeffs)
-        coeffs.block_matrix(-2, 0.5)
-
-
-def test_propagator_stack_is_the_factor_product():
-    # at kappa2 > 0 the stack is (R e^{Lambda t}) L of the factors, bit for bit
-    tr = Truncation(10)
-    for params in (GENERIC, ModelParams(1.0, 0.5, 2.0, 1.0), ModelParams(1.0, 0.5, 0.0, 1.0)):
-        coeffs = PropagatorCoefficients(params, tr)
-        lam, R, L = (f[tr.n_max:] for f in coeffs.stack())
-        for t in (0.0, 0.3, 2.0):
-            assert np.array_equal(coeffs.propagators(t), (R * np.exp(lam * t)[:, None, :]) @ L)
+        coeffs.product_form(0.5, slice(2, 3))
 
 
 #: one channel per kappa2 > 0 case tag: generic ratio, integer ratio, kappa1 = 0
@@ -457,9 +450,9 @@ def test_factor_route_matches_propagator_stack(params, n_max):
     rows, cols, filled = coeffs.layout
     rng = np.random.default_rng(n_max)
     v = (rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim)))[rows, cols]
+    lam, R, L = coeffs.stack()
     for t in (0.1, 1.0):
-        T = coeffs.propagators(t)
-        T = np.concatenate((T[:0:-1].conj(), T))
+        T = (R * np.exp(lam * t)[..., None, :]) @ L
         for transpose, ref_T in ((False, T), (True, T[::-1].swapaxes(1, 2))):
             ref = (ref_T @ v[..., None])[..., 0][filled]
             out = coeffs.apply(v, t, transpose)[filled]
@@ -502,26 +495,21 @@ def test_factor_route_heisenberg_duality():
                 assert abs(sched - heis) < 1e-13 * max(1.0, abs(sched)), (params, t)
 
 
-def test_routes_never_form_the_propagator_stack(monkeypatch):
-    # at kappa2 > 0 the state meets the factors one at a time, and at
-    # kappa2 = 0 the a-factor rows evaluate block 1 of the product form alone
-    def forbidden(self, t):
-        raise AssertionError("propagator stack formed")
-
+def test_a_factor_rows_evaluate_block_one_alone(monkeypatch):
+    # at kappa2 = 0 the a-factor rows evaluate block 1 of the product form
+    # alone, with the bits of block 1 of the whole stack
     tr = Truncation(10)
-    rho0 = FockState.coherent(tr, 0.7)
-    refs = {p: PropagatorCoefficients(p, tr).propagators(0.5) for p in (GAUSSIAN, UNITARY)}
-    monkeypatch.setattr(spectral.PropagatorCoefficients, "propagators", forbidden)
-    for params in LOSSY_CHANNELS:
-        coeffs = PropagatorCoefficients(params, tr)
-        for route in (propagate_phi, heisenberg_phi):
-            route(params, rho0, 0.5)
-            route(params, rho0, 0.5, coeffs)
-        heisenberg_a_factors(params, tr, 0.5, coeffs)
+    refs = {p: PropagatorCoefficients(p, tr).product_form(0.5, slice(None))
+            for p in (GAUSSIAN, UNITARY)}
+    product_form = spectral.PropagatorCoefficients.product_form
+    asked = []
+    monkeypatch.setattr(spectral.PropagatorCoefficients, "product_form",
+                        lambda self, t, blocks: asked.append(blocks) or product_form(self, t, blocks))
     root = np.sqrt(np.arange(1, tr.dim))
     for params, T in refs.items():
         f = heisenberg_a_factors(params, tr, 0.5, PropagatorCoefficients(params, tr))
         assert np.array_equal(f, root @ T[1, :-1, :-1] / root)
+    assert asked == [slice(1, 2)] * 2
 
 
 @pytest.mark.parametrize("n_max", [30, 40])

@@ -40,7 +40,7 @@ def test_to_from_blocks_roundtrip():
     for m, block in blocks.items():
         expected = [entries[phi_indices(m, k)] for k in range(len(block.coeffs))]
         assert list(block.coeffs) == expected
-    back = from_blocks(blocks)
+    back = from_blocks(blocks, state.truncation)
     assert np.max(np.abs(back.entries - entries)) == 0
 
 

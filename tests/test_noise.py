@@ -55,29 +55,30 @@ def test_xi_evolve_backends_agree():
     vac = vacuum(12)
     for J in (0.0, 1.5, 6.0):
         ref = xi_evolve(NONLINEAR, J, 0.8, vac, backend="expm")
-        for backend in ("dense", "auto"):
-            out = xi_evolve(NONLINEAR, J, 0.8, vac, backend=backend)
-            assert np.max(np.abs(out.entries - ref.entries)) < 1e-8, backend
-    with pytest.raises(ValueError):
-        xi_evolve(NONLINEAR, 1.0, 0.5, vac, backend="magic")
-    # every backend, the dense one included, refuses to evolve backward
-    for backend in ("auto", "dense", "expm"):
+        out = xi_evolve(NONLINEAR, J, 0.8, vac)
+        assert np.max(np.abs(out.entries - ref.entries)) < 1e-8
+    for backend in ("magic", "dense"):
+        with pytest.raises(ValueError, match="backend must be"):
+            xi_evolve(NONLINEAR, 1.0, 0.5, vac, backend=backend)
+    # both backends, the dense route behind auto included, refuse to evolve backward
+    for backend in ("auto", "expm"):
         with pytest.raises(ValueError):
             xi_evolve(NONLINEAR, 1.0, -0.5, vac, backend=backend)
 
 
 def test_xi_evolve_truncation_gate():
     # a strong source on a tiny cutoff piles weight on the top level
-    with pytest.raises(TruncationError):
-        xi_evolve(LINEAR, 6.0, 1.0, vacuum(3), backend="expm")
-    # same run passes with the gate disabled
-    xi_evolve(LINEAR, 6.0, 1.0, vacuum(3), backend="expm", top_tol=None)
+    for backend in ("auto", "expm"):
+        with pytest.raises(TruncationError):
+            xi_evolve(LINEAR, 6.0, 1.0, vacuum(3), backend=backend)
+    # the same evolution, ungated, returns a state
+    oracle.expm_propagate(LINEAR, vacuum(3), 1.0, drive=3j)
 
 
 def test_real_form_is_exact():
     # S (G_L + J G_W) S^-1 is the tilted generator L + i(J/2) V^o, with
     # G_L and G_W real; a coherent state with complex alpha gives a complex,
-    # asymmetric Z, on which the dense backend must match the sparse exponential
+    # asymmetric Z, on which the dense route must match the sparse exponential
     rng = np.random.default_rng(314)
     for params in (LINEAR, NONLINEAR, GENERIC):
         for n_max in (5, 9):
@@ -92,8 +93,8 @@ def test_real_form_is_exact():
                 got = S @ ((form.G_L + J * form.G_W) @ np.linalg.solve(S, X.ravel()))
                 assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
                 for t in (0.5, 5.0):
-                    a = xi_evolve(params, J, t, coherent, backend="dense", top_tol=None)
-                    b = xi_evolve(params, J, t, coherent, backend="expm", top_tol=None)
+                    a = noise._dense_propagate(params, coherent, t, [J], form)[0]
+                    b = oracle.expm_propagate(params, coherent, t, drive=0.5j * J)
                     assert np.max(np.abs(a.entries - b.entries)) < 1e-10, (params, n_max, J, t)
 
 
@@ -124,12 +125,13 @@ def test_real_form_is_banded_in_the_coherence_order():
 def test_auto_backend_is_dense_at_every_cutoff():
     # auto sends every kappa2 > 0 run to the banded route, past the old
     # dense-dimension ceiling of 33 levels too, and kappa2 = 0 to expm
-    assert noise._resolve_backend(NONLINEAR, Truncation(34), "auto") == "dense"
-    assert noise._resolve_backend(LINEAR, Truncation(34), "auto") == "expm"
     coherent = FockState.coherent(Truncation(34), 0.6 + 0.3j)
-    a = xi_evolve(NONLINEAR, 6.0, 0.05, coherent)
+    a, report = _reported(lambda: xi_evolve(NONLINEAR, 6.0, 0.05, coherent))
+    assert report.bandwidth == 68 and report.steps > 0
     b = xi_evolve(NONLINEAR, 6.0, 0.05, coherent, backend="expm")
     assert np.max(np.abs(a.entries - b.entries)) <= 1e-10
+    _, report = _reported(lambda: xi_evolve(LINEAR, 0.5, 0.05, coherent))
+    assert report.bandwidth == report.steps == 0
 
 
 def test_dense_route_matches_expm_across_times():
@@ -141,8 +143,8 @@ def test_dense_route_matches_expm_across_times():
         form = real_form(params, coherent.truncation)
         for J in (0.0, 6.0, 16.0):
             for t in (0.0, 0.01, 5.0, 20.0):
-                a = xi_evolve(params, J, t, coherent, backend="dense", top_tol=None, form=form)
-                b = xi_evolve(params, J, t, coherent, backend="expm", top_tol=None)
+                a = noise._dense_propagate(params, coherent, t, [J], form)[0]
+                b = oracle.expm_propagate(params, coherent, t, drive=0.5j * J)
                 assert np.max(np.abs(a.entries - b.entries)) < 1e-10, (params, J, t)
                 if t == 0:
                     assert np.array_equal(a.entries, coherent.entries)
@@ -156,9 +158,9 @@ def test_dense_route_self_check_fires_on_a_wrong_form():
     form = real_form(NONLINEAR, vac.truncation)
     flipped = noise.RealForm(form.S, form.G_L, -form.G_W)
     for J in (1e-3, 6.0):
-        xi_evolve(NONLINEAR, J, 2.0, vac, backend="dense", form=form)
+        noise._dense_propagate(NONLINEAR, vac, 2.0, [J], form)
         with pytest.raises(InternalConsistencyError, match="solution unreliable"):
-            xi_evolve(NONLINEAR, J, 2.0, vac, backend="dense", form=flipped)
+            noise._dense_propagate(NONLINEAR, vac, 2.0, [J], flipped)
 
 
 def test_dense_route_self_check_fires_on_a_perturbed_lu(monkeypatch):
@@ -173,7 +175,7 @@ def test_dense_route_self_check_fires_on_a_perturbed_lu(monkeypatch):
 
     monkeypatch.setattr(lapack, "dgbtrs", perturbed)
     with pytest.raises(InternalConsistencyError, match="solution unreliable"):
-        xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
+        xi_evolve(NONLINEAR, 6.0, 2.0, vac)
 
 
 def test_dense_route_flags_the_unreliable_nodes_of_a_grid(monkeypatch):
@@ -213,13 +215,13 @@ def test_unconverged_krylov_space_raises(monkeypatch):
     vac = vacuum(9)
     monkeypatch.setattr(noise, "_KRYLOV_CAP", 8)
     with pytest.raises(InternalConsistencyError, match="not converged at dimension 8"):
-        xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
+        xi_evolve(NONLINEAR, 6.0, 2.0, vac)
     # in a group run in lockstep, the stationary node J = 0 converges at
     # dimension 1 and leaves; the others still raise at the cap
     with pytest.raises(InternalConsistencyError, match="not converged at dimension 8"):
         noise._evolve_nodes(NONLINEAR, [0.0, 2.0, 6.0], 2.0, vac)
     monkeypatch.undo()
-    xi_evolve(NONLINEAR, 6.0, 2.0, vac, backend="dense")
+    xi_evolve(NONLINEAR, 6.0, 2.0, vac)
 
 
 def _reported(run):
@@ -241,9 +243,10 @@ def test_lockstep_group_with_a_stationary_node_equals_single_nodes():
     vac = vacuum(12)
     form = real_form(NONLINEAR, vac.truncation)
     Js = [float(J) for J in range(9)]
-    group, report = _reported(lambda: noise._evolve_nodes(NONLINEAR, Js, 20.0, vac, form=form))
+    group, report = _reported(lambda: noise._dense_propagate(NONLINEAR, vac, 20.0, Js, form))
     assert report.group_width == len(Js)
-    singles = [_reported(lambda J=J: xi_evolve(NONLINEAR, J, 20.0, vac, form=form)) for J in Js]
+    singles = [_reported(lambda J=J: noise._dense_propagate(NONLINEAR, vac, 20.0, [J], form)[0])
+               for J in Js]
     assert singles[0][1].steps == 1
     assert all(12 <= single.steps <= 16 for _, single in singles[1:])
     assert len({single.steps for _, single in singles[1:]}) > 1
@@ -369,8 +372,7 @@ def test_dense_route_trace_is_smooth_in_J():
     vac = vacuum(12)
     form = real_form(NONLINEAR, vac.truncation)
     J = np.linspace(0.0, 0.04, 21)
-    Z = np.array([xi_evolve(NONLINEAR, j, 2.0, vac, backend="dense", form=form).trace()
-                  for j in J])
+    Z = np.array([xi.trace() for xi in noise._dense_propagate(NONLINEAR, vac, 2.0, list(J), form)])
     u = J / J[-1]
     fit = np.polynomial.polynomial.polyval(u, np.polynomial.polynomial.polyfit(u, Z.real, 8))
     assert np.max(np.abs(Z.real - fit)) < 1e-14
@@ -443,7 +445,7 @@ def test_probability_gaussian_analytic():
     x, Pv = probability_density(Z, grid)
     ref = np.exp(-(x**2) / 2) / np.sqrt(2 * np.pi)
     assert np.max(np.abs(Pv - ref)) < 1e-7
-    m = moments_from_grid(x, Pv, range(1, 5))
+    m = moments_from_grid(x, Pv)
     assert abs(m[0]) < 1e-9 and m[1] == pytest.approx(1.0, abs=1e-6)
     k = cumulants_from_moments(m)
     assert abs(k[3]) < 1e-4
@@ -526,7 +528,7 @@ def test_non_finite_times_are_rejected():
         with pytest.raises(ValueError, match="must be finite"):
             cumulant_trace(NONLINEAR, vac, bad)
     for t in (float("nan"), float("inf")):
-        for backend in ("dense", "expm"):
+        for backend in ("auto", "expm"):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 xi_evolve(NONLINEAR, 1.0, t, vac, backend=backend)
 
@@ -623,13 +625,14 @@ def test_run_noise_nonlinear_consistency():
     assert run.p_csv().splitlines()[0] == "x,P"
 
 
-def test_run_noise_adaptive_doubling():
+def test_run_noise_adaptive_doubling(monkeypatch):
     # slow Z tail at t = 2 forces at least one grid doubling
     run = run_noise(NONLINEAR, vacuum(14), 2.0, J_max=8.0, N_J=129)
     assert run.J_grid[-1] >= 16.0
     assert abs(run.Z_values[-1]) < 1e-6
-    with pytest.raises(GridAdequacyError):
-        run_noise(NONLINEAR, vacuum(14), 2.0, J_max=8.0, N_J=129, max_doublings=0)
+    monkeypatch.setattr(noise, "MAX_DOUBLINGS", 0)
+    with pytest.raises(GridAdequacyError, match="after 0 doublings"):
+        run_noise(NONLINEAR, vacuum(14), 2.0, J_max=8.0, N_J=129)
 
 
 def test_run_noise_reports_doublings_and_node_figures():

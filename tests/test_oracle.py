@@ -13,7 +13,6 @@ from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.oracle import (
     expm_propagate,
     left_residual,
-    multi_time_correlator,
     multi_time_correlators,
     ode_propagate,
     right_residual,
@@ -114,7 +113,7 @@ def test_correlator_vacuum_one_point():
     tr = Truncation(8)
     vac = FockState.vacuum(tr)
     for tag in ("+", "-", "o"):
-        val = multi_time_correlator(GENERIC, [(tag, 0.7)], vac)
+        val = multi_time_correlators(GENERIC, [[(tag, 0.7)]], vac)[0]
         assert abs(val) < 1e-12
 
 
@@ -123,7 +122,7 @@ def test_correlator_equal_time_two_point():
     #  + |0><0|(a+a†)(a+a†)] = 1 + 2 + 1 = 4
     tr = Truncation(8)
     vac = FockState.vacuum(tr)
-    val = multi_time_correlator(GENERIC, [("o", 0.0), ("o", 0.0)], vac)
+    val = multi_time_correlators(GENERIC, [[("o", 0.0), ("o", 0.0)]], vac)[0]
     assert val == pytest.approx(4.0, abs=1e-12)
 
 
@@ -133,8 +132,8 @@ def test_correlator_conjugate_symmetry():
     rho0 = FockState.coherent(tr, 0.5 + 0.2j)
     seq = [("+", 1.1), ("-", 0.6), ("+", 0.2)]
     swapped = [("-", 1.1), ("+", 0.6), ("-", 0.2)]
-    a = multi_time_correlator(GENERIC, list(reversed(sorted(seq, key=lambda s: s[1]))), rho0)
-    b = multi_time_correlator(GENERIC, list(reversed(sorted(swapped, key=lambda s: s[1]))), rho0)
+    a, b = multi_time_correlators(
+        GENERIC, [list(reversed(sorted(s, key=lambda x: x[1]))) for s in (seq, swapped)], rho0)
     assert a == pytest.approx(np.conj(b), abs=1e-10)
 
 
@@ -159,7 +158,7 @@ def test_correlator_sequence_validation(monkeypatch):
         with pytest.raises(ValueError):
             multi_time_correlators(GENERIC, [good, seq], vac)
         with pytest.raises(ValueError):
-            multi_time_correlator(GENERIC, seq, vac)
+            multi_time_correlators(GENERIC, [seq], vac)
 
 
 def test_expm_propagate_validation():
@@ -169,6 +168,17 @@ def test_expm_propagate_validation():
         expm_propagate(GENERIC, vac, -0.5)
     same = expm_propagate(GENERIC, vac, 0.0)
     assert np.max(np.abs(same.entries - vac.entries)) == 0
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_oracle_propagators_reject_bad_times(t):
+    # a NaN or infinite time must fail at once: the adaptive integrator
+    # never returns for either, and scipy's exponential fails inside
+    vac = FockState.vacuum(Truncation(6))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ode_propagate(full_generator(GENERIC, vac.truncation), vac, t)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        expm_propagate(GENERIC, vac, t)
 
 
 def _telescoped_by_expm_multiply(params, seq, rho0):
@@ -235,7 +245,7 @@ _CUT_SEQUENCES = [
 
 
 def test_cut_correlators_match_full_space_route():
-    # states on low levels run on the cut K = min(n_max, max(2, n0 + 3)):
+    # states on low levels run on the cut K = min(n_max, max(2, n0 + 1)):
     # vacuum, |2><2| and a seeded state on levels <= 3, against the full
     # sparse generator at the full n_max (NONLINEAR at n_max 6 only: its
     # expm_multiply reference takes seconds per state at 12)
@@ -253,7 +263,7 @@ def test_cut_correlators_match_full_space_route():
 
 
 def test_correlator_cut_follows_the_reach(monkeypatch):
-    # the generator is built on K = min(n_max, max(2, n0 + longest sequence))
+    # the generator is built on K = min(n_max, max(2, n0 + longest // 2))
     cutoffs = []
 
     def recorded(params, trunc):
@@ -262,17 +272,21 @@ def test_correlator_cut_follows_the_reach(monkeypatch):
 
     monkeypatch.setattr(oracle, "full_generator", recorded)
     one, three = [("o", 0.4)], [("+", 0.9), ("-", 0.5), ("o", 0.1)]
+    four, five = three + [("o", 0.05)], three + [("o", 0.05), ("+", 0.01)]
     tr = Truncation(8)
     cases = (
         (FockState.vacuum(tr), [one], 2),
         (FockState.vacuum(tr), [one, one], 2),
-        (FockState.vacuum(tr), [one, three], 3),
-        (FockState.fock(tr, 2), [three], 5),
-        (_low_level_state(tr, 3, 4), [one, three], 6),
-        (FockState.fock(tr, 6), [three], 8),
+        (FockState.vacuum(tr), [one, three], 2),
+        (FockState.fock(tr, 2), [three], 3),
+        (FockState.fock(tr, 2), [four], 4),
+        (FockState.fock(tr, 2), [one, five], 4),
+        (_low_level_state(tr, 3, 4), [one, three], 4),
+        (FockState.fock(tr, 6), [three], 7),
+        (FockState.fock(tr, 7), [three], 8),
         (FockState.fock(tr, 8), [one], 8),
         (FockState.coherent(tr, 0.3), [one], 8),
-        (FockState.zero(tr), [three], 3),
+        (FockState.zero(tr), [three], 2),
     )
     for rho0, sequences, expected in cases:
         cutoffs.clear()
@@ -382,7 +396,7 @@ def test_correlator_trace_gate_fires(monkeypatch):
     monkeypatch.setattr(oracle, "full_generator", Leaky)
     vac = FockState.vacuum(Truncation(5))
     with pytest.raises(InternalConsistencyError, match="left null vector"):
-        multi_time_correlator(GENERIC, [("o", 0.4)], vac)
+        multi_time_correlators(GENERIC, [[("o", 0.4)]], vac)
 
 
 def _sector0_block(params, n_max):
@@ -424,7 +438,7 @@ def test_correlator_sector_gate_fires(monkeypatch):
     monkeypatch.setattr(oracle, "full_generator", driven)
     vac = FockState.vacuum(Truncation(5))
     with pytest.raises(InternalConsistencyError, match="couples coherence sectors"):
-        multi_time_correlator(GENERIC, [("o", 0.4)], vac)
+        multi_time_correlators(GENERIC, [[("o", 0.4)]], vac)
 
 
 def test_correlator_chunks_give_identical_values(monkeypatch):

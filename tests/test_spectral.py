@@ -17,8 +17,6 @@ from kerrloss.spectral import (
     decompose,
     eigenvalue,
     eigenvectors_csv,
-    left_eigenvector,
-    right_eigenvector,
     right_eigenvector_productform,
     spectrum_csv,
     x_parameter,
@@ -76,21 +74,23 @@ def test_x_parameter():
 def test_eigenvector_residuals_all_cases():
     tr = Truncation(10)
     for tag, params in CASES.items():
+        coeffs = PropagatorCoefficients(params, tr)
         for m in (0, 1, -2, 3):
             Lb = liouvillian_block(params, tr, m)
+            _, R, L = coeffs.factors(m)
             for k in range(tr.block_size(m)):
                 lam = eigenvalue(params, m, k)
-                v = right_eigenvector(params, tr, m, k).coeffs
-                u = left_eigenvector(params, tr, m, k).coeffs
-                assert right_residual(Lb, lam, v) < 1e-9, (tag, m, k)
-                assert left_residual(Lb, lam, u) < 1e-9, (tag, m, k)
+                assert right_residual(Lb, lam, R[:, k]) < 1e-9, (tag, m, k)
+                assert left_residual(Lb, lam, L[k]) < 1e-9, (tag, m, k)
 
 
 def test_right_eigenvector_two_routes_agree():
     tr = Truncation(9)
+    coeffs = PropagatorCoefficients(GENERIC, tr)
     for m in (0, 2, -1):
+        R = coeffs.factors(m)[1]
         for k in range(tr.block_size(m)):
-            hyp = right_eigenvector(GENERIC, tr, m, k).coeffs
+            hyp = R[:, k]
             prod = right_eigenvector_productform(GENERIC, tr, m, k).coeffs
             assert np.max(np.abs(hyp - prod)) < 1e-9 * max(1.0, np.max(np.abs(hyp)))
 
@@ -98,12 +98,10 @@ def test_right_eigenvector_two_routes_agree():
 def test_degenerate_pair_conventions():
     p = CASES[CaseTag.ZERO_KAPPA1]
     tr = Truncation(8)
-    r0 = right_eigenvector(p, tr, 0, 0).coeffs
-    r1 = right_eigenvector(p, tr, 0, 1).coeffs
+    _, R, L = PropagatorCoefficients(p, tr).factors(0)
+    r0, r1, l0, l1 = R[:, 0], R[:, 1], L[0], L[1]
     assert np.max(np.abs(r0 - np.eye(9)[0])) == 0  # |0><0|
     assert np.max(np.abs(r1 - np.eye(9)[1])) == 0  # |1><1|
-    l0 = left_eigenvector(p, tr, 0, 0).coeffs
-    l1 = left_eigenvector(p, tr, 0, 1).coeffs
     assert np.max(np.abs(l0 - np.array([1, 0] * 4 + [1]))) == 0  # parity projector
     assert np.max(np.abs(l0 + l1 - np.ones(9))) == 0  # complements sum to identity
 
