@@ -6,7 +6,7 @@ coherence block, exact propagators, brute-force oracles, and integrated
 noise statistics of the mode used as a pseudomode environment.
 """
 
-from .fockbasis import BlockVector, FockState, Truncation, from_blocks, to_blocks
+from .fockbasis import FockState, Truncation, to_blocks
 from .spectral import CaseTag, SpectralDecomposition, classify, decompose, eigenvalue
 from .superops import BlockMatrix, ModelParams, full_generator, liouvillian_block
 
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockMatrix",
-    "BlockVector",
     "CaseTag",
     "FockState",
     "ModelParams",
@@ -23,7 +22,6 @@ __all__ = [
     "classify",
     "decompose",
     "eigenvalue",
-    "from_blocks",
     "full_generator",
     "liouvillian_block",
     "to_blocks",

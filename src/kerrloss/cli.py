@@ -30,6 +30,8 @@ EXIT_GATE_FAIL = 3
 
 
 def _parse_scalar(text: str):
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
     for cast in (int, float):
         try:
             return cast(text)

@@ -13,9 +13,10 @@ R_m in turn, two batched matrix-vector products that never form T_m(t); at
 kappa2 = 0 it applies the damped-Kerr product form, which builds no
 eigenvectors.  The Heisenberg picture reads the stack reversed and
 transposed, and the a-factor rows are one row-vector product with block 1.
-Spectral propagation through an assembled eigendecomposition, block by
-block, is the second route, and the scalar double sum :func:`g_coefficient`
-of the propagator coefficients G_{r,k}^(m)(t), summed in double precision,
+:func:`similarity_propagate` is the second route, from the paper's other
+ingredient: the bidiagonal T_m = e^A L_m e^{-A}, exponentiated block by
+block, with no eigenvector.  The scalar double sum :func:`g_coefficient` of
+the propagator coefficients G_{r,k}^(m)(t), summed in double precision,
 stays as the paper's formula that checks the factorization.
 """
 
@@ -25,16 +26,16 @@ import math
 
 import numpy as np
 
-from .fockbasis import BlockVector, FockState, Truncation, from_blocks, to_blocks
-from .spectral import PropagatorCoefficients, SpectralDecomposition, eigenvalue, x_parameter
+from .fockbasis import FockState, Truncation, block_layout, to_blocks
+from .spectral import PropagatorCoefficients, eigenvalue, x_parameter
 from .specfun import double_factorial, hyp2f1_terminating
-from .superops import ModelParams, check_time
+from .superops import ModelParams, apply_exp_A, check_time, transformed_block
 
 __all__ = [
     "g_coefficient",
     "PropagatorCoefficients",
     "propagate_phi",
-    "spectral_propagate",
+    "similarity_propagate",
     "heisenberg_phi",
     "heisenberg_a_factors",
     "heisenberg_a_factor",
@@ -44,7 +45,7 @@ __all__ = [
 def g_coefficient(params: ModelParams, m: int, k: int, r: int, t: float) -> complex:
     """Propagator coefficient G_{r,k}^(m)(t) as the terminating double-2F1 sum."""
     if params.kappa2 <= 0:
-        raise ValueError("G coefficients require kappa2 > 0; use spectral_propagate")
+        raise ValueError("G coefficients require kappa2 > 0; use propagate_phi")
     if r < 0:
         raise ValueError("r must be non-negative")
     eta = params.kappa1 / params.kappa2
@@ -114,20 +115,27 @@ def propagate_phi(
     return _apply_blocks(params, initial, t, coeffs, transpose=False)
 
 
-def spectral_propagate(decomp: SpectralDecomposition, initial: FockState, t: float) -> FockState:
-    """rho(t) = sum_mk b_k^(m) e^{lambda t} rho_k^(m), b from the left vectors."""
-    trunc = decomp.truncation
-    if initial.n_max != trunc.n_max:
-        raise ValueError("state truncation does not match the decomposition")
-    blocks = to_blocks(initial)
-    out = {}
-    for m, v in blocks.items():
-        b = decomp.Lmat[m].entries @ v.coeffs
-        phases = np.exp(decomp.eigenvalues[m] * t)
-        out[m] = BlockVector(m, decomp.R[m].entries @ (phases * b))
-    state = from_blocks(out, trunc)
-    state.hermitian = initial.hermitian
-    return state
+def similarity_propagate(params: ModelParams, initial: FockState, t: float) -> FockState:
+    """rho(t) block by block as e^{-A} e^{T_m t} e^{A} rho_m, with no eigenvector.
+
+    T_m is the bidiagonal closed form :func:`~kerrloss.superops.transformed_block`
+    and e^{T_m t} is its dense exponential, which needs no special case where
+    the diagonal is confluent (kappa1 = 0).  cond(e^A) grows with the cutoff,
+    so this is a check route for small n_max; the result is not marked
+    Hermitian, since its rounding can exceed the Hermiticity tolerance.
+    """
+    from scipy.linalg import expm
+
+    check_time(t)
+    trunc = initial.truncation
+    rows, cols, _ = block_layout(trunc)
+    entries = np.zeros_like(initial.entries)
+    for m, v in to_blocks(initial).items():
+        T = transformed_block(params, trunc, m).entries
+        w = apply_exp_A(expm(T * t) @ apply_exp_A(v, m, 1.0), m, -1.0)
+        row = m + trunc.n_max
+        entries[rows[row, : len(w)], cols[row, : len(w)]] = w
+    return FockState(entries)
 
 
 def heisenberg_phi(

@@ -25,10 +25,8 @@ from .specfun import log_factorial
 __all__ = [
     "Truncation",
     "FockState",
-    "BlockVector",
     "block_layout",
     "to_blocks",
-    "from_blocks",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -60,22 +58,6 @@ class Truncation:
     def blocks(self):
         """All block labels m with |m| <= n_max."""
         return range(-self.n_max, self.n_max + 1)
-
-
-@dataclass
-class BlockVector:
-    """Complex coefficients over the k-index inside one coherence block m."""
-
-    m: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 1:
-            raise ValueError("block coefficients must be one-dimensional")
-
-    def copy(self) -> "BlockVector":
-        return BlockVector(self.m, self.coeffs.copy())
 
 
 def phi_indices(m: int, k: int) -> tuple[int, int]:
@@ -156,10 +138,21 @@ class FockState:
     @classmethod
     def from_json(cls, payload: str) -> "FockState":
         data = json.loads(payload)
-        trunc = Truncation(int(data["n_max"]))
+        if not isinstance(data, dict) or not {"n_max", "entries"} <= data.keys():
+            raise ValueError("state JSON needs an object with 'n_max' and 'entries'")
+        try:
+            trunc = Truncation(int(data["n_max"]))
+            records = [(int(n1), int(n2), complex(float(re), float(im)))
+                       for n1, n2, re, im in data["entries"]]
+        except TypeError as exc:
+            raise ValueError(f"malformed state JSON: {exc}") from exc
         entries = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-        for n1, n2, re, im in data["entries"]:
-            entries[int(n1), int(n2)] = re + 1j * im
+        for n1, n2, value in records:
+            if not (0 <= n1 <= trunc.n_max and 0 <= n2 <= trunc.n_max):
+                raise ValueError(f"level pair ({n1}, {n2}) outside 0..{trunc.n_max}")
+            if not cmath.isfinite(value):
+                raise ValueError(f"entry ({n1}, {n2}) is not finite: {value}")
+            entries[n1, n2] = value
         return cls(entries, hermitian=bool(data.get("hermitian", False)))
 
 
@@ -196,27 +189,9 @@ def block_layout(trunc: Truncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return k_in + np.maximum(m, 0), k_in + np.maximum(-m, 0), k <= bound
 
 
-def to_blocks(state: FockState) -> dict[int, BlockVector]:
-    """Decompose a FockState over the phi basis, one BlockVector per m."""
+def to_blocks(state: FockState) -> dict[int, np.ndarray]:
+    """Decompose a FockState over the phi basis: {m: coefficients over k}."""
     trunc = state.truncation
     rows, cols, _ = block_layout(trunc)
     stack = state.entries[rows, cols]
-    return {m: BlockVector(m, stack[m + trunc.n_max, : trunc.block_size(m)])
-            for m in trunc.blocks()}
-
-
-def from_blocks(blocks: dict[int, BlockVector], trunc: Truncation) -> FockState:
-    """Exact inverse of :func:`to_blocks`; missing blocks are taken as zero."""
-    rows, cols, _ = block_layout(trunc)
-    entries = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    for m, block in blocks.items():
-        if block.m != m:
-            raise ValueError("block label mismatch")
-        size = trunc.block_size(m)
-        if len(block.coeffs) != size:
-            raise ValueError(
-                f"block m={m} has {len(block.coeffs)} coefficients, "
-                f"expected {size} for n_max={trunc.n_max}"
-            )
-        entries[rows[m + trunc.n_max, :size], cols[m + trunc.n_max, :size]] = block.coeffs
-    return FockState(entries)
+    return {m: stack[m + trunc.n_max, : trunc.block_size(m)] for m in trunc.blocks()}

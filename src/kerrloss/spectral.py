@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fockbasis import BlockVector, Truncation, block_layout
+from .fockbasis import Truncation, block_layout
 from .specfun import DENOMINATOR_FLOOR, VanishingDenominatorError
 from .superops import (
     BlockMatrix,
@@ -427,7 +427,7 @@ class PropagatorCoefficients:
 
 def right_eigenvector_productform(
     params: ModelParams, trunc: Truncation, m: int, k: int
-) -> BlockVector:
+) -> np.ndarray:
     """Independent construction of the right eigenvector via eigenvalue-gap products."""
     from .superops import c_superdiagonal
 
@@ -444,8 +444,7 @@ def right_eigenvector_productform(
             )
         prod *= c_superdiagonal(params, m, p + 1) / np.clongdouble(gap)
         summed[p] = prod
-    out = apply_exp_A(BlockVector(m, summed), trunc, -1.0)
-    return BlockVector(m, out.coeffs.astype(complex))
+    return apply_exp_A(summed, m, -1.0).astype(complex)
 
 
 def F_matrix(params: ModelParams, trunc: Truncation, m: int, direction: str) -> np.ndarray:

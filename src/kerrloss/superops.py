@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fockbasis import BlockVector, Truncation, phi_indices
+from .fockbasis import Truncation, phi_indices
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -141,11 +141,11 @@ def expm_nilpotent(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_exp_A(v: BlockVector, trunc: Truncation, scale: complex) -> BlockVector:
-    """e^{scale A} v via the finite nilpotent series (exact)."""
-    out = v.coeffs.copy()
-    term = v.coeffs.copy()
-    am = abs(v.m)
+def apply_exp_A(v: np.ndarray, m: int, scale: complex) -> np.ndarray:
+    """e^{scale A} v on block m via the finite nilpotent series (exact)."""
+    out = v.copy()
+    term = v.copy()
+    am = abs(m)
     k = np.arange(1, len(out))
     # precision follows the input dtype so extended-precision callers keep
     # their extra digits through the alternating series
@@ -157,7 +157,7 @@ def apply_exp_A(v: BlockVector, trunc: Truncation, scale: complex) -> BlockVecto
         if not term.any():
             break
         out += term
-    return BlockVector(v.m, out)
+    return out
 
 
 def superop_block(apply_full, trunc: Truncation, m: int) -> np.ndarray:

@@ -64,6 +64,48 @@ def test_bad_initial_state_is_validation_error(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n_max": 4, "entries": [[-1, -1, 1, 0]]},  # would wrap around to |4><4|
+        {"n_max": 4, "entries": [[0, 0, float("nan"), 0]]},
+        {"n_max": 4, "entries": [[5, 5, 1, 0]]},
+        {"entries": [[0, 0, 1, 0]]},
+        {"n_max": 4, "entries": [[0, 0, None, 0]]},
+    ],
+    ids=["negative_level", "nan_entry", "level_above_nmax", "missing_nmax", "null_entry"],
+)
+def test_bad_initial_state_file_is_validation_error(tmp_path, capsys, payload):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    argv = ["evolve", "--nmax", "4", "--times", "1", "--initial", f"file:{path}",
+            "--out", str(tmp_path / "x")]
+    assert run(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
+def test_config_file_switches_flags(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "flags.cfg"
+    cfg.write_text("oracle = false\ninject_c_sign_fault = FALSE\nnmax = 4\n")
+    assert cli.load_config_file(str(cfg)) == {
+        "oracle": False, "inject_c_sign_fault": False, "nmax": 4,
+    }
+    out = str(tmp_path / "ev")
+    assert run(["evolve", "--config", str(cfg), "--times", "1", "--out", out]) == cli.EXIT_OK
+    assert "oracle" not in capsys.readouterr().out
+    seen = []
+
+    def fake_run(seed, inject_c_sign_fault):
+        seen.append(inject_c_sign_fault)
+        return [{"check": "eigenvalues", "max_dev": 0.0, "tolerance": 1e-12, "pass": True}]
+
+    monkeypatch.setattr(checks, "run", fake_run)
+    assert run(["verify", "--config", str(cfg), "--out", out]) == cli.EXIT_OK
+    cfg.write_text("inject_c_sign_fault = True\n")
+    run(["verify", "--config", str(cfg), "--out", out])
+    assert seen == [False, True]
+
+
 def test_non_finite_input_is_validation_error(tmp_path):
     out = str(tmp_path / "nonfinite")
     assert run(["spectrum", "--omega", "nan", "--out", out]) == cli.EXIT_VALIDATION

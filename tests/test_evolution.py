@@ -11,10 +11,10 @@ from kerrloss.evolution import (
     heisenberg_a_factors,
     heisenberg_phi,
     propagate_phi,
+    similarity_propagate,
     simaan_g,
-    spectral_propagate,
 )
-from kerrloss.fockbasis import BlockVector, FockState, Truncation, from_blocks
+from kerrloss.fockbasis import FockState, Truncation, phi_indices
 from kerrloss.oracle import expm_propagate, ode_propagate
 from kerrloss.specfun import sqrt_binom
 from kerrloss.spectral import decompose, eigenvalue
@@ -121,35 +121,53 @@ def test_propagation_matches_oracle_all_cases():
             assert dev < 1e-6, (params, t, dev)
 
 
-def test_spectral_propagate_agrees_with_phi_route():
-    # every case tag, from full-support states: the batched route against the
-    # per-block dict route of the decomposition, and the Heisenberg picture
-    # against it by duality tr[O^H(t) rho0] = tr[O rho(t)]
+def test_similarity_propagate_agrees_with_phi_route():
+    # every case tag, from full-support states: the eigenvector factors
+    # against the similarity transform of the bidiagonal closed form, and the
+    # Heisenberg picture against it by duality tr[O^H(t) rho0] = tr[O rho(t)]
     tr = Truncation(10)
     rho0 = random_hermitian_state(tr, 12)
     rng = np.random.default_rng(13)
     obs = FockState(rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim)))
     for params in CASE_CHANNELS:
-        decomp = decompose(params, tr)
         coeffs = PropagatorCoefficients(params, tr)
         for t in (0.1, 0.7, 3.0):
             a = propagate_phi(params, rho0, t, coeffs)
-            b = spectral_propagate(decomp, rho0, t)
+            b = similarity_propagate(params, rho0, t)
             assert np.max(np.abs(a.entries - b.entries)) < 1e-8, (params, t)
             sched = np.trace(obs.entries @ b.entries)
             heis = np.trace(heisenberg_phi(params, obs, t, coeffs).entries @ rho0.entries)
             assert abs(sched - heis) < 1e-8 * max(1.0, abs(sched)), (params, t)
 
 
-def test_spectral_propagate_eigenmode():
+def test_similarity_propagate_never_builds_eigenvectors(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigenvector factors built by the similarity route")
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", forbidden)
+    monkeypatch.setattr(spectral.PropagatorCoefficients, "__init__", forbidden)
+    tr = Truncation(10)
+    rho0 = random_hermitian_state(tr, 14)
+    for params in CASE_CHANNELS:
+        for t in (0.2, 1.0):
+            ref = expm_propagate(params, rho0, t).entries
+            out = similarity_propagate(params, rho0, t).entries
+            assert np.max(np.abs(out - ref)) <= 1e-10, (params, t)
+
+
+def test_similarity_propagate_eigenmode():
+    # a right eigenvector placed in block m evolves by its eigenvalue alone
     tr = Truncation(9)
-    decomp = decompose(GENERIC, tr)
-    m, k = 1, 2
-    mode = from_blocks({m: BlockVector(m, decomp.R[m].entries[:, k])}, tr)
-    t = 0.9
-    out = spectral_propagate(decomp, mode, t)
-    expected = np.exp(eigenvalue(GENERIC, m, k) * t) * mode.entries
-    assert np.max(np.abs(out.entries - expected)) < 1e-10
+    m, k, t = 1, 2, 0.9
+    R = PropagatorCoefficients(GENERIC, tr).factors(m)[1]
+    entries = np.zeros((tr.dim, tr.dim), dtype=complex)
+    for p in range(tr.block_size(m)):
+        entries[phi_indices(m, p)] = R[p, k]
+    mode = FockState(entries)
+    expected = np.exp(eigenvalue(GENERIC, m, k) * t) * entries
+    for route in (similarity_propagate, propagate_phi):
+        out = route(GENERIC, mode, t)
+        assert np.max(np.abs(out.entries - expected)) < 1e-10, route
 
 
 def test_semigroup_property():

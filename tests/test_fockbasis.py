@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from kerrloss.fockbasis import (
-    BlockVector,
     FockState,
     Truncation,
+    block_layout,
     coherent_ket,
-    from_blocks,
     phi_indices,
     to_blocks,
 )
@@ -31,23 +30,23 @@ def test_phi_indices():
     assert phi_indices(0, 4) == (4, 4)
 
 
-def test_to_from_blocks_roundtrip():
+def test_to_blocks_reads_phi_entries():
     rng = np.random.default_rng(3)
     entries = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     state = FockState(entries)
     blocks = to_blocks(state)
     # the diagonal indexing reads the entries the phi_k^(m) labels name
     for m, block in blocks.items():
-        expected = [entries[phi_indices(m, k)] for k in range(len(block.coeffs))]
-        assert list(block.coeffs) == expected
-    back = from_blocks(blocks, state.truncation)
-    assert np.max(np.abs(back.entries - entries)) == 0
-
-
-def test_from_blocks_validates_sizes():
-    tr = Truncation(5)
-    with pytest.raises(ValueError):
-        from_blocks({1: BlockVector(1, np.zeros(3))}, tr)
+        expected = [entries[phi_indices(m, k)] for k in range(len(block))]
+        assert list(block) == expected
+    # and the layout's filled slots scatter the blocks back exactly
+    rows, cols, filled = block_layout(state.truncation)
+    back = np.zeros_like(entries)
+    for m, block in blocks.items():
+        row = m + state.n_max
+        back[rows[row, : len(block)], cols[row, : len(block)]] = block
+    assert np.max(np.abs(back - entries)) == 0
+    assert filled.sum() == entries.size
 
 
 def test_coherent_state_basics():

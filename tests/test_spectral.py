@@ -91,7 +91,7 @@ def test_right_eigenvector_two_routes_agree():
         R = coeffs.factors(m)[1]
         for k in range(tr.block_size(m)):
             hyp = R[:, k]
-            prod = right_eigenvector_productform(GENERIC, tr, m, k).coeffs
+            prod = right_eigenvector_productform(GENERIC, tr, m, k)
             assert np.max(np.abs(hyp - prod)) < 1e-9 * max(1.0, np.max(np.abs(hyp)))
 
 
@@ -202,7 +202,7 @@ def test_coherent_expansion_coefficient_formula():
     blocks = to_blocks(FockState.coherent(tr, alpha))
     eta = GENERIC.kappa1 / GENERIC.kappa2
     for m, k in [(0, 0), (1, 1), (2, 0), (-1, 2)]:
-        b = decomp.Lmat[m].entries[k, :] @ blocks[m].coeffs
+        b = decomp.Lmat[m].entries[k, :] @ blocks[m]
         x = x_parameter(GENERIC, m, k)
         am = abs(m)
         ref = (
@@ -213,7 +213,7 @@ def test_coherent_expansion_coefficient_formula():
         )
         assert b == pytest.approx(ref, rel=1e-8, abs=1e-10)
     # unit trace pairs with the identity functional when kappa1 > 0
-    assert decomp.Lmat[0].entries[0, :] @ blocks[0].coeffs == pytest.approx(1.0, abs=1e-9)
+    assert decomp.Lmat[0].entries[0, :] @ blocks[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_csv_dumps():
