@@ -243,14 +243,13 @@ def pure_loss_consistency() -> dict:
                         worst_odd = max(
                             worst_odd, abs(evolution.g_coefficient(p2, m, k, r, t))
                         )
-                    if r <= 6:
-                        worst_match = max(
-                            worst_match,
-                            abs(
-                                evolution.g_coefficient(p2, m, k, 2 * r, t)
-                                - evolution.simaan_g(m, k, r, t, 1.0)
-                            ),
-                        )
+                    worst_match = max(
+                        worst_match,
+                        abs(
+                            evolution.g_coefficient(p2, m, k, 2 * r, t)
+                            - evolution.simaan_g(m, k, r, t, 1.0)
+                        ),
+                    )
     return {"two_body_loss_odd_vanishing": worst_odd, "two_body_loss_factorial_form": worst_match}
 
 

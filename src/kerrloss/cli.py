@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import checks, evolution, noise, oracle, spectral, superops
-from .fockbasis import FockState, Truncation
+from .fockbasis import FockState, Truncation, as_integer
 from .specfun import VanishingDenominatorError
 from .superops import ModelParams
 
@@ -103,8 +103,9 @@ def _initial_state(spec_text: str, trunc: Truncation) -> FockState:
     raise ValueError(f"unknown initial-state spec {spec_text!r}")
 
 
-def _parse_times(text: str) -> list[float]:
-    times = [float(s) for s in text.split(",") if s.strip()]
+def _parse_times(value) -> list[float]:
+    """A comma list of times; a config file parses a one-time list to a number."""
+    times = [float(s) for s in str(value).split(",") if s.strip()]
     if not times or any(not np.isfinite(t) or t < 0 for t in times):
         raise ValueError("times must be a comma list of finite non-negative numbers")
     return times
@@ -112,7 +113,7 @@ def _parse_times(text: str) -> list[float]:
 
 def cmd_spectrum(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(int(settings["nmax"]))
+    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
     decomp = spectral.decompose(params, trunc)
     header = f"# config_hash={config_hash(settings)}\n"
     _write(os.path.join(settings["out"], "spectrum.csv"), header, spectral.spectrum_csv(decomp))
@@ -127,7 +128,7 @@ def cmd_spectrum(settings: dict) -> int:
 
 def cmd_eigvecs(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(int(settings["nmax"]))
+    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
     decomp = spectral.decompose(params, trunc)
     header = f"# config_hash={config_hash(settings)}\n"
     _write(os.path.join(settings["out"], "eigvecs.csv"), header, spectral.eigenvectors_csv(decomp))
@@ -148,7 +149,7 @@ def _expectations(state: FockState) -> dict[str, complex]:
 
 def cmd_evolve(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(int(settings["nmax"]))
+    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
     initial = _initial_state(settings["initial"], trunc)
     times = _parse_times(settings["times"])
     header = f"# config_hash={config_hash(settings)}\n"
@@ -186,7 +187,8 @@ def cmd_evolve(settings: dict) -> int:
 
 
 def cmd_verify(settings: dict) -> int:
-    entries = checks.run(int(settings["seed"]), bool(settings.get("inject_c_sign_fault")))
+    seed = as_integer(settings["seed"], "seed")
+    entries = checks.run(seed, bool(settings.get("inject_c_sign_fault")))
     payload = {"config_hash": config_hash(settings), "checks": entries}
     _write(os.path.join(settings["out"], "verify.json"), "", json.dumps(payload, indent=1) + "\n")
     failed = [c["check"] for c in entries if not c["pass"]]
@@ -203,12 +205,12 @@ def cmd_verify(settings: dict) -> int:
 
 def cmd_noise(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(int(settings["nmax"]))
+    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
     initial = _initial_state(settings["initial"], trunc)
     t, J_max = float(settings["t"]), float(settings["J_max"])
     if not (np.isfinite(t) and t >= 0 and np.isfinite(J_max) and J_max > 0):
         raise ValueError("--t must be finite and non-negative, --J-max finite and positive")
-    run = noise.run_noise(params, initial, t, J_max=J_max, N_J=int(settings["N_J"]))
+    run = noise.run_noise(params, initial, t, J_max=J_max, N_J=as_integer(settings["N_J"], "N_J"))
     header = f"# config_hash={config_hash(settings)}\n"
     out = settings["out"]
     _write(os.path.join(out, "noise.json"), "", run.to_json() + "\n")

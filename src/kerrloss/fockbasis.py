@@ -27,9 +27,20 @@ __all__ = [
     "FockState",
     "block_layout",
     "to_blocks",
+    "as_integer",
 ]
 
 HERMITICITY_TOL = 1e-12
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int; anything but an integral number is a ValueError,
+    so a level of 1.5 or a cutoff of 4.9 is refused rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,15 @@ class FockState:
         data = json.loads(payload)
         if not isinstance(data, dict) or not {"n_max", "entries"} <= data.keys():
             raise ValueError("state JSON needs an object with 'n_max' and 'entries'")
+        hermitian = data.get("hermitian", False)
+        if not isinstance(hermitian, bool):
+            raise ValueError(f"'hermitian' must be true or false, got {hermitian!r}")
         try:
-            trunc = Truncation(int(data["n_max"]))
-            records = [(int(n1), int(n2), complex(float(re), float(im)))
-                       for n1, n2, re, im in data["entries"]]
+            trunc = Truncation(as_integer(data["n_max"], "n_max"))
+            records = [
+                (as_integer(n1, "level"), as_integer(n2, "level"), complex(float(re), float(im)))
+                for n1, n2, re, im in data["entries"]
+            ]
         except TypeError as exc:
             raise ValueError(f"malformed state JSON: {exc}") from exc
         entries = np.zeros((trunc.dim, trunc.dim), dtype=complex)
@@ -153,7 +169,7 @@ class FockState:
             if not cmath.isfinite(value):
                 raise ValueError(f"entry ({n1}, {n2}) is not finite: {value}")
             entries[n1, n2] = value
-        return cls(entries, hermitian=bool(data.get("hermitian", False)))
+        return cls(entries, hermitian=hermitian)
 
 
 def coherent_ket(trunc: Truncation, alpha: complex) -> np.ndarray:

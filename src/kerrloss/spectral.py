@@ -13,9 +13,10 @@ b = x, c = 2x + eta (left).  Gauss's contiguous relation in the first
 parameter gives F_0 = 1, (c + j) F_(j+1) = (c - 2b) F_j + j F_(j-1) with
 c - 2b = -eta (right) or +eta (left); at kappa2 = 0, F_(j+1) = s F_j with
 s = 1 / (1 + i m U / kappa1).  The recurrence runs forward in fixed-point
-Gaussian integers under a rigorous error bound, linear in j for every
-kappa1 >= 0, at a width that grows until each F_j is resolved or proved an
-exact zero; each entry is rounded to double once.  Parameter cases are
+Gaussian integers, each F_j within 2 j last places: that bound is proved for
+kappa1, kappa2 >= 0 and gated, and any other recurrence is refused.  The
+width grows until each F_j is resolved or proved an exact zero; each entry
+is rounded to double once.  Parameter cases are
 :class:`CaseTag`s; the one true degeneracy (kappa1 = 0, block 0, k < 2) gets
 parity-based vectors.
 """
@@ -91,8 +92,6 @@ def classify(params: ModelParams) -> CaseTag:
             RuntimeWarning,
             stacklevel=2,
         )
-    if k1 == 0:
-        return CaseTag.ZERO_KAPPA1
     return CaseTag.GENERIC_RATIO
 
 
@@ -124,59 +123,22 @@ def _run_recurrence(rec: tuple, n: int, bits: int) -> tuple[list[int], list[int]
     """F_j, j <= n, of the recurrence ``rec`` = (g, h, cr, ci, r) as
     Gaussian integers with 1 = 2^bits: F_0 = 1 and
     F_(j+1) = (g F_j + j h F_(j-1)) conj(d_j) / |d_j|^2, d_j = cr + j h + i ci,
-    each component floored once.  A d_j that is exactly zero lies past the
-    terminating numerator (j >= r), where F_j is a polynomial of degree r in
-    j: its (r+1)-th difference vanishes and gives F_(j+1) exactly."""
-    g, h, cr, ci, r = rec
+    each component floored once."""
+    g, h, cr, ci, _ = rec
     ci2 = ci * ci
     fr, fi, pr, pi = 1 << bits, 0, 0, 0
     re, im = [fr], [fi]
     dr, hj = cr, 0  # Re d_j and j h
     for _ in range(n):
         q = dr * dr + ci2
-        if q:
-            nr, ni = g * fr + hj * pr, g * fi + hj * pi
-            pr, pi = fr, fi
-            fr, fi = (nr * dr + ni * ci) // q, (ni * dr - nr * ci) // q
-        else:
-            pr, pi = fr, fi
-            fr, fi = (sum(c * v for c, v in zip(_differences(r), f[::-1])) for f in (re, im))
+        nr, ni = g * fr + hj * pr, g * fi + hj * pi
+        pr, pi = fr, fi
+        fr, fi = (nr * dr + ni * ci) // q, (ni * dr - nr * ci) // q
         re.append(fr)
         im.append(fi)
         dr += h
         hj += h
     return re, im
-
-
-def _error_bounds(rec: tuple, n: int) -> list[float]:
-    """Bounds e_j, j <= n, on the error of each F_j of :func:`_run_recurrence`
-    in last-place units.
-
-    The products are exact and each floor is off by less than 1 per
-    component, so e_0 = 0 and e_(j+1) = (|g| e_j + j h e_(j-1)) / |d_j| + 2,
-    the 2 rather than sqrt 2 leaving room for the float rounding of the bound
-    itself; a step by differences rounds nothing and adds up its terms'
-    bounds.  Where |d_j| >= |Re d_j| >= |g| + j h for every j < n, as on both
-    sides at any kappa1 >= 0, the recurrence is benign and e_j <= 2 j."""
-    g, h, cr, ci, r = rec
-    if cr >= abs(g) or -cr >= abs(g) + 2 * (n - 1) * h:
-        return list(range(0, 2 * n + 1, 2))
-    e, dr = [0.0], cr  # Re d_j
-    e0 = e1 = 0.0  # e_(j-1), e_j
-    for j in range(n):
-        if dr or ci:
-            d = math.isqrt(dr * dr + ci * ci)  # floored: the ratios round up
-            e0, e1 = e1, abs(g) / d * e1 + j * h / d * e0 + 2.0
-        else:
-            e0, e1 = e1, sum(abs(c) * v for c, v in zip(_differences(r), e[::-1]))
-        e.append(e1)
-        dr += h
-    return e
-
-
-def _differences(r: int) -> list[int]:
-    """w with F_(j+1) = sum_i w_i F_(j-i) for every polynomial F of degree r."""
-    return [(-1) ** i * math.comb(r + 1, i + 1) for i in range(r + 1)]
 
 
 def check_biorthogonality(R: np.ndarray, L: np.ndarray, where: str = "") -> float:
@@ -197,7 +159,7 @@ class EigenvectorBuilder:
     three-term recurrence is a Gaussian integer in units of 2 D kappa2 (D the
     common denominator).  Each mode runs the recurrence once in fixed point
     (:func:`_run_recurrence`), every step exact up to one floor per component,
-    under the error bound of :func:`_error_bounds`; an F_j short of
+    under the error bound 2 j that :meth:`_recurrence` gates; an F_j short of
     53 + GUARD_BITS resolved bits widens the run, and one within its bound of
     zero is an exact zero once the width exceeds the size of its denominators.
     Blocks m >= 0 are built; block -m is their complex conjugate (U -> -U).
@@ -223,35 +185,42 @@ class EigenvectorBuilder:
         in the first parameter, with c - 2b = -eta (right) or +eta (left), so
         g = c - 2b, h = 1 and d_j = c + j.  At kappa2 = 0 (one = D kappa1) it
         is F_(j+1) = s F_j: g = 1, h = 0, d_j = 1 + i U m / kappa1.  The
-        numerator b + j vanishes at j = r (r = n if it never does) and the terms
-        past it vanish, so only the denominators before it are checked; at most
-        one of them, the nearest to -c, can be within the floor."""
+        numerator b + j vanishes at j = r (r = n if it never does).
+
+        The gate, cr >= |g| or -cr >= |g| + 2 (n - 1) h, makes |d_j| at least
+        |g| + j h for j < n.  A step floors once (under 2 last places), so each
+        F_j is within e_j = 2 j: (|g| 2j + j h 2(j - 1)) / |d_j| + 2 <= 2j + 2.
+        It holds at kappa1, kappa2 >= 0 (unreduced, one = 2 K2, T = (2k + |m|) K2):
+        - left: cr - |g| = 2T >= 0;
+        - right (n = k): -cr - |g| - 2 (n - 1) h = 2 |m| K2 >= 0;
+        - kappa2 = 0: cr = g = K1 > 0.
+        Re d_j can vanish only at kappa1 = 0, m = 0, k < 2, the degenerate
+        pair :meth:`_fill` returns before; any other recurrence is refused."""
         K1, K2, Y = self.K1, self.K2, self.KU * am
-        if K2 == 0:
-            G = math.gcd(K1, Y)
-            return K1 // G, 0, K1 // G, Y // G, n
-        one, T = 2 * K2, (2 * k + am) * K2  # 1 and Re(x) times one
-        br, cr, ci = (one - T, 2 * one - 2 * T - 2 * K1, -2 * Y) if right else (T, 2 * T + 2 * K1, 2 * Y)
-        r = -br // one if Y == 0 and br <= 0 and br % one == 0 else n
-        j = (one - 2 * cr) // (2 * one)  # the integer nearest to -c
-        if 0 <= j < min(n, r) and math.hypot((cr + j * one) / one, ci / one) * (j + 1) < DENOMINATOR_FLOOR:
-            raise VanishingDenominatorError(
-                f"{'right' if right else 'left'}-eigenvector (m,k)=({am},{k}) "
-                f"denominator vanished at order {j + 1}"
-            )
-        g, G = -2 * K1 if right else 2 * K1, math.gcd(2 * K1, one, cr, ci)
-        return g // G, one // G, cr // G, ci // G, r
+        if K2:
+            one, T = 2 * K2, (2 * k + am) * K2  # 1 and Re(x) times one
+            br, cr, ci = (one - T, 2 * one - 2 * T - 2 * K1, -2 * Y) if right else (T, 2 * T + 2 * K1, 2 * Y)
+            r = -br // one if Y == 0 and br <= 0 and br % one == 0 else n
+            g, h = -2 * K1 if right else 2 * K1, one
+        else:
+            g, h, cr, ci, r = K1, 0, K1, Y, n
+        G = math.gcd(g, h, cr, ci)
+        g, h, cr, ci = g // G, h // G, cr // G, ci // G
+        if not (cr >= abs(g) or -cr >= abs(g) + 2 * (n - 1) * h):
+            side = "right" if right else "left"
+            raise InternalConsistencyError(f"{side}-eigenvector (m,k)=({am},{k}): recurrence not benign")
+        return g, h, cr, ci, r
 
     def _fill(self, am: int, k: int, right: bool, out: np.ndarray, bits: int = 0) -> int:
         """Write mode (|m|, k) into the zeroed ``out`` (column k of R_m or row
         k of L_m); return the working bits it took.
 
         The F_j run at the caller's guess of bits, at least 53 + GUARD_BITS +
-        log2 E with E = max e_j, and the width grows by the measured shortfall
-        until each F_j is resolved to 53 + GUARD_BITS bits.  F_j times the
-        product of its denominators d_l, l < min(j, r), is a Gaussian integer,
-        so an F_j within E of zero once 2 E 2^-bits is below the reciprocal of
-        that product is an exact zero."""
+        log2 E with E = 2 n, the largest error bound e_j = 2 j, and the width
+        grows by the measured shortfall until each F_j is resolved to
+        53 + GUARD_BITS bits.  F_j times the product of its denominators d_l,
+        l < min(j, r), is a Gaussian integer, so an F_j within E of zero once
+        2 E 2^-bits is below the reciprocal of that product is an exact zero."""
         out[k] = 1.0
         n = k if right else len(out) - 1 - k
         if self.K1 == self.K2 == 0 or n == 0:  # Hamiltonian only: R = L = I
@@ -263,7 +232,7 @@ class EigenvectorBuilder:
             return bits
         rec = self._recurrence(am, k, right, n)
         _, h, cr, ci, r = rec
-        target, bound = 53 + GUARD_BITS, math.ceil(max(_error_bounds(rec, n)))
+        target, bound = 53 + GUARD_BITS, 2 * n
         lim = bound << target  # resolved: |F_j| 2^bits at least this
         bits = max(bits, target + bound.bit_length())
         while True:

@@ -58,6 +58,27 @@ def test_malformed_config_is_validation_error(tmp_path):
     assert run(["spectrum", "--config", str(cfg)]) == cli.EXIT_VALIDATION
 
 
+def test_config_times_may_be_one_number(tmp_path):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("times = 0.5\nnmax = 4\n")
+    assert cli.load_config_file(str(cfg))["times"] == 0.5
+    out = tmp_path / "ev"
+    assert run(["evolve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert {line.split(",")[0] for line in read(out / "expectations.csv").splitlines()[2:]} == {"0.5"}
+
+
+@pytest.mark.parametrize("command, line", [
+    ("spectrum", "nmax = 6.7"),
+    ("noise", "N_J = 65.9"),
+    ("verify", "seed = 1.5"),
+])
+def test_fractional_integer_setting_is_validation_error(tmp_path, capsys, command, line):
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text(line + "\n")
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == cli.EXIT_VALIDATION
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_bad_initial_state_is_validation_error(tmp_path):
     out = str(tmp_path / "x")
     code = run(["evolve", "--initial", "squeezed:2", "--out", out])
@@ -72,8 +93,12 @@ def test_bad_initial_state_is_validation_error(tmp_path):
         {"n_max": 4, "entries": [[5, 5, 1, 0]]},
         {"entries": [[0, 0, 1, 0]]},
         {"n_max": 4, "entries": [[0, 0, None, 0]]},
+        {"n_max": 4, "entries": [[1.5, 0.9, 1, 0]]},  # would truncate to (1, 0)
+        {"n_max": 4.9, "entries": [[0, 0, 1, 0]]},  # would truncate to 4
+        {"n_max": 4, "hermitian": "false", "entries": [[0, 0, 1, 0]]},  # bool("false") is True
     ],
-    ids=["negative_level", "nan_entry", "level_above_nmax", "missing_nmax", "null_entry"],
+    ids=["negative_level", "nan_entry", "level_above_nmax", "missing_nmax", "null_entry",
+         "fractional_level", "fractional_nmax", "string_hermitian"],
 )
 def test_bad_initial_state_file_is_validation_error(tmp_path, capsys, payload):
     path = tmp_path / "state.json"
