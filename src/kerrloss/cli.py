@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: spectrum, eigvecs, evolve, verify, noise.  Every run is a pure
-function of its configuration (flat key=value file plus flag overrides) and
-the seed; numeric output files carry the config hash in a header line.
+function of its settings; numeric output files carry their hash, not the
+config file's, in a header line.  A ``--config`` file's ``key = value``
+lines are keyed by flag dest names (``J_max``), ``true``/``false`` for a
+store-true flag; each is parsed as ``--key=value`` before the command
+line's flags, so an unknown key is refused and an explicit flag wins.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 numerical gate failure.
+Exit codes: 0 success, 1 validation error (every parse error included),
+2 verification failure, 3 numerical gate failure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 import numpy as np
 
 from . import checks, evolution, noise, oracle, spectral, superops
-from .fockbasis import FockState, Truncation, as_integer
+from .fockbasis import FockState, Truncation
 from .specfun import VanishingDenominatorError
 from .superops import ModelParams
 
@@ -29,20 +32,21 @@ EXIT_VERIFY_FAIL = 2
 EXIT_GATE_FAIL = 3
 
 
-def _parse_scalar(text: str):
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+class _Parser(argparse.ArgumentParser):
+    """A parse error raises ValueError, so it exits 1 like any bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value file; blank lines and '#' comments ignored."""
-    out = {}
+def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """A flat key=value file as flags of ``command``; '#' comments ignored."""
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    flags = {
+        a.dest: a for a in commands[command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    argv = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -50,9 +54,17 @@ def load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = _parse_scalar(val.strip())
-    return out
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in flags:
+                raise ValueError(f"unknown config key {key!r}")
+            flag = flags[key].option_strings[0]
+            if flags[key].nargs != 0:
+                argv.append(f"{flag}={value}")  # one token: a value may start with '-'
+            elif value.lower() == "true":
+                argv.append(flag)
+            elif value.lower() != "false":
+                raise ValueError(f"{key} must be true or false, got {value!r}")
+    return argv
 
 
 def config_hash(settings: dict) -> str:
@@ -67,27 +79,9 @@ def _write(path: str, header: str, body: str) -> None:
         fh.write(body)
 
 
-def _merged_settings(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """defaults < config file < explicitly passed flags."""
-    settings = dict(parser_defaults)
-    if args.config:
-        settings.update(load_config_file(args.config))
-    for key, val in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if val != parser_defaults.get(key):
-            settings[key] = val
-    return settings
-
-
 def _params(settings: dict) -> ModelParams:
-    return ModelParams(
-        omega=float(settings["omega"]),
-        U=float(settings["U"]),
-        kappa1=float(settings["kappa1"]),
-        kappa2=float(settings["kappa2"]),
-        allow_unitary=True,
-    )
+    rates = (settings[k] for k in ("omega", "U", "kappa1", "kappa2"))
+    return ModelParams(*rates, allow_unitary=True)
 
 
 def _initial_state(spec_text: str, trunc: Truncation) -> FockState:
@@ -99,13 +93,15 @@ def _initial_state(spec_text: str, trunc: Truncation) -> FockState:
         return FockState.coherent(trunc, complex(spec_text.split(":", 1)[1]))
     if spec_text.startswith("file:"):
         with open(spec_text.split(":", 1)[1]) as fh:
-            return FockState.from_json(fh.read())
+            state = FockState.from_json(fh.read())
+        if state.n_max != trunc.n_max:
+            raise ValueError(f"initial state has n_max={state.n_max}, the run nmax={trunc.n_max}")
+        return state
     raise ValueError(f"unknown initial-state spec {spec_text!r}")
 
 
-def _parse_times(value) -> list[float]:
-    """A comma list of times; a config file parses a one-time list to a number."""
-    times = [float(s) for s in str(value).split(",") if s.strip()]
+def _parse_times(text: str) -> list[float]:
+    times = [float(s) for s in text.split(",") if s.strip()]
     if not times or any(not np.isfinite(t) or t < 0 for t in times):
         raise ValueError("times must be a comma list of finite non-negative numbers")
     return times
@@ -113,7 +109,7 @@ def _parse_times(value) -> list[float]:
 
 def cmd_spectrum(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
+    trunc = Truncation(settings["nmax"])
     decomp = spectral.decompose(params, trunc)
     header = f"# config_hash={config_hash(settings)}\n"
     _write(os.path.join(settings["out"], "spectrum.csv"), header, spectral.spectrum_csv(decomp))
@@ -128,7 +124,7 @@ def cmd_spectrum(settings: dict) -> int:
 
 def cmd_eigvecs(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
+    trunc = Truncation(settings["nmax"])
     decomp = spectral.decompose(params, trunc)
     header = f"# config_hash={config_hash(settings)}\n"
     _write(os.path.join(settings["out"], "eigvecs.csv"), header, spectral.eigenvectors_csv(decomp))
@@ -149,7 +145,7 @@ def _expectations(state: FockState) -> dict[str, complex]:
 
 def cmd_evolve(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
+    trunc = Truncation(settings["nmax"])
     initial = _initial_state(settings["initial"], trunc)
     times = _parse_times(settings["times"])
     header = f"# config_hash={config_hash(settings)}\n"
@@ -159,7 +155,7 @@ def cmd_evolve(settings: dict) -> int:
     coeffs = evolution.PropagatorCoefficients(params, trunc)
     for t in times:
         state = evolution.propagate_phi(params, initial, t, coeffs)
-        if settings.get("oracle"):
+        if settings["oracle"]:
             ref = oracle.ode_propagate(
                 superops.full_generator(params, trunc), initial, t
             )
@@ -172,13 +168,13 @@ def cmd_evolve(settings: dict) -> int:
             expect_lines.append(f"{t:.17g},{name},{val.real:.17g},{val.imag:.17g}")
     _write(os.path.join(settings["out"], "evolution.csv"), header, "\n".join(traj_lines) + "\n")
     _write(os.path.join(settings["out"], "expectations.csv"), header, "\n".join(expect_lines) + "\n")
-    if settings.get("heisenberg") == "a":
+    if settings["heisenberg"] == "a":
         lines = ["t,k,re_factor,im_factor"]
         for t in times:
             for k, f in enumerate(evolution.heisenberg_a_factors(params, trunc, t, coeffs)):
                 lines.append(f"{t:.17g},{k},{f.real:.17g},{f.imag:.17g}")
         _write(os.path.join(settings["out"], "heisenberg_a.csv"), header, "\n".join(lines) + "\n")
-    if settings.get("oracle"):
+    if settings["oracle"]:
         print(f"max deviation from oracle integration: {max_oracle_dev:.3e}")
         if max_oracle_dev > 1e-6:
             return EXIT_VERIFY_FAIL
@@ -187,8 +183,7 @@ def cmd_evolve(settings: dict) -> int:
 
 
 def cmd_verify(settings: dict) -> int:
-    seed = as_integer(settings["seed"], "seed")
-    entries = checks.run(seed, bool(settings.get("inject_c_sign_fault")))
+    entries = checks.run(settings["seed"], settings["inject_c_sign_fault"])
     payload = {"config_hash": config_hash(settings), "checks": entries}
     _write(os.path.join(settings["out"], "verify.json"), "", json.dumps(payload, indent=1) + "\n")
     failed = [c["check"] for c in entries if not c["pass"]]
@@ -205,12 +200,12 @@ def cmd_verify(settings: dict) -> int:
 
 def cmd_noise(settings: dict) -> int:
     params = _params(settings)
-    trunc = Truncation(as_integer(settings["nmax"], "nmax"))
+    trunc = Truncation(settings["nmax"])
     initial = _initial_state(settings["initial"], trunc)
-    t, J_max = float(settings["t"]), float(settings["J_max"])
+    t, J_max = settings["t"], settings["J_max"]
     if not (np.isfinite(t) and t >= 0 and np.isfinite(J_max) and J_max > 0):
         raise ValueError("--t must be finite and non-negative, --J-max finite and positive")
-    run = noise.run_noise(params, initial, t, J_max=J_max, N_J=as_integer(settings["N_J"], "N_J"))
+    run = noise.run_noise(params, initial, t, J_max=J_max, N_J=settings["N_J"])
     header = f"# config_hash={config_hash(settings)}\n"
     out = settings["out"]
     _write(os.path.join(out, "noise.json"), "", run.to_json() + "\n")
@@ -224,7 +219,7 @@ def cmd_noise(settings: dict) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kerrloss", description=__doc__)
+    parser = _Parser(prog="kerrloss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -280,13 +275,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = vars(build_parser().parse_args([args.command]))
-    defaults.pop("command", None)
     try:
-        settings = _merged_settings(args, defaults)
-        settings["command"] = args.command
+        args = parser.parse_args(argv)
+        if args.config:
+            # argparse keeps the last value it sees, so the command line's
+            # flags, after the file's, win
+            file_argv = _config_argv(parser, args.command, args.config)
+            args = parser.parse_args(argv[:1] + file_argv + argv[1:])
+        # the hash names the settings, not the file they were read from
+        settings = vars(args) | {"config": None}
         return _COMMANDS[args.command](settings)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

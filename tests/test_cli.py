@@ -3,7 +3,7 @@ import json
 import pytest
 
 from kerrloss import checks, cli, evolution
-from kerrloss.fockbasis import Truncation
+from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.superops import ModelParams
 
 
@@ -61,22 +61,88 @@ def test_malformed_config_is_validation_error(tmp_path):
 def test_config_times_may_be_one_number(tmp_path):
     cfg = tmp_path / "one.cfg"
     cfg.write_text("times = 0.5\nnmax = 4\n")
-    assert cli.load_config_file(str(cfg))["times"] == 0.5
     out = tmp_path / "ev"
     assert run(["evolve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     assert {line.split(",")[0] for line in read(out / "expectations.csv").splitlines()[2:]} == {"0.5"}
 
 
-@pytest.mark.parametrize("command, line", [
-    ("spectrum", "nmax = 6.7"),
-    ("noise", "N_J = 65.9"),
-    ("verify", "seed = 1.5"),
+@pytest.mark.parametrize("command, key, value", [
+    ("spectrum", "nmax", "6.7"),
+    ("noise", "N_J", "65.9"),
+    ("verify", "seed", "1.5"),
 ])
-def test_fractional_integer_setting_is_validation_error(tmp_path, capsys, command, line):
+def test_fractional_integer_setting_is_validation_error(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "frac.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_text(f"{key} = {value}\n")
     assert run([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == cli.EXIT_VALIDATION
-    assert "must be an integer" in capsys.readouterr().err
+    assert f"invalid int value: '{value}'" in capsys.readouterr().err
+
+
+def test_explicit_flag_beats_config_file_at_its_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa1 = 0.25\nnmax = 5\n")
+    out = str(tmp_path / "run")
+    assert run(["spectrum", "--config", str(cfg), "--kappa1", "1.0", "--out", out]) == cli.EXIT_OK
+    from_file = read(out + "/spectrum.csv")
+    assert run(["spectrum", "--nmax", "5", "--out", out]) == cli.EXIT_OK
+    assert read(out + "/spectrum.csv") == from_file
+
+
+@pytest.mark.parametrize("command, text, files", [
+    ("evolve", "omega = 1\nU = -0.4\ntimes = 2\nnmax = 5\n", ["evolution.csv", "expectations.csv"]),
+    ("noise", "omega = 1\nt = 2\nnmax = 14\nN_J = 65\n", ["noise.json", "Z.csv", "P.csv"]),
+])
+def test_config_file_run_matches_the_same_flags(tmp_path, command, text, files):
+    # a float setting spelled as an integer in the file hashes as the flag
+    # does, and a value starting with "-" is a value, not an option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = str(tmp_path / "run")
+    assert run([command, "--config", str(cfg), "--out", out]) == cli.EXIT_OK
+    from_file = [read(f"{out}/{name}") for name in files]
+    flags = [f"--{key.strip().replace('_', '-')}={value.strip()}"
+             for key, value in (line.split("=") for line in text.splitlines())]
+    assert run([command, *flags, "--out", out]) == cli.EXIT_OK
+    assert [read(f"{out}/{name}") for name in files] == from_file
+
+
+@pytest.mark.parametrize("command, line", [
+    ("spectrum", "nmaxx = 5"),
+    ("noise", "J-max = 16"),
+    ("spectrum", "help = true"),
+    ("evolve", "heisenberg = 1"),
+    ("evolve", "oracle = yes"),
+    ("evolve", "initial = 5"),
+])
+def test_bad_config_line_is_one_validation_error_line(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"nmax = 4\n{line}\n")
+    out = tmp_path / "x"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("validation error:")
+    assert not out.exists()
+
+
+def test_bad_flag_value_is_validation_error(tmp_path, capsys):
+    assert run(["spectrum", "--nmax", "abc", "--out", str(tmp_path / "x")]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error:")
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--nmax", "10", "--times", "1"],
+    ["noise", "--nmax", "14", "--t", "0.5", "--N-J", "65"],
+])
+def test_initial_state_file_at_another_cutoff_is_validation_error(tmp_path, capsys, argv):
+    path = tmp_path / "state.json"
+    path.write_text(FockState.coherent(Truncation(8), 0.8).to_json())
+    out = tmp_path / "x"
+    assert run(argv + ["--initial", f"file:{path}", "--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "n_max=8" in err and f"nmax={argv[2]}" in err
 
 
 def test_bad_initial_state_is_validation_error(tmp_path):
@@ -110,14 +176,16 @@ def test_bad_initial_state_file_is_validation_error(tmp_path, capsys, payload):
 
 
 def test_config_file_switches_flags(tmp_path, monkeypatch, capsys):
+    # each command refuses the other's keys, so each gets its own file
     cfg = tmp_path / "flags.cfg"
-    cfg.write_text("oracle = false\ninject_c_sign_fault = FALSE\nnmax = 4\n")
-    assert cli.load_config_file(str(cfg)) == {
-        "oracle": False, "inject_c_sign_fault": False, "nmax": 4,
-    }
+    cfg.write_text("oracle = false\nnmax = 4\n")
     out = str(tmp_path / "ev")
     assert run(["evolve", "--config", str(cfg), "--times", "1", "--out", out]) == cli.EXIT_OK
     assert "oracle" not in capsys.readouterr().out
+    cfg.write_text("oracle = true\nnmax = 4\n")
+    assert run(["evolve", "--config", str(cfg), "--times", "1", "--out", out]) == cli.EXIT_OK
+    assert "oracle" in capsys.readouterr().out
+    cfg.write_text("inject_c_sign_fault = FALSE\nnmax = 4\n")
     seen = []
 
     def fake_run(seed, inject_c_sign_fault):
@@ -272,8 +340,7 @@ def test_noise_truncation_gate_exit_code(tmp_path):
 
 
 def test_parser_rejects_unknown_command():
-    with pytest.raises(SystemExit):
-        run(["frobnicate"])
+    assert run(["frobnicate"]) == cli.EXIT_VALIDATION
 
 
 def test_internal_consistency_failure_exits_as_gate_failure(tmp_path, monkeypatch, capsys):
