@@ -79,9 +79,7 @@ def eigenvalue_exactness() -> dict:
         for params in seeded_draws(case, 5, seed=101):
             for m in (-4, -1, 0, 2, 5):
                 diag = np.diag(superops.liouvillian_block(params, trunc, m).entries)
-                lams = np.array(
-                    [spectral.eigenvalue(params, m, k) for k in range(trunc.block_size(m))]
-                )
+                lams = spectral.eigenvalue(params, m, np.arange(trunc.block_size(m)))
                 worst = max(worst, float(np.max(np.abs(diag - lams))))
     return {"eigenvalues": worst}
 

@@ -16,9 +16,12 @@ s = 1 / (1 + i m U / kappa1).  The recurrence runs forward in fixed-point
 Gaussian integers, each F_j within 2 j last places: that bound is proved for
 kappa1, kappa2 >= 0 and gated, and any other recurrence is refused.  The
 width grows until each F_j is resolved or proved an exact zero; each entry
-is rounded to double once.  Parameter cases are
-:class:`CaseTag`s; the one true degeneracy (kappa1 = 0, block 0, k < 2) gets
-parity-based vectors.
+is rounded to double once, as ldexp of its correctly rounded fixed-point
+numerator (:func:`_round_entries`; big-integer true division where that
+could leave the normal range).  :class:`PropagatorCoefficients` gates the
+blocks each of its calls builds with one stacked
+:func:`check_biorthogonality`.  Parameter cases are :class:`CaseTag`s; the
+one true degeneracy (kappa1 = 0, block 0, k < 2) gets parity-based vectors.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from __future__ import annotations
 import io
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,7 +100,11 @@ def classify(params: ModelParams) -> CaseTag:
     return CaseTag.GENERIC_RATIO
 
 
-def eigenvalue(params: ModelParams, m: int, k: int) -> complex:
+def eigenvalue(
+    params: ModelParams, m: int | np.ndarray, k: int | np.ndarray
+) -> complex | np.ndarray:
+    """lambda_k^(m); m and k may be integer arrays, which broadcast, and each
+    entry is bit for bit the scalar value."""
     am = abs(m)
     return (
         -1j * (params.omega - params.U / 2) * m
@@ -141,15 +150,68 @@ def _run_recurrence(rec: tuple, n: int, bits: int) -> tuple[list[int], list[int]
     return re, im
 
 
-def check_biorthogonality(R: np.ndarray, L: np.ndarray, where: str = "") -> float:
-    """Gate max|R L - I| <= S eps max(|R| |L|), the rounding bound of the
-    product; returns the deviation over that bound (the gate margin)."""
-    size = R.shape[0]
-    bound = size * np.finfo(float).eps * float(np.max(np.abs(R) @ np.abs(L)))
-    ratio = float(np.max(np.abs(R @ L - np.eye(size)))) / bound
-    if not ratio <= 1.0:
-        raise InternalConsistencyError(f"{where}: max|R L - I| is {ratio:.3g} x its bound")
-    return ratio
+def _round_entries(re: list[int], im: list[int], w: list[int], shift: int) -> list[complex]:
+    """(re + i im) w 2^-shift entry by entry, each component rounded once to
+    the nearest double.
+
+    CPython's int -> float conversion rounds correctly, and scaling by a power
+    of two is exact on normal doubles, so ldexp(float(x v), -shift) equals
+    the true quotient x v / 2^shift.  Each w is at least 2^(2 ROOT_BITS) in
+    magnitude, so every nonzero value is normal while shift - 2 ROOT_BITS
+    <= 1022.  A product past the double range (float() overflows) and a
+    wider shift take the big-integer true division instead."""
+    if shift - 2 * ROOT_BITS <= 1022:
+        ldexp = math.ldexp
+        try:
+            return [complex(ldexp(float(x * v), -shift), ldexp(float(y * v), -shift))
+                    for x, y, v in zip(re, im, w)]
+        except OverflowError:
+            pass
+    scale = 1 << shift
+    return [complex(x * v / scale, y * v / scale) for x, y, v in zip(re, im, w)]
+
+
+#: bytes of the temporaries one chunk of :func:`check_biorthogonality` holds
+GATE_CHUNK_BYTES = 1 << 20
+
+
+def _gate_ratios(R: np.ndarray, L: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """max|R_b L_b - I_b| / (S_b eps max(|R_b| |L_b|)) of each pair of one chunk."""
+    diag = np.arange(R.shape[-1])
+    bound = sizes * np.finfo(float).eps * np.max(np.abs(R) @ np.abs(L), axis=(1, 2))
+    dev = R @ L
+    dev[:, diag, diag] -= diag < sizes[:, None]
+    return np.max(np.abs(dev), axis=(1, 2)) / bound
+
+
+def check_biorthogonality(
+    R: np.ndarray,
+    L: np.ndarray,
+    sizes: Sequence[int] | None = None,
+    labels: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Gate max|R_b L_b - I_b| <= S_b eps max(|R_b| |L_b|), the rounding
+    bound of the product, on every pair of the stacks R, L of shape
+    (..., S, S); returns each deviation over its bound (the gate margins).
+
+    Pair b is zero-padded past its leading S_b = ``sizes[b]`` indices
+    (default S), where I_b is the identity.  The pairs are gated in chunks:
+    a pair holds at most 24 S^2 bytes of temporaries at once, so a chunk
+    holds at most GATE_CHUNK_BYTES.  A failure names the block ``labels[b]``
+    (default: pair b) with the largest ratio."""
+    shape, S = R.shape[:-2], R.shape[-1]
+    R, L = R.reshape(-1, S, S), L.reshape(-1, S, S)
+    sizes = np.broadcast_to(S if sizes is None else np.asarray(sizes), len(R))
+    ratios, step = np.empty(len(R)), max(1, GATE_CHUNK_BYTES // (24 * S * S))
+    for lo in range(0, len(R), step):
+        chunk = slice(lo, lo + step)
+        top = int(sizes[chunk].max())  # the padding past the largest pair adds nothing
+        ratios[chunk] = _gate_ratios(R[chunk, :top, :top], L[chunk, :top, :top], sizes[chunk])
+    if not np.all(ratios <= 1.0):
+        worst = int(np.argmax(np.where(np.isnan(ratios), np.inf, ratios)))
+        where = f"pair {worst}" if labels is None else f"eigenvector block m={labels[worst]}"
+        raise InternalConsistencyError(f"{where}: max|R L - I| is {ratios[worst]:.3g} x its bound")
+    return ratios.reshape(shape)
 
 
 class EigenvectorBuilder:
@@ -235,6 +297,7 @@ class EigenvectorBuilder:
         target, bound = 53 + GUARD_BITS, 2 * n
         lim = bound << target  # resolved: |F_j| 2^bits at least this
         bits = max(bits, target + bound.bit_length())
+        slack, logd = math.log2(2 * bound) + 1, None  # logd[i]: sum of log2 |d_l|^2, l < i
         while True:
             re, im = _run_recurrence(rec, n, bits)
             extra = 0
@@ -245,8 +308,10 @@ class EigenvectorBuilder:
                 if f2 > bound * bound:  # resolved, but short of the target
                     extra = max(extra, bound.bit_length() + target + 1 - f2.bit_length() // 2)
                     continue
-                need = sum(math.log2((cr + l * h) ** 2 + ci * ci) for l in range(min(j, r))) / 2
-                need += math.log2(2 * bound) + 1
+                if logd is None:  # once per mode, summed left to right
+                    logd = list(accumulate((math.log2((cr + l * h) ** 2 + ci * ci)
+                                            for l in range(min(n, r))), initial=0))
+                need = logd[min(j, r)] / 2 + slack
                 if bits > need:  # within E of zero and below any nonzero value
                     re[j] = im[j] = 0
                 else:
@@ -254,25 +319,26 @@ class EigenvectorBuilder:
             if not extra:
                 break
             bits += extra + 16  # headroom, so the next mode of the side rarely reruns
-        scale, root = 1 << (bits + 2 * ROOT_BITS), self.root
+        root, shift = self.root, bits + 2 * ROOT_BITS
         if right:
             w = [root[k][j] * root[k + am][j] * (-1) ** j for j in range(1, n + 1)]
         else:
             w = [root[k + j][j] * root[k + j + am][j] for j in range(1, n + 1)]
-        vals = [complex(x * v / scale, y * v / scale) for x, y, v in zip(re[1:], im[1:], w)]
+        vals = _round_entries(re[1:], im[1:], w, shift)
         out[slice(k - 1, None, -1) if right else slice(k + 1, None)] = vals
         return bits
 
     def block(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(R_m, L_m) of block m >= 0, gated by :func:`check_biorthogonality`; each
-        side runs from its longest sum down, every mode starting at ``self.bits``."""
+        """(R_m, L_m) of block m >= 0, not yet gated: :class:`PropagatorCoefficients`
+        runs :func:`check_biorthogonality` once over the blocks each of its calls
+        builds.  Each side runs from its longest sum down, every mode starting at
+        ``self.bits``."""
         if m < 0:
             raise ValueError("build block |m|; block -m is its complex conjugate")
         R, L = (np.zeros((self.truncation.block_size(m),) * 2, dtype=complex) for _ in "RL")
         for k, top in enumerate(range(len(R) - 1, -1, -1)):
             self.bits[0] = self._fill(m, top, True, R[:, top], self.bits[0])
             self.bits[1] = self._fill(m, k, False, L[k], self.bits[1])
-        check_biorthogonality(R, L, f"eigenvector block m={m}")
         return R, L
 
 
@@ -286,7 +352,10 @@ class PropagatorCoefficients:
     block m in the layout of :func:`~kerrloss.fockbasis.block_layout`:
     Lambda (2 n_max + 1, n_max + 1), R and L (2 n_max + 1, n_max + 1, n_max + 1).
     Blocks m and -m are built into it together on first use, so memory
-    depends on n_max only, not on the number of times asked for.
+    depends on n_max only, not on the number of times asked for.  Each
+    :meth:`factors` or :meth:`stack` call that builds gates its new blocks
+    in one :func:`check_biorthogonality` over their rows of the stack, in
+    chunks of at most GATE_CHUNK_BYTES of temporaries.
 
     :meth:`apply` propagates a gathered block stack: at kappa2 > 0 it applies
     L_m, e^{Lambda_m t} and R_m in turn and never forms T_m(t).  At
@@ -312,29 +381,40 @@ class PropagatorCoefficients:
     def _builder(self) -> EigenvectorBuilder:
         return EigenvectorBuilder(self.params, self.truncation)
 
-    def _build(self, am: int) -> None:
-        n, size = self.truncation.n_max, self.truncation.block_size(am)
-        R, L = self._builder.block(am)
-        self._R[n + am, :size, :size], self._L[n + am, :size, :size] = R, L
-        if am:  # block -m is the conjugate; + 0.0 keeps -0 out of it
-            self._R[n - am, :size, :size], self._L[n - am, :size, :size] = R.conj() + 0.0, L.conj() + 0.0
-        for mm in {am, -am}:
-            self._lam[n + mm, :size] = [eigenvalue(self.params, mm, k) for k in range(size)]
-        self._built[am] = True
+    def _build(self, ams: list[int]) -> None:
+        """Build the blocks m >= 0 in ``ams`` (ascending) and their conjugates,
+        then gate them in one :func:`check_biorthogonality` over the rows of
+        the stack from the first to the last: a slice, so the gate reads the
+        stack in place, and a block built earlier in between is gated again."""
+        n = self.truncation.n_max
+        for am in ams:
+            size = self.truncation.block_size(am)
+            R, L = self._builder.block(am)
+            self._R[n + am, :size, :size], self._L[n + am, :size, :size] = R, L
+            if am:  # block -m is the conjugate; + 0.0 keeps -0 out of it
+                self._R[n - am, :size, :size], self._L[n - am, :size, :size] = R.conj() + 0.0, L.conj() + 0.0
+        m, k = np.array(ams + [-am for am in ams])[:, None], np.arange(n + 1)
+        lam = eigenvalue(self.params, m, k)  # every block m and -m in one call, zero-padded
+        self._lam[n + m[:, 0]] = np.where(k <= n - np.abs(m), lam, 0)
+        blocks, rows = range(ams[0], ams[-1] + 1), slice(n + ams[0], n + ams[-1] + 1)
+        sizes = [self.truncation.block_size(am) for am in blocks]
+        check_biorthogonality(self._R[rows], self._L[rows], sizes, blocks)
+        for am in ams:
+            self._built[am] = True
 
     def factors(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lambda, R, L) of block m, views into the stack."""
         size = self.truncation.block_size(m)
         if not self._built[abs(m)]:
-            self._build(abs(m))
+            self._build([abs(m)])
         i = m + self.truncation.n_max
         return self._lam[i, :size], self._R[i, :size, :size], self._L[i, :size, :size]
 
     def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Lambda, R, L) of every block, padded, after building what is missing."""
-        for am, built in enumerate(self._built):
-            if not built:
-                self._build(am)
+        missing = [am for am, built in enumerate(self._built) if not built]
+        if missing:
+            self._build(missing)
         return self._lam, self._R, self._L
 
     @cached_property
@@ -484,13 +564,12 @@ def _degeneracy_scan(params: ModelParams, trunc: Truncation, case: CaseTag) -> t
     kappa1 exactly, so that pair applies the ratio test of :func:`classify`
     to the same float; every other gap is at least one unit.
     """
-    rate = params.kappa2 or params.kappa1
-    found = []
-    for m in trunc.blocks():
-        lams = np.array([eigenvalue(params, m, k) for k in range(trunc.block_size(m))])
-        k, q = np.triu_indices(len(lams), 1)  # every pair k < q, in loop order
-        hit = np.abs(lams[k] - lams[q]) / rate < INTEGER_RATIO_TOL
-        found += [(m, int(a), int(b)) for a, b in zip(k[hit], q[hit])]
+    rate, n = params.kappa2 or params.kappa1, trunc.n_max
+    m = np.arange(-n, n + 1)[:, None]  # the rows of trunc.blocks()
+    lams = eigenvalue(params, m, np.arange(n + 1))
+    k, q = np.triu_indices(n + 1, 1)  # every pair k < q, in loop order
+    hit = (np.abs(lams[:, k] - lams[:, q]) / rate < INTEGER_RATIO_TOL) & (q < n + 1 - np.abs(m))
+    found = [(int(m[i, 0]), int(k[j]), int(q[j])) for i, j in zip(*np.nonzero(hit))]
     expected = [(0, 0, 1)] if case == CaseTag.ZERO_KAPPA1 else []
     if found != expected:
         raise InternalConsistencyError(

@@ -4,6 +4,8 @@ against an independent binomial-transform reference."""
 
 import math
 import operator
+import random
+import tracemalloc
 import warnings
 
 import mpmath
@@ -361,3 +363,157 @@ def test_builder_residuals_no_worse_than_back_substitution(params):
             ):
                 floor = 1e-14 * tr.block_size(m)
                 assert res(Lb, lam, mine) <= max(10 * res(Lb, lam, ref), floor), (m, k)
+
+
+def _hex(values):
+    """Each component's exact bits, the sign of zero included."""
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def _true_quotient(re, im, w, shift):
+    """The reference: each entry by big-integer true division."""
+    scale = 1 << shift
+    return [complex(x * v / scale, y * v / scale) for x, y, v in zip(re, im, w)]
+
+
+def _assert_rounds_as_true_division(re, im, w, shift):
+    assert _hex(spectral._round_entries(re, im, w, shift)) == _hex(_true_quotient(re, im, w, shift))
+
+
+def test_rounding_equals_true_division_on_build_sized_products():
+    # F_j at 110-150 working bits times w = root root (2 ROOT_BITS plus up to
+    # 40 bits of binomial): products of 300-360 bits, either sign
+    rng, two_root = random.Random(26), 2 * spectral.ROOT_BITS
+
+    def signed(bits):  # a random integer of exactly ``bits`` bits, either sign
+        return rng.choice((-1, 1)) * ((1 << bits - 1) | rng.getrandbits(bits - 1))
+
+    for _ in range(200):
+        bits, n = rng.randrange(110, 150), rng.randrange(1, 30)
+        w = [signed(two_root + 1 + rng.randrange(40)) for _ in range(n)]
+        re, im = ([signed(rng.randrange(301, 361) - abs(v).bit_length()) for v in w] for _ in "ri")
+        assert all(300 <= abs(x * v).bit_length() <= 360 for x, v in zip(re + im, w + w))
+        _assert_rounds_as_true_division(re, im, w, bits + two_root)
+
+
+def test_rounding_equals_true_division_at_midpoints_zero_and_overflow():
+    rng, two_root = random.Random(27), 2 * spectral.ROOT_BITS
+    shift = 130 + two_root
+    # exact midpoints between two doubles (ties to even either way) and one
+    # unit either side, at both signs, with 330-bit products
+    re = []
+    for _ in range(50):
+        mid = ((1 << 53) + 2 * rng.getrandbits(52) + 1) << 276
+        re += [s * (mid + d) for s in (1, -1) for d in (-1, 0, 1)]
+    im = [rng.choice((-1, 0, 1)) * x for x in re]
+    w = [rng.choice((-1, 1)) for _ in re]
+    _assert_rounds_as_true_division(re, im, w, shift)
+    # zero, times either sign of w, is +0.0 in both parts: no -0 appears
+    zeros = spectral._round_entries([0, 0, 5], [0, 0, 0], [1 << two_root, -(1 << two_root), -1], shift)
+    assert _hex(zeros) == _hex([0j, 0j, complex(-5 / (1 << shift), 0.0)])
+    assert _hex(zeros)[1] == ("0x0.0p+0", "0x0.0p+0")
+    # products at and past 2^1024, where float() overflows, take true
+    # division; so does one entry of a mode that is otherwise in range
+    big = [(1 << 1024) - 1, 1 << 1024, 3 << 1100, -((1 << 1024) + 1)]
+    for p in big:
+        with pytest.raises(OverflowError):
+            float(p)
+    for p in big:
+        _assert_rounds_as_true_division([p, 7], [-p, 0], [1, 1], 600)
+    # past 1022 working bits a value can be subnormal, where ldexp would round
+    # a second time: x 2^-1135 lies just below the tie 1025.5 2^-1074, and
+    # float(x) rounds it onto that tie, so the shift takes true division too
+    x, shift = ((2**11 + 3) << 60) - 1, 1135 + two_root
+    w = [1 << two_root, -(1 << two_root)]
+    assert math.ldexp(float(x * w[0]), -shift) != _true_quotient([x], [0], w, shift)[0].real
+    _assert_rounds_as_true_division([x, -x], [x, 3], w, shift)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(0.7, 0.4, 0.3, 0.6),
+    ModelParams(1.0, 0.5, 0.8, 0.01),
+    ModelParams(1.0, 0.5, 0.0, 1.0),
+    ModelParams(1.0, 0.5, 1.8, 0.6),
+    ModelParams(1.0, 0.5, 0.8, 0.0),
+], ids=["generic", "eta-80", "zero-kappa1", "integer-3", "zero-kappa2"])
+def test_factors_are_leading_blocks_of_a_larger_cutoff(params):
+    # column k of R_m does not depend on the cutoff and row k of L_m only
+    # grows with it, so the factors at n_max 12 are, bit for bit, the
+    # leading principal blocks of those at n_max 30
+    small, large = (spectral.PropagatorCoefficients(params, Truncation(n)) for n in (12, 30))
+    for m in Truncation(12).blocks():
+        for mine, wide in zip(small.factors(m), large.factors(m)):
+            lead = wide[(slice(len(mine)),) * mine.ndim]
+            assert mine.tobytes() == np.ascontiguousarray(lead).tobytes(), m
+
+
+def _perturb_blocks(monkeypatch, scale):
+    """Builder whose block m has L[0, 1] scaled by 1 + scale[m]."""
+    original = spectral.EigenvectorBuilder.block
+
+    def perturbed(self, m):
+        R, L = original(self, m)
+        if m in scale:
+            L[0, 1] *= 1 + scale[m]
+        return R, L
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", perturbed)
+
+
+def test_stacked_gate_names_the_failing_block(monkeypatch):
+    tr = Truncation(10)
+    _perturb_blocks(monkeypatch, {3: 1e-9})
+    with pytest.raises(InternalConsistencyError, match=r"block m=3: .* x its bound"):
+        spectral.PropagatorCoefficients(GENERIC, tr).stack()
+    _perturb_blocks(monkeypatch, {2: 1e-9, 6: 1e-5})
+    with pytest.raises(InternalConsistencyError, match=r"block m=6: "):
+        spectral.PropagatorCoefficients(GENERIC, tr).stack()
+
+
+def test_factors_gate_the_one_block_they_build(monkeypatch):
+    tr = Truncation(10)
+    gated, original = [], spectral.check_biorthogonality
+
+    def recorded(R, L, sizes=None, labels=None):
+        gated.append(list(labels))
+        return original(R, L, sizes, labels)
+
+    monkeypatch.setattr(spectral, "check_biorthogonality", recorded)
+    coeffs = spectral.PropagatorCoefficients(GENERIC, tr)
+    evolution.heisenberg_a_factors(GENERIC, tr, 1.0, coeffs)  # the a-factor path: block 1 alone
+    coeffs.factors(-1)
+    assert gated == [[1]]
+    coeffs.stack()  # one gate over the rows from the first block it builds to the last
+    assert gated == [[1], list(range(tr.n_max + 1))]
+    _perturb_blocks(monkeypatch, {1: 1e-9})
+    coeffs = spectral.PropagatorCoefficients(GENERIC, tr)
+    coeffs.factors(2)
+    with pytest.raises(InternalConsistencyError, match="block m=1: "):
+        coeffs.factors(-1)
+
+
+def test_gate_chunks_give_identical_margins(monkeypatch):
+    tr = Truncation(16)
+    _, R, L = spectral.PropagatorCoefficients(NONLINEAR, tr).stack()
+    sizes = [tr.block_size(m) for m in tr.blocks()]
+    whole = spectral.check_biorthogonality(R, L, sizes)
+    monkeypatch.setattr(spectral, "GATE_CHUNK_BYTES", 3 * 24 * tr.dim**2)
+    assert np.array_equal(spectral.check_biorthogonality(R, L, sizes), whole)
+    assert whole.shape == (2 * tr.n_max + 1,) and np.all(whole <= 1.0)
+
+
+def test_gate_memory_is_bounded():
+    # 101 zero-padded identity pairs of size 101, 16 MB each stack: gated as
+    # one chunk, the temporaries would take 25 MB
+    size = 101
+    R = np.zeros((size, size, size), dtype=complex)
+    R[:, np.arange(size), np.arange(size)] = np.arange(size) < size - np.arange(size)[:, None]
+    L = R.copy()
+    tracemalloc.start()
+    try:
+        margins = spectral.check_biorthogonality(R, L, size - np.arange(size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(margins == 0.0)
+    assert peak < 1.1 * spectral.GATE_CHUNK_BYTES, peak

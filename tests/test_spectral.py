@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -268,3 +269,38 @@ def test_decompose_copies_the_one_build(tag):
             z = mine[mine != 0]
             negative_zero = ((z.real == 0) & np.signbit(z.real)) | ((z.imag == 0) & np.signbit(z.imag))
             assert not negative_zero.any(), (m, int(negative_zero.sum()))
+
+
+@pytest.mark.parametrize("params, n_max, spectrum_sha, eigvecs_sha", [
+    ((1.0, 0.0, 1.0, 1.0), 12,
+     "8fdd1abd02d8a4e14401555517df14da5bd2c20fbffd9e0e3c1f99ff3d26ba10",
+     "fe7e750ebb1a91c36ba826bb48d6934c72affc43988264fc11de44db53d38783"),
+    ((0.7, 0.4, 0.3, 0.6), 40,
+     "8ea4b9ab6cdd556bc3729cafab246bcc72f4f13b65cc422b1771873d1f79b8d0",
+     "c9c92e06bc1ba9c38fb8702686646b0c876e2e8ea8422c5c9cbd765796416675"),
+    ((0.3, 0.2, 0.0, 0.6), 20,  # over 1022 working bits: the true-division rounding
+     "77fcb551140100ee18b1ce9e63e839d24778a31f416b1e5fb53ae37bafced94d",
+     "f975a7576e7beddd3734bc9870119ec491cecc1d5516d0aa9db0f8584d8d1471"),
+    ((1.0, 0.5, 0.8, 0.0), 20,
+     "14c39470f47e8b2c9137293d080b6db8c004c035709b6d02e59f7627b55ed095",
+     "f583f22ef11c4ef814576847407ec1d95c7ddae5b6237c7c65c9f00c83eebc00"),
+], ids=["default-12", "generic-40", "zero-kappa1-20", "zero-kappa2-20"])
+def test_csv_bodies_are_pinned(params, n_max, spectrum_sha, eigvecs_sha):
+    # SHA-256 of the bodies the builder feeds, pinned while every entry was
+    # rounded by big-integer true division and each block gated on its own
+    decomp = decompose(ModelParams(*params), Truncation(n_max))
+    assert hashlib.sha256(spectrum_csv(decomp).encode()).hexdigest() == spectrum_sha
+    assert hashlib.sha256(eigenvectors_csv(decomp).encode()).hexdigest() == eigvecs_sha
+
+
+def test_eigenvalue_broadcasts_bit_for_bit():
+    # the stack's eigenvalues and the degeneracy scan fill whole blocks in
+    # one call; every entry, the sign of a zero part included, is the scalar's
+    rng = np.random.default_rng(26)
+    draws = list(CASES.values())
+    draws += [ModelParams(*rng.uniform(-2, 2, 2), *rng.uniform(0, 2, 2)) for _ in range(20)]
+    n = 15
+    for params in draws:
+        lams = eigenvalue(params, np.arange(-n, n + 1)[:, None], np.arange(n + 1))
+        ref = np.array([[eigenvalue(params, m, k) for k in range(n + 1)] for m in range(-n, n + 1)])
+        assert lams.tobytes() == ref.tobytes(), params
