@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: spectrum, eigvecs, evolve, verify, noise.  Every run is a pure
-function of its settings; numeric output files carry their hash, not the
-config file's, in a header line.  A ``--config`` file's ``key = value``
-lines are keyed by flag dest names (``J_max``), ``true``/``false`` for a
-store-true flag; each is parsed as ``--key=value`` before the command
-line's flags, so an unknown key is refused and an explicit flag wins.
+Subcommands: spectrum, eigvecs, evolve, verify, noise, each with only the
+flags it reads.  Every run is a pure function of its settings; output files
+carry the hash of what shapes them (:func:`config_hash`).  A ``--config``
+file's ``key = value`` lines are keyed by flag dest names (``J_max``),
+``true``/``false`` for a store-true flag; each is parsed as ``--key=value``
+before the command line's flags, so an unknown key is refused and an
+explicit flag wins.
 
 Exit codes: 0 success, 1 validation error (every parse error included),
 2 verification failure, 3 numerical gate failure.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -67,8 +69,33 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
     return argv
 
 
-def config_hash(settings: dict) -> str:
-    canon = "\n".join(f"{k}={settings[k]}" for k in sorted(settings))
+def _number(text: str, positive: bool = False) -> float:
+    """An argparse type: a finite number, non-negative or else positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind} number")
+    return value
+
+
+def _times(text: str) -> list[float]:
+    """An argparse type: a comma list of finite non-negative numbers."""
+    times = [_number(s) for s in text.split(",") if s.strip()]
+    if not times:
+        raise argparse.ArgumentTypeError(f"{text!r} holds no time")
+    return times
+
+
+def config_hash(settings: dict, initial: FockState | None = None) -> str:
+    """Hash of what shapes the output: the parsed settings but ``out`` and
+    ``config``, the initial state by its content."""
+    shaped = {k: v for k, v in settings.items() if k not in ("out", "config")}
+    if initial is not None:
+        shaped["initial"] = initial.to_json()
+    canon = "\n".join(f"{k}={shaped[k]}" for k in sorted(shaped))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -98,13 +125,6 @@ def _initial_state(spec_text: str, trunc: Truncation) -> FockState:
             raise ValueError(f"initial state has n_max={state.n_max}, the run nmax={trunc.n_max}")
         return state
     raise ValueError(f"unknown initial-state spec {spec_text!r}")
-
-
-def _parse_times(text: str) -> list[float]:
-    times = [float(s) for s in text.split(",") if s.strip()]
-    if not times or any(not np.isfinite(t) or t < 0 for t in times):
-        raise ValueError("times must be a comma list of finite non-negative numbers")
-    return times
 
 
 def cmd_spectrum(settings: dict) -> int:
@@ -147,8 +167,8 @@ def cmd_evolve(settings: dict) -> int:
     params = _params(settings)
     trunc = Truncation(settings["nmax"])
     initial = _initial_state(settings["initial"], trunc)
-    times = _parse_times(settings["times"])
-    header = f"# config_hash={config_hash(settings)}\n"
+    times = settings["times"]
+    header = f"# config_hash={config_hash(settings, initial)}\n"
     traj_lines = ["t,n1,n2,re,im"]
     expect_lines = ["t,obs,re,im"]
     max_oracle_dev = 0.0
@@ -156,9 +176,7 @@ def cmd_evolve(settings: dict) -> int:
     for t in times:
         state = evolution.propagate_phi(params, initial, t, coeffs)
         if settings["oracle"]:
-            ref = oracle.ode_propagate(
-                superops.full_generator(params, trunc), initial, t
-            )
+            ref = oracle.ode_propagate(superops.full_generator(params, trunc), initial, t)
             dev = np.max(np.abs(state.entries - ref.entries))
             max_oracle_dev = max(max_oracle_dev, float(dev))
         for n1, n2 in np.argwhere(state.entries != 0):
@@ -202,19 +220,14 @@ def cmd_noise(settings: dict) -> int:
     params = _params(settings)
     trunc = Truncation(settings["nmax"])
     initial = _initial_state(settings["initial"], trunc)
-    t, J_max = settings["t"], settings["J_max"]
-    if not (np.isfinite(t) and t >= 0 and np.isfinite(J_max) and J_max > 0):
-        raise ValueError("--t must be finite and non-negative, --J-max finite and positive")
-    run = noise.run_noise(params, initial, t, J_max=J_max, N_J=settings["N_J"])
-    header = f"# config_hash={config_hash(settings)}\n"
+    run = noise.run_noise(params, initial, settings["t"], J_max=settings["J_max"],
+                          N_J=settings["N_J"])
+    header = f"# config_hash={config_hash(settings, initial)}\n"
     out = settings["out"]
     _write(os.path.join(out, "noise.json"), "", run.to_json() + "\n")
     _write(os.path.join(out, "Z.csv"), header, run.z_csv())
     _write(os.path.join(out, "P.csv"), header, run.p_csv())
-    print(
-        f"t={run.t}: variance {run.cumulants[1]:.6g}, "
-        f"excess kurtosis {run.excess_kurtosis:.6g}"
-    )
+    print(f"t={run.t}: variance {run.cumulants[1]:.6g}, excess kurtosis {run.excess_kurtosis:.6g}")
     return EXIT_OK
 
 
@@ -222,46 +235,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kerrloss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--U", type=float, default=0.0)
-        p.add_argument("--kappa1", type=float, default=1.0)
-        p.add_argument("--kappa2", type=float, default=1.0)
-        p.add_argument("--nmax", type=int, default=12)
+    def command(name, help, nmax=None):
+        # the model flags, with this --nmax default, unless nmax is None
+        p = sub.add_parser(name, help=help)
+        if nmax is not None:
+            for flag, rate in zip(("--omega", "--U", "--kappa1", "--kappa2"), (1.0, 0.0, 1.0, 1.0)):
+                p.add_argument(flag, type=float, default=rate)
+            p.add_argument("--nmax", type=int, default=nmax)
         p.add_argument("--out", type=str, default=".")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=str, default=None)
+        return p
 
-    common(sub.add_parser("spectrum", help="eigenvalue table over all blocks"))
-    common(sub.add_parser("eigvecs", help="right/left eigenvector dump"))
+    command("spectrum", "eigenvalue table over all blocks", nmax=12)
+    command("eigvecs", "right/left eigenvector dump", nmax=12)
 
-    p = sub.add_parser("evolve", help="exact trajectory and expectation values")
-    common(p)
-    p.add_argument("--times", type=str, default="0.1,1,5")
+    p = command("evolve", "exact trajectory and expectation values", nmax=12)
+    p.add_argument("--times", type=_times, default="0.1,1,5")
     p.add_argument("--initial", type=str, default="vacuum")
     p.add_argument("--oracle", action="store_true", help="also integrate the reference ODE")
     p.add_argument("--heisenberg", type=str, default=None, choices=["a"])
 
-    p = sub.add_parser(
-        "verify", help="run acceptance checks 1-7 and 11 at their pinned data"
-    )
-    common(p)
-    p.add_argument(
-        "--inject-c-sign-fault",
-        dest="inject_c_sign_fault",
-        action="store_true",
-        help="debug: flip the superdiagonal sign; residual/F checks must fail",
-    )
+    p = command("verify", "run acceptance checks 1-7 and 11 at their pinned data")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--inject-c-sign-fault", action="store_true",
+                   help="debug: flip the superdiagonal sign; residual/F checks must fail")
 
-    p = sub.add_parser("noise", help="generating function, P(x), cumulants")
-    common(p)
     # at n_max = 12 the default run trips the cutoff gate (edge weight
     # 1.04e-6 at J = 5.25); at 14 its largest edge weight is 8.2e-7
-    p.set_defaults(nmax=14)
-    p.add_argument("--t", type=float, default=2.0)
+    p = command("noise", "generating function, P(x), cumulants", nmax=14)
+    p.add_argument("--t", type=_number, default=2.0)
     p.add_argument("--initial", type=str, default="vacuum")
-    p.add_argument("--J-max", dest="J_max", type=float, default=8.0)
-    p.add_argument("--N-J", dest="N_J", type=int, default=257)
+    p.add_argument("--J-max", type=lambda s: _number(s, positive=True), default=8.0)
+    p.add_argument("--N-J", type=int, default=257)
     return parser
 
 
@@ -284,19 +289,12 @@ def main(argv=None) -> int:
             # flags, after the file's, win
             file_argv = _config_argv(parser, args.command, args.config)
             args = parser.parse_args(argv[:1] + file_argv + argv[1:])
-        # the hash names the settings, not the file they were read from
-        settings = vars(args) | {"config": None}
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command](vars(args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        noise.GridAdequacyError,
-        noise.TruncationError,
-        VanishingDenominatorError,
-        oracle.StiffnessError,
-        superops.InternalConsistencyError,
-    ) as exc:
+    except (noise.GridAdequacyError, noise.TruncationError, VanishingDenominatorError,
+            oracle.StiffnessError, superops.InternalConsistencyError) as exc:
         print(f"numerical gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE_FAIL
 

@@ -103,8 +103,8 @@ class FockState:
         return Truncation(self.n_max)
 
     @classmethod
-    def zero(cls, trunc: Truncation, hermitian: bool = True) -> "FockState":
-        return cls(np.zeros((trunc.dim, trunc.dim), dtype=complex), hermitian=hermitian)
+    def zero(cls, trunc: Truncation) -> "FockState":
+        return cls(np.zeros((trunc.dim, trunc.dim), dtype=complex), hermitian=True)
 
     @classmethod
     def fock(cls, trunc: Truncation, n: int) -> "FockState":

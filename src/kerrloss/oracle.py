@@ -18,8 +18,6 @@ each sequence with its own gap.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .fockbasis import FockState, Truncation
@@ -31,10 +29,8 @@ from .superops import (
     annihilation,
     check_time,
     full_generator,
+    sector_blocks,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "triangular_eigendecomp",
@@ -178,30 +174,6 @@ def _check_sequence(sequence) -> None:
         raise ValueError("insertion times must be finite")
     if any(t2 > t1 for t1, t2 in zip(times, times[1:])) or times[-1] < 0:
         raise ValueError("times must satisfy t1 >= t2 >= ... >= tn >= 0")
-
-
-def _sector_blocks(gen: sp.csr_matrix, d: int) -> np.ndarray:
-    """Coherence-sector blocks of a row-major (d^2, d^2) generator as one
-    zero-padded stack (2d - 1, d, d), after checking that no nonzero entry
-    couples two sectors.
-
-    Row m + d - 1 holds sector m = i - j.  Inside a sector, position (i, j)
-    has index min(i, j), which keeps the row-major order.
-    """
-    i, j = np.divmod(np.arange(d * d), d)
-    sector = i - j
-    coo = gen.tocoo()
-    nz = coo.data != 0
-    rows, cols = coo.row[nz], coo.col[nz]
-    crossing = int(np.count_nonzero(sector[rows] != sector[cols]))
-    if crossing:
-        raise InternalConsistencyError(
-            f"generator couples coherence sectors ({crossing} entries)"
-        )
-    local = np.minimum(i, j)
-    blocks = np.zeros((2 * d - 1, d, d), dtype=complex)
-    blocks[sector[rows] + d - 1, local[rows], local[cols]] = coo.data[nz]
-    return blocks
 
 
 #: coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the
@@ -369,7 +341,7 @@ def multi_time_correlators(params: ModelParams, sequences, initial: FockState) -
     cut = min(initial.n_max, max(2, n0 + longest // 2))
     d = cut + 1
     trunc = Truncation(cut)
-    blocks = _sector_blocks(full_generator(params, trunc).sparse_matrix(), d)
+    blocks = sector_blocks(full_generator(params, trunc).sparse_matrix(), d)
     _assert_trace_invariance(blocks[d - 1], params.kappa2)
     V = annihilation(trunc)
     V = V + V.conj().T

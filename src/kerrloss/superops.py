@@ -10,10 +10,11 @@ L commute with the number commutator N^x, so it is block diagonal over the
 coherence label m, and within each block it is upper triangular with
 bandwidth 2: the lowering superoperator A X = a X a† only decreases k.
 
-Block matrices here are built by direct operator algebra (apply the dense
-operators to each ketbra and read off components); the closed-form
-eigen-expressions live in :mod:`kerrloss.spectral` and are checked against
-these constructions.
+Block matrices here are built from the dense operators alone: the blocks
+of L are cut from its sparse Kronecker form (:func:`sector_blocks`), and
+:func:`superop_block` pushes each ketbra through any other superoperator.
+The closed-form eigen-expressions live in :mod:`kerrloss.spectral` and are
+checked against these constructions.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "apply_exp_A",
     "expm_nilpotent",
     "superop_block",
+    "sector_blocks",
     "liouvillian_block",
     "conjugated_block",
     "transformed_block",
@@ -287,10 +289,35 @@ def full_generator(params: ModelParams, trunc: Truncation, drive: complex = 0.0)
     return GeneratorAction(params, trunc, drive)
 
 
+def sector_blocks(gen: sp.csr_matrix, d: int) -> np.ndarray:
+    """Coherence-sector blocks of a row-major (d^2, d^2) generator as one
+    zero-padded stack (2d - 1, d, d), after checking that no nonzero entry
+    couples two sectors.
+
+    Row m + d - 1 holds sector m = i - j.  Inside a sector, position (i, j)
+    has index min(i, j), which keeps the row-major order.
+    """
+    i, j = np.divmod(np.arange(d * d), d)
+    sector = i - j
+    coo = gen.tocoo()
+    nz = coo.data != 0
+    rows, cols = coo.row[nz], coo.col[nz]
+    crossing = int(np.count_nonzero(sector[rows] != sector[cols]))
+    if crossing:
+        raise InternalConsistencyError(
+            f"generator couples coherence sectors ({crossing} entries)"
+        )
+    local = np.minimum(i, j)
+    blocks = np.zeros((2 * d - 1, d, d), dtype=complex)
+    blocks[sector[rows] + d - 1, local[rows], local[cols]] = coo.data[nz]
+    return blocks
+
+
 def liouvillian_block(params: ModelParams, trunc: Truncation, m: int) -> BlockMatrix:
-    """Block-m matrix of L by direct operator algebra (the oracle constructor)."""
-    action = GeneratorAction(params, trunc, drive=0.0)
-    mat = superop_block(action.apply, trunc, m)
+    """Block-m matrix of L cut from the sparse generator (the oracle constructor)."""
+    size, d = trunc.block_size(m), trunc.dim
+    gen = GeneratorAction(params, trunc).sparse_matrix()
+    mat = sector_blocks(gen, d)[m + d - 1, :size, :size].copy()
     if measured_upper_bandwidth(mat) > 2 or np.any(np.tril(mat, -1) != 0):
         raise InternalConsistencyError("Liouvillian block is not upper triangular banded")
     return BlockMatrix(m, mat)

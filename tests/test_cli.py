@@ -124,6 +124,102 @@ def test_bad_config_line_is_one_validation_error_line(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_each_command_takes_only_the_flags_it_reads():
+    model = {"omega", "U", "kappa1", "kappa2", "nmax"}
+    reads = {
+        "spectrum": model,
+        "eigvecs": model,
+        "evolve": model | {"times", "initial", "oracle", "heisenberg"},
+        "verify": {"seed", "inject_c_sign_fault"},
+        "noise": model | {"t", "initial", "J_max", "N_J"},
+    }
+    (commands,) = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+    takes = {name: {a.dest for a in p._actions if a.option_strings} - {"help"}
+             for name, p in commands.items()}
+    assert takes == {name: dests | {"out", "config"} for name, dests in reads.items()}
+    assert sum(map(len, takes.values())) == 40
+
+
+IGNORED = [("verify", "nmax", "40"), ("verify", "kappa1", "7")] + [
+    (command, "seed", "5") for command in ("spectrum", "eigvecs", "evolve", "noise")
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", IGNORED)
+def test_ignored_setting_is_one_validation_error_line(tmp_path, capsys, source, command,
+                                                      key, value):
+    out = tmp_path / "x"
+    if source == "flag":
+        argv = [command, f"--{key}", value, "--out", str(out)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert run(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("validation error:") and key in err
+    assert not out.exists()
+
+
+def first_line(path):
+    return read(path).splitlines()[0]
+
+
+@pytest.mark.parametrize("command, argv, name", [
+    ("spectrum", ["--nmax", "4"], "spectrum.csv"),
+    ("eigvecs", ["--nmax", "4"], "eigvecs.csv"),
+    ("evolve", ["--nmax", "4", "--times", "1"], "evolution.csv"),
+    ("noise", ["--t", "2", "--N-J", "65"], "Z.csv"),
+])
+def test_hash_is_the_same_in_every_out_directory(tmp_path, command, argv, name):
+    for out in ("a", "b"):
+        assert run([command, *argv, "--out", str(tmp_path / out)]) == cli.EXIT_OK
+    assert first_line(tmp_path / "a" / name) == first_line(tmp_path / "b" / name)
+
+
+def test_verify_hash_is_the_same_in_every_out_directory(tmp_path, monkeypatch, verify_report):
+    monkeypatch.setattr(checks, "run", lambda seed, inject_c_sign_fault: [
+        {"check": "eigenvalues", "max_dev": 0.0, "tolerance": 1e-12, "pass": True}])
+    assert run(["verify", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert json.loads(read(tmp_path / "verify.json"))["config_hash"] == (
+        verify_report[1]["config_hash"])
+
+
+def test_hash_ignores_the_spelling_of_times_and_the_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax = 4\ntimes = 0.1, 1.0, 5\n")
+    runs = {
+        "flags": ["--nmax", "4", "--times", "0.1,1,5"],
+        "spelled": ["--nmax", "4", "--times", " 1e-1 ,1.00,5.0,"],
+        "config": ["--config", str(cfg)],
+    }
+    for out, argv in runs.items():
+        assert run(["evolve", *argv, "--out", str(tmp_path / out)]) == cli.EXIT_OK
+    files = {out: read(tmp_path / out / "expectations.csv") for out in runs}
+    assert files["spelled"] == files["flags"] and files["config"] == files["flags"]
+
+
+def test_hash_reads_the_initial_state_by_content(tmp_path):
+    path = tmp_path / "state.json"
+    hashes = []
+    for n, spec in enumerate(["file", "file", "fock:0", "vacuum"]):
+        if spec == "file":
+            path.write_text(FockState.coherent(Truncation(4), 0.3 + 0.9 * n).to_json())
+            spec = f"file:{path}"
+        out = tmp_path / str(n)
+        argv = ["evolve", "--nmax", "4", "--times", "0.1", "--initial", spec, "--out", str(out)]
+        assert run(argv) == cli.EXIT_OK
+        hashes.append(first_line(out / "evolution.csv"))
+    # two states saved at one path differ; two spellings of the vacuum agree
+    assert hashes[0] != hashes[1] and hashes[2] == hashes[3]
+    path.write_text(FockState.vacuum(Truncation(4)).to_json())
+    out = tmp_path / "vacuum-file"
+    assert run(["evolve", "--nmax", "4", "--times", "0.1", "--initial", f"file:{path}",
+                "--out", str(out)]) == cli.EXIT_OK
+    assert first_line(out / "evolution.csv") == hashes[3]
+
+
 def test_bad_flag_value_is_validation_error(tmp_path, capsys):
     assert run(["spectrum", "--nmax", "abc", "--out", str(tmp_path / "x")]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation error:")
@@ -185,7 +281,7 @@ def test_config_file_switches_flags(tmp_path, monkeypatch, capsys):
     cfg.write_text("oracle = true\nnmax = 4\n")
     assert run(["evolve", "--config", str(cfg), "--times", "1", "--out", out]) == cli.EXIT_OK
     assert "oracle" in capsys.readouterr().out
-    cfg.write_text("inject_c_sign_fault = FALSE\nnmax = 4\n")
+    cfg.write_text("inject_c_sign_fault = FALSE\n")
     seen = []
 
     def fake_run(seed, inject_c_sign_fault):

@@ -26,6 +26,7 @@ from kerrloss.superops import (
     annihilation,
     full_generator,
     liouvillian_block,
+    sector_blocks,
 )
 
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
@@ -306,7 +307,7 @@ def test_stacked_exponential_matches_scipy_on_sector_blocks():
     for params, n_max in ((NONLINEAR, 10), (LINEAR, 16)):
         d = n_max + 1
         gen = full_generator(params, Truncation(n_max)).sparse_matrix()
-        blocks = oracle._sector_blocks(gen, d)
+        blocks = sector_blocks(gen, d)
         for m in (0, 1, 2):
             block = blocks[m + d - 1, : d - m, : d - m]
             stacked = oracle._stacked_expm(block, gaps)
@@ -401,7 +402,7 @@ def test_correlator_trace_gate_fires(monkeypatch):
 
 def _sector0_block(params, n_max):
     gen = full_generator(params, Truncation(n_max)).sparse_matrix()
-    return oracle._sector_blocks(gen, n_max + 1)[n_max]
+    return sector_blocks(gen, n_max + 1)[n_max]
 
 
 def test_trace_invariance_gate_fires_at_large_cutoff(monkeypatch):

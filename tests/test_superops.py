@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kerrloss.checks import TOLERANCES
+from kerrloss.checks import TOLERANCES, seeded_draws
 from kerrloss.fockbasis import FockState, Truncation
+from kerrloss.spectral import CaseTag
 from kerrloss.superops import (
     GeneratorAction,
+    InternalConsistencyError,
     ModelParams,
     annihilation,
     apply_exp_A,
@@ -162,6 +164,25 @@ def test_liouvillian_block_structure():
         blk = liouvillian_block(GENERIC, tr, m)
         assert measured_upper_bandwidth(blk.entries) <= 2
         assert np.all(np.tril(blk.entries, -1) == 0)
+
+
+@pytest.mark.parametrize("case", list(CaseTag))
+def test_liouvillian_block_equals_the_ketbra_construction(case):
+    # the cut of the sparse generator and the operator algebra of apply give
+    # the same block, entry for entry, at every label
+    for n_max, params in zip((2, 12, 30), seeded_draws(case, 3, seed=11)):
+        tr = Truncation(n_max)
+        apply = GeneratorAction(params, tr).apply
+        for m in tr.blocks():
+            expected = superop_block(apply, tr, m)
+            assert np.array_equal(liouvillian_block(params, tr, m).entries, expected), (n_max, m)
+
+
+def test_liouvillian_block_gates_sector_crossing(monkeypatch):
+    driven = GeneratorAction(GENERIC, Truncation(4), drive=0.3).sparse_matrix()
+    monkeypatch.setattr(GeneratorAction, "sparse_matrix", lambda self: driven)
+    with pytest.raises(InternalConsistencyError, match="couples coherence sectors"):
+        liouvillian_block(GENERIC, Truncation(4), 1)
 
 
 def test_block_diagonal_decoupling():
