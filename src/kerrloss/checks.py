@@ -77,8 +77,9 @@ def eigenvalue_exactness() -> dict:
     worst = 0.0
     for case in CaseTag:
         for params in seeded_draws(case, 5, seed=101):
+            blocks = superops.liouvillian_blocks(params, trunc)
             for m in (-4, -1, 0, 2, 5):
-                diag = np.diag(superops.liouvillian_block(params, trunc, m).entries)
+                diag = np.diag(blocks[m].entries)
                 lams = spectral.eigenvalue(params, m, np.arange(trunc.block_size(m)))
                 worst = max(worst, float(np.max(np.abs(diag - lams))))
     return {"eigenvalues": worst}
@@ -95,8 +96,9 @@ def eigenvector_residuals(fault: bool = False) -> dict:
     for case in CaseTag:
         params = seeded_draws(case, 1, seed=202)[0]
         coeffs = spectral.PropagatorCoefficients(params, trunc)
+        blocks = superops.liouvillian_blocks(params, trunc)
         for m in (0, 1, -2, 3):
-            Lb = superops.liouvillian_block(params, trunc, m)
+            Lb = blocks[m]
             if fault:
                 _flip_superdiagonal(Lb.entries)
             _, R, L = coeffs.factors(m)

@@ -157,9 +157,13 @@ _KRYLOV_CAP = 1089
 #: right form gives at most 1.1e-14 (n_max 12 to 40, t 0.01 to 20); a G_W of
 #: the wrong sign gives 4e-4 at J = 1e-3
 _NODE_CHECK_TOL = 1e-10
-#: bytes of banded LUs and Krylov bases held by one group of nodes whose
-#: Krylov spaces run in lockstep: 9 nodes from the vacuum at n_max 12, one
-#: node from n_max 19 up
+#: bytes of banded LUs and Krylov bases, at the capped dimension, that one
+#: group of nodes whose Krylov spaces run in lockstep may hold; it sets the
+#: group width (:func:`_group_width`): 9 nodes from the vacuum at n_max 12,
+#: one node from n_max 19 up.  The relation check takes one accepted space
+#: at a time, so a group's traced peak stays within it (1.62 MiB for those
+#: 9 nodes, 1.66 MiB for 3 at n_max 16); a single node can exceed it
+#: (4.8 MiB at n_max 30, 10.1 MiB at n_max 40)
 _GROUP_BYTES = 3 * 2**20
 #: unit roundoff, against which an Arnoldi step counts as a breakdown
 _EPS = float(np.finfo(float).eps)
@@ -232,10 +236,12 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tup
     space, then Gram-Schmidt (classical, repeated once), the norms and the
     H updates as stacked products over the live spaces.  A check takes one
     stacked inverse of the H_m, one stacked bordered exponential and, for
-    the spaces it accepts, one ``operator`` call on all their w_j.  A space
-    leaves once accepted.  No operation mixes two spaces, so each result is,
-    bit for bit, the one the space gives alone.  V and H grow by doubling,
-    so they hold about the dimensions reached.
+    each space it accepts, one ``operator`` call on that space's m vectors
+    w_j, so the relation products of one space at a time are held.  A space
+    leaves once accepted, and the bases of the others move down slot by
+    slot.  No operation mixes two spaces, so each result is, bit for bit,
+    the one the space gives alone.  V and H grow by doubling, so they hold
+    about the dimensions reached.
     """
     k, n = vs.shape
     gamma = _SHIFT * t
@@ -275,24 +281,25 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tup
                 if whole[s] or (last[i] is not None and _moved(y, last[i]) <= _KRYLOV_TOL):
                     done[s] = beta[i] * (y @ V[s, :m])
                 last[i] = y
-            if done:
-                acc = list(done)
+            for s, (x, integral) in done.items():
                 # column j of V_{m+1} Hbar_m; the last one adds w = h_{m+1,m} v_{m+1}
-                solved = H[acc, :m, :m].transpose(0, 2, 1) @ V[acc, :m]
-                solved[:, m - 1] += w[acc]
-                owners = np.repeat([live[s] for s in acc], m)
-                moved = operator(owners, solved.reshape(-1, n)).reshape(len(acc), m, n)
-                residual = solved - gamma * moved - V[acc, :m]
-                devs = np.max(np.linalg.norm(residual, axis=2), axis=1)
-                for s, dev in zip(acc, devs):
-                    x, integral = done[s]
-                    out[live[s]] = (x, integral * t, m, float(dev))
-                kept = [s for s in range(nlive) if out[live[s]] is None]
+                solved = H[s, :m, :m].T @ V[s, :m]
+                solved[m - 1] += w[s]
+                # row-major, so each row's norm sums in the order it always has
+                residual = np.multiply(operator(np.full(m, live[s]), solved), -gamma, order="C")
+                residual += solved
+                residual -= V[s, :m]
+                out[live[s]] = (x, integral * t, m, float(np.max(np.linalg.norm(residual, axis=1))))
+            if done:
+                kept = [s for s in range(nlive) if s not in done]
                 if not kept:
                     return out
                 live, w = [live[s] for s in kept], w[kept]
-                V[: len(kept), :m] = V[kept, :m]
-                H[: len(kept), : m + 1, :m] = H[kept, : m + 1, :m]
+                # kept is increasing, so each slot moves down onto a free one
+                for slot, s in enumerate(kept):
+                    if slot != s:
+                        V[slot, :m] = V[s, :m]
+                        H[slot, : m + 1, :m] = H[s, : m + 1, :m]
         V[: len(live), m] = w / H[: len(live), m, m - 1][:, None]
     raise InternalConsistencyError(
         f"shift-and-invert Krylov space not converged at dimension {cap}"
@@ -450,12 +457,15 @@ def _evolve_nodes(params: ModelParams, Js, t: float, initial: FockState) -> list
     for all nodes, at any cutoff; at kappa2 = 0 one sparse exponential per node.
 
     The dense route would serve kappa2 = 0 too (Z within 2.3e-14), but it is
-    slower there from complex starts (coherent 0.6 + 0.3i, 5 nodes in
-    [0, 1], one BLAS thread): at omega 1, U 0.5, kappa1 0.8 it took
-    374 / 422 ms against 55 / 121 ms at n_max 14, t = 1 / 5, and
-    1,651 / 627 against 137 / 462 ms at n_max 30; LINEAR at n_max 30, t = 1,
-    147 against 44 ms.  It was faster only from the vacuum at
-    kappa1 = kappa2 = 0 (241 against 656 ms at n_max 30, t = 5).
+    slower there except on a large grid from the vacuum, where it wins by a
+    fifth, so the route still follows kappa2 alone.  Dense against sparse
+    exponentials, one BLAS thread on a 2-core host, best of two or three
+    runs: from the coherent state 0.6 + 0.3i, 5 nodes in [0, 1], at omega 1,
+    U 0.5, kappa1 0.8, 336 / 345 against 49 / 111 ms at n_max 14,
+    t = 1 / 5, and 1,555 against 136 ms at n_max 30, t = 1; LINEAR
+    (omega 1, kappa1 1) from the vacuum, 34 against 30 ms at n_max 30,
+    t = 1, 5 nodes, but 812 against 1,023 ms at n_max 40, t = 2, 33 nodes
+    with J <= 5.75.
     """
     check_time(t)
     if params.kappa2 > 0:

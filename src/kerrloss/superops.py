@@ -42,6 +42,7 @@ __all__ = [
     "expm_nilpotent",
     "superop_block",
     "sector_blocks",
+    "liouvillian_blocks",
     "liouvillian_block",
     "conjugated_block",
     "transformed_block",
@@ -313,14 +314,24 @@ def sector_blocks(gen: sp.csr_matrix, d: int) -> np.ndarray:
     return blocks
 
 
-def liouvillian_block(params: ModelParams, trunc: Truncation, m: int) -> BlockMatrix:
-    """Block-m matrix of L cut from the sparse generator (the oracle constructor)."""
-    size, d = trunc.block_size(m), trunc.dim
-    gen = GeneratorAction(params, trunc).sparse_matrix()
-    mat = sector_blocks(gen, d)[m + d - 1, :size, :size].copy()
-    if measured_upper_bandwidth(mat) > 2 or np.any(np.tril(mat, -1) != 0):
+def liouvillian_blocks(params: ModelParams, trunc: Truncation) -> dict[int, BlockMatrix]:
+    """Every block matrix of L, keyed by m, cut from one sparse generator
+    (the oracle constructor), after checking that each block is upper
+    triangular with bandwidth 2."""
+    d = trunc.dim
+    stack = sector_blocks(GeneratorAction(params, trunc).sparse_matrix(), d)
+    # the padding of the stack is zero, so one mask gates every block
+    lag = np.subtract.outer(np.arange(d), np.arange(d))
+    if np.any(stack[:, (lag > 0) | (lag < -2)]):
         raise InternalConsistencyError("Liouvillian block is not upper triangular banded")
-    return BlockMatrix(m, mat)
+    # block m has d - |m| rows
+    return {m: BlockMatrix(m, stack[m + d - 1, : d - abs(m), : d - abs(m)].copy()) for m in trunc.blocks()}
+
+
+def liouvillian_block(params: ModelParams, trunc: Truncation, m: int) -> BlockMatrix:
+    """Block-m matrix of L from :func:`liouvillian_blocks`."""
+    trunc.block_bound(m)  # ValueError for a block outside the truncation
+    return liouvillian_blocks(params, trunc)[m]
 
 
 def c_superdiagonal(params: ModelParams, m: int, k: int) -> complex:

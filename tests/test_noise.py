@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,24 @@ def test_group_width_follows_the_byte_budget():
     assert width(12) == 9
     assert 1 <= width(12, parts=2) <= width(12)
     assert width(40) == width(40, parts=2) == 1
+
+
+def test_group_stays_within_its_byte_budget():
+    # one full group, nine nodes from the vacuum at n_max 12, peaks below
+    # the budget its width was sized on, relation checks included: a check
+    # that holds every accepted space's products at once peaks at 3.14 MiB
+    vac = vacuum(12)
+    form = real_form(NONLINEAR, vac.truncation)
+    Js = list(np.linspace(0.5, 4.5, 9))
+    assert noise._group_width(13**2, 6 * 12 + 1, 1) == len(Js)
+    noise._dense_propagate(NONLINEAR, vac, 5.0, Js[:1], form)
+    tracemalloc.start()
+    try:
+        noise._dense_propagate(NONLINEAR, vac, 5.0, Js, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= noise._GROUP_BYTES, peak / 2**20
 
 
 def _dense_propagate_per_node(params, initial, t, J, form):

@@ -16,6 +16,7 @@ from kerrloss.superops import (
     conjugated_block,
     expm_nilpotent,
     liouvillian_block,
+    liouvillian_blocks,
     measured_upper_bandwidth,
     similarity_identity_suite,
     superop_block,
@@ -173,9 +174,12 @@ def test_liouvillian_block_equals_the_ketbra_construction(case):
     for n_max, params in zip((2, 12, 30), seeded_draws(case, 3, seed=11)):
         tr = Truncation(n_max)
         apply = GeneratorAction(params, tr).apply
+        blocks = liouvillian_blocks(params, tr)
+        assert list(blocks) == list(tr.blocks())
         for m in tr.blocks():
             expected = superop_block(apply, tr, m)
-            assert np.array_equal(liouvillian_block(params, tr, m).entries, expected), (n_max, m)
+            assert np.array_equal(blocks[m].entries, expected), (n_max, m)
+        assert np.array_equal(liouvillian_block(params, tr, 1).entries, blocks[1].entries)
 
 
 def test_liouvillian_block_gates_sector_crossing(monkeypatch):
@@ -183,6 +187,21 @@ def test_liouvillian_block_gates_sector_crossing(monkeypatch):
     monkeypatch.setattr(GeneratorAction, "sparse_matrix", lambda self: driven)
     with pytest.raises(InternalConsistencyError, match="couples coherence sectors"):
         liouvillian_block(GENERIC, Truncation(4), 1)
+
+
+@pytest.mark.parametrize("local", [(1, 4), (4, 1)], ids=["above_the_band", "below_the_diagonal"])
+def test_liouvillian_blocks_gate_every_block(monkeypatch, local):
+    # one stray entry inside block 2, beyond its band or below its diagonal,
+    # fails the cut of every block, block 0 included
+    tr = Truncation(6)
+    d = tr.dim
+    gen = GeneratorAction(GENERIC, tr).sparse_matrix().tolil()
+    row, col = ((k + 2) * d + k for k in local)
+    gen[row, col] = 0.5
+    monkeypatch.setattr(GeneratorAction, "sparse_matrix", lambda self: gen.tocsr())
+    for call in (lambda: liouvillian_blocks(GENERIC, tr), lambda: liouvillian_block(GENERIC, tr, 0)):
+        with pytest.raises(InternalConsistencyError, match="not upper triangular banded"):
+            call()
 
 
 def test_block_diagonal_decoupling():
