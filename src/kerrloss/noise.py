@@ -7,7 +7,7 @@ come by four routes that the tests compare:
 
 - exact cumulants from one block-triangular exponential whose blocks are
   the Dyson orders of Z at J = 0 (:func:`cumulant_trace`);
-- finite differences of Z at J = 0 (:func:`fd_moments`);
+- finite differences of Z at J = 0 (in the tests);
 - moments of P(x), reconstructed from Z on a J grid by inverse Fourier
   quadrature (:func:`run_noise`); all new nodes of a grid are evaluated in
   one pass, each node by one banded LU of I - (t/10) B, with B the real
@@ -28,7 +28,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .fockbasis import FockState, Truncation
 from .oracle import expm_propagate, multi_time_correlators
@@ -45,7 +44,6 @@ __all__ = [
     "default_x_grid",
     "probability_density",
     "moments_from_grid",
-    "fd_moments",
     "cumulants_from_moments",
     "cumulant_trace",
     "moment_by_correlator_quadrature",
@@ -148,9 +146,8 @@ _STRIDE = 4
 #: vector, below which it counts as converged
 _KRYLOV_TOL = 1e-13
 #: Krylov dimension at which a node that has not converged raises.  Nodes
-#: converge by dimension 32 (n_max 12 to 40); a real form smaller than this caps
-#: the space at its own dimension, where the space is the whole space and
-#: the solution exact
+#: converge by dimension 32 (n_max 12 to 40); a smaller real form caps the
+#: space at its own dimension, where the solution is exact
 _KRYLOV_CAP = 1089
 #: deviation of a node's shift-and-invert relation from the operator-level
 #: generator, on unit Krylov vectors, above which the node is refused.  The
@@ -201,13 +198,6 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0, 0])
 
 
-def _moved(new: np.ndarray, old: np.ndarray) -> float:
-    """Largest 2-norm change of the rows of ``new`` from ``old`` padded by zeros."""
-    change = new.copy()
-    change[:, : old.shape[1]] -= old
-    return float(np.max(np.linalg.norm(change, axis=1)))
-
-
 def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tuple]:
     """For each start vector v = vs[k]: x(t) and int_0^t x(s) ds for
     x' = B_k x from x(0) = v, the Krylov dimension that gave them and the
@@ -218,11 +208,13 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tup
     (I - gamma B_k)^-1 from v gives V_m and H_m, and A_m = (I - H_m^-1) / gamma
     is the projection of B_k, so x(s) ~ |v| V_m e^{s A_m} e_1 (van den Eshof
     & Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006)); the cost does not
-    grow with |B_k| t.  Every _STRIDE steps the solution at t, with its
-    integral, is compared with the previous check and counts as converged
-    when it moves by less than _KRYLOV_TOL.  A space that reaches the
-    real-form dimension, or an invariant subspace, holds the exact solution.
-    A space that has not converged at _KRYLOV_CAP raises.
+    grow with |B_k| t.  Every _STRIDE steps from 2 _STRIDE on, the solution
+    at t, with its integral, is compared with the previous check and counts
+    as converged when it moves by less than _KRYLOV_TOL; the first check
+    only records it (no space converges sooner, n_max 12 to 40, t 0.01 to
+    20).  A space that reaches the real-form dimension, or an invariant
+    subspace, holds the exact solution.  A space that has not converged at
+    _KRYLOV_CAP raises.
 
     A space accepted at dimension m is checked against B_k itself, which
     ``operator(owners, X)`` applies to each row X[r] as B of space
@@ -235,13 +227,13 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tup
     The spaces run in lockstep, one dimension at a time: one solve per live
     space, then Gram-Schmidt (classical, repeated once), the norms and the
     H updates as stacked products over the live spaces.  A check takes one
-    stacked inverse of the H_m, one stacked bordered exponential and, for
-    each space it accepts, one ``operator`` call on that space's m vectors
-    w_j, so the relation products of one space at a time are held.  A space
-    leaves once accepted, and the bases of the others move down slot by
-    slot.  No operation mixes two spaces, so each result is, bit for bit,
-    the one the space gives alone.  V and H grow by doubling, so they hold
-    about the dimensions reached.
+    stacked inverse of the H_m, one stacked bordered exponential, one
+    stacked comparison and, for each space it accepts, one ``operator``
+    call on its m vectors w_j, so the relation products of one space at a
+    time are held.  A space leaves once accepted, and the bases of the
+    others move down slot by slot.  No operation mixes two spaces, so each
+    result is, bit for bit, the one the space gives alone.  V and H grow by
+    doubling, so they hold about the dimensions reached.
     """
     k, n = vs.shape
     gamma = _SHIFT * t
@@ -250,10 +242,10 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tup
     V = np.empty((k, min(cap, 4 * _STRIDE) + 1, n))
     H = np.zeros((k, V.shape[1], V.shape[1] - 1))
     V[:, 0] = vs / beta[:, None]
-    # the space in each slot of V and H; its solution at the last check and
-    # its result, per space
+    # the space in each slot of V and H, their solutions at the last check,
+    # the result of each space
     live = list(range(k))
-    last, out = [None] * k, [None] * k
+    last, out = None, [None] * k
     for m in range(1, cap + 1):
         if m == V.shape[1]:
             rows = min(2 * m, cap + 1)
@@ -270,18 +262,23 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tup
             w -= (h[:, None] @ Vm)[:, 0]
             H[:nlive, :m, m - 1] += h
         H[:nlive, m, m - 1] = _norms(w)
-        whole = [True] * nlive if m == n else (H[:nlive, m, m - 1] <= _EPS * size).tolist()
-        slots = range(nlive) if m % _STRIDE == 0 else [s for s in range(nlive) if whole[s]]
-        if slots:
+        whole = (H[:nlive, m, m - 1] <= _EPS * size) | (m == n)
+        check = m % _STRIDE == 0 and m > _STRIDE
+        slots = np.arange(nlive) if check else np.flatnonzero(whole)
+        if slots.size:
             ritz = (np.eye(m) - np.linalg.inv(H[slots, :m, :m])) / gamma
-            # x(t) and its integral over t of each space accepted at this check
-            done = {}
-            for s, y in zip(slots, _exp_e1(ritz, t)):
-                i = live[s]
-                if whole[s] or (last[i] is not None and _moved(y, last[i]) <= _KRYLOV_TOL):
-                    done[s] = beta[i] * (y @ V[s, :m])
-                last[i] = y
-            for s, (x, integral) in done.items():
+            # x(t) and its integral of each space in slots
+            y = _exp_e1(ritz, t)
+            accept = whole[slots]
+            if check and last is not None:
+                moved = y.copy()
+                moved[:, :, : last.shape[2]] -= last
+                accept |= np.linalg.norm(moved, axis=-1).max(axis=-1) <= _KRYLOV_TOL
+            if check:
+                last = y
+            done = slots[accept]
+            for s, ys in zip(done, y[accept]):
+                x, integral = beta[live[s]] * (ys @ V[s, :m])
                 # column j of V_{m+1} Hbar_m; the last one adds w = h_{m+1,m} v_{m+1}
                 solved = H[s, :m, :m].T @ V[s, :m]
                 solved[m - 1] += w[s]
@@ -290,11 +287,13 @@ def _shift_invert_krylov(solves, vs: np.ndarray, t: float, operator) -> list[tup
                 residual += solved
                 residual -= V[s, :m]
                 out[live[s]] = (x, integral * t, m, float(np.max(np.linalg.norm(residual, axis=1))))
-            if done:
-                kept = [s for s in range(nlive) if s not in done]
-                if not kept:
+            if done.size:
+                kept = np.delete(np.arange(nlive), done)
+                if not kept.size:
                     return out
                 live, w = [live[s] for s in kept], w[kept]
+                if last is not None:
+                    last = last[kept]
                 # kept is increasing, so each slot moves down onto a free one
                 for slot, s in enumerate(kept):
                     if slot != s:
@@ -337,10 +336,9 @@ def _dense_propagate(
     on the real-form dimension n = (n_max + 1)^2.  The nodes run in groups:
     a group factors the LUs of its nodes and runs all their Krylov spaces
     in lockstep, so that each step is a few stacked products over the group
-    and not a dozen small calls per node.  The group width comes from a
-    byte budget on the LUs and Krylov bases it holds (:func:`_group_width`):
-    9 nodes from the vacuum at n_max 12, and one from n_max 19 up, where
-    one LU and one basis fill the budget.
+    and not a dozen small calls per node, and one S product takes all its
+    nodes back to the Fock basis; a byte budget sets its width
+    (:func:`_group_width`).
 
     A Krylov solution carries rounding relative to |c|, which would leave
     noise in Z(J) that swamps finite differences in J.  Since w^T G_L = 0
@@ -416,8 +414,9 @@ def _dense_propagate(
             operator,
         ))
         report.group_width = max(report.group_width, group.size)
-        for J in group:
-            x, integral = np.zeros((2, n), dtype=complex)
+        # x(t) and its integral per node
+        xs, integrals = np.zeros((2, group.size, n), dtype=complex)
+        for J, x, integral in zip(group, xs, integrals):
             for unit, _ in parts:
                 xp, ip, dim, dev = next(results)
                 x += unit * xp
@@ -429,7 +428,7 @@ def _dense_propagate(
                     raise InternalConsistencyError(
                         f"tilted-generator Krylov solution unreliable (dev {dev:.3e}, J={J})"
                     )
-            xi = (S @ x).reshape(shape)
+        for J, xi, integral in zip(group, (S @ xs.T).T.reshape(-1, *shape), integrals):
             xi[0, 0] += w @ c + J * (drift @ integral) - np.trace(xi)
             out.append(FockState(xi))
     return out
@@ -581,22 +580,6 @@ def moments_from_grid(x_grid: np.ndarray, P_values: np.ndarray) -> np.ndarray:
     )
 
 
-def fd_moments(z_of_J, step: float) -> np.ndarray:
-    """Moments m_1..m_8 from derivatives of Z at J = 0.
-
-    ``z_of_J`` maps a float J to Z(J); the nine-point stencil J = -4 step
-    .. 4 step is interpolated exactly by a degree-8 polynomial in the scaled
-    variable J/step, whose coefficients give the derivatives without
-    Vandermonde blow-up.
-    """
-    u = np.arange(-4, 5, dtype=float)
-    Zs = np.array([z_of_J(step * uu) for uu in u], dtype=complex)
-    coeffs = P.polyfit(u, Zs, 8)
-    orders = np.arange(1, 9)
-    derivs = coeffs[1:] * np.array([float(math.factorial(n)) for n in orders]) / step**orders
-    return np.real((-1j) ** orders * derivs)
-
-
 def cumulants_from_moments(m: np.ndarray) -> np.ndarray:
     """kappa_1..kappa_4 from raw moments m[0]=m_1 ... m[3]=m_4."""
     m1, m2, m3, m4 = m[:4]
@@ -605,6 +588,25 @@ def cumulants_from_moments(m: np.ndarray) -> np.ndarray:
     k3 = m3 - 3 * m1 * m2 + 2 * m1**3
     k4 = m4 - 4 * m1 * m3 - 3 * m2**2 + 12 * m1**2 * m2 - 6 * m1**4
     return np.array([k1, k2, k3, k4])
+
+
+def _cumulant_generator(L, W, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, keep): M = [[L, W, 0..], [0, L, W..], ..] of CUMULANT_ORDER + 1
+    blocks on d levels, dense on the positions ``keep`` that hold the sectors
+    |m| <= b of block b, assembled from the COO entries of L and W."""
+    q, dd = CUMULANT_ORDER, d * d
+    i, j = np.divmod(np.arange(dd), d)
+    keep = np.concatenate([b * dd + np.flatnonzero(np.abs(i - j) <= b) for b in range(q + 1)])
+    # row and column of M of each position of the stack, -1 if dropped
+    index = np.full((q + 1) * dd, -1)
+    index[keep] = np.arange(keep.size)
+    M = np.zeros((keep.size, keep.size), dtype=complex)
+    L, W = L.tocoo(), W.tocoo()
+    for G, b, col in [(L, b, b) for b in range(q + 1)] + [(W, b, b + 1) for b in range(q)]:
+        r, c = index[b * dd + G.row], index[col * dd + G.col]
+        hit = (r >= 0) & (c >= 0)
+        M[r[hit], c[hit]] += G.data[hit]
+    return M, keep
 
 
 def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> list[dict]:
@@ -622,9 +624,10 @@ def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> lis
     the trace reads m = 0.  So order n only needs the sectors |m| <= q - n,
     which leaves 25d - 40 unknowns on d levels (d >= 5) instead of 5d^2.  In
     row-major order L is upper triangular and W sits in the blocks above
-    the diagonal, so the restricted M is upper triangular, and the stacked
-    vector is carried from one time sample to the next by one dense
-    exponential of it per segment.
+    the diagonal, so the restricted M (:func:`_cumulant_generator`) is
+    upper triangular.  One dense exponential of M per segment carries the
+    stacked vector from one time sample to the next; a segment as long as
+    the one before reuses it.
 
     A path from a state on levels <= n0 that lifts one side above
     n0 + q/2 has spent more than q/2 insertions and left |m| too large to
@@ -634,7 +637,6 @@ def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> lis
     sample.
     """
     import scipy.linalg as sla
-    import scipy.sparse as sp
 
     time_samples = list(time_samples)
     if not all(math.isfinite(t) for t in time_samples):
@@ -648,26 +650,19 @@ def cumulant_trace(params: ModelParams, initial: FockState, time_samples) -> lis
     gated = reach > initial.n_max
     d = min(reach, initial.n_max) + 1
     action = full_generator(params, Truncation(d - 1))
-    L = action.sparse_matrix()
-    W = action.source_matrix()
-    M = sp.bmat(
-        [[L if j == i else W if j == i + 1 else None for j in range(q + 1)]
-         for i in range(q + 1)],
-        format="csr",
-    )
-    # block b holds order q - b, which keeps the sectors |m| <= b
-    i, j = np.divmod(np.arange(d * d), d)
-    kept = [np.flatnonzero(np.abs(i - j) <= b) for b in range(q + 1)]
-    keep = np.concatenate([b * d * d + pos for b, pos in enumerate(kept)])
-    M = M[keep][:, keep].toarray()
-    vec = np.zeros(len(keep), dtype=complex)
-    vec[len(keep) - len(kept[q]) :] = initial.entries[:d, :d].ravel()[kept[q]]
+    M, keep = _cumulant_generator(action.sparse_matrix(), action.source_matrix(), d)
+    full = np.zeros((q + 1) * d * d, dtype=complex)
+    full[q * d * d :] = initial.entries[:d, :d].ravel()
+    vec = full[keep]
     weights = np.array([math.factorial(n) / 2.0**n for n in range(1, q + 1)])
     out = []
-    prev = 0.0
+    prev, gap = 0.0, None
     for t in time_samples:
         if t > prev:
-            vec = sla.expm(M * (t - prev)) @ vec
+            if t - prev != gap:
+                gap = t - prev
+                step = sla.expm(M * gap)
+            vec = step @ vec
         prev = t
         full = np.zeros((q + 1) * d * d, dtype=complex)
         full[keep] = vec

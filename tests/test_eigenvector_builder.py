@@ -24,7 +24,7 @@ from kerrloss.specfun import (
     hyp2f1_terminating,
     sqrt_binom,
 )
-from kerrloss.superops import InternalConsistencyError, ModelParams, liouvillian_block
+from kerrloss.superops import InternalConsistencyError, ModelParams, liouvillian_blocks
 
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
 NONLINEAR = ModelParams(1.0, 0.0, 1.0, 10.0)
@@ -350,8 +350,9 @@ def test_builder_residuals_no_worse_than_back_substitution(params):
         warnings.simplefilter("ignore", RuntimeWarning)  # near-integer ratio warning
         builder = spectral.EigenvectorBuilder(params, tr)
         blocks = {m: builder.block(m) for m in (0, 1, 3)}
+    liouvillian = liouvillian_blocks(params, tr)
     for m, (R, L) in blocks.items():
-        Lb = liouvillian_block(params, tr, m)
+        Lb = liouvillian[m]
         _, R_ref, L_ref = triangular_eigendecomp(Lb)
         for k in range(tr.block_size(m)):
             if params.kappa1 == 0 and m == 0 and k < 2:

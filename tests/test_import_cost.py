@@ -57,3 +57,25 @@ def test_scipy_loads_only_with_the_code_that_uses_it(tmp_path):
     )
     assert not before_ode
     assert after_ode
+
+
+def test_cli_and_closed_form_commands_load_no_numpy_polynomial(tmp_path):
+    # finite-difference moments live in the tests, so the CLI and the
+    # closed-form commands import no polynomial fits
+    after_import, codes, after_run = loaded_after(
+        """
+        import json, sys
+
+        def polynomial_modules():
+            return sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+
+        from kerrloss import cli
+        after_import = polynomial_modules()
+        codes = [cli.main([cmd, "--out", cmd]) for cmd in ("spectrum", "eigvecs", "evolve")]
+        print(json.dumps([after_import, codes, polynomial_modules()]))
+        """,
+        tmp_path,
+    )
+    assert after_import == []
+    assert codes == [0, 0, 0]
+    assert after_run == []

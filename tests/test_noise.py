@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial import polynomial as P
 from scipy.linalg import lapack
 
 from kerrloss import noise, oracle
@@ -17,7 +18,6 @@ from kerrloss.noise import (
     cumulant_trace,
     cumulants_from_moments,
     default_x_grid,
-    fd_moments,
     generating_function,
     moment_by_correlator_quadrature,
     moments_from_grid,
@@ -496,6 +496,22 @@ def test_default_x_grid_nyquist_pairing():
     assert 0.0 in x
 
 
+def fd_moments(z_of_J, step: float) -> np.ndarray:
+    """Moments m_1..m_8 from derivatives of Z at J = 0.
+
+    ``z_of_J`` maps a float J to Z(J); the nine-point stencil J = -4 step
+    .. 4 step is interpolated exactly by a degree-8 polynomial in the scaled
+    variable J/step, whose coefficients give the derivatives without
+    Vandermonde blow-up.
+    """
+    u = np.arange(-4, 5, dtype=float)
+    Zs = np.array([z_of_J(step * uu) for uu in u], dtype=complex)
+    coeffs = P.polyfit(u, Zs, 8)
+    orders = np.arange(1, 9)
+    derivs = coeffs[1:] * np.array([float(math.factorial(n)) for n in orders]) / step**orders
+    return np.real((-1j) ** orders * derivs)
+
+
 def test_fd_moments_compound_poisson():
     # Z(J) = exp(lam (e^{iJ} - 1)) has kappa_n = lam for every n, so the raw
     # moments follow the Bell polynomial ladder: m1 = lam, m2 = lam + lam^2, ...
@@ -690,6 +706,27 @@ def test_run_noise_reports_arnoldi_steps_and_group_width():
     assert "krylov_tau_steps" not in payload
 
 
+def test_krylov_checks_start_at_twice_the_stride(monkeypatch):
+    # the t = 5 noise_grid run: every bordered exponential is of the
+    # stationary J = 0 space, whole at dimension 1, or of a check at a
+    # multiple of _STRIDE from 2 _STRIDE on, where the first check only
+    # records its solution; no space converges by 2 _STRIDE, so the Arnoldi
+    # steps are those of a first check at _STRIDE
+    dims = []
+    exp_e1 = noise._exp_e1
+
+    def recorded(ritz, t):
+        dims.append(ritz.shape[1])
+        return exp_e1(ritz, t)
+
+    monkeypatch.setattr(noise, "_exp_e1", recorded)
+    run = run_noise(NONLINEAR, vacuum(12), 5.0, J_max=8.0, N_J=65)
+    stride = noise._STRIDE
+    assert 1 in dims and 2 * stride in dims
+    assert all(m == 1 or (m % stride == 0 and m >= 2 * stride) for m in dims), sorted(set(dims))
+    assert run.krylov_steps == 1025
+
+
 def test_run_noise_reports_the_lu_bandwidth():
     # the dense nodes factor a band of half-bandwidth 2 n_max, reported on
     # success beside the Krylov dimension and the node-check margin
@@ -795,6 +832,57 @@ def test_reachable_level_restriction_is_exact():
         for rec in trace:
             ref = _full_space_cumulants(params, initial, rec["t"])
             np.testing.assert_allclose(rec["cumulants"], ref, rtol=1e-12, atol=0)
+
+
+def test_cumulant_generator_equals_the_sliced_block_stack(monkeypatch):
+    # the sector-restricted generator is assembled from the COO entries of
+    # L and W; it must equal, entry for entry, the sp.bmat stack sliced to
+    # the kept sectors, on the cutoffs that cumulant_trace picks: the reach
+    # n0 + 2 for the vacuum at n_max 2 (the cutoff at the reach) and 12, and
+    # n_max for a coherent state, which occupies every level (the cutoff
+    # below the reach)
+    built = []
+    assemble = noise._cumulant_generator
+
+    def recorded(L, W, d):
+        M, keep = assemble(L, W, d)
+        built.append((L, W, d, M, keep))
+        return M, keep
+
+    monkeypatch.setattr(noise, "_cumulant_generator", recorded)
+    coherent = FockState.coherent(Truncation(10), 0.6 + 0.3j)
+    for params in (LINEAR, NONLINEAR, GENERIC):
+        for initial in (vacuum(2), vacuum(12), coherent):
+            cumulant_trace(params, initial, [0.5])
+    assert [d for _, _, d, _, _ in built] == [3, 3, 11] * 3
+    q = noise.CUMULANT_ORDER
+    for L, W, d, M, keep in built:
+        stack = sp.bmat(
+            [[L if j == i else W if j == i + 1 else None for j in range(q + 1)]
+             for i in range(q + 1)],
+            format="csr",
+        )
+        i, j = np.divmod(np.arange(d * d), d)
+        kept = [np.flatnonzero(np.abs(i - j) <= b) for b in range(q + 1)]
+        ref_keep = np.concatenate([b * d * d + pos for b, pos in enumerate(kept)])
+        assert np.array_equal(keep, ref_keep)
+        assert np.array_equal(M, stack[ref_keep][:, ref_keep].toarray()), d
+
+
+def test_repeated_time_gaps_reuse_their_exponential(monkeypatch):
+    # the six samples of the benchmark's noise_moments traces have the gaps
+    # 0.5, 0.5, 1, 3, 5, 10: the second 0.5 reuses the first propagator
+    calls = []
+    expm = sla.expm
+
+    def counted(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(sla, "expm", counted)
+    trace = cumulant_trace(NONLINEAR, vacuum(14), [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    assert len(trace) == 6
+    assert len(calls) == 5
 
 
 def test_cumulant_trace_truncation_gate():

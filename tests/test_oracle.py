@@ -25,7 +25,7 @@ from kerrloss.superops import (
     ModelParams,
     annihilation,
     full_generator,
-    liouvillian_block,
+    liouvillian_blocks,
     sector_blocks,
 )
 
@@ -55,8 +55,9 @@ def test_arbiter_matches_spectral_construction():
     tr = Truncation(10)
     for params in (GENERIC, ModelParams(1.0, 0.5, 0.0, 1.0)):
         decomp = decompose(params, tr)
+        blocks = liouvillian_blocks(params, tr)
         for m in (0, 1, -2):
-            blk = liouvillian_block(params, tr, m)
+            blk = blocks[m]
             lams, R, L = triangular_eigendecomp(blk)
             size = blk.entries.shape[0]
             closed = np.array([eigenvalue(params, m, k) for k in range(size)])

@@ -25,7 +25,7 @@ from kerrloss.spectral import (
 from kerrloss.superops import (
     InternalConsistencyError,
     ModelParams,
-    liouvillian_block,
+    liouvillian_blocks,
     transformed_block,
 )
 from kerrloss.oracle import left_residual, right_residual
@@ -59,8 +59,9 @@ def test_eigenvalues_match_oracle_diagonal():
         omega, U = rng.uniform(-1, 1, 2)
         k1, k2 = rng.uniform(0.1, 2, 2)
         p = ModelParams(omega, U, k1, k2)
+        blocks = liouvillian_blocks(p, tr)
         for m in (-3, 0, 1, 4):
-            diag = np.diag(liouvillian_block(p, tr, m).entries)
+            diag = np.diag(blocks[m].entries)
             lams = np.array([eigenvalue(p, m, k) for k in range(tr.block_size(m))])
             assert np.max(np.abs(diag - lams)) < 1e-12
 
@@ -76,8 +77,9 @@ def test_eigenvector_residuals_all_cases():
     tr = Truncation(10)
     for tag, params in CASES.items():
         coeffs = PropagatorCoefficients(params, tr)
+        blocks = liouvillian_blocks(params, tr)
         for m in (0, 1, -2, 3):
-            Lb = liouvillian_block(params, tr, m)
+            Lb = blocks[m]
             _, R, L = coeffs.factors(m)
             for k in range(tr.block_size(m)):
                 lam = eigenvalue(params, m, k)
