@@ -12,13 +12,20 @@ indices and F_n = 2F1(-n, b; c; 2), b = 1 - x, c = 2 - 2x - eta (right) or
 b = x, c = 2x + eta (left).  Gauss's contiguous relation in the first
 parameter gives F_0 = 1, (c + j) F_(j+1) = (c - 2b) F_j + j F_(j-1) with
 c - 2b = -eta (right) or +eta (left); at kappa2 = 0, F_(j+1) = s F_j with
-s = 1 / (1 + i m U / kappa1).  The recurrence runs forward in fixed-point
-Gaussian integers, each F_j within 2 j last places: that bound is proved for
-kappa1, kappa2 >= 0 and gated, and any other recurrence is refused.  The
-width grows until each F_j is resolved or proved an exact zero; each entry
-is rounded to double once, as ldexp of its correctly rounded fixed-point
-numerator (:func:`_round_entries`; big-integer true division where that
-could leave the normal range).  :class:`PropagatorCoefficients` gates the
+s = 1 / (1 + i m U / kappa1).  The recurrence is benign, |d_j| >= |g| + j h
+for its coefficients: that is proved for kappa1, kappa2 >= 0 and gated, and
+any other recurrence is refused.  It runs in two phases.  First, every mode
+of the requested blocks at once, in lockstep in double-double arithmetic,
+each entry with a rigorous error bound; an entry is certified when its bound,
+plus the exact path's own uncertainty, keeps it clear of the nearest rounding
+midpoint, and its double is then the exact path's.  Second, a mode with any
+uncertified entry reruns exactly: forward in fixed-point Gaussian integers,
+each F_j within 2 j last places, the width growing until each F_j is resolved
+or proved an exact zero, and each entry rounded to double once, as ldexp of
+its correctly rounded fixed-point numerator (:func:`_round_entries`;
+big-integer true division where that could leave the normal range).  Either
+way each entry is the correctly rounded double of its exact value (up to
+ties within 2^-GUARD_BITS ulp).  :class:`PropagatorCoefficients` gates the
 blocks each of its calls builds with one stacked
 :func:`check_biorthogonality`.  Parameter cases are :class:`CaseTag`s; the
 one true degeneracy (kappa1 = 0, block 0, k < 2) gets parity-based vectors.
@@ -44,7 +51,6 @@ from .superops import (
     BlockMatrix,
     InternalConsistencyError,
     ModelParams,
-    apply_exp_A,
     block_A_matrix,
 )
 
@@ -57,7 +63,6 @@ __all__ = [
     "EigenvectorBuilder",
     "PropagatorCoefficients",
     "check_biorthogonality",
-    "right_eigenvector_productform",
     "F_matrix",
     "decompose",
     "spectrum_csv",
@@ -171,8 +176,70 @@ def _round_entries(re: list[int], im: list[int], w: list[int], shift: int) -> li
     return [complex(x * v / scale, y * v / scale) for x, y, v in zip(re, im, w)]
 
 
+#: Veltkamp's constant 2^27 + 1: ``_SPLIT * x`` splits a double into two
+#: halves of 26 bits or fewer, whose products with other halves are exact
+_SPLIT = 134217729.0
+#: bound on the rounding of one double-double step of
+#: :meth:`EigenvectorBuilder._run_batch` relative to |alpha| |F_j| + |beta| |F_(j-1)|:
+#: at most 90 u^2 (u = 2^-53) is proved, 47 u^2 for the step (8 u^2 per
+#: product and 25 u^2 for their sum, in each of the two parts) and 43 u^2 for
+#: the coefficients; the slack covers the rounding of the bound itself and the
+#: 24 u^2 of the product with w
+STEP_ERROR = 128.0 * 2.0**-106
+#: factor that rounds a computed bound, or the modulus of a coefficient, up
+#: past any rounding of the double arithmetic that formed it
+_UP = 1.0 + 2.0**-40
+#: nonzero parts of F_j, |d_j| and nonzero |alpha_j|, |beta_j| outside
+#: [1/_RANGE, _RANGE] are left to the exact path, so no product of the
+#: double-double pass under- or overflows
+_RANGE = 2.0**300
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: x = hi + lo with hi and lo of 26 bits or fewer."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: s + e = a + b exactly, s = fl(a + b)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _dd_mul(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    """(ah + al)(bh + bl) as a double-double (hi, lo), hi = fl(hi + lo), within
+    8 u^2 |a| |b|: Dekker's TwoProduct of the high parts, exact, plus the two
+    cross products (Joldes, Muller & Popescu, ACM TOMS 44, 15 (2017))."""
+    p = ah * bh
+    a1, a2 = _split(ah)
+    b1, b2 = _split(bh)
+    return _two_sum(p, (((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2) + (ah * bl + al * bh))
+
+
+def _reciprocal(dh: np.ndarray, dl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1/d = (re d - i im d) / q, q = |d|^2, of the double-double d = (re, im)
+    as a double-double (re, im): 1/q takes one Newton step from 1/fl(q)."""
+    sh, sl = _dd_mul(dh, dl, dh, dl)
+    s, t = _two_sum(sh[0], sh[1])
+    qh, ql = _two_sum(s, t + (sl[0] + sl[1]))
+    y = 1.0 / qh
+    p = qh * y
+    q1, q2 = _split(qh)
+    y1, y2 = _split(y)
+    inv = _two_sum(y, y * (((1.0 - p) - (((q1 * y1 - p) + q1 * y2 + q2 * y1) + q2 * y2)) - ql * y))
+    conj = np.array([[1.0], [-1.0]])
+    return _dd_mul(dh * conj, dl * conj, *inv)
+
+
 #: bytes of the temporaries one chunk of :func:`check_biorthogonality` holds
 GATE_CHUNK_BYTES = 1 << 20
+#: bytes of the arrays one chunk of :meth:`EigenvectorBuilder.fill_blocks` holds
+BUILD_CHUNK_BYTES = 1 << 23
+#: peak bytes of the double-double pass per (mode, step) cell of a chunk
+CELL_BYTES = 640
 
 
 def _gate_ratios(R: np.ndarray, L: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -217,7 +284,20 @@ def check_biorthogonality(
 class EigenvectorBuilder:
     """The one builder of the closed-form eigenvector entries at one truncation.
 
-    U, kappa1 and kappa2 enter as exact fractions, so every coefficient of the
+    It works in two phases (Ziv, ACM TOMS 17, 410 (1991)).  :meth:`fill_blocks`,
+    the phase every build takes, runs the recurrence of every mode of the
+    requested blocks at once, stepping j in lockstep over numpy arrays that
+    hold each F_j as a double-double (TwoSum, Dekker's split and TwoProduct),
+    with a rigorous error bound per entry (:meth:`_run_batch`).  An entry is
+    certified when that bound, plus the exact path's own uncertainty, keeps it
+    clear of the nearest rounding midpoint; its double is then, bit for bit,
+    the one the exact path writes (:meth:`_certify`).  A mode with any entry
+    it cannot certify (a near-zero that is not structural, a near-tie, a
+    product out of range) reruns through the exact path, which stays the only
+    code that proves a zero; :attr:`fallback_modes` counts them.
+
+    The exact path (:meth:`_fill`, and :meth:`block` mode by mode) takes U,
+    kappa1 and kappa2 as exact fractions, so every coefficient of the
     three-term recurrence is a Gaussian integer in units of 2 D kappa2 (D the
     common denominator).  Each mode runs the recurrence once in fixed point
     (:func:`_run_recurrence`), every step exact up to one floor per component,
@@ -230,12 +310,45 @@ class EigenvectorBuilder:
     def __init__(self, params: ModelParams, trunc: Truncation):
         self.bits = [0, 0]  # working bits of the last right and left mode, the next guess
         self.truncation = trunc
+        self._fallbacks = 0
         U, k1, k2 = (Fraction(v) for v in (params.U, params.kappa1, params.kappa2))
         D = math.lcm(U.denominator, k1.denominator, k2.denominator)
         self.K1, self.K2, self.KU = int(k1 * D), int(k2 * D), int(U * D)
-        # prefactor table: w = root[hi][j] root[hi + |m|][j], j = hi - lo
-        self.root = [[math.isqrt(math.comb(n, j) << 2 * ROOT_BITS) for j in range(n + 1)]
-                     for n in range(trunc.n_max + 1)]
+        # the same rationals as doubles, for the double-double pass (None: not doubles)
+        doubles = tuple(float(v) for v in (U, k1, k2))
+        self._doubles = doubles if all(map(Fraction.__eq__, (U, k1, k2), doubles)) else None
+
+    @property
+    def fallback_modes(self) -> int:
+        """How many modes :meth:`fill_blocks` has so far left to the exact
+        path (:meth:`_fill`), because the double-double pass could not certify
+        one of their entries."""
+        return self._fallbacks
+
+    @cached_property
+    def root(self) -> list[list[int]]:
+        """The prefactor table of the exact path: w = root[hi][j] root[hi + |m|][j],
+        j = hi - lo, with root[n][j] = sqrt(C(n, j)) 2^ROOT_BITS, floored."""
+        return [[math.isqrt(math.comb(n, j) << 2 * ROOT_BITS) for j in range(n + 1)]
+                for n in range(self.truncation.n_max + 1)]
+
+    @cached_property
+    def _root_dd(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(C(n, j)) as a double-double table (hi, lo), zero past j = n:
+        C(n, j) to u^2 from the integers, then one Newton step from the double
+        square root, so each entry is within 4 u^2 of sqrt(C(n, j))."""
+        size = self.truncation.n_max + 1
+        at = np.tril_indices(size)
+        exact = [math.comb(n, j) for n, j in zip(*(x.tolist() for x in at))]
+        ch = np.array(exact, dtype=float)
+        cl = np.array([float(x - int(h)) for x, h in zip(exact, ch.tolist())])
+        s = np.sqrt(ch)
+        p = s * s
+        s1, s2 = _split(s)
+        r = (((ch - p) - (((s1 * s1 - p) + 2 * s1 * s2) + s2 * s2)) + cl) / (2 * s)
+        hi, lo = np.zeros((2, size, size))
+        hi[at], lo[at] = _two_sum(s, r)
+        return hi, lo
 
     def _recurrence(self, am: int, k: int, right: bool, n: int) -> tuple:
         """Recurrence (g, h, cr, ci, r) of mode (|m|, k) for
@@ -329,10 +442,10 @@ class EigenvectorBuilder:
         return bits
 
     def block(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(R_m, L_m) of block m >= 0, not yet gated: :class:`PropagatorCoefficients`
-        runs :func:`check_biorthogonality` once over the blocks each of its calls
-        builds.  Each side runs from its longest sum down, every mode starting at
-        ``self.bits``."""
+        """(R_m, L_m) of block m >= 0 from the exact path alone, not gated: every
+        mode through :meth:`_fill`, each side from its longest sum down, every
+        mode starting at ``self.bits``.  :class:`PropagatorCoefficients` builds
+        with :meth:`fill_blocks`, which writes the same bytes."""
         if m < 0:
             raise ValueError("build block |m|; block -m is its complex conjugate")
         R, L = (np.zeros((self.truncation.block_size(m),) * 2, dtype=complex) for _ in "RL")
@@ -340,6 +453,201 @@ class EigenvectorBuilder:
             self.bits[0] = self._fill(m, top, True, R[:, top], self.bits[0])
             self.bits[1] = self._fill(m, k, False, L[k], self.bits[1])
         return R, L
+
+    def fill_blocks(self, ams: Sequence[int], R: np.ndarray, L: np.ndarray) -> None:
+        """Write block m of every m >= 0 in ``ams`` into the leading
+        block_size(m) square of the zeroed R[m] and L[m], not yet gated.
+
+        Every mode passes the gate of :meth:`_recurrence`, in its closed form
+        :meth:`_admitted`; a mode that form does not admit goes to
+        :meth:`_recurrence` itself, in the order :meth:`block` visits them, so
+        a refusal raises there as in :meth:`block`.  Then all modes run
+        together in :meth:`_run_batch`, longest first, in chunks of at most
+        BUILD_CHUNK_BYTES.  A mode with an entry that pass cannot certify
+        reruns through :meth:`_fill`, as in :meth:`block`, and counts in
+        :attr:`fallback_modes`."""
+        n_max, ams = self.truncation.n_max, np.asarray(ams, dtype=int)
+        # every mode of the blocks, in the order block() visits them: in a block
+        # of size S, right mode S - 1 - i and then left mode i, i = 0, 1, ...
+        per = 2 * (n_max + 1 - ams)
+        am, sizes = np.repeat(ams, per), np.repeat(n_max + 1 - ams, per)
+        i = np.arange(len(am)) - np.repeat(np.cumsum(per) - per, per)
+        right = i % 2 == 0
+        k = np.where(right, sizes - 1 - i // 2, i // 2)
+        n = np.where(right, k, sizes - 1 - k)
+        R[am, k, k] = L[am, k, k] = 1.0
+        if self.K1 == self.K2 == 0:  # Hamiltonian only: R = L = I
+            return
+        pair = (am == 0) & (k < 2) & (self.K1 == 0)  # the degenerate pair
+        for j in np.flatnonzero(pair).tolist():
+            self._fill(0, int(k[j]), bool(right[j]), R[0, :, k[j]] if right[j] else L[0, k[j]])
+        run = (n > 0) & ~pair
+        am, k, right, n = am[run], k[run], right[run], n[run]
+        for j in np.flatnonzero(~self._admitted(am, k, right, n)).tolist():
+            self._recurrence(int(am[j]), int(k[j]), bool(right[j]), int(n[j]))  # refuses, or admits after all
+        order, bad, start = np.argsort(-n, kind="stable"), np.ones(len(n), dtype=bool), 0
+        cells = np.cumsum(n[order])  # (mode, step) cells up to each mode
+        while self._doubles is not None and start < len(order):
+            # the chunk from ``start`` holds at most BUILD_CHUNK_BYTES / CELL_BYTES cells (one mode at least)
+            top = cells[start] - n[order[start]] + BUILD_CHUNK_BYTES // CELL_BYTES
+            stop = max(start + 1, int(np.searchsorted(cells, top, side="right")))
+            chunk = order[start:stop]
+            bad[chunk] = self._run_batch(am[chunk], k[chunk], right[chunk], n[chunk], R, L)
+            start = stop
+        failed = np.flatnonzero(bad).tolist()
+        for j in failed:
+            m, kk, side = int(am[j]), int(k[j]), int(not right[j])
+            size = n_max + 1 - m
+            out = L[m, kk, :size] if side else R[m, :size, kk]
+            self.bits[side] = self._fill(m, kk, not side, out, self.bits[side])
+        self._fallbacks += len(failed)
+
+    def _admitted(self, am, k, right, n) -> np.ndarray:
+        """Which of the modes the gate of :meth:`_recurrence` admits, in closed
+        form: its two conditions, before the common factor is divided out, are
+        A K2 >= K1 + |K1| or A K2 >= |K1| - K1 with an integer A of the mode
+        (right: 2 - 2k - |m| or |m|; left: -(2k + |m| + 2n - 2) or 2k + |m|), so
+        each is one comparison of A with a ceiling.  At kappa2 = 0 every mode
+        is admitted.  False also stands for "not decided here" (K2 < 0): the
+        caller runs :meth:`_recurrence` on every mode that is not admitted."""
+        K1, K2 = self.K1, self.K2
+        if K2 == 0:
+            return np.ones(len(am), dtype=bool)
+        if K2 < 0:
+            return np.zeros(len(am), dtype=bool)
+        up, down = (min(-(-v // K2), 1 << 62) for v in (K1 + abs(K1), abs(K1) - K1))
+        return np.where(right, (2 - 2 * k - am >= up) | (am >= down),
+                        (-(2 * k + am + 2 * n - 2) >= up) | (2 * k + am >= down))
+
+    def _run_batch(self, am, k, right, n, R, L) -> np.ndarray:
+        """Run the modes (|m|, k) of one chunk, sorted by length n from the
+        longest, in lockstep in double-double, write the entries of every mode
+        it certifies into R and L, and return which modes it could not.
+
+        Step j takes F_(j+1) = alpha_j F_j + beta_j F_(j-1) for every mode with
+        n > j, as one broadcast product of the coefficient matrices of
+        :meth:`_coefficients` with (F_(j-1), F_j), whose four products per part
+        TwoSum adds.  The bound E_(j+1) = |alpha_j| Et_j + |beta_j| Et_(j-1),
+        Et_j = E_j + STEP_ERROR |F_j|, holds by induction and stays below
+        n STEP_ERROR max |F|, as the gate of :meth:`_recurrence` makes
+        |alpha_j| + |beta_j| <= 1.  Structural zeros (odd j at kappa1 = 0) come
+        out exact with a zero bound.  :meth:`_certify` then checks every entry."""
+        steps, c = int(n[0]), len(n)
+        jj, ii = np.nonzero(np.arange(steps)[:, None] < n)  # cell (jj, ii): step jj of mode ii
+        with np.errstate(all="ignore"):
+            K, mod, guard = self._coefficients(am, k, right, jj, ii)
+            W = np.zeros((4, 2, 2, c))  # hi, lo and halves of hi of (F_(j-1), F_j), as (re, im)
+            W[[0, 2], 1, 0] = 1.0  # F_0 = 1
+            F = np.empty((2, 2, len(ii)))  # hi and lo of F_(jj+1) of every cell, as (re, im)
+            Et = np.zeros((steps + 2, c))  # row j + 1: Et_j / STEP_ERROR
+            Et[1] = 1.0
+            terms = np.empty((4, c))
+            counts = np.bincount(jj, minlength=steps).tolist()
+            for j, (start, cj) in enumerate(zip(accumulate(counts, initial=0), counts)):
+                cells = slice(start, start + cj)
+                D = W[:, :, None, :, :cj]
+                Kj = K[..., cells]
+                p = Kj[0] * D[0]
+                h = Kj[2:, None] * D[None, 2:]  # Dekker's partial products, each exact
+                x = Kj[:2] * D[1::-1]  # the two cross products
+                e = ((((h[0, 0] - p) + h[0, 1]) + h[1, 0]) + h[1, 1]) + (x[0] + x[1])
+                x, y = _two_sum(p[0], p[1])  # over F_(j-1) and F_j
+                s, z = _two_sum(x[:, 0], x[:, 1])  # over the two parts of each
+                y += e[0] + e[1]
+                t = z + (y[:, 0] + y[:, 1])
+                W[:, 0, :, :cj] = W[:, 1, :, :cj]
+                hi, lo, h1, h2 = W[:, 1, :, :cj]
+                np.add(s, t, out=hi)
+                z = hi - s
+                np.add(s - (hi - z), t - z, out=lo)
+                g = _SPLIT * hi
+                np.subtract(g, g - hi, out=h1)
+                np.subtract(hi, h1, out=h2)
+                F[..., cells] = W[:2, 1, :, :cj]
+                np.multiply(mod[:, cells], Et[j : j + 2, :cj], out=terms[:2, :cj])
+                np.abs(hi, out=terms[2:, :cj])
+                np.add.reduce(terms[:, :cj], axis=0, out=Et[j + 2, :cj])
+            del K, mod
+            ok = self._certify(F, Et, ~guard, am, k, right, jj, ii, R, L)
+        return np.bincount(ii[~ok], minlength=c) > 0
+
+    def _coefficients(self, am, k, right, jj, ii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(K, mod, guard) of the cells (jj, ii), step jj of mode ii: K[:, s, o, i]
+        (hi, lo and the halves of hi) is the coefficient of part i of F_(j-1)
+        (s = 0, beta_j) or F_j (s = 1, alpha_j) in part o of F_(j+1), the 2 x 2
+        real matrix [[re, -im], [im, re]]; mod bounds |beta_j| and |alpha_j|
+        from above; guard marks cells past the range the arithmetic is sure in.
+
+        alpha_j = kappa1 / d_j and beta_j = j kappa2 / d_j: the recurrence of
+        :meth:`_recurrence` divided by a common factor.  A right mode runs
+        G_j = (-1)^j F_j, with d_j = kappa2 (2 - 2k - |m| + j) - kappa1 - i U |m|;
+        a left mode has d_j = kappa2 (2k + |m| + j) + kappa1 + i U |m|.  kappa2 M
+        and U |m| are exact double-doubles (M and |m| have under 26 bits), and
+        1/q = 1/|d_j|^2 takes one Newton step from 1/fl(q); each coefficient is
+        within 43 u^2 of its modulus."""
+        U, k1, k2 = self._doubles
+        sign = np.where(right, -1.0, 1.0)[ii]
+        v = np.stack([np.where(right, 2 - 2 * k - am, 2 * k + am)[ii] + jj, am[ii]])
+        scale = np.array([[k2], [U]])
+        sh, sl = _split(scale)
+        p = scale * v
+        e = (sh * v - p) + sl * v
+        s, t = _two_sum(p[0], sign * k1)
+        dh, dl = np.stack([s, sign * p[1]]), np.stack([t + e[0], sign * e[1]])
+        dh[0], dl[0] = _two_sum(s, dl[0])  # d_j = dr + i ci
+        bh = k2 * jj  # b_j = j kappa2 exactly
+        fh = np.stack([bh, np.full_like(bh, k1)])
+        fl = np.stack([(sh[0] * jj - bh) + sl[0] * jj, np.zeros_like(bh)])
+        size = np.hypot(dh[0], dh[1])
+        mod = fh * (_UP / size)
+        guard = (size < 1 / _RANGE) | (size > _RANGE) | np.any((mod > 0) & (mod < 1 / _RANGE), axis=0)
+        ch, cl = _dd_mul(fh[:, None], fl[:, None], *_reciprocal(dh, dl))
+        K = np.empty((4, 2, 2, 2, len(ii)))
+        for x, part in zip(K, (ch, cl)):
+            x[:, 0, 0] = x[:, 1, 1] = part[:, 0]
+            x[:, 1, 0] = part[:, 1]
+            np.negative(part[:, 1], out=x[:, 0, 1])
+        np.multiply(K[0], _SPLIT, out=K[3])  # Veltkamp's split of the high parts, in place
+        np.subtract(K[3], K[0], out=K[2])
+        np.subtract(K[3], K[2], out=K[2])
+        np.subtract(K[0], K[2], out=K[3])
+        return K, mod, guard
+
+    def _certify(self, F, Et, ok, am, k, right, jj, ii, R, L) -> np.ndarray:
+        """Write every entry V = w F_j of the cells (jj, ii) whose mode it
+        certifies into R and L, and return which cells it certifies, of those
+        ``ok`` admits.
+
+        w is the double-double sqrt(C) sqrt(C) of :attr:`_root_dd`.  A cell is
+        certified when its bound, plus 3 2^-(53 + GUARD_BITS) |V| for the exact
+        path (every F_j that :meth:`_fill` rounds is resolved to
+        2^-(53 + GUARD_BITS), and each floored root of its w is within that of
+        sqrt(C)), keeps each part clear of the midpoints next to its double:
+        that double is then the one :meth:`_fill` writes.  A part that is an
+        exact zero with a zero bound is +0.0, and so is the imaginary part of a
+        real mode (U |m| = 0) on both paths.  Nonzero parts of F_j stay within
+        [1/_RANGE, _RANGE]."""
+        c, f, (Fh, Fl) = Et.shape[1], jj + 1, F
+        Wh, Wl = self._root_dd
+        size = len(Wh)
+        ra = (k[ii] + np.where(right[ii], 0, f)) * size + f
+        rb = ra + am[ii] * size
+        wh, wl = _dd_mul(np.take(Wh, ra), np.take(Wl, ra), np.take(Wh, rb), np.take(Wl, rb))
+        Vh, Vl = _dd_mul(Fh, Fl, wh, wl)
+        aF, aV = np.abs(Fh), np.abs(Vh)
+        EV = STEP_ERROR * wh * (np.take(Et, (f + 1) * c + ii) + aF.sum(axis=0))
+        rad = (EV + 3 * 2.0 ** -(53 + GUARD_BITS) * (aV.sum(axis=0) + EV)) * _UP
+        clear = ((np.abs(Vl) + rad) * _UP < (aV - np.nextafter(aV, 0)) / 2) & (aF >= 1 / _RANGE) & (aF <= _RANGE)
+        parts = np.where(Fh == 0, rad == 0, clear)
+        parts[1] |= (self.KU == 0) | (am[ii] == 0)
+        ok = ok & parts[0] & parts[1]
+        keep = np.bincount(ii[~ok], minlength=c)[ii] == 0
+        vals = np.ascontiguousarray((Vh + 0.0).T).view(complex)[keep, 0]
+        kk, ff, r = k[ii][keep], f[keep], right[ii][keep]
+        at = (am[ii][keep] * size + np.where(r, kk - ff, kk)) * size + np.where(r, kk, kk + ff)
+        np.put(R, at[r], vals[r])
+        np.put(L, at[~r], vals[~r])
+        return ok
 
 
 class PropagatorCoefficients:
@@ -378,7 +686,10 @@ class PropagatorCoefficients:
         self.layout = block_layout(trunc)
 
     @cached_property
-    def _builder(self) -> EigenvectorBuilder:
+    def builder(self) -> EigenvectorBuilder:
+        """The builder of this coefficient set's factors; its
+        :attr:`~EigenvectorBuilder.fallback_modes` counts the modes that took
+        the exact path."""
         return EigenvectorBuilder(self.params, self.truncation)
 
     def _build(self, ams: list[int]) -> None:
@@ -387,12 +698,13 @@ class PropagatorCoefficients:
         the stack from the first to the last: a slice, so the gate reads the
         stack in place, and a block built earlier in between is gated again."""
         n = self.truncation.n_max
+        self.builder.fill_blocks(ams, self._R[n:], self._L[n:])  # row n + m holds block m
         for am in ams:
-            size = self.truncation.block_size(am)
-            R, L = self._builder.block(am)
-            self._R[n + am, :size, :size], self._L[n + am, :size, :size] = R, L
             if am:  # block -m is the conjugate; + 0.0 keeps -0 out of it
-                self._R[n - am, :size, :size], self._L[n - am, :size, :size] = R.conj() + 0.0, L.conj() + 0.0
+                size = self.truncation.block_size(am)
+                for F in (self._R, self._L):
+                    conj = np.conjugate(F[n + am, :size, :size], out=F[n - am, :size, :size])
+                    conj += 0.0
         m, k = np.array(ams + [-am for am in ams])[:, None], np.arange(n + 1)
         lam = eigenvalue(self.params, m, k)  # every block m and -m in one call, zero-padded
         self._lam[n + m[:, 0]] = np.where(k <= n - np.abs(m), lam, 0)
@@ -472,28 +784,6 @@ class PropagatorCoefficients:
         if transpose:  # block m takes T_{-m}^T; block -m is the reversed row
             T = T[::-1].swapaxes(1, 2)
         return (T @ v[..., None])[..., 0]
-
-
-def right_eigenvector_productform(
-    params: ModelParams, trunc: Truncation, m: int, k: int
-) -> np.ndarray:
-    """Independent construction of the right eigenvector via eigenvalue-gap products."""
-    from .superops import c_superdiagonal
-
-    size = trunc.block_size(m)
-    lam_k = eigenvalue(params, m, k)
-    summed = np.zeros(size, dtype=np.clongdouble)
-    summed[k] = 1.0
-    prod = np.clongdouble(1.0)
-    for p in range(k - 1, -1, -1):
-        gap = lam_k - eigenvalue(params, m, p)
-        if gap == 0:
-            raise ZeroDivisionError(
-                f"degenerate eigenvalues lambda_{k} = lambda_{p} in block m={m}"
-            )
-        prod *= c_superdiagonal(params, m, p + 1) / np.clongdouble(gap)
-        summed[p] = prod
-    return apply_exp_A(summed, m, -1.0).astype(complex)
 
 
 def F_matrix(params: ModelParams, trunc: Truncation, m: int, direction: str) -> np.ndarray:

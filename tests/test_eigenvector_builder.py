@@ -7,6 +7,7 @@ import operator
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -216,8 +217,38 @@ def test_negative_eta_fails_the_gate(eta):
     # have c = 0, a vanishing denominator
     builder = spectral.EigenvectorBuilder(GENERIC, Truncation(4))
     builder.K1 = round(eta * builder.K2)
-    with pytest.raises(InternalConsistencyError, match="not benign"):
+    with pytest.raises(InternalConsistencyError, match="not benign") as exact:
         builder.block(0)
+    # the batched build refuses the same first mode, in the same words
+    coeffs = spectral.PropagatorCoefficients(GENERIC, Truncation(4))
+    coeffs.builder.K1 = builder.K1
+    with pytest.raises(InternalConsistencyError, match="not benign") as batched:
+        coeffs.stack()
+    assert str(batched.value) == str(exact.value)
+
+
+@pytest.mark.parametrize("eta", [-5.0, -2.0, -1.0, -0.5, -1 / 3, -0.01, 0.0, 0.37, 3.0])
+def test_closed_form_gate_decides_as_recurrence(eta):
+    # _admitted is the gate of _recurrence in closed form: it admits exactly
+    # the modes _recurrence admits, negative kappa1 (injected) included
+    for params in (GENERIC, ModelParams(0.3, -2.0, 0.5, 0.01), ModelParams(1.0, 0.5, 0.8, 0.0)):
+        tr = Truncation(9)
+        builder = spectral.EigenvectorBuilder(params, tr)
+        builder.K1 = round(eta * (builder.K2 or builder.K1))
+        if builder.K1 == builder.K2 == 0:
+            continue
+        modes = [(m, k, right, k if right else tr.block_size(m) - 1 - k)
+                 for m in range(tr.n_max + 1) for k in range(tr.block_size(m)) for right in (True, False)]
+        modes = [mode for mode in modes if mode[3]]
+        am, k, right, n = (np.array(v) for v in zip(*modes))
+        admitted = builder._admitted(am, k, right, n)
+        for mode, verdict in zip(modes, admitted):
+            try:
+                builder._recurrence(*mode)
+                refused = False
+            except InternalConsistencyError:
+                refused = True
+            assert verdict == (not refused), (params, eta, mode)
 
 
 def test_gate_fires_on_double_precision_factors():
@@ -448,17 +479,129 @@ def test_factors_are_leading_blocks_of_a_larger_cutoff(params):
             assert mine.tobytes() == np.ascontiguousarray(lead).tobytes(), m
 
 
+def _assert_batched_is_exact(params, n_max):
+    """The batched build writes every block m >= 0, byte for byte (the sign
+    of zero included), as the exact path alone (``block``) does; returns the
+    number of modes it left to that path."""
+    tr = Truncation(n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near-integer ratio warning
+        coeffs = spectral.PropagatorCoefficients(params, tr)
+        coeffs.stack()
+        exact = spectral.EigenvectorBuilder(params, tr)
+        for m in range(n_max + 1):
+            for mine, ref in zip(coeffs.factors(m)[1:], exact.block(m)):
+                assert np.ascontiguousarray(mine).tobytes() == ref.tobytes(), (params, n_max, m)
+    return coeffs.builder.fallback_modes
+
+
+@pytest.mark.parametrize("n_max", [3, 12, 20, 40])
+@pytest.mark.parametrize("case", list(spectral.CaseTag), ids=lambda c: c.value)
+def test_batched_build_is_exact_on_seeded_draws(case, n_max):
+    for params in seeded_draws(case, 2, 1400 + n_max):
+        _assert_batched_is_exact(params, n_max)
+
+
+@pytest.mark.parametrize("params, n_max", [
+    (ModelParams(1.0, 0.5, 1e-12, 1.0), 40),
+    (ModelParams(1.0, 1000.0, 0.3, 0.1), 40),
+    (ModelParams(0.3, 0.2, 0.0, 0.6), 20),
+    (ModelParams(0.2, 0.3, 10.0, 1e-3), 30),
+    (ModelParams(0.5, -0.4, 2.0000002, 1.0), 30),
+    (ModelParams(0.1, 0.2, 3.0, 1.0), 30),
+], ids=["kappa1-1e-12", "U-1000", "over-1022-bits", "eta-1e4", "near-integer", "integer-3"])
+def test_batched_build_is_exact_on_stress_channels(params, n_max):
+    _assert_batched_is_exact(params, n_max)
+
+
+@pytest.mark.parametrize("params", [GENERIC, ModelParams(0.7, 0.4, 0.3, 0.6)], ids=["generic", "roadmap"])
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_generic_builds_take_no_fallback(params, n_max):
+    assert _assert_batched_is_exact(params, n_max) == 0
+
+
+def test_forced_fallback_gives_the_same_bytes(monkeypatch):
+    # a pass that certifies nothing leaves every mode to _fill
+    tr = Truncation(12)
+    _, R, L = spectral.PropagatorCoefficients(GENERIC, tr).stack()
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "_run_batch",
+                        lambda self, am, k, right, n, R, L: np.ones(len(n), dtype=bool))
+    coeffs = spectral.PropagatorCoefficients(GENERIC, tr)
+    _, R2, L2 = coeffs.stack()
+    assert coeffs.builder.fallback_modes == sum(2 * (s - 1) for s in range(1, tr.dim + 1))
+    assert R.tobytes() == R2.tobytes() and L.tobytes() == L2.tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    GENERIC,
+    NONLINEAR,
+    ModelParams(1.0, 0.5, 1e-12, 1.0),
+    ModelParams(0.5, -0.4, 2.0000002, 1.0),
+    ModelParams(1.0, 0.5, 0.8, 0.0),
+    ModelParams(1.0, 1000.0, 0.3, 0.1),
+], ids=["generic", "nonlinear", "kappa1-1e-12", "near-integer", "zero-kappa2", "U-1000"])
+def test_double_double_bound_holds(monkeypatch, params):
+    # every F_j of the double-double pass lies within STEP_ERROR Et_j of the
+    # exact value, taken from the fixed-point recurrence at 400 bits (G_j on
+    # the right side), for every cell the pass certifies or not
+    tr, seen = Truncation(12), []
+    original = spectral.EigenvectorBuilder._certify
+
+    def recorded(self, F, Et, ok, am, k, right, jj, ii, R, L):
+        seen.append((F.copy(), Et.copy(), am, k, right, jj, ii))
+        return original(self, F, Et, ok, am, k, right, jj, ii, R, L)
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "_certify", recorded)
+    coeffs = spectral.PropagatorCoefficients(params, tr)
+    coeffs.stack()
+    bits, worst = 400, 0.0
+    for F, Et, am, k, right, jj, ii in seen:
+        c = Et.shape[1]
+        for cell, (j, i) in enumerate(zip(jj.tolist(), ii.tolist())):
+            m, kk, r = int(am[i]), int(k[i]), bool(right[i])
+            n = kk if r else tr.block_size(m) - 1 - kk
+            rec = coeffs.builder._recurrence(m, kk, r, n)
+            re, im = spectral._run_recurrence(rec, j + 1, bits)
+            sign = (-1) ** (j + 1) if r else 1
+            exact = (Fraction(sign * re[-1], 1 << bits), Fraction(sign * im[-1], 1 << bits))
+            mine = [Fraction(F[0, part, cell]) + Fraction(F[1, part, cell]) for part in (0, 1)]
+            dev = math.hypot(*(float(a - b) for a, b in zip(mine, exact))) + 2 * (j + 1) * 2.0**-bits
+            bound = spectral.STEP_ERROR * Et[j + 2, i]
+            assert dev <= bound, (params, m, kk, r, j, dev, bound)
+            worst = max(worst, dev / bound)
+    print(f"{params}: worst deviation {worst:.3g} of the bound")
+
+
+def test_build_chunks_give_identical_factors_in_bounded_memory(monkeypatch):
+    # 1 MiB chunks split the n_max 40 build into eight; the bytes are the
+    # same as in one chunk, and the pass holds about one chunk at a time
+    tr = Truncation(40)
+    _, R, L = spectral.PropagatorCoefficients(GENERIC, tr).stack()
+    monkeypatch.setattr(spectral, "BUILD_CHUNK_BYTES", 1 << 20)
+    builder = spectral.EigenvectorBuilder(GENERIC, tr)
+    builder._root_dd
+    R2, L2 = (np.zeros((tr.dim,) * 3, dtype=complex) for _ in "RL")
+    tracemalloc.start()
+    try:
+        builder.fill_blocks(list(range(tr.n_max + 1)), R2, L2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R[tr.n_max :].tobytes() == R2.tobytes() and L[tr.n_max :].tobytes() == L2.tobytes()
+    assert peak < 1.1 * spectral.BUILD_CHUNK_BYTES, peak
+
+
 def _perturb_blocks(monkeypatch, scale):
     """Builder whose block m has L[0, 1] scaled by 1 + scale[m]."""
-    original = spectral.EigenvectorBuilder.block
+    original = spectral.EigenvectorBuilder.fill_blocks
 
-    def perturbed(self, m):
-        R, L = original(self, m)
-        if m in scale:
-            L[0, 1] *= 1 + scale[m]
-        return R, L
+    def perturbed(self, ams, R, L):
+        original(self, ams, R, L)
+        for m in ams:
+            if m in scale:
+                L[m, 0, 1] *= 1 + scale[m]
 
-    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", perturbed)
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", perturbed)
 
 
 def test_stacked_gate_names_the_failing_block(monkeypatch):

@@ -144,7 +144,7 @@ def test_similarity_propagate_never_builds_eigenvectors(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("eigenvector factors built by the similarity route")
 
-    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", forbidden)
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", forbidden)
     monkeypatch.setattr(spectral.PropagatorCoefficients, "__init__", forbidden)
     tr = Truncation(10)
     rho0 = random_hermitian_state(tr, 14)
@@ -339,13 +339,13 @@ def test_a_factor_column_matches_full_block():
 
 def test_factors_built_once_per_block(monkeypatch):
     calls = []
-    original = spectral.EigenvectorBuilder.block
+    original = spectral.EigenvectorBuilder.fill_blocks
 
-    def counted(self, m):
-        calls.append(m)
-        return original(self, m)
+    def counted(self, ams, R, L):
+        calls.extend(ams)
+        return original(self, ams, R, L)
 
-    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", counted)
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", counted)
     tr = Truncation(8)
     rho0 = FockState.coherent(tr, 0.7)
     coeffs = PropagatorCoefficients(GENERIC, tr)
@@ -438,10 +438,10 @@ def test_product_form_heisenberg_duality(params):
 
 
 def test_product_form_never_builds_eigenvectors(monkeypatch):
-    def forbidden(self, m):
-        raise AssertionError(f"eigenvector block {m} built at kappa2 = 0")
+    def forbidden(self, ams, R, L):
+        raise AssertionError(f"eigenvector blocks {ams} built at kappa2 = 0")
 
-    monkeypatch.setattr(spectral.EigenvectorBuilder, "block", forbidden)
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", forbidden)
     tr = Truncation(10)
     rho0 = FockState.coherent(tr, 0.7)
     for params in (GAUSSIAN, UNITARY):

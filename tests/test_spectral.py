@@ -18,13 +18,14 @@ from kerrloss.spectral import (
     decompose,
     eigenvalue,
     eigenvectors_csv,
-    right_eigenvector_productform,
     spectrum_csv,
     x_parameter,
 )
 from kerrloss.superops import (
     InternalConsistencyError,
     ModelParams,
+    apply_exp_A,
+    c_superdiagonal,
     liouvillian_blocks,
     transformed_block,
 )
@@ -85,6 +86,26 @@ def test_eigenvector_residuals_all_cases():
                 lam = eigenvalue(params, m, k)
                 assert right_residual(Lb, lam, R[:, k]) < 1e-9, (tag, m, k)
                 assert left_residual(Lb, lam, L[k]) < 1e-9, (tag, m, k)
+
+
+def right_eigenvector_productform(
+    params: ModelParams, trunc: Truncation, m: int, k: int
+) -> np.ndarray:
+    """Independent construction of the right eigenvector via eigenvalue-gap products."""
+    size = trunc.block_size(m)
+    lam_k = eigenvalue(params, m, k)
+    summed = np.zeros(size, dtype=np.clongdouble)
+    summed[k] = 1.0
+    prod = np.clongdouble(1.0)
+    for p in range(k - 1, -1, -1):
+        gap = lam_k - eigenvalue(params, m, p)
+        if gap == 0:
+            raise ZeroDivisionError(
+                f"degenerate eigenvalues lambda_{k} = lambda_{p} in block m={m}"
+            )
+        prod *= c_superdiagonal(params, m, p + 1) / np.clongdouble(gap)
+        summed[p] = prod
+    return apply_exp_A(summed, m, -1.0).astype(complex)
 
 
 def test_right_eigenvector_two_routes_agree():
