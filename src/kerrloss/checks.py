@@ -123,13 +123,11 @@ def biorthonormality_completeness() -> dict:
         ModelParams(1.0, 0.5, 0.8, 0.0),
     ]
     for params in cases:
-        decomp = spectral.decompose(params, trunc)
+        coeffs = spectral.PropagatorCoefficients(params, trunc)
         for m in trunc.blocks():
-            R = decomp.R[m].entries
-            L = decomp.Lmat[m].entries
-            size = R.shape[0]
-            worst_bi = max(worst_bi, float(np.max(np.abs(L @ R - np.eye(size)))))
-            safe = min(size, decomp.safe_bound(m) + 1)
+            _, R, L = coeffs.factors(m)
+            worst_bi = max(worst_bi, float(np.max(np.abs(L @ R - np.eye(len(R))))))
+            safe = trunc.block_bound(m) - 2 + 1  # indices up to K(m) - 2, clear of the cutoff
             if safe > 0:
                 comp = R[:safe, :] @ L[:, :safe]
                 worst_comp = max(worst_comp, float(np.max(np.abs(comp - np.eye(safe)))))

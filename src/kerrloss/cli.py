@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import checks, evolution, noise, oracle, spectral, superops
-from .fockbasis import FockState, Truncation
+from .fockbasis import FockState, Truncation, csv_table
 from .specfun import VanishingDenominatorError
 from .superops import ModelParams
 
@@ -99,11 +99,10 @@ def config_hash(settings: dict, initial: FockState | None = None) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _write(path: str, header: str, body: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.write(body)
+def _write(out: str, name: str, *texts: str) -> None:
+    os.makedirs(out or ".", exist_ok=True)
+    with open(os.path.join(out, name), "w") as fh:
+        fh.writelines(texts)
 
 
 def _params(settings: dict) -> ModelParams:
@@ -128,26 +127,18 @@ def _initial_state(spec_text: str, trunc: Truncation) -> FockState:
 
 
 def cmd_spectrum(settings: dict) -> int:
-    params = _params(settings)
-    trunc = Truncation(settings["nmax"])
-    decomp = spectral.decompose(params, trunc)
+    decomp = spectral.spectrum(_params(settings), Truncation(settings["nmax"]))
     header = f"# config_hash={config_hash(settings)}\n"
-    _write(os.path.join(settings["out"], "spectrum.csv"), header, spectral.spectrum_csv(decomp))
-    zero_modes = sum(
-        int(abs(lam.real) < 1e-12)
-        for m in trunc.blocks()
-        for lam in decomp.eigenvalues[m]
-    )
+    _write(settings["out"], "spectrum.csv", header, spectral.spectrum_csv(decomp))
+    zero_modes = sum(int(np.sum(np.abs(lam.real) < 1e-12)) for lam in decomp.eigenvalues.values())
     print(f"spectrum written; {zero_modes} zero-real-part modes")
     return EXIT_OK
 
 
 def cmd_eigvecs(settings: dict) -> int:
-    params = _params(settings)
-    trunc = Truncation(settings["nmax"])
-    decomp = spectral.decompose(params, trunc)
+    decomp = spectral.decompose(_params(settings), Truncation(settings["nmax"]))
     header = f"# config_hash={config_hash(settings)}\n"
-    _write(os.path.join(settings["out"], "eigvecs.csv"), header, spectral.eigenvectors_csv(decomp))
+    _write(settings["out"], "eigvecs.csv", header, spectral.eigenvectors_csv(decomp))
     print("eigenvectors written")
     return EXIT_OK
 
@@ -169,29 +160,30 @@ def cmd_evolve(settings: dict) -> int:
     initial = _initial_state(settings["initial"], trunc)
     times = settings["times"]
     header = f"# config_hash={config_hash(settings, initial)}\n"
-    traj_lines = ["t,n1,n2,re,im"]
-    expect_lines = ["t,obs,re,im"]
+    traj, expect = [], []  # column chunks, one per time
     max_oracle_dev = 0.0
     coeffs = evolution.PropagatorCoefficients(params, trunc)
+    generator = superops.full_generator(params, trunc) if settings["oracle"] else None
     for t in times:
         state = evolution.propagate_phi(params, initial, t, coeffs)
-        if settings["oracle"]:
-            ref = oracle.ode_propagate(superops.full_generator(params, trunc), initial, t)
-            dev = np.max(np.abs(state.entries - ref.entries))
-            max_oracle_dev = max(max_oracle_dev, float(dev))
-        for n1, n2 in np.argwhere(state.entries != 0):
-            v = state.entries[n1, n2]
-            traj_lines.append(f"{t:.17g},{n1},{n2},{v.real:.17g},{v.imag:.17g}")
-        for name, val in _expectations(state).items():
-            expect_lines.append(f"{t:.17g},{name},{val.real:.17g},{val.imag:.17g}")
-    _write(os.path.join(settings["out"], "evolution.csv"), header, "\n".join(traj_lines) + "\n")
-    _write(os.path.join(settings["out"], "expectations.csv"), header, "\n".join(expect_lines) + "\n")
+        if generator is not None:
+            ref = oracle.ode_propagate(generator, initial, t).entries
+            max_oracle_dev = max(max_oracle_dev, float(np.max(np.abs(state.entries - ref))))
+        n1, n2 = np.nonzero(state.entries != 0)
+        v = state.entries[n1, n2]
+        traj.append((np.full(len(v), t), n1, n2, v.real, v.imag))
+        names, values = zip(*_expectations(state).items())
+        expect.append(([t] * len(names), names, np.real(values), np.imag(values)))
+    out = settings["out"]
+    _write(out, "evolution.csv", header,
+           csv_table("t,n1,n2,re,im", *map(np.concatenate, zip(*traj))))
+    _write(out, "expectations.csv", header,
+           csv_table("t,obs,re,im", *map(np.concatenate, zip(*expect))))
     if settings["heisenberg"] == "a":
-        lines = ["t,k,re_factor,im_factor"]
-        for t in times:
-            for k, f in enumerate(evolution.heisenberg_a_factors(params, trunc, t, coeffs)):
-                lines.append(f"{t:.17g},{k},{f.real:.17g},{f.imag:.17g}")
-        _write(os.path.join(settings["out"], "heisenberg_a.csv"), header, "\n".join(lines) + "\n")
+        f = np.array([evolution.heisenberg_a_factors(params, trunc, t, coeffs) for t in times])
+        t, k = np.repeat(times, f.shape[1]), np.tile(np.arange(f.shape[1]), len(times))
+        _write(out, "heisenberg_a.csv", header,
+               csv_table("t,k,re_factor,im_factor", t, k, f.real.ravel(), f.imag.ravel()))
     if settings["oracle"]:
         print(f"max deviation from oracle integration: {max_oracle_dev:.3e}")
         if max_oracle_dev > 1e-6:
@@ -203,7 +195,7 @@ def cmd_evolve(settings: dict) -> int:
 def cmd_verify(settings: dict) -> int:
     entries = checks.run(settings["seed"], settings["inject_c_sign_fault"])
     payload = {"config_hash": config_hash(settings), "checks": entries}
-    _write(os.path.join(settings["out"], "verify.json"), "", json.dumps(payload, indent=1) + "\n")
+    _write(settings["out"], "verify.json", json.dumps(payload, indent=1) + "\n")
     failed = [c["check"] for c in entries if not c["pass"]]
     # structural and exact checks sit at their bound by design; rank the
     # tolerance checks only
@@ -224,9 +216,10 @@ def cmd_noise(settings: dict) -> int:
                           N_J=settings["N_J"])
     header = f"# config_hash={config_hash(settings, initial)}\n"
     out = settings["out"]
-    _write(os.path.join(out, "noise.json"), "", run.to_json() + "\n")
-    _write(os.path.join(out, "Z.csv"), header, run.z_csv())
-    _write(os.path.join(out, "P.csv"), header, run.p_csv())
+    _write(out, "noise.json", run.to_json() + "\n")
+    Z = run.Z_values
+    _write(out, "Z.csv", header, csv_table("J,re_Z,im_Z", run.J_grid, Z.real, Z.imag))
+    _write(out, "P.csv", header, csv_table("x,P", run.x_grid, run.P_values))
     print(f"t={run.t}: variance {run.cumulants[1]:.6g}, excess kurtosis {run.excess_kurtosis:.6g}")
     return EXIT_OK
 

@@ -4,8 +4,9 @@ The closed form holds one factorization per block,
 T_m(t) = R_m e^{Lambda_m t} L_m.  Its factors live in :mod:`kerrloss.spectral`:
 :class:`~kerrloss.spectral.PropagatorCoefficients` keeps those of all blocks
 in one zero-padded stack, filled by
-:class:`~kerrloss.spectral.EigenvectorBuilder`, and
-:func:`~kerrloss.spectral.decompose` copies its blocks out of the same stack.
+:class:`~kerrloss.spectral.EigenvectorBuilder`, with Lambda the eigenvalue
+table filled at construction; :func:`~kerrloss.spectral.decompose` copies
+R and L out of the same stack.
 Propagation gathers every block diagonal of the matrix with one index, hands
 the stack to :meth:`~kerrloss.spectral.PropagatorCoefficients.apply` and
 scatters the result back: at kappa2 > 0 it applies L_m, e^{Lambda_m t} and

@@ -9,6 +9,7 @@ K(m) = n_max - |m|, so the two layouts describe the same finite space.
 :func:`block_layout` is the one map between them: it places every block in
 a zero-padded (2 n_max + 1, n_max + 1) stack, row m + n_max for block m,
 which batched propagation gathers and scatters with one index each.
+Every CSV body the package writes comes from :func:`csv_table`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,13 @@ __all__ = [
     "block_layout",
     "to_blocks",
     "as_integer",
+    "csv_table",
 ]
 
 HERMITICITY_TOL = 1e-12
+#: rows :func:`csv_table` turns into Python objects at a time, so that a
+#: table costs little more memory than its text
+CSV_CHUNK_ROWS = 1 << 8
 
 
 def as_integer(value, what: str) -> int:
@@ -133,9 +138,6 @@ class FockState:
     def copy(self) -> "FockState":
         return FockState(self.entries.copy(), hermitian=self.hermitian)
 
-    def hermiticity_deviation(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
     def to_json(self) -> str:
         nz = np.argwhere(self.entries != 0)
         records = [
@@ -170,6 +172,21 @@ class FockState:
                 raise ValueError(f"entry ({n1}, {n2}) is not finite: {value}")
             entries[n1, n2] = value
         return cls(entries, hermitian=hermitian)
+
+
+def csv_table(header: str, *columns) -> str:
+    """A CSV body: the ``header`` line, then one comma-separated line per
+    row of ``columns``, each line ending in a newline.  Integer columns are
+    written in decimal, float columns to 17 significant digits (enough to
+    round-trip) and any other column as its str."""
+    columns = [np.asarray(c) for c in columns]
+    spec = {"i": "%d", "u": "%d", "f": "%.17g"}
+    line = ",".join(spec.get(c.dtype.kind, "%s") for c in columns) + "\n"
+    parts = [header + "\n"]
+    for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        rows = zip(*(c[i : i + CSV_CHUNK_ROWS].tolist() for c in columns))
+        parts.append("".join(map(line.__mod__, rows)))
+    return "".join(parts)
 
 
 def coherent_ket(trunc: Truncation, alpha: complex) -> np.ndarray:

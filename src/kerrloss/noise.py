@@ -759,18 +759,6 @@ class NoiseRun:
             }
         )
 
-    def z_csv(self) -> str:
-        lines = ["J,re_Z,im_Z"]
-        for J, z in zip(self.J_grid, self.Z_values):
-            lines.append(f"{J:.17g},{z.real:.17g},{z.imag:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def p_csv(self) -> str:
-        lines = ["x,P"]
-        for x, p in zip(self.x_grid, self.P_values):
-            lines.append(f"{x:.17g},{p:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def run_noise(
     params: ModelParams,

@@ -29,11 +29,12 @@ ties within 2^-GUARD_BITS ulp).  :class:`PropagatorCoefficients` gates the
 blocks each of its calls builds with one stacked
 :func:`check_biorthogonality`.  Parameter cases are :class:`CaseTag`s; the
 one true degeneracy (kappa1 = 0, block 0, k < 2) gets parity-based vectors.
+:func:`spectrum` reads every eigenvalue from one table and builds no
+eigenvector; :func:`decompose` adds R and L, copied from one built stack.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from collections.abc import Sequence
@@ -45,7 +46,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .fockbasis import Truncation, block_layout
+from .fockbasis import Truncation, block_layout, csv_table
 from .specfun import DENOMINATOR_FLOOR, VanishingDenominatorError
 from .superops import (
     BlockMatrix,
@@ -64,6 +65,7 @@ __all__ = [
     "PropagatorCoefficients",
     "check_biorthogonality",
     "F_matrix",
+    "spectrum",
     "decompose",
     "spectrum_csv",
     "eigenvectors_csv",
@@ -116,6 +118,14 @@ def eigenvalue(
         - (params.kappa1 + 1j * params.U * m) * (k + am / 2)
         - params.kappa2 * ((k + am) * (k - 1) + am * (am + 1) / 2)
     )
+
+
+def _eigenvalue_table(params: ModelParams, trunc: Truncation) -> np.ndarray:
+    """lambda_k^(m) of every block in one broadcast :func:`eigenvalue` call:
+    the zero-padded (2 n_max + 1, n_max + 1) stack, row m + n_max for block m."""
+    n = trunc.n_max
+    m, k = np.arange(-n, n + 1)[:, None], np.arange(n + 1)
+    return np.where(k <= n - np.abs(m), eigenvalue(params, m, k), 0)
 
 
 def x_parameter(params: ModelParams, m: int, k: int) -> complex:
@@ -658,8 +668,9 @@ class PropagatorCoefficients:
     sqrt(C(q+|m|, k+|m|) C(q, k)) G_{q-k,k}^(m)(t) term by term.  The
     factors of every block live in one zero-padded stack, row m + n_max for
     block m in the layout of :func:`~kerrloss.fockbasis.block_layout`:
-    Lambda (2 n_max + 1, n_max + 1), R and L (2 n_max + 1, n_max + 1, n_max + 1).
-    Blocks m and -m are built into it together on first use, so memory
+    Lambda (2 n_max + 1, n_max + 1), the :func:`_eigenvalue_table`, and R and
+    L (2 n_max + 1, n_max + 1, n_max + 1), whose blocks m and -m are built
+    together on first use, so memory
     depends on n_max only, not on the number of times asked for.  Each
     :meth:`factors` or :meth:`stack` call that builds gates its new blocks
     in one :func:`check_biorthogonality` over their rows of the stack, in
@@ -677,11 +688,9 @@ class PropagatorCoefficients:
     def __init__(self, params: ModelParams, trunc: Truncation):
         self.params = params
         self.truncation = trunc
-        rows, size = 2 * trunc.n_max + 1, trunc.dim
-        self._lam = np.zeros((rows, size), dtype=complex)
-        self._R = np.zeros((rows, size, size), dtype=complex)
-        self._L = np.zeros((rows, size, size), dtype=complex)
-        self._built = [False] * size
+        self._lam = _eigenvalue_table(params, trunc)
+        self._R, self._L = (np.zeros(self._lam.shape + (trunc.dim,), dtype=complex) for _ in "RL")
+        self._built = [False] * trunc.dim
         #: :func:`~kerrloss.fockbasis.block_layout` of the truncation
         self.layout = block_layout(trunc)
 
@@ -705,9 +714,6 @@ class PropagatorCoefficients:
                 for F in (self._R, self._L):
                     conj = np.conjugate(F[n + am, :size, :size], out=F[n - am, :size, :size])
                     conj += 0.0
-        m, k = np.array(ams + [-am for am in ams])[:, None], np.arange(n + 1)
-        lam = eigenvalue(self.params, m, k)  # every block m and -m in one call, zero-padded
-        self._lam[n + m[:, 0]] = np.where(k <= n - np.abs(m), lam, 0)
         blocks, rows = range(ams[0], ams[-1] + 1), slice(n + ams[0], n + ams[-1] + 1)
         sizes = [self.truncation.block_size(am) for am in blocks]
         check_biorthogonality(self._R[rows], self._L[rows], sizes, blocks)
@@ -733,16 +739,16 @@ class PropagatorCoefficients:
     def _damped_kerr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Time-independent pieces of the kappa2 = 0 product form on the
         blocks m >= 0, row k and column q of each: (lambda, gamma, B, j) with
-        lambda[m, k] the eigenvalues, gamma_m = kappa1 + i U m, the powers
-        j = max(q - k, 0) of x_m, and B[m, k, q] = sqrt(C(q+m, j) C(q, j)) for
-        k <= q <= K(m), zero elsewhere."""
+        lambda[m, k] the eigenvalues (rows m >= 0 of the table), gamma_m =
+        kappa1 + i U m, the powers j = max(q - k, 0) of x_m, and
+        B[m, k, q] = sqrt(C(q+m, j) C(q, j)) for k <= q <= K(m), zero elsewhere."""
         n = self.truncation.n_max
         m, k, q = np.arange(n + 1)[:, None, None], np.arange(n + 1)[:, None], np.arange(n + 1)
         root = np.sqrt([[float(math.comb(a, i)) for i in range(n + 1)] for a in range(2 * n + 1)])
         j = np.maximum(q - k, 0)
         B = np.where((k <= q) & (q <= n - m), root[q + m, j] * root[q, j], 0.0)
         gamma = self.params.kappa1 + 1j * self.params.U * m[:, 0, 0]
-        return eigenvalue(self.params, m[:, :, 0], q), gamma, B, j
+        return self._lam[n:], gamma, B, j
 
     def product_form(self, t: float, blocks: slice) -> np.ndarray:
         """T_m(t) at kappa2 = 0, coeffs_k(t) = sum_q T_m[k, q] coeffs_q(0), of
@@ -826,37 +832,33 @@ def F_matrix(params: ModelParams, trunc: Truncation, m: int, direction: str) -> 
 
 @dataclass
 class SpectralDecomposition:
-    """Per-block eigenvalues with right/left eigenvector matrices.
+    """Per-block eigenvalues, with right/left eigenvector matrices from
+    :func:`decompose` (none from :func:`spectrum`).
 
     Column k of ``R[m]`` holds the right eigenvector in phi coordinates;
-    row k of ``Lmat[m]`` the left one.  ``safe_bound[m]`` is the index up to
-    which completeness is asserted (two below the block bound, keeping clear
-    of truncation-edge usage).
+    row k of ``Lmat[m]`` the left one.
     """
 
     params: ModelParams
     truncation: Truncation
     case: CaseTag
-    eigenvalues: dict[int, np.ndarray] = field(default_factory=dict)
+    eigenvalues: dict[int, np.ndarray]
     R: dict[int, BlockMatrix] = field(default_factory=dict)
     Lmat: dict[int, BlockMatrix] = field(default_factory=dict)
     degenerate_modes: tuple = ()
 
-    def safe_bound(self, m: int) -> int:
-        return self.truncation.block_bound(m) - 2
 
-
-def _degeneracy_scan(params: ModelParams, trunc: Truncation, case: CaseTag) -> tuple:
-    """Exhaustive eigenvalue-collision scan; must match the analytic criterion.
+def _degeneracy_scan(params: ModelParams, lams: np.ndarray, case: CaseTag) -> tuple:
+    """Exhaustive eigenvalue-collision scan of the :func:`_eigenvalue_table`
+    ``lams``; must match the analytic criterion.
 
     A gap is a collision below INTEGER_RATIO_TOL in units of the loss rate
     kappa2 (kappa1 at kappa2 = 0).  In block 0 |lambda_0 - lambda_1| is
     kappa1 exactly, so that pair applies the ratio test of :func:`classify`
     to the same float; every other gap is at least one unit.
     """
-    rate, n = params.kappa2 or params.kappa1, trunc.n_max
+    rate, n = params.kappa2 or params.kappa1, lams.shape[1] - 1
     m = np.arange(-n, n + 1)[:, None]  # the rows of trunc.blocks()
-    lams = eigenvalue(params, m, np.arange(n + 1))
     k, q = np.triu_indices(n + 1, 1)  # every pair k < q, in loop order
     hit = (np.abs(lams[:, k] - lams[:, q]) / rate < INTEGER_RATIO_TOL) & (q < n + 1 - np.abs(m))
     found = [(int(m[i, 0]), int(k[j]), int(q[j])) for i, j in zip(*np.nonzero(hit))]
@@ -868,45 +870,42 @@ def _degeneracy_scan(params: ModelParams, trunc: Truncation, case: CaseTag) -> t
     return tuple(found)
 
 
-def decompose(params: ModelParams, trunc: Truncation) -> SpectralDecomposition:
-    """Assemble the complete truncated eigensystem with case dispatch.
+def spectrum(params: ModelParams, trunc: Truncation) -> SpectralDecomposition:
+    """Case, degeneracy scan and eigenvalues of every block, read from one
+    :func:`_eigenvalue_table`; no eigenvector is built or gated."""
+    case, lams = classify(params), _eigenvalue_table(params, trunc)
+    scan = () if case == CaseTag.HAMILTONIAN_ONLY else _degeneracy_scan(params, lams, case)
+    eigenvalues = {m: lams[m + trunc.n_max, : trunc.block_size(m)] for m in trunc.blocks()}
+    return SpectralDecomposition(params, trunc, case, eigenvalues, degenerate_modes=scan)
 
-    Every block is a copy of the factors of one fully built
-    :class:`PropagatorCoefficients` stack; copies, not views, so the padded
-    stack is freed on return.
-    """
-    case = classify(params)
-    decomp = SpectralDecomposition(params=params, truncation=trunc, case=case)
-    if case != CaseTag.HAMILTONIAN_ONLY:
-        decomp.degenerate_modes = _degeneracy_scan(params, trunc, case)
+
+def decompose(params: ModelParams, trunc: Truncation) -> SpectralDecomposition:
+    """:func:`spectrum` plus the eigenvectors of every block: copies of the
+    factors of one fully built :class:`PropagatorCoefficients` stack, not
+    views, so the padded stack is freed on return."""
+    decomp = spectrum(params, trunc)
     coeffs = PropagatorCoefficients(params, trunc)
     coeffs.stack()
     for m in trunc.blocks():
-        lam, R, L = (f.copy() for f in coeffs.factors(m))
-        decomp.eigenvalues[m] = lam
-        decomp.R[m], decomp.Lmat[m] = BlockMatrix(m, R), BlockMatrix(m, L)
+        decomp.R[m], decomp.Lmat[m] = (BlockMatrix(m, F.copy()) for F in coeffs.factors(m)[1:])
     return decomp
 
 
 def spectrum_csv(decomp: SpectralDecomposition) -> str:
-    buf = io.StringIO()
-    buf.write("m,k,re_lambda,im_lambda\n")
-    for m in decomp.truncation.blocks():
-        for k, lam in enumerate(decomp.eigenvalues[m]):
-            buf.write(f"{m},{k},{lam.real:.17g},{lam.imag:.17g}\n")
-    return buf.getvalue()
+    trunc = decomp.truncation
+    lam = np.concatenate([decomp.eigenvalues[m] for m in trunc.blocks()])
+    m, k = np.array([(b, k) for b in trunc.blocks() for k in range(trunc.block_size(b))]).T
+    return csv_table("m,k,re_lambda,im_lambda", m, k, lam.real, lam.imag)
 
 
 def eigenvectors_csv(decomp: SpectralDecomposition) -> str:
-    buf = io.StringIO()
-    buf.write("m,k,p,re,im,side\n")
+    """The nonzero entries of block m, mode k, right then left vector, component p."""
+    sides = np.array(["right", "left"], dtype=object)  # one str per label, not per row
+    columns = []
     for m in decomp.truncation.blocks():
-        R = decomp.R[m].entries
-        L = decomp.Lmat[m].entries
-        size = R.shape[0]
-        for k in range(size):
-            for side, vec in (("right", R[:, k]), ("left", L[k])):
-                for p, z in enumerate(vec.tolist()):
-                    if z:
-                        buf.write(f"{m},{k},{p},{z.real:.17g},{z.imag:.17g},{side}\n")
-    return buf.getvalue()
+        V = np.stack((decomp.R[m].entries.T, decomp.Lmat[m].entries), axis=1)  # (k, side, p)
+        k, side, p = np.nonzero(V)  # -0 - 0j is a zero entry too
+        z = V[k, side, p]
+        columns.append((np.full(len(k), m), k, p, z.real, z.imag, sides[side]))
+    columns = list(map(np.concatenate, zip(*columns)))  # the blocks' own arrays go
+    return csv_table("m,k,p,re,im,side", *columns)

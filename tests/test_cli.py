@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from kerrloss import checks, cli, evolution
+from kerrloss import checks, cli, evolution, noise, spectral
 from kerrloss.fockbasis import FockState, Truncation
 from kerrloss.superops import ModelParams
 
@@ -25,6 +26,30 @@ def test_spectrum_rerun_byte_identical(tmp_path):
     assert read(out + "/spectrum.csv") == first
     assert first.startswith("# config_hash=")
     assert "m,k,re_lambda,im_lambda" in first
+
+
+def test_spectrum_command_builds_no_eigenvector(tmp_path, monkeypatch, capsys):
+    # eigenvalues and the degeneracy scan only: no factor build and no
+    # biorthogonality gate, at every case, Hamiltonian-only included
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum built or gated eigenvectors")
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", forbidden)
+    monkeypatch.setattr(spectral, "check_biorthogonality", forbidden)
+    for rates in (["--kappa1", "0.3"], ["--kappa1", "0"], ["--kappa2", "0"],
+                  ["--kappa1", "0", "--kappa2", "0"]):
+        out = str(tmp_path / "_".join(rates))
+        assert run(["spectrum", "--nmax", "40", *rates, "--out", out]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "spectrum written; 1681 zero-real-part modes"
+
+
+def test_spectrum_degeneracy_scan_failure_exits_as_gate_failure(tmp_path, monkeypatch, capsys):
+    # kappa1 = 0 taken for a generic ratio: the scan finds a collision it
+    # does not expect
+    monkeypatch.setattr(spectral, "classify", lambda params: spectral.CaseTag.GENERIC_RATIO)
+    out = str(tmp_path / "scan")
+    assert run(["spectrum", "--nmax", "4", "--kappa1", "0", "--out", out]) == cli.EXIT_GATE_FAIL
+    assert "degeneracy scan found" in capsys.readouterr().err
 
 
 def test_eigvecs_writes_table(tmp_path):
@@ -338,6 +363,76 @@ def test_evolve_with_oracle_and_heisenberg(tmp_path):
     assert len(heis) == 2 + 2 * 8
 
 
+def _evolve_tables_loop(states, factors):
+    """evolution.csv, expectations.csv and heisenberg_a.csv as they were
+    first written: one f-string per row; {t: state} and {t: a-factor row}."""
+    traj, expect, heis = ["t,n1,n2,re,im"], ["t,obs,re,im"], ["t,k,re_factor,im_factor"]
+    for t, state in states.items():
+        for n1, n2 in np.argwhere(state.entries != 0):
+            v = state.entries[n1, n2]
+            traj.append(f"{t:.17g},{n1},{n2},{v.real:.17g},{v.imag:.17g}")
+        for name, val in cli._expectations(state).items():
+            expect.append(f"{t:.17g},{name},{val.real:.17g},{val.imag:.17g}")
+    for t, row in factors.items():
+        for k, f in enumerate(row):
+            heis.append(f"{t:.17g},{k},{f.real:.17g},{f.imag:.17g}")
+    return ["\n".join(lines) + "\n" for lines in (traj, expect, heis)]
+
+
+# parts the f-string loops write with their sign or as a word: signed zeros,
+# the smallest subnormal, the largest double, infinities and nan
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0 / 3,
+              float("inf"), float("-inf"), float("nan")]
+
+
+def _edge_complex(rng, shape):
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.choice(EDGE_PARTS, shape), rng.choice(EDGE_PARTS, shape)
+    return z
+
+
+def test_evolve_tables_match_the_f_string_loops(tmp_path, monkeypatch):
+    trunc, times = Truncation(4), (0.0, 0.5, 1e-300)
+    rng = np.random.default_rng(31)
+    states, factors = {}, {}
+    for t in times:
+        entries = _edge_complex(rng, (5, 5))
+        entries[0, :3] = [complex(-0.0, -0.0), complex(-0.0, 0.5), complex(0.25, -0.0)]
+        states[t] = FockState(entries)
+        factors[t] = _edge_complex(rng, 4)
+    monkeypatch.setattr(evolution, "propagate_phi", lambda params, initial, t, coeffs: states[t])
+    monkeypatch.setattr(evolution, "heisenberg_a_factors",
+                        lambda params, trunc, t, coeffs: factors[t])
+    out = str(tmp_path / "edge")
+    argv = ["evolve", "--nmax", str(trunc.n_max), "--times", "0,0.5,1e-300", "--heisenberg", "a",
+            "--out", out]
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert run(argv) == cli.EXIT_OK
+        refs = _evolve_tables_loop(states, factors)
+    for name, ref in zip(("evolution", "expectations", "heisenberg_a"), refs):
+        assert read(f"{out}/{name}.csv").split("\n", 1)[1] == ref, name
+    # -0 - 0j is a zero entry, skipped like 0j; one zero part keeps its sign
+    assert "\n0,0,1,-0,0.5\n0,0,2,0.25,-0\n" in refs[0] and "\n0,0,0," not in refs[0]
+
+
+def test_noise_tables_match_the_f_string_loops(tmp_path, monkeypatch):
+    rng = np.random.default_rng(32)
+    J = np.array([-2.5, -0.0, 0.0, 1e-300, 2.5])
+    fake = noise.NoiseRun(
+        params=ModelParams(1.0, 0.0, 1.0, 1.0), initial=FockState.vacuum(Truncation(4)), t=0.5,
+        J_grid=J, Z_values=_edge_complex(rng, 5),
+        x_grid=np.array([-1.5, -0.0, 0.0, 5e-324]), P_values=np.array(EDGE_PARTS[:4]),
+        moments=np.zeros(6), cumulants=np.array([0.0, 1.0, 0.0, 0.5]), backend="expm")
+    monkeypatch.setattr(noise, "run_noise", lambda *args, **kwargs: fake)
+    out = str(tmp_path / "edge")
+    assert run(["noise", "--nmax", "4", "--out", out]) == cli.EXIT_OK
+    z_ref = ["J,re_Z,im_Z"] + [f"{j:.17g},{z.real:.17g},{z.imag:.17g}"
+                               for j, z in zip(fake.J_grid, fake.Z_values)]
+    p_ref = ["x,P"] + [f"{x:.17g},{p:.17g}" for x, p in zip(fake.x_grid, fake.P_values)]
+    assert read(out + "/Z.csv").split("\n", 1)[1] == "\n".join(z_ref) + "\n"
+    assert read(out + "/P.csv").split("\n", 1)[1] == "\n".join(p_ref) + "\n"
+
+
 def test_evolve_heisenberg_table_at_zero_kappa2(tmp_path):
     # the a-factor table of the damped-Kerr product form, row for row the
     # library's, at the times asked for
@@ -440,7 +535,6 @@ def test_parser_rejects_unknown_command():
 
 
 def test_internal_consistency_failure_exits_as_gate_failure(tmp_path, monkeypatch, capsys):
-    from kerrloss import spectral
     from kerrloss.superops import InternalConsistencyError
 
     def broken(params, trunc):
@@ -448,6 +542,6 @@ def test_internal_consistency_failure_exits_as_gate_failure(tmp_path, monkeypatc
 
     monkeypatch.setattr(spectral, "decompose", broken)
     out = str(tmp_path / "gate")
-    assert run(["spectrum", "--nmax", "4", "--out", out]) == cli.EXIT_GATE_FAIL
+    assert run(["eigvecs", "--nmax", "4", "--out", out]) == cli.EXIT_GATE_FAIL
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical gate failure:")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from kerrloss import evolution, spectral
 from kerrloss.checks import seeded_draws
 from kerrloss.fockbasis import FockState, Truncation
-from kerrloss.oracle import expm_propagate, left_residual, right_residual, triangular_eigendecomp
+from kerrloss.oracle import expm_propagate, left_residual, right_residual
 from kerrloss.specfun import (
     DENOMINATOR_FLOOR,
     VanishingDenominatorError,
@@ -375,7 +375,7 @@ def test_gate_admits_every_mode_on_hard_params(params):
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(hard_params())
-def test_builder_residuals_no_worse_than_back_substitution(params):
+def test_builder_residuals_no_worse_than_back_substitution(triangular_eigendecomp, params):
     tr = Truncation(8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # near-integer ratio warning

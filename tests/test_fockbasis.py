@@ -6,6 +6,7 @@ from kerrloss.fockbasis import (
     Truncation,
     block_layout,
     coherent_ket,
+    csv_table,
     phi_indices,
     to_blocks,
 )
@@ -74,7 +75,8 @@ def test_hermitian_flag_validation():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         FockState(bad, hermitian=True)
-    assert FockState(bad).hermiticity_deviation() == 1.0
+    entries = FockState(bad).entries
+    assert np.max(np.abs(entries - entries.conj().T)) == 1.0
 
 
 def test_json_roundtrip():
@@ -85,3 +87,17 @@ def test_json_roundtrip():
     back = FockState.from_json(state.to_json())
     assert back.hermitian
     assert np.max(np.abs(back.entries - state.entries)) == 0
+
+
+def test_csv_table_writes_what_the_f_strings_wrote():
+    # random bit patterns (subnormals, infinities and nans among them) and
+    # the edge values, beside negative integers and a string column, more
+    # rows than one chunk
+    rng = np.random.default_rng(33)
+    x = rng.integers(0, 2**64, 3 * 4096 + 5, dtype=np.uint64).view(np.float64)
+    x[:8] = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+    m = rng.integers(-40, 41, len(x))
+    side = np.array(["right", "left"], dtype=object)[rng.integers(0, 2, len(x))]
+    ref = "".join(["m,x,side\n"] + [f"{a},{b:.17g},{c}\n" for a, b, c in zip(m, x, side)])
+    assert csv_table("m,x,side", m, x, side) == ref
+    assert csv_table("J,re_Z", [], []) == "J,re_Z\n"

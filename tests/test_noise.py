@@ -656,8 +656,6 @@ def test_run_noise_nonlinear_consistency():
     payload = json.loads(run.to_json())
     assert payload["t"] == 0.5
     assert payload["N_J"] == len(run.J_grid)
-    assert run.z_csv().splitlines()[0] == "J,re_Z,im_Z"
-    assert run.p_csv().splitlines()[0] == "x,P"
 
 
 def test_run_noise_adaptive_doubling(monkeypatch):

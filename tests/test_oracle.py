@@ -16,7 +16,6 @@ from kerrloss.oracle import (
     multi_time_correlators,
     ode_propagate,
     right_residual,
-    triangular_eigendecomp,
 )
 from kerrloss.spectral import decompose, eigenvalue
 from kerrloss.superops import (
@@ -33,8 +32,7 @@ GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
 LINEAR = ModelParams(1.0, 0.0, 1.0, 0.0)
 NONLINEAR = ModelParams(1.0, 0.0, 1.0, 10.0)
 
-
-def test_triangular_eigendecomp_2x2():
+def test_triangular_eigendecomp_2x2(triangular_eigendecomp):
     blk = BlockMatrix(0, np.array([[1.0, 3.0], [0.0, 2.0]], dtype=complex))
     lams, R, L = triangular_eigendecomp(blk)
     assert np.allclose(lams, [1.0, 2.0])
@@ -45,13 +43,13 @@ def test_triangular_eigendecomp_2x2():
         triangular_eigendecomp(BlockMatrix(0, np.array([[1.0, 0], [1.0, 2.0]], dtype=complex)))
 
 
-def test_triangular_eigendecomp_rejects_jordan_block():
+def test_triangular_eigendecomp_rejects_jordan_block(triangular_eigendecomp):
     blk = BlockMatrix(0, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(InternalConsistencyError):
         triangular_eigendecomp(blk)
 
 
-def test_arbiter_matches_spectral_construction():
+def test_arbiter_matches_spectral_construction(triangular_eigendecomp):
     tr = Truncation(10)
     for params in (GENERIC, ModelParams(1.0, 0.5, 0.0, 1.0)):
         decomp = decompose(params, tr)

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from kerrloss import spectral
 from kerrloss.fockbasis import FockState, Truncation, to_blocks
 from kerrloss.specfun import VanishingDenominatorError
 from kerrloss.spectral import (
@@ -14,10 +15,12 @@ from kerrloss.spectral import (
     F_matrix,
     PropagatorCoefficients,
     _degeneracy_scan,
+    _eigenvalue_table,
     classify,
     decompose,
     eigenvalue,
     eigenvectors_csv,
+    spectrum,
     spectrum_csv,
     x_parameter,
 )
@@ -139,7 +142,7 @@ def test_biorthonormality_and_completeness():
             L = decomp.Lmat[m].entries
             size = R.shape[0]
             assert np.max(np.abs(L @ R - np.eye(size))) < 1e-10, (tag, m)
-            safe = decomp.safe_bound(m) + 1
+            safe = tr.block_bound(m) - 2 + 1  # indices up to K(m) - 2, clear of the cutoff
             comp = R[:safe, :] @ L[:, :safe]
             assert np.max(np.abs(comp - np.eye(safe))) < 1e-8, (tag, m)
 
@@ -189,11 +192,12 @@ def test_degeneracy_scan_matches_pairwise_loop():
             warnings.simplefilter("ignore", RuntimeWarning)
             case = classify(params)
             ref = _degeneracy_scan_loop(params, tr)
-            assert _degeneracy_scan(params, tr, case) == ref, params
+            assert _degeneracy_scan(params, _eigenvalue_table(params, tr), case) == ref, params
         assert ref == (((0, 0, 1),) if case == CaseTag.ZERO_KAPPA1 else ())
     # a found collision the case does not expect raises, as in the loop
     with pytest.raises(InternalConsistencyError, match="degeneracy scan found"):
-        _degeneracy_scan(CASES[CaseTag.ZERO_KAPPA1], tr, CaseTag.GENERIC_RATIO)
+        params = CASES[CaseTag.ZERO_KAPPA1]
+        _degeneracy_scan(params, _eigenvalue_table(params, tr), CaseTag.GENERIC_RATIO)
 
 
 def test_F_inverse_and_diagonalization():
@@ -252,6 +256,28 @@ def test_csv_dumps():
     assert any(line.endswith("left") for line in vec_lines[1:])
 
 
+def _spectrum_csv_loop(decomp):
+    """The eigenvalue dump as it was first written: one f-string per mode."""
+    lines = ["m,k,re_lambda,im_lambda\n"]
+    for m in decomp.truncation.blocks():
+        for k, lam in enumerate(decomp.eigenvalues[m]):
+            lines.append(f"{m},{k},{lam.real:.17g},{lam.imag:.17g}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
+def test_spectrum_csv_matches_loop(tag):
+    decomp = spectrum(CASES[tag], Truncation(12))
+    # signed zeros and non-finite values are written as the f-string writes them
+    lam = decomp.eigenvalues[-2] = decomp.eigenvalues[-2].copy()
+    lam[:5] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               complex(5e-324, -1.7976931348623157e308), complex(float("inf"), float("nan"))]
+    text = spectrum_csv(decomp)
+    assert text == _spectrum_csv_loop(decomp)
+    assert "\n-2,0,-0,0\n-2,1,0,-0\n-2,2,-0,-0\n" in text
+    assert "\n-2,4,inf,nan\n" in text
+
+
 def _eigenvectors_csv_numpy_loop(decomp):
     """The dump as it was first written: numpy scalars, np.flatnonzero per vector."""
     lines = ["m,k,p,re,im,side\n"]
@@ -275,6 +301,37 @@ def test_eigenvectors_csv_matches_numpy_loop(tag):
     assert text == _eigenvectors_csv_numpy_loop(decomp)
     assert "\n1,3,0,-0,0.5,right\n" in text and "\n1,3,1,0.25,-0,right\n" in text
     assert "\n1,3,2," not in text
+
+
+@pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
+def test_spectrum_builds_no_eigenvector(tag, monkeypatch):
+    # the same spectrum.csv as decompose, with no factor build and no gate
+    tr = Truncation(12)
+    ref = decompose(CASES[tag], tr)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum built or gated eigenvectors")
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", forbidden)
+    monkeypatch.setattr(spectral, "check_biorthogonality", forbidden)
+    decomp = spectrum(CASES[tag], tr)
+    assert spectrum_csv(decomp) == spectrum_csv(ref)
+    assert (decomp.case, decomp.degenerate_modes) == (ref.case, ref.degenerate_modes)
+    assert decomp.R == {} and decomp.Lmat == {}
+
+
+@pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
+def test_eigenvalue_table_is_the_stack_lambda(tag):
+    # one table, zero-padded past K(m), bit for bit the scalar eigenvalues
+    tr = Truncation(9)
+    params = CASES[tag]
+    table = _eigenvalue_table(params, tr)
+    assert table.tobytes() == PropagatorCoefficients(params, tr).stack()[0].tobytes()
+    ref = np.zeros((2 * tr.n_max + 1, tr.dim), dtype=complex)
+    for m in tr.blocks():
+        for k in range(tr.block_size(m)):
+            ref[m + tr.n_max, k] = eigenvalue(params, m, k)
+    assert table.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
