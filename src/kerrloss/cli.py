@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import checks, evolution, noise, oracle, spectral, superops
-from .fockbasis import FockState, Truncation, csv_table
+from .fockbasis import FockState, Truncation, csv_groups, csv_table
 from .specfun import VanishingDenominatorError
 from .superops import ModelParams
 
@@ -175,10 +175,8 @@ def cmd_evolve(settings: dict) -> int:
         names, values = zip(*_expectations(state).items())
         expect.append(([t] * len(names), names, np.real(values), np.imag(values)))
     out = settings["out"]
-    _write(out, "evolution.csv", header,
-           csv_table("t,n1,n2,re,im", *map(np.concatenate, zip(*traj))))
-    _write(out, "expectations.csv", header,
-           csv_table("t,obs,re,im", *map(np.concatenate, zip(*expect))))
+    _write(out, "evolution.csv", header, csv_groups("t,n1,n2,re,im", traj))
+    _write(out, "expectations.csv", header, csv_groups("t,obs,re,im", expect))
     if settings["heisenberg"] == "a":
         f = np.array([evolution.heisenberg_a_factors(params, trunc, t, coeffs) for t in times])
         t, k = np.repeat(times, f.shape[1]), np.tile(np.arange(f.shape[1]), len(times))

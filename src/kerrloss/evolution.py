@@ -7,13 +7,16 @@ in one zero-padded stack, filled by
 :class:`~kerrloss.spectral.EigenvectorBuilder`, with Lambda the eigenvalue
 table filled at construction; :func:`~kerrloss.spectral.decompose` copies
 R and L out of the same stack.
-Propagation gathers every block diagonal of the matrix with one index, hands
-the stack to :meth:`~kerrloss.spectral.PropagatorCoefficients.apply` and
-scatters the result back: at kappa2 > 0 it applies L_m, e^{Lambda_m t} and
-R_m in turn, two batched matrix-vector products that never form T_m(t); at
-kappa2 = 0 it applies the damped-Kerr product form, which builds no
-eigenvectors.  The Heisenberg picture reads the stack reversed and
-transposed, and the a-factor rows are one row-vector product with block 1.
+Propagation gathers every block diagonal of the matrix with one index, keeps
+the rows of the blocks the operand occupies (one ``any`` per row), hands them
+to :meth:`~kerrloss.spectral.PropagatorCoefficients.apply`, which builds the
+factors of those blocks only, and scatters the result back: at kappa2 > 0 it
+applies L_m, e^{Lambda_m t} and R_m in turn, two batched matrix-vector
+products that never form T_m(t); at kappa2 = 0 it applies the damped-Kerr
+product form, which builds no eigenvectors.  An operand that occupies every
+block (a coherent or mixed state) takes the same path, its stack read whole.
+The Heisenberg picture reads block -m transposed for block m, and the
+a-factor rows are one row-vector product with block 1.
 :func:`similarity_propagate` is the second route, from the paper's other
 ingredient: the bidiagonal T_m = e^A L_m e^{-A}, exponentiated block by
 block, with no eigenvector.  The scalar double sum :func:`g_coefficient` of
@@ -85,14 +88,20 @@ def _apply_blocks(
 ) -> FockState:
     """T_m(t) (or T_{-m}(t)^T) on every block diagonal of ``op`` at once.
 
-    At t = 0 this is ``op`` itself: R_m L_m = I holds only to the rounding
-    of binomial-size entries.
+    Only the blocks ``op`` occupies are built, propagated and scattered; the
+    others stay zero.  At t = 0 this is ``op`` itself: R_m L_m = I holds only
+    to the rounding of binomial-size entries.
     """
     coeffs = _coefficients(params, op.truncation, t, coeffs)
     if t == 0:
         return op.copy()
     rows, cols, filled = coeffs.layout
-    w = coeffs.apply(op.entries[rows, cols], t, transpose)
+    v = op.entries[rows, cols]
+    occupied = np.flatnonzero(v.any(axis=1))
+    at = occupied if len(occupied) < len(v) else None  # a full stack is read whole
+    if at is not None:
+        v, rows, cols, filled = v[at], rows[at], cols[at], filled[at]
+    w = coeffs.apply(v, t, transpose, at)
     entries = np.zeros_like(op.entries)
     entries[rows[filled], cols[filled]] = w[filled]
     state = FockState(entries)
@@ -108,7 +117,7 @@ def propagate_phi(
 ) -> FockState:
     """Exact phi-basis solution of the master equation at time t >= 0.
 
-    Block m of rho(t) is T_m(t) rho_m, all blocks at once by
+    Block m of rho(t) is T_m(t) rho_m, every block rho occupies at once by
     :meth:`PropagatorCoefficients.apply` on the gathered stack: at kappa2 > 0
     R_m (e^{Lambda_m t} (L_m rho_m)), factor by factor, at kappa2 = 0 the
     damped-Kerr product form.

@@ -9,7 +9,8 @@ K(m) = n_max - |m|, so the two layouts describe the same finite space.
 :func:`block_layout` is the one map between them: it places every block in
 a zero-padded (2 n_max + 1, n_max + 1) stack, row m + n_max for block m,
 which batched propagation gathers and scatters with one index each.
-Every CSV body the package writes comes from :func:`csv_table`.
+Every CSV body the package writes comes from :func:`csv_groups`, most
+through :func:`csv_table`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "to_blocks",
     "as_integer",
     "csv_table",
+    "csv_groups",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -179,10 +181,36 @@ def csv_table(header: str, *columns) -> str:
     row of ``columns``, each line ending in a newline.  Integer columns are
     written in decimal, float columns to 17 significant digits (enough to
     round-trip) and any other column as its str."""
-    columns = [np.asarray(c) for c in columns]
+    return csv_groups(header, [columns])
+
+
+def csv_groups(header: str, groups) -> str:
+    """:func:`csv_table` of the rows of each column tuple of ``groups`` in
+    turn, the header written once.  ``groups`` may be a generator: tuples
+    are read and formatted as soon as they hold CSV_CHUNK_ROWS rows between
+    them, so only those tuples need exist at a time."""
+    parts, pending, count = [header + "\n"], [], 0
+    for columns in groups:
+        pending.append(columns)
+        count += len(columns[0])
+        if count >= CSV_CHUNK_ROWS:
+            parts.append(_csv_rows(pending))
+            pending, count = [], 0
+    if pending:
+        parts.append(_csv_rows(pending))
+    return "".join(parts)
+
+
+def _csv_rows(groups: list) -> str:
+    """The lines of the column tuples ``groups``, joined column by column,
+    CSV_CHUNK_ROWS rows turned into Python objects at a time."""
+    if len(groups) == 1:
+        columns = [np.asarray(c) for c in groups[0]]
+    else:
+        columns = list(map(np.concatenate, zip(*groups)))
     spec = {"i": "%d", "u": "%d", "f": "%.17g"}
     line = ",".join(spec.get(c.dtype.kind, "%s") for c in columns) + "\n"
-    parts = [header + "\n"]
+    parts = []
     for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         rows = zip(*(c[i : i + CSV_CHUNK_ROWS].tolist() for c in columns))
         parts.append("".join(map(line.__mod__, rows)))

@@ -25,9 +25,9 @@ or proved an exact zero, and each entry rounded to double once, as ldexp of
 its correctly rounded fixed-point numerator (:func:`_round_entries`;
 big-integer true division where that could leave the normal range).  Either
 way each entry is the correctly rounded double of its exact value (up to
-ties within 2^-GUARD_BITS ulp).  :class:`PropagatorCoefficients` gates the
-blocks each of its calls builds with one stacked
-:func:`check_biorthogonality`.  Parameter cases are :class:`CaseTag`s; the
+ties within 2^-GUARD_BITS ulp).  :class:`PropagatorCoefficients` gates
+exactly the blocks each of its calls builds with stacked
+:func:`check_biorthogonality` calls.  Parameter cases are :class:`CaseTag`s; the
 one true degeneracy (kappa1 = 0, block 0, k < 2) gets parity-based vectors.
 :func:`spectrum` reads every eigenvalue from one table and builds no
 eigenvector; :func:`decompose` adds R and L, copied from one built stack.
@@ -46,7 +46,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .fockbasis import Truncation, block_layout, csv_table
+from .fockbasis import Truncation, block_layout, csv_groups, csv_table
 from .specfun import DENOMINATOR_FLOOR, VanishingDenominatorError
 from .superops import (
     BlockMatrix,
@@ -672,11 +672,13 @@ class PropagatorCoefficients:
     L (2 n_max + 1, n_max + 1, n_max + 1), whose blocks m and -m are built
     together on first use, so memory
     depends on n_max only, not on the number of times asked for.  Each
-    :meth:`factors` or :meth:`stack` call that builds gates its new blocks
-    in one :func:`check_biorthogonality` over their rows of the stack, in
-    chunks of at most GATE_CHUNK_BYTES of temporaries.
+    :meth:`factors`, :meth:`stack` or :meth:`apply` call that builds gates
+    exactly its new blocks, in one :func:`check_biorthogonality` per run of
+    consecutive |m| over their rows of the stack, in chunks of at most
+    GATE_CHUNK_BYTES of temporaries.
 
-    :meth:`apply` propagates a gathered block stack: at kappa2 > 0 it applies
+    :meth:`apply` propagates the rows of a gathered block stack and builds
+    only the blocks they read: at kappa2 > 0 it applies
     L_m, e^{Lambda_m t} and R_m in turn and never forms T_m(t).  At
     kappa2 = 0 it uses the exact damped-Kerr solution in product form
     (:meth:`product_form`; Milburn & Holmes, PRL 56, 2237 (1986)), which
@@ -701,23 +703,30 @@ class PropagatorCoefficients:
         the exact path."""
         return EigenvectorBuilder(self.params, self.truncation)
 
-    def _build(self, ams: list[int]) -> None:
-        """Build the blocks m >= 0 in ``ams`` (ascending) and their conjugates,
-        then gate them in one :func:`check_biorthogonality` over the rows of
-        the stack from the first to the last: a slice, so the gate reads the
-        stack in place, and a block built earlier in between is gated again."""
+    def _build(self, ams: Sequence[int]) -> None:
+        """Build the blocks |m| in ``ams`` that are not built yet, mirror each
+        as block -m, then gate exactly those blocks in
+        :func:`check_biorthogonality`, one call per run of consecutive |m|:
+        a run is a slice, so the gate reads the stack in place."""
+        missing = sorted({am for am in ams if not self._built[am]})
+        if not missing:
+            return
+        ams = np.array(missing)
         n = self.truncation.n_max
         self.builder.fill_blocks(ams, self._R[n:], self._L[n:])  # row n + m holds block m
-        for am in ams:
-            if am:  # block -m is the conjugate; + 0.0 keeps -0 out of it
-                size = self.truncation.block_size(am)
-                for F in (self._R, self._L):
-                    conj = np.conjugate(F[n + am, :size, :size], out=F[n - am, :size, :size])
-                    conj += 0.0
-        blocks, rows = range(ams[0], ams[-1] + 1), slice(n + ams[0], n + ams[-1] + 1)
-        sizes = [self.truncation.block_size(am) for am in blocks]
-        check_biorthogonality(self._R[rows], self._L[rows], sizes, blocks)
-        for am in ams:
+        for run in np.split(ams, np.flatnonzero(np.diff(ams) > 1) + 1):
+            lo, hi = int(run[0]), int(run[-1])
+            one = max(lo, 1)
+            # block -m is the conjugate, written on its rows k <= K(m) only, so the
+            # padding rows stay untouched; + 0.0 keeps -0 out of it
+            kept = (np.arange(n + 1) <= n - np.arange(one, hi + 1)[:, None])[..., None]
+            for F in (self._R, self._L):
+                mirror = F[n - hi : n - one + 1][::-1]
+                np.conjugate(F[n + one : n + hi + 1], out=mirror, where=kept)
+                np.add(mirror, 0.0, out=mirror, where=kept)
+            sizes = [self.truncation.block_size(am) for am in run]
+            check_biorthogonality(self._R[n + lo : n + hi + 1], self._L[n + lo : n + hi + 1], sizes, run)
+        for am in ams.tolist():
             self._built[am] = True
 
     def factors(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -730,9 +739,7 @@ class PropagatorCoefficients:
 
     def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Lambda, R, L) of every block, padded, after building what is missing."""
-        missing = [am for am, built in enumerate(self._built) if not built]
-        if missing:
-            self._build(missing)
+        self._build(range(self.truncation.dim))
         return self._lam, self._R, self._L
 
     @cached_property
@@ -750,12 +757,13 @@ class PropagatorCoefficients:
         gamma = self.params.kappa1 + 1j * self.params.U * m[:, 0, 0]
         return self._lam[n:], gamma, B, j
 
-    def product_form(self, t: float, blocks: slice) -> np.ndarray:
+    def product_form(self, t: float, blocks: slice | np.ndarray) -> np.ndarray:
         """T_m(t) at kappa2 = 0, coeffs_k(t) = sum_q T_m[k, q] coeffs_q(0), of
-        the blocks m >= 0 in ``blocks``: rows of a zero-padded (n_max + 1)^3
-        stack, each evaluated on its own, so a slice has the bits of the
-        whole stack.  The level (k+m, k) decays at mu = -lambda_k^(m) and each
-        jump into it from one level up adds gamma_m = kappa1 + i U m, so
+        the blocks m >= 0 in ``blocks`` (a slice or an index array): rows of a
+        zero-padded (n_max + 1)^3 stack, each evaluated on its own, so any
+        selection has the bits of the whole stack.  The level (k+m, k)
+        decays at mu = -lambda_k^(m) and each jump into it from one level up
+        adds gamma_m = kappa1 + i U m, so
         T_m(t) = diag(e^{lambda t}) (B_m * x_m^(q-k)) with
         x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m (kappa1 t at gamma_m = 0).
         """
@@ -767,28 +775,39 @@ class PropagatorCoefficients:
         powers = x[:, None] ** np.arange(self.truncation.dim)
         return np.exp(lam * t)[:, :, None] * B * powers[:, j]
 
-    def apply(self, v: np.ndarray, t: float, transpose: bool = False) -> np.ndarray:
-        """T_m(t) v_m on every row of the gathered (2 n_max + 1, n_max + 1)
-        block stack ``v`` (row m + n_max for block m); with ``transpose``,
-        T_{-m}(t)^T v_m, the Heisenberg picture.
+    def apply(self, v: np.ndarray, t: float, transpose: bool = False,
+              rows: np.ndarray | None = None) -> np.ndarray:
+        """T_m(t) v_m on every row of the gathered block stack ``v``: its
+        rows ``rows`` of the (2 n_max + 1, n_max + 1) stack (row m + n_max for
+        block m), all of them by default; with ``transpose``, T_{-m}(t)^T v_m,
+        the Heisenberg picture.  Only the blocks these rows read are built.
 
         At kappa2 > 0 the factors act in turn, R_m (e^{Lambda_m t} (L_m v_m)):
         two batched matrix-vector products, O(n_max^3), and T is never
-        formed.  Transposed, the stack is read reversed and transposed,
+        formed.  Transposed, row m reads block -m transposed,
         L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T v_m)).  At kappa2 = 0 the
-        :meth:`product_form` of every block m >= 0 is applied, block -m its
-        conjugate.
+        :meth:`product_form` of every block |m| read is applied, block -m
+        its conjugate.  Without ``rows`` every row of the stack is read as a
+        view, with them a copy of those rows.
         """
+        n = self.truncation.n_max
+        if rows is None:  # every row, read as a view
+            read, ams = (np.s_[::-1] if transpose else np.s_[:]), range(n + 1)
+        else:  # blocks m and -m share |m|
+            read, ams = (2 * n - rows if transpose else rows), np.abs(rows - n).tolist()
         if self.params.kappa2 > 0:
-            lam, R, L = self.stack()
+            self._build(ams)
+            lam, R, L = self._lam[read], self._R[read], self._L[read]
             if transpose:
-                lam, R, L = lam[::-1], L[::-1].swapaxes(1, 2), R[::-1].swapaxes(1, 2)
+                R, L = L.swapaxes(1, 2), R.swapaxes(1, 2)
             w = np.exp(lam * t) * (L @ v[..., None])[..., 0]
             return (R @ w[..., None])[..., 0]
-        T = self.product_form(t, slice(None))
-        T = np.concatenate((T[:0:-1].conj(), T))  # T_{-m}(t) is the conjugate of T_m(t)
-        if transpose:  # block m takes T_{-m}^T; block -m is the reversed row
-            T = T[::-1].swapaxes(1, 2)
+        m = np.arange(-n, n + 1)[read]  # the block each row reads
+        ams, which = np.unique(np.abs(m), return_inverse=True)
+        T = self.product_form(t, ams)[which]
+        np.conjugate(T, out=T, where=(m < 0)[:, None, None])  # T_{-m}(t) is the conjugate of T_m(t)
+        if transpose:
+            T = T.swapaxes(1, 2)
         return (T @ v[..., None])[..., 0]
 
 
@@ -855,13 +874,17 @@ def _degeneracy_scan(params: ModelParams, lams: np.ndarray, case: CaseTag) -> tu
     A gap is a collision below INTEGER_RATIO_TOL in units of the loss rate
     kappa2 (kappa1 at kappa2 = 0).  In block 0 |lambda_0 - lambda_1| is
     kappa1 exactly, so that pair applies the ratio test of :func:`classify`
-    to the same float; every other gap is at least one unit.
+    to the same float; every other gap is at least one unit.  The blocks are
+    scanned in chunks of at most GATE_CHUNK_BYTES of temporaries.
     """
     rate, n = params.kappa2 or params.kappa1, lams.shape[1] - 1
-    m = np.arange(-n, n + 1)[:, None]  # the rows of trunc.blocks()
     k, q = np.triu_indices(n + 1, 1)  # every pair k < q, in loop order
-    hit = (np.abs(lams[:, k] - lams[:, q]) / rate < INTEGER_RATIO_TOL) & (q < n + 1 - np.abs(m))
-    found = [(int(m[i, 0]), int(k[j]), int(q[j])) for i, j in zip(*np.nonzero(hit))]
+    step, found = max(1, GATE_CHUNK_BYTES // (64 * len(k))), []  # at most 64 bytes a pair
+    for lo in range(0, len(lams), step):  # row lo + i is block lo + i - n
+        gaps = lams[lo : lo + step]
+        m = np.arange(lo, lo + len(gaps))[:, None] - n
+        hit = (np.abs(gaps[:, k] - gaps[:, q]) / rate < INTEGER_RATIO_TOL) & (q < n + 1 - np.abs(m))
+        found += [(int(m[i, 0]), int(k[j]), int(q[j])) for i, j in zip(*np.nonzero(hit))]
     expected = [(0, 0, 1)] if case == CaseTag.ZERO_KAPPA1 else []
     if found != expected:
         raise InternalConsistencyError(
@@ -899,13 +922,14 @@ def spectrum_csv(decomp: SpectralDecomposition) -> str:
 
 
 def eigenvectors_csv(decomp: SpectralDecomposition) -> str:
-    """The nonzero entries of block m, mode k, right then left vector, component p."""
+    """The nonzero entries of block m, mode k, right then left vector,
+    component p, formatted block by block."""
     sides = np.array(["right", "left"], dtype=object)  # one str per label, not per row
-    columns = []
-    for m in decomp.truncation.blocks():
+
+    def block(m: int) -> tuple:
         V = np.stack((decomp.R[m].entries.T, decomp.Lmat[m].entries), axis=1)  # (k, side, p)
         k, side, p = np.nonzero(V)  # -0 - 0j is a zero entry too
         z = V[k, side, p]
-        columns.append((np.full(len(k), m), k, p, z.real, z.imag, sides[side]))
-    columns = list(map(np.concatenate, zip(*columns)))  # the blocks' own arrays go
-    return csv_table("m,k,p,re,im,side", *columns)
+        return np.full(len(k), m), k, p, z.real, z.imag, sides[side]
+
+    return csv_groups("m,k,p,re,im,side", map(block, decomp.truncation.blocks()))

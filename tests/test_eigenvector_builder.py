@@ -627,8 +627,8 @@ def test_factors_gate_the_one_block_they_build(monkeypatch):
     evolution.heisenberg_a_factors(GENERIC, tr, 1.0, coeffs)  # the a-factor path: block 1 alone
     coeffs.factors(-1)
     assert gated == [[1]]
-    coeffs.stack()  # one gate over the rows from the first block it builds to the last
-    assert gated == [[1], list(range(tr.n_max + 1))]
+    coeffs.stack()  # one gate per run of the blocks it builds: block 1 is not gated again
+    assert gated == [[1], [0], list(range(2, tr.n_max + 1))]
     _perturb_blocks(monkeypatch, {1: 1e-9})
     coeffs = spectral.PropagatorCoefficients(GENERIC, tr)
     coeffs.factors(2)

@@ -18,7 +18,7 @@ from kerrloss.fockbasis import FockState, Truncation, phi_indices
 from kerrloss.oracle import expm_propagate, ode_propagate
 from kerrloss.specfun import sqrt_binom
 from kerrloss.spectral import decompose, eigenvalue
-from kerrloss.superops import ModelParams, annihilation, full_generator
+from kerrloss.superops import InternalConsistencyError, ModelParams, annihilation, full_generator
 
 GENERIC = ModelParams(0.9, 0.6, 0.37, 1.1)
 PURE_LOSS = ModelParams(0.0, 0.0, 0.0, 1.0)
@@ -568,3 +568,119 @@ def test_routes_reject_coefficients_of_another_channel():
                 route(mine, rho0, 0.5, coeffs)
         with pytest.raises(ValueError, match="parameters do not match"):
             heisenberg_a_factors(mine, tr, 0.5, coeffs)
+
+
+#: the channel of the ROADMAP's factor-build figures
+ROADMAP = ModelParams(0.7, 0.4, 0.3, 0.6)
+
+
+def _on_blocks(tr, blocks, seed):
+    """A seeded complex matrix whose entries lie in the coherence blocks ``blocks`` only."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim))
+    n1, n2 = np.indices(X.shape)
+    return FockState(np.where(np.isin(n1 - n2, blocks), X, 0))
+
+
+def _every_row(params, coeffs, op, t, transpose):
+    """``op`` propagated on every row of the stack, occupied or not: R e^{Lambda t} L v
+    over all of ``coeffs.stack()`` at kappa2 > 0, the product form of every block at
+    kappa2 = 0."""
+    rows, cols, filled = coeffs.layout
+    v = op.entries[rows, cols]
+    if params.kappa2 > 0:
+        lam, R, L = coeffs.stack()
+        if transpose:
+            lam, R, L = lam[::-1], L[::-1].swapaxes(1, 2), R[::-1].swapaxes(1, 2)
+        w = (R @ (np.exp(lam * t) * (L @ v[..., None])[..., 0])[..., None])[..., 0]
+    else:
+        T = coeffs.product_form(t, slice(None))
+        T = np.concatenate((T[:0:-1].conj(), T))
+        if transpose:
+            T = T[::-1].swapaxes(1, 2)
+        w = (T @ v[..., None])[..., 0]
+    out = np.zeros_like(op.entries)
+    out[rows[filled], cols[filled]] = w[filled]
+    return out
+
+
+@pytest.mark.parametrize("params", [ROADMAP, GAUSSIAN], ids=["lossy", "kappa2_0"])
+def test_block_sparse_operands_give_the_bytes_of_every_row(params):
+    # only the occupied rows are built and propagated; every byte, the sign
+    # of each zero included, is that of propagating every row of the stack
+    tr = Truncation(12)
+    a = annihilation(tr)
+    operands = {
+        "vacuum": FockState.vacuum(tr),
+        "fock:7": FockState.fock(tr, 7),
+        "N": FockState(np.diag(np.arange(tr.dim, dtype=complex)), hermitian=True),
+        "a": FockState(a),
+        "a+": FockState(a.T.copy()),
+        "blocks -3, 0, 2": _on_blocks(tr, [-3, 0, 2], 36),
+        "coherent": FockState.coherent(tr, 1.1 - 0.6j),
+    }
+    reference = PropagatorCoefficients(params, tr)
+    for name, op in operands.items():
+        coeffs = PropagatorCoefficients(params, tr)  # built from this operand alone
+        for t in (0.1, 1.0):
+            for route, transpose in ((propagate_phi, False), (heisenberg_phi, True)):
+                out = route(params, op, t, coeffs).entries
+                ref = _every_row(params, reference, op, t, transpose)
+                assert out.tobytes() == ref.tobytes(), (name, t, route.__name__)
+
+
+def _record_builds(monkeypatch):
+    """The |m| lists :meth:`EigenvectorBuilder.fill_blocks` is asked for, in order."""
+    built, original = [], spectral.EigenvectorBuilder.fill_blocks
+
+    def recorded(self, ams, R, L):
+        built.append([int(am) for am in ams])
+        return original(self, ams, R, L)
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", recorded)
+    return built
+
+
+def test_propagation_builds_only_the_occupied_blocks(monkeypatch):
+    built = _record_builds(monkeypatch)
+    tr = Truncation(40)
+    coeffs = PropagatorCoefficients(ROADMAP, tr)
+    propagate_phi(ROADMAP, FockState.fock(tr, 10), 1.0, coeffs)
+    assert built == [[0]]
+    heisenberg_phi(ROADMAP, FockState(annihilation(tr)), 1.0, coeffs)  # block -1 reads block 1
+    assert built == [[0], [1]]
+    rho0 = FockState.coherent(tr, 1.5)
+    propagate_phi(ROADMAP, rho0, 1.0, coeffs)
+    assert built == [[0], [1], list(range(2, tr.n_max + 1))]
+    heisenberg_phi(ROADMAP, rho0, 0.5, coeffs)
+    assert len(built) == 3
+
+
+def test_gapped_block_set_gates_exactly_its_blocks(monkeypatch):
+    # blocks {0, 3}: the unbuilt zero blocks 1 and 2 between them are not
+    # gated (they would fail at an infinite ratio)
+    built = _record_builds(monkeypatch)
+    gated, gate = [], spectral.check_biorthogonality
+
+    def recorded(R, L, sizes=None, labels=None):
+        gated.append([int(m) for m in labels])
+        return gate(R, L, sizes, labels)
+
+    monkeypatch.setattr(spectral, "check_biorthogonality", recorded)
+    tr = Truncation(10)
+    op = _on_blocks(tr, [0, -3], 37)
+    for route in (propagate_phi, heisenberg_phi):
+        built.clear()
+        gated.clear()
+        route(ROADMAP, op, 1.0, PropagatorCoefficients(ROADMAP, tr))
+        assert built == [[0, 3]] and gated == [[0], [3]], route.__name__
+    # a corrupted entry of block 3 fails the gate, which names block 3
+    fill = spectral.EigenvectorBuilder.fill_blocks
+
+    def corrupted(self, ams, R, L):
+        fill(self, ams, R, L)
+        L[3, 0, 1] *= 1 + 1e-9
+
+    monkeypatch.setattr(spectral.EigenvectorBuilder, "fill_blocks", corrupted)
+    with pytest.raises(InternalConsistencyError, match="block m=3: "):
+        propagate_phi(ROADMAP, op, 1.0, PropagatorCoefficients(ROADMAP, tr))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -200,6 +201,35 @@ def test_degeneracy_scan_matches_pairwise_loop():
         _degeneracy_scan(params, _eigenvalue_table(params, tr), CaseTag.GENERIC_RATIO)
 
 
+def _peak_bytes(f, *args):
+    """(f(*args), the tracemalloc peak of the call)."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_degeneracy_scan_holds_one_chunk_of_blocks(monkeypatch):
+    # n_max 100 has 201 blocks of up to 5,050 pairs each: every pair at once
+    # held 46.5 MB; in chunks of blocks the scan holds about GATE_CHUNK_BYTES
+    tr = Truncation(100)
+    for tag in (CaseTag.GENERIC_RATIO, CaseTag.ZERO_KAPPA1):
+        params = CASES[tag]
+        lams = _eigenvalue_table(params, tr)
+        found, peak = _peak_bytes(_degeneracy_scan, params, lams, tag)
+        assert found == (((0, 0, 1),) if tag == CaseTag.ZERO_KAPPA1 else ())
+        assert peak < 2 * spectral.GATE_CHUNK_BYTES, (tag, peak)
+    # one block a chunk finds what the pairwise loop finds, in its order
+    monkeypatch.setattr(spectral, "GATE_CHUNK_BYTES", 1)
+    small = Truncation(10)
+    params = CASES[CaseTag.ZERO_KAPPA1]
+    with pytest.raises(InternalConsistencyError, match=r"found \[\(0, 0, 1\)\], expected \[\]"):
+        _degeneracy_scan(params, _eigenvalue_table(params, small), CaseTag.GENERIC_RATIO)
+    assert _degeneracy_scan(params, _eigenvalue_table(params, small), CaseTag.ZERO_KAPPA1) == (
+        _degeneracy_scan_loop(params, small))
+
+
 def test_F_inverse_and_diagonalization():
     tr = Truncation(10)
     for m in (0, 1, -2, 3):
@@ -301,6 +331,16 @@ def test_eigenvectors_csv_matches_numpy_loop(tag):
     assert text == _eigenvectors_csv_numpy_loop(decomp)
     assert "\n1,3,0,-0,0.5,right\n" in text and "\n1,3,1,0.25,-0,right\n" in text
     assert "\n1,3,2," not in text
+
+
+def test_eigenvectors_csv_holds_its_text_and_one_block():
+    # formatted block by block: the writer's peak is its parts and their
+    # join, about twice the text (three times while every row's numpy
+    # columns were concatenated first); test_csv_bodies_are_pinned pins
+    # this body ("generic-40")
+    decomp = decompose(ModelParams(0.7, 0.4, 0.3, 0.6), Truncation(40))
+    text, peak = _peak_bytes(eigenvectors_csv, decomp)
+    assert peak < 2.25 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
