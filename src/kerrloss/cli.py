@@ -91,10 +91,10 @@ def _times(text: str) -> list[float]:
 
 def config_hash(settings: dict, initial: FockState | None = None) -> str:
     """Hash of what shapes the output: the parsed settings but ``out`` and
-    ``config``, the initial state by its content."""
+    ``config``, the initial state by its entries (not its Hermitian flag)."""
     shaped = {k: v for k, v in settings.items() if k not in ("out", "config")}
     if initial is not None:
-        shaped["initial"] = initial.to_json()
+        shaped["initial"] = hashlib.sha256(initial.entries.tobytes()).hexdigest()
     canon = "\n".join(f"{k}={shaped[k]}" for k in sorted(shaped))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 

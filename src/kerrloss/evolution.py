@@ -6,15 +6,15 @@ T_m(t) = R_m e^{Lambda_m t} L_m.  Its factors live in :mod:`kerrloss.spectral`:
 in one zero-padded stack, filled by
 :class:`~kerrloss.spectral.EigenvectorBuilder`, with Lambda the eigenvalue
 table filled at construction; :func:`~kerrloss.spectral.decompose` copies
-R and L out of the same stack.
-Propagation gathers every block diagonal of the matrix with one index, keeps
-the rows of the blocks the operand occupies (one ``any`` per row), hands them
-to :meth:`~kerrloss.spectral.PropagatorCoefficients.apply`, which builds the
-factors of those blocks only, and scatters the result back: at kappa2 > 0 it
-applies L_m, e^{Lambda_m t} and R_m in turn, two batched matrix-vector
-products that never form T_m(t); at kappa2 = 0 it applies the damped-Kerr
-product form, which builds no eigenvectors.  An operand that occupies every
-block (a coherent or mixed state) takes the same path, its stack read whole.
+R and L out of the same stack.  Propagation is
+:meth:`~kerrloss.spectral.PropagatorCoefficients.apply` on the operator: the
+set gathers its block diagonals, builds and propagates only the blocks the
+operator occupies, and scatters the result back.  At kappa2 > 0 it applies
+L_m, e^{Lambda_m t} and R_m in turn, two batched matrix-vector products that
+never form T_m(t); at kappa2 = 0 it applies the damped-Kerr product form,
+whose weights it fills block by block and which builds no eigenvectors.  This
+module checks the time and the set, returns the input at t = 0 and keeps the
+Hermitian flag.
 The Heisenberg picture reads block -m transposed for block m, and the
 a-factor rows are one row-vector product with block 1.
 :func:`similarity_propagate` is the second route, from the paper's other
@@ -86,25 +86,15 @@ def _apply_blocks(
     params: ModelParams, op: FockState, t: float,
     coeffs: PropagatorCoefficients | None, transpose: bool,
 ) -> FockState:
-    """T_m(t) (or T_{-m}(t)^T) on every block diagonal of ``op`` at once.
+    """:meth:`PropagatorCoefficients.apply` on ``op``, keeping its Hermitian flag.
 
-    Only the blocks ``op`` occupies are built, propagated and scattered; the
-    others stay zero.  At t = 0 this is ``op`` itself: R_m L_m = I holds only
-    to the rounding of binomial-size entries.
+    At t = 0 this is ``op`` itself: R_m L_m = I holds only to the rounding of
+    binomial-size entries.
     """
     coeffs = _coefficients(params, op.truncation, t, coeffs)
     if t == 0:
         return op.copy()
-    rows, cols, filled = coeffs.layout
-    v = op.entries[rows, cols]
-    occupied = np.flatnonzero(v.any(axis=1))
-    at = occupied if len(occupied) < len(v) else None  # a full stack is read whole
-    if at is not None:
-        v, rows, cols, filled = v[at], rows[at], cols[at], filled[at]
-    w = coeffs.apply(v, t, transpose, at)
-    entries = np.zeros_like(op.entries)
-    entries[rows[filled], cols[filled]] = w[filled]
-    state = FockState(entries)
+    state = FockState(coeffs.apply(op.entries, t, transpose))
     state.hermitian = op.hermitian
     return state
 
@@ -118,7 +108,7 @@ def propagate_phi(
     """Exact phi-basis solution of the master equation at time t >= 0.
 
     Block m of rho(t) is T_m(t) rho_m, every block rho occupies at once by
-    :meth:`PropagatorCoefficients.apply` on the gathered stack: at kappa2 > 0
+    :meth:`PropagatorCoefficients.apply`: at kappa2 > 0
     R_m (e^{Lambda_m t} (L_m rho_m)), factor by factor, at kappa2 = 0 the
     damped-Kerr product form.
     """
@@ -181,7 +171,7 @@ def heisenberg_a_factors(
         return np.ones(trunc.n_max, dtype=complex)
     root = np.sqrt(np.arange(1, trunc.n_max + 1))
     if params.kappa2 == 0:
-        return root @ coeffs.product_form(t, slice(1, 2))[0, :-1, :-1] / root
+        return root @ coeffs.product_form(t, np.array([1]))[0, :-1, :-1] / root
     lam, R, L = coeffs.factors(1)
     return (root @ R * np.exp(lam * t)) @ L / root
 

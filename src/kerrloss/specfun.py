@@ -1,7 +1,7 @@
 """Scalar special functions used by the closed-form spectral expressions.
 
 Everything here is finite-degree arithmetic: terminating hypergeometric
-sums, double factorials and square-root binomials.
+sums, double factorials and log factorials.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ __all__ = [
     "hyp2f1_terminating",
     "double_factorial",
     "log_factorial",
-    "sqrt_binom",
 ]
 
 #: denominators smaller than this are treated as a misclassified parameter
@@ -66,14 +65,6 @@ def double_factorial(n: int) -> float:
 
 
 def log_factorial(n: int) -> float:
-    """ln(n!) via lgamma (exact products are used implicitly below 20)."""
+    """ln(n!) via lgamma."""
     return math.lgamma(n + 1)
 
-
-def sqrt_binom(n: int, k: int) -> float:
-    """sqrt(binomial(n, k)) computed in log space to avoid overflow."""
-    if k < 0 or k > n:
-        return 0.0
-    if n <= 20:
-        return math.sqrt(math.comb(n, k))
-    return math.exp(0.5 * (log_factorial(n) - log_factorial(k) - log_factorial(n - k)))

@@ -677,14 +677,16 @@ class PropagatorCoefficients:
     consecutive |m| over their rows of the stack, in chunks of at most
     GATE_CHUNK_BYTES of temporaries.
 
-    :meth:`apply` propagates the rows of a gathered block stack and builds
-    only the blocks they read: at kappa2 > 0 it applies
-    L_m, e^{Lambda_m t} and R_m in turn and never forms T_m(t).  At
-    kappa2 = 0 it uses the exact damped-Kerr solution in product form
-    (:meth:`product_form`; Milburn & Holmes, PRL 56, 2237 (1986)), which
+    :meth:`apply` propagates a (dim, dim) operator: it gathers the block
+    stack, keeps the rows of the blocks the operator occupies, builds the
+    factors of those blocks only and scatters the result back.  At
+    kappa2 > 0 it applies L_m, e^{Lambda_m t} and R_m in turn and never forms
+    T_m(t).  At kappa2 = 0 it uses the exact damped-Kerr solution in product
+    form (:meth:`product_form`; Milburn & Holmes, PRL 56, 2237 (1986)), which
     needs no eigenvectors: the entries of R_m and L_m grow at binomial size
     and their product cancels, while every term of the product form is a
-    binomial-thinning weight.
+    binomial-thinning weight.  Its weights B_|m| are filled on first use of
+    block m, like the factors.
     """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
@@ -693,8 +695,9 @@ class PropagatorCoefficients:
         self._lam = _eigenvalue_table(params, trunc)
         self._R, self._L = (np.zeros(self._lam.shape + (trunc.dim,), dtype=complex) for _ in "RL")
         self._built = [False] * trunc.dim
-        #: :func:`~kerrloss.fockbasis.block_layout` of the truncation
-        self.layout = block_layout(trunc)
+        self._layout = block_layout(trunc)
+        # the kappa2 = 0 product-form weights, row |m| filled on first use of block m
+        self._B = np.zeros((trunc.dim,) * 3)
 
     @cached_property
     def builder(self) -> EigenvectorBuilder:
@@ -743,72 +746,78 @@ class PropagatorCoefficients:
         return self._lam, self._R, self._L
 
     @cached_property
-    def _damped_kerr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Time-independent pieces of the kappa2 = 0 product form on the
-        blocks m >= 0, row k and column q of each: (lambda, gamma, B, j) with
-        lambda[m, k] the eigenvalues (rows m >= 0 of the table), gamma_m =
-        kappa1 + i U m, the powers j = max(q - k, 0) of x_m, and
-        B[m, k, q] = sqrt(C(q+m, j) C(q, j)) for k <= q <= K(m), zero elsewhere."""
+    def _root(self) -> np.ndarray:
+        """sqrt(C(a, i)) for a, i <= n_max, the table of the weights B_m."""
         n = self.truncation.n_max
-        m, k, q = np.arange(n + 1)[:, None, None], np.arange(n + 1)[:, None], np.arange(n + 1)
-        root = np.sqrt([[float(math.comb(a, i)) for i in range(n + 1)] for a in range(2 * n + 1)])
-        j = np.maximum(q - k, 0)
-        B = np.where((k <= q) & (q <= n - m), root[q + m, j] * root[q, j], 0.0)
-        gamma = self.params.kappa1 + 1j * self.params.U * m[:, 0, 0]
-        return self._lam[n:], gamma, B, j
+        return np.sqrt([[float(math.comb(a, i)) for i in range(n + 1)] for a in range(n + 1)])
 
-    def product_form(self, t: float, blocks: slice | np.ndarray) -> np.ndarray:
+    def product_form(self, t: float, ams: np.ndarray) -> np.ndarray:
         """T_m(t) at kappa2 = 0, coeffs_k(t) = sum_q T_m[k, q] coeffs_q(0), of
-        the blocks m >= 0 in ``blocks`` (a slice or an index array): rows of a
-        zero-padded (n_max + 1)^3 stack, each evaluated on its own, so any
+        the blocks m >= 0 in the index array ``ams``: zero-padded
+        (n_max + 1, n_max + 1) rows, each evaluated on its own, so any
         selection has the bits of the whole stack.  The level (k+m, k)
         decays at mu = -lambda_k^(m) and each jump into it from one level up
         adds gamma_m = kappa1 + i U m, so
         T_m(t) = diag(e^{lambda t}) (B_m * x_m^(q-k)) with
-        x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m (kappa1 t at gamma_m = 0).
+        x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m (kappa1 t at gamma_m = 0)
+        and B_m[k, q] = sqrt(C(q+m, q-k) C(q, q-k)) for k <= q <= K(m), zero
+        elsewhere, filled for the blocks not asked for before.
         """
-        lam, gamma, B, j = self._damped_kerr
-        lam, gamma, B = lam[blocks], gamma[blocks], B[blocks]
-        kappa1 = self.params.kappa1
+        n, kappa1 = self.truncation.n_max, self.params.kappa1
+        k, q = np.arange(n + 1)[:, None], np.arange(n + 1)
+        j = np.maximum(q - k, 0)  # the power of x_m
+        new = ams[self._B[ams, 0, 0] == 0]  # a filled row has B_m[0, 0] = 1
+        if len(new):  # rows q + m > n lie in the padding, which the mask zeroes
+            m = new[:, None, None]
+            weights = self._root[np.minimum(q + m, n), j] * self._root[q, j]
+            self._B[new] = np.where((k <= q) & (q <= n - m), weights, 0.0)
+        gamma = kappa1 + 1j * self.params.U * ams
         # gamma_m vanishes only at kappa1 = 0, where x_m = kappa1 t = 0
         x = -kappa1 * np.expm1(-gamma * t) / gamma if kappa1 else np.zeros_like(gamma)
-        powers = x[:, None] ** np.arange(self.truncation.dim)
-        return np.exp(lam * t)[:, :, None] * B * powers[:, j]
+        powers = x[:, None] ** np.arange(n + 1)
+        return np.exp(self._lam[n + ams] * t)[:, :, None] * self._B[ams] * powers[:, j]
 
-    def apply(self, v: np.ndarray, t: float, transpose: bool = False,
-              rows: np.ndarray | None = None) -> np.ndarray:
-        """T_m(t) v_m on every row of the gathered block stack ``v``: its
-        rows ``rows`` of the (2 n_max + 1, n_max + 1) stack (row m + n_max for
-        block m), all of them by default; with ``transpose``, T_{-m}(t)^T v_m,
-        the Heisenberg picture.  Only the blocks these rows read are built.
+    def apply(self, op: np.ndarray, t: float, transpose: bool = False) -> np.ndarray:
+        """T_m(t) op_m on every block diagonal op_m of the (dim, dim) operator
+        ``op``; with ``transpose``, T_{-m}(t)^T op_m, the Heisenberg picture.
+        Only the blocks ``op`` occupies are built and propagated; the others
+        stay zero.
 
-        At kappa2 > 0 the factors act in turn, R_m (e^{Lambda_m t} (L_m v_m)):
+        At kappa2 > 0 the factors act in turn, R_m (e^{Lambda_m t} (L_m op_m)):
         two batched matrix-vector products, O(n_max^3), and T is never
-        formed.  Transposed, row m reads block -m transposed,
-        L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T v_m)).  At kappa2 = 0 the
+        formed.  Transposed, block m reads block -m transposed,
+        L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T op_m)).  At kappa2 = 0 the
         :meth:`product_form` of every block |m| read is applied, block -m
-        its conjugate.  Without ``rows`` every row of the stack is read as a
-        view, with them a copy of those rows.
+        its conjugate.  An operator that occupies every block reads the stack
+        as views, any other a copy of its rows.
         """
         n = self.truncation.n_max
-        if rows is None:  # every row, read as a view
+        rows, cols, filled = self._layout
+        v = op[rows, cols]
+        occupied = np.flatnonzero(v.any(axis=1))
+        if len(occupied) == len(v):  # every row, read as a view
             read, ams = (np.s_[::-1] if transpose else np.s_[:]), range(n + 1)
         else:  # blocks m and -m share |m|
-            read, ams = (2 * n - rows if transpose else rows), np.abs(rows - n).tolist()
+            v, rows, cols, filled = v[occupied], rows[occupied], cols[occupied], filled[occupied]
+            read, ams = (2 * n - occupied if transpose else occupied), np.abs(occupied - n).tolist()
         if self.params.kappa2 > 0:
             self._build(ams)
             lam, R, L = self._lam[read], self._R[read], self._L[read]
             if transpose:
                 R, L = L.swapaxes(1, 2), R.swapaxes(1, 2)
             w = np.exp(lam * t) * (L @ v[..., None])[..., 0]
-            return (R @ w[..., None])[..., 0]
-        m = np.arange(-n, n + 1)[read]  # the block each row reads
-        ams, which = np.unique(np.abs(m), return_inverse=True)
-        T = self.product_form(t, ams)[which]
-        np.conjugate(T, out=T, where=(m < 0)[:, None, None])  # T_{-m}(t) is the conjugate of T_m(t)
-        if transpose:
-            T = T.swapaxes(1, 2)
-        return (T @ v[..., None])[..., 0]
+            w = (R @ w[..., None])[..., 0]
+        else:
+            m = np.arange(-n, n + 1)[read]  # the block each row reads
+            ams, which = np.unique(np.abs(m), return_inverse=True)
+            T = self.product_form(t, ams)[which]
+            np.conjugate(T, out=T, where=(m < 0)[:, None, None])  # T_{-m}(t) is the conjugate of T_m(t)
+            if transpose:
+                T = T.swapaxes(1, 2)
+            w = (T @ v[..., None])[..., 0]
+        out = np.zeros_like(op)
+        out[rows[filled], cols[filled]] = w[filled]
+        return out
 
 
 def F_matrix(params: ModelParams, trunc: Truncation, m: int, direction: str) -> np.ndarray:

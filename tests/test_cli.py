@@ -245,6 +245,24 @@ def test_hash_reads_the_initial_state_by_content(tmp_path):
     assert first_line(out / "evolution.csv") == hashes[3]
 
 
+def test_hash_ignores_the_hermitian_flag_of_a_state_file(tmp_path):
+    # the flag shapes no output, so the header reads the entries alone
+    states = {
+        "plain": {"n_max": 4, "entries": [[1, 1, 1, 0]]},
+        "flagged": {"n_max": 4, "hermitian": True, "entries": [[1, 1, 1, 0]]},
+        "changed": {"n_max": 4, "hermitian": True, "entries": [[1, 1, 0.5, 0]]},
+    }
+    heads = {}
+    for name, payload in states.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / name
+        assert run(["evolve", "--nmax", "4", "--initial", f"file:{path}",
+                    "--out", str(out)]) == cli.EXIT_OK
+        heads[name] = first_line(out / "evolution.csv")
+    assert heads["plain"] == heads["flagged"] != heads["changed"]
+
+
 def test_bad_flag_value_is_validation_error(tmp_path, capsys):
     assert run(["spectrum", "--nmax", "abc", "--out", str(tmp_path / "x")]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation error:")

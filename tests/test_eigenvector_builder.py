@@ -23,7 +23,6 @@ from kerrloss.specfun import (
     DENOMINATOR_FLOOR,
     VanishingDenominatorError,
     hyp2f1_terminating,
-    sqrt_binom,
 )
 from kerrloss.superops import InternalConsistencyError, ModelParams, liouvillian_blocks
 
@@ -40,10 +39,11 @@ def double_precision_factors(params, trunc, m):
     for k in range(size):
         x = spectral.x_parameter(params, m, k)
         for j in range(k + 1):
-            R[j, k] = ((-1) ** (k - j) * sqrt_binom(k, j) * sqrt_binom(k + am, j + am)
+            R[j, k] = ((-1) ** (k - j) * math.sqrt(math.comb(k, j))
+                       * math.sqrt(math.comb(k + am, j + am))
                        * hyp2f1_terminating(k - j, 1 - x, 2 - 2 * x - eta, 2.0))
         for q in range(k, size):
-            L[k, q] = (sqrt_binom(q, k) * sqrt_binom(q + am, k + am)
+            L[k, q] = (math.sqrt(math.comb(q, k)) * math.sqrt(math.comb(q + am, k + am))
                        * hyp2f1_terminating(q - k, x, 2 * x + eta, 2.0))
     return R, L
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from kerrloss.evolution import (
     similarity_propagate,
     simaan_g,
 )
-from kerrloss.fockbasis import FockState, Truncation, phi_indices
+from kerrloss.fockbasis import FockState, Truncation, block_layout, phi_indices
 from kerrloss.oracle import expm_propagate, ode_propagate
-from kerrloss.specfun import sqrt_binom
 from kerrloss.spectral import decompose, eigenvalue
 from kerrloss.superops import InternalConsistencyError, ModelParams, annihilation, full_generator
 
@@ -291,8 +291,8 @@ def test_block_factorization_matches_g_double_sum():
                     for k in range(size):
                         for q in range(k, size):
                             ref[k, q] = (
-                                sqrt_binom(am + q, am + k)
-                                * sqrt_binom(q, k)
+                                math.sqrt(math.comb(am + q, am + k))
+                                * math.sqrt(math.comb(q, k))
                                 * g_coefficient(params, m, k, q - k, t)
                             )
                     lam, R, L = coeffs.factors(m)
@@ -450,7 +450,7 @@ def test_product_form_never_builds_eigenvectors(monkeypatch):
             route(params, rho0, 0.5)
             route(params, rho0, 0.5, coeffs)
         heisenberg_a_factors(params, tr, 0.5, coeffs)
-        coeffs.product_form(0.5, slice(2, 3))
+        coeffs.product_form(0.5, np.array([2]))
 
 
 #: one channel per kappa2 > 0 case tag: generic ratio, integer ratio, kappa1 = 0
@@ -465,15 +465,16 @@ def test_factor_route_matches_propagator_stack(params, n_max):
     # R L = I at binomial size (about 5e-13 at n_max 30), so t > 0 here
     tr = Truncation(n_max)
     coeffs = PropagatorCoefficients(params, tr)
-    rows, cols, filled = coeffs.layout
+    rows, cols, filled = block_layout(tr)
     rng = np.random.default_rng(n_max)
-    v = (rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim)))[rows, cols]
+    X = rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim))
+    v = X[rows, cols]
     lam, R, L = coeffs.stack()
     for t in (0.1, 1.0):
         T = (R * np.exp(lam * t)[..., None, :]) @ L
         for transpose, ref_T in ((False, T), (True, T[::-1].swapaxes(1, 2))):
             ref = (ref_T @ v[..., None])[..., 0][filled]
-            out = coeffs.apply(v, t, transpose)[filled]
+            out = coeffs.apply(X, t, transpose)[rows[filled], cols[filled]]
             dev = np.max(np.abs(out - ref)) / np.max(np.abs(out))
             assert dev <= 1e-14, (t, transpose, dev)
 
@@ -517,7 +518,7 @@ def test_a_factor_rows_evaluate_block_one_alone(monkeypatch):
     # at kappa2 = 0 the a-factor rows evaluate block 1 of the product form
     # alone, with the bits of block 1 of the whole stack
     tr = Truncation(10)
-    refs = {p: PropagatorCoefficients(p, tr).product_form(0.5, slice(None))
+    refs = {p: PropagatorCoefficients(p, tr).product_form(0.5, np.arange(tr.dim))
             for p in (GAUSSIAN, UNITARY)}
     product_form = spectral.PropagatorCoefficients.product_form
     asked = []
@@ -527,7 +528,7 @@ def test_a_factor_rows_evaluate_block_one_alone(monkeypatch):
     for params, T in refs.items():
         f = heisenberg_a_factors(params, tr, 0.5, PropagatorCoefficients(params, tr))
         assert np.array_equal(f, root @ T[1, :-1, :-1] / root)
-    assert asked == [slice(1, 2)] * 2
+    assert [blocks.tolist() for blocks in asked] == [[1]] * 2
 
 
 @pytest.mark.parametrize("n_max", [30, 40])
@@ -582,32 +583,12 @@ def _on_blocks(tr, blocks, seed):
     return FockState(np.where(np.isin(n1 - n2, blocks), X, 0))
 
 
-def _every_row(params, coeffs, op, t, transpose):
-    """``op`` propagated on every row of the stack, occupied or not: R e^{Lambda t} L v
-    over all of ``coeffs.stack()`` at kappa2 > 0, the product form of every block at
-    kappa2 = 0."""
-    rows, cols, filled = coeffs.layout
-    v = op.entries[rows, cols]
-    if params.kappa2 > 0:
-        lam, R, L = coeffs.stack()
-        if transpose:
-            lam, R, L = lam[::-1], L[::-1].swapaxes(1, 2), R[::-1].swapaxes(1, 2)
-        w = (R @ (np.exp(lam * t) * (L @ v[..., None])[..., 0])[..., None])[..., 0]
-    else:
-        T = coeffs.product_form(t, slice(None))
-        T = np.concatenate((T[:0:-1].conj(), T))
-        if transpose:
-            T = T[::-1].swapaxes(1, 2)
-        w = (T @ v[..., None])[..., 0]
-    out = np.zeros_like(op.entries)
-    out[rows[filled], cols[filled]] = w[filled]
-    return out
-
-
 @pytest.mark.parametrize("params", [ROADMAP, GAUSSIAN], ids=["lossy", "kappa2_0"])
 def test_block_sparse_operands_give_the_bytes_of_every_row(params):
-    # only the occupied rows are built and propagated; every byte, the sign
-    # of each zero included, is that of propagating every row of the stack
+    # only the occupied blocks are built and propagated; every byte, the sign
+    # of each zero included, is that of propagating every row of the stack:
+    # R e^{Lambda t} L v over all of stack() at kappa2 > 0, the product form
+    # of every block at kappa2 = 0, in both pictures
     tr = Truncation(12)
     a = annihilation(tr)
     operands = {
@@ -619,14 +600,27 @@ def test_block_sparse_operands_give_the_bytes_of_every_row(params):
         "blocks -3, 0, 2": _on_blocks(tr, [-3, 0, 2], 36),
         "coherent": FockState.coherent(tr, 1.1 - 0.6j),
     }
+    rows, cols, filled = block_layout(tr)
     reference = PropagatorCoefficients(params, tr)
     for name, op in operands.items():
         coeffs = PropagatorCoefficients(params, tr)  # built from this operand alone
-        for t in (0.1, 1.0):
-            for route, transpose in ((propagate_phi, False), (heisenberg_phi, True)):
-                out = route(params, op, t, coeffs).entries
-                ref = _every_row(params, reference, op, t, transpose)
-                assert out.tobytes() == ref.tobytes(), (name, t, route.__name__)
+        v = op.entries[rows, cols]
+        for t, transpose in ((0.1, False), (0.1, True), (1.0, False), (1.0, True)):
+            if params.kappa2 > 0:
+                lam, R, L = reference.stack()
+                if transpose:
+                    lam, R, L = lam[::-1], L[::-1].swapaxes(1, 2), R[::-1].swapaxes(1, 2)
+                w = (R @ (np.exp(lam * t) * (L @ v[..., None])[..., 0])[..., None])[..., 0]
+            else:
+                T = reference.product_form(t, np.arange(tr.dim))
+                T = np.concatenate((T[:0:-1].conj(), T))  # block -m is the conjugate
+                if transpose:
+                    T = T[::-1].swapaxes(1, 2)
+                w = (T @ v[..., None])[..., 0]
+            ref = np.zeros_like(op.entries)
+            ref[rows[filled], cols[filled]] = w[filled]
+            out = coeffs.apply(op.entries, t, transpose)
+            assert out.tobytes() == ref.tobytes(), (name, t, transpose)
 
 
 def _record_builds(monkeypatch):
@@ -654,6 +648,41 @@ def test_propagation_builds_only_the_occupied_blocks(monkeypatch):
     assert built == [[0], [1], list(range(2, tr.n_max + 1))]
     heisenberg_phi(ROADMAP, rho0, 0.5, coeffs)
     assert len(built) == 3
+
+
+def test_product_form_fills_the_weights_of_the_applied_blocks():
+    # at kappa2 = 0 a set fills B_|m| on first use of block m, as the
+    # factors are built at kappa2 > 0; a filled row has B_m[0, 0] = 1
+    tr = Truncation(40)
+    coeffs = PropagatorCoefficients(GAUSSIAN, tr)
+
+    def filled():
+        return np.flatnonzero(coeffs._B[:, 0, 0]).tolist()
+
+    propagate_phi(GAUSSIAN, FockState.fock(tr, 10), 1.0, coeffs)
+    assert filled() == [0]
+    a_op = FockState(annihilation(tr))
+    heisenberg_phi(GAUSSIAN, a_op, 1.0, coeffs)  # block -1 reads block 1
+    assert filled() == [0, 1]
+    weights = coeffs._B.copy()
+    heisenberg_phi(GAUSSIAN, a_op, 0.5, coeffs)
+    assert filled() == [0, 1] and coeffs._B.tobytes() == weights.tobytes()
+    propagate_phi(GAUSSIAN, FockState.coherent(tr, 1.5), 1.0, coeffs)
+    assert filled() == list(range(tr.dim))
+
+
+def test_product_form_vacuum_propagation_stays_small():
+    # the vacuum occupies block 0 alone, so a fresh kappa2 = 0 set fills and
+    # applies B_0 only: no (n_max + 1)^3 weight cube is formed
+    tr = Truncation(100)
+    coeffs, rho0 = PropagatorCoefficients(GAUSSIAN, tr), FockState.vacuum(tr)
+    tracemalloc.start()
+    try:
+        propagate_phi(GAUSSIAN, rho0, 1.0, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 def test_gapped_block_set_gates_exactly_its_blocks(monkeypatch):

@@ -8,7 +8,6 @@ from kerrloss.specfun import (
     double_factorial,
     hyp2f1_terminating,
     log_factorial,
-    sqrt_binom,
 )
 
 
@@ -51,8 +50,5 @@ def test_double_factorial():
         double_factorial(-2)
 
 
-def test_log_factorial_and_sqrt_binom():
+def test_log_factorial():
     assert log_factorial(5) == pytest.approx(math.log(120))
-    assert sqrt_binom(10, 3) == pytest.approx(math.sqrt(120))
-    assert sqrt_binom(40, 17) == pytest.approx(math.sqrt(math.comb(40, 17)))
-    assert sqrt_binom(5, 7) == 0.0
