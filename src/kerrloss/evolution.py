@@ -11,12 +11,12 @@ R and L out of the same stack.  Propagation is
 set gathers its block diagonals, builds and propagates only the blocks the
 operator occupies, and scatters the result back.  At kappa2 > 0 it applies
 L_m, e^{Lambda_m t} and R_m in turn, two batched matrix-vector products that
-never form T_m(t); at kappa2 = 0 it applies the damped-Kerr product form,
-whose weights it fills block by block and which builds no eigenvectors.  This
-module checks the time and the set, returns the input at t = 0 and keeps the
-Hermitian flag.
+never form T_m(t); at kappa2 = 0 the damped-Kerr product form e^{Lambda_m t}
+e^{x_m A}, one :func:`~kerrloss.superops.apply_exp_A` series on the occupied
+rows, with no eigenvectors.  This module checks the time and the set,
+returns the input at t = 0 and keeps the Hermitian flag.
 The Heisenberg picture reads block -m transposed for block m, and the
-a-factor rows are one row-vector product with block 1.
+a-factor rows read block 1 alone.
 :func:`similarity_propagate` is the second route, from the paper's other
 ingredient: the bidiagonal T_m = e^A L_m e^{-A}, exponentiated block by
 block, with no eigenvector.  The scalar double sum :func:`g_coefficient` of
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .fockbasis import FockState, Truncation, block_layout, to_blocks
+from .fockbasis import FockState, Truncation, block_layout
 from .spectral import PropagatorCoefficients, eigenvalue, x_parameter
 from .specfun import double_factorial, hyp2f1_terminating
 from .superops import ModelParams, apply_exp_A, check_time, transformed_block
@@ -110,7 +110,7 @@ def propagate_phi(
     Block m of rho(t) is T_m(t) rho_m, every block rho occupies at once by
     :meth:`PropagatorCoefficients.apply`: at kappa2 > 0
     R_m (e^{Lambda_m t} (L_m rho_m)), factor by factor, at kappa2 = 0 the
-    damped-Kerr product form.
+    damped-Kerr product form e^{Lambda_m t} (e^{x_m A} rho_m).
     """
     return _apply_blocks(params, initial, t, coeffs, transpose=False)
 
@@ -129,12 +129,12 @@ def similarity_propagate(params: ModelParams, initial: FockState, t: float) -> F
     check_time(t)
     trunc = initial.truncation
     rows, cols, _ = block_layout(trunc)
-    entries = np.zeros_like(initial.entries)
-    for m, v in to_blocks(initial).items():
+    stack, entries = initial.entries[rows, cols], np.zeros_like(initial.entries)
+    for m in trunc.blocks():
+        row, size = m + trunc.n_max, trunc.block_size(m)
         T = transformed_block(params, trunc, m).entries
-        w = apply_exp_A(expm(T * t) @ apply_exp_A(v, m, 1.0), m, -1.0)
-        row = m + trunc.n_max
-        entries[rows[row, : len(w)], cols[row, : len(w)]] = w
+        w = apply_exp_A(expm(T * t) @ apply_exp_A(stack[row, :size], m, 1.0), m, -1.0)
+        entries[rows[row, :size], cols[row, :size]] = w
     return FockState(entries)
 
 
@@ -162,8 +162,8 @@ def heisenberg_a_factors(
     binom(k, q) G = sqrt((q+1)/(k+1)) T_1[q, k] with T_1 the block-1
     propagator, so the table is (sqrt(q+1)^T T_1(t)) over sqrt(k+1).  At
     kappa2 > 0 it is ((sqrt(q+1)^T R_1) e^{Lambda_1 t}) L_1: one row-vector
-    product per side, and only block 1 is built.  At kappa2 = 0, T_1 is block
-    1 of the product form, evaluated alone.
+    product per side, and only block 1 is built.  At kappa2 = 0 it is
+    e^{x_1 A^T} (e^{Lambda_1 t} sqrt(q+1)), one transposed series on block 1.
     """
     coeffs = _coefficients(params, trunc, t, coeffs)
     if t == 0:
@@ -171,7 +171,7 @@ def heisenberg_a_factors(
         return np.ones(trunc.n_max, dtype=complex)
     root = np.sqrt(np.arange(1, trunc.n_max + 1))
     if params.kappa2 == 0:
-        return root @ coeffs.product_form(t, np.array([1]))[0, :-1, :-1] / root
+        return coeffs._damped_kerr(np.append(root, 0.0), trunc.n_max + 1, t, True)[:-1] / root
     lam, R, L = coeffs.factors(1)
     return (root @ R * np.exp(lam * t)) @ L / root
 

@@ -28,7 +28,6 @@ __all__ = [
     "Truncation",
     "FockState",
     "block_layout",
-    "to_blocks",
     "as_integer",
     "csv_table",
     "csv_groups",
@@ -166,10 +165,13 @@ class FockState:
             ]
         except TypeError as exc:
             raise ValueError(f"malformed state JSON: {exc}") from exc
-        entries = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+        entries, seen = np.zeros((trunc.dim, trunc.dim), dtype=complex), set()
         for n1, n2, value in records:
             if not (0 <= n1 <= trunc.n_max and 0 <= n2 <= trunc.n_max):
                 raise ValueError(f"level pair ({n1}, {n2}) outside 0..{trunc.n_max}")
+            if (n1, n2) in seen:
+                raise ValueError(f"level pair ({n1}, {n2}) given more than once")
+            seen.add((n1, n2))
             if not cmath.isfinite(value):
                 raise ValueError(f"entry ({n1}, {n2}) is not finite: {value}")
             entries[n1, n2] = value
@@ -249,10 +251,3 @@ def block_layout(trunc: Truncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k_in = np.minimum(k, bound)
     return k_in + np.maximum(m, 0), k_in + np.maximum(-m, 0), k <= bound
 
-
-def to_blocks(state: FockState) -> dict[int, np.ndarray]:
-    """Decompose a FockState over the phi basis: {m: coefficients over k}."""
-    trunc = state.truncation
-    rows, cols, _ = block_layout(trunc)
-    stack = state.entries[rows, cols]
-    return {m: stack[m + trunc.n_max, : trunc.block_size(m)] for m in trunc.blocks()}

@@ -52,6 +52,7 @@ from .superops import (
     BlockMatrix,
     InternalConsistencyError,
     ModelParams,
+    apply_exp_A,
     block_A_matrix,
 )
 
@@ -682,11 +683,12 @@ class PropagatorCoefficients:
     factors of those blocks only and scatters the result back.  At
     kappa2 > 0 it applies L_m, e^{Lambda_m t} and R_m in turn and never forms
     T_m(t).  At kappa2 = 0 it uses the exact damped-Kerr solution in product
-    form (:meth:`product_form`; Milburn & Holmes, PRL 56, 2237 (1986)), which
-    needs no eigenvectors: the entries of R_m and L_m grow at binomial size
-    and their product cancels, while every term of the product form is a
-    binomial-thinning weight.  Its weights B_|m| are filled on first use of
-    block m, like the factors.
+    form (Milburn & Holmes, PRL 56, 2237 (1986)), T_m(t) = e^{Lambda_m t}
+    e^{x_m(t) A}, which needs no eigenvectors: the entries of R_m and L_m
+    grow at binomial size and their product cancels, while every term of
+    the nilpotent series of e^{x_m A} is a binomial-thinning weight.  The
+    series acts on the occupied rows directly (:meth:`_damped_kerr`), so no
+    T_m(t) is formed and nothing is kept between calls.
     """
 
     def __init__(self, params: ModelParams, trunc: Truncation):
@@ -696,8 +698,6 @@ class PropagatorCoefficients:
         self._R, self._L = (np.zeros(self._lam.shape + (trunc.dim,), dtype=complex) for _ in "RL")
         self._built = [False] * trunc.dim
         self._layout = block_layout(trunc)
-        # the kappa2 = 0 product-form weights, row |m| filled on first use of block m
-        self._B = np.zeros((trunc.dim,) * 3)
 
     @cached_property
     def builder(self) -> EigenvectorBuilder:
@@ -745,37 +745,21 @@ class PropagatorCoefficients:
         self._build(range(self.truncation.dim))
         return self._lam, self._R, self._L
 
-    @cached_property
-    def _root(self) -> np.ndarray:
-        """sqrt(C(a, i)) for a, i <= n_max, the table of the weights B_m."""
-        n = self.truncation.n_max
-        return np.sqrt([[float(math.comb(a, i)) for i in range(n + 1)] for a in range(n + 1)])
-
-    def product_form(self, t: float, ams: np.ndarray) -> np.ndarray:
-        """T_m(t) at kappa2 = 0, coeffs_k(t) = sum_q T_m[k, q] coeffs_q(0), of
-        the blocks m >= 0 in the index array ``ams``: zero-padded
-        (n_max + 1, n_max + 1) rows, each evaluated on its own, so any
-        selection has the bits of the whole stack.  The level (k+m, k)
-        decays at mu = -lambda_k^(m) and each jump into it from one level up
-        adds gamma_m = kappa1 + i U m, so
-        T_m(t) = diag(e^{lambda t}) (B_m * x_m^(q-k)) with
-        x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m (kappa1 t at gamma_m = 0)
-        and B_m[k, q] = sqrt(C(q+m, q-k) C(q, q-k)) for k <= q <= K(m), zero
-        elsewhere, filled for the blocks not asked for before.
-        """
+    def _damped_kerr(self, v: np.ndarray, read, t: float, transpose: bool) -> np.ndarray:
+        """e^{Lambda_m t} (e^{x_m A} v) on the stack rows ``read`` (m + n_max),
+        v zero past K(m), or e^{x_m A^T} (e^{Lambda_m t} v) with ``transpose``,
+        in one :func:`~kerrloss.superops.apply_exp_A` call, where
+        x_m(t) = kappa1 (1 - e^{-gamma_m t}) / gamma_m, gamma_m = kappa1 + i U m:
+        m is signed, so block -m is the conjugate of block m.  + 0.0 keeps -0 out."""
         n, kappa1 = self.truncation.n_max, self.params.kappa1
-        k, q = np.arange(n + 1)[:, None], np.arange(n + 1)
-        j = np.maximum(q - k, 0)  # the power of x_m
-        new = ams[self._B[ams, 0, 0] == 0]  # a filled row has B_m[0, 0] = 1
-        if len(new):  # rows q + m > n lie in the padding, which the mask zeroes
-            m = new[:, None, None]
-            weights = self._root[np.minimum(q + m, n), j] * self._root[q, j]
-            self._B[new] = np.where((k <= q) & (q <= n - m), weights, 0.0)
-        gamma = kappa1 + 1j * self.params.U * ams
+        m = np.arange(-n, n + 1)[read]
+        gamma = kappa1 + 1j * self.params.U * m
         # gamma_m vanishes only at kappa1 = 0, where x_m = kappa1 t = 0
         x = -kappa1 * np.expm1(-gamma * t) / gamma if kappa1 else np.zeros_like(gamma)
-        powers = x[:, None] ** np.arange(n + 1)
-        return np.exp(self._lam[n + ams] * t)[:, :, None] * self._B[ams] * powers[:, j]
+        decay = np.exp(self._lam[read] * t)
+        if transpose:
+            return apply_exp_A(decay * v, m, x, transpose=True) + 0.0
+        return decay * apply_exp_A(v, m, x) + 0.0
 
     def apply(self, op: np.ndarray, t: float, transpose: bool = False) -> np.ndarray:
         """T_m(t) op_m on every block diagonal op_m of the (dim, dim) operator
@@ -787,9 +771,10 @@ class PropagatorCoefficients:
         two batched matrix-vector products, O(n_max^3), and T is never
         formed.  Transposed, block m reads block -m transposed,
         L_{-m}^T (e^{Lambda_{-m} t} (R_{-m}^T op_m)).  At kappa2 = 0 the
-        :meth:`product_form` of every block |m| read is applied, block -m
-        its conjugate.  An operator that occupies every block reads the stack
-        as views, any other a copy of its rows.
+        rows, zeroed past K(m), go through :meth:`_damped_kerr` with the same
+        row read: e^{Lambda_m t} (e^{x_m A} op_m), or transposed
+        e^{x_{-m} A^T} (e^{Lambda_{-m} t} op_m).  An operator that occupies
+        every block reads the stack as views, any other a copy of its rows.
         """
         n = self.truncation.n_max
         rows, cols, filled = self._layout
@@ -808,13 +793,7 @@ class PropagatorCoefficients:
             w = np.exp(lam * t) * (L @ v[..., None])[..., 0]
             w = (R @ w[..., None])[..., 0]
         else:
-            m = np.arange(-n, n + 1)[read]  # the block each row reads
-            ams, which = np.unique(np.abs(m), return_inverse=True)
-            T = self.product_form(t, ams)[which]
-            np.conjugate(T, out=T, where=(m < 0)[:, None, None])  # T_{-m}(t) is the conjugate of T_m(t)
-            if transpose:
-                T = T.swapaxes(1, 2)
-            w = (T @ v[..., None])[..., 0]
+            w = self._damped_kerr(np.where(filled, v, 0), read, t, transpose)
         out = np.zeros_like(op)
         out[rows[filled], cols[filled]] = w[filled]
         return out

@@ -144,23 +144,29 @@ def expm_nilpotent(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_exp_A(v: np.ndarray, m: int, scale: complex) -> np.ndarray:
-    """e^{scale A} v on block m via the finite nilpotent series (exact)."""
-    out = v.copy()
-    term = v.copy()
-    am = abs(m)
-    k = np.arange(1, len(out))
+def apply_exp_A(v: np.ndarray, m, scale, transpose: bool = False) -> np.ndarray:
+    """e^{scale A} v on block m by the finite nilpotent series, or e^{scale A^T} v
+    (A^T raises k) with ``transpose``.  ``v`` is one block (S,) or a stack
+    (..., S) with ``m`` and ``scale`` per row; lowering keeps a row's zero
+    padding past K(m).  The series runs in place on two buffers."""
+    v = np.moveaxis(v, -1, 0)  # slots first: each window below is one contiguous block
+    k = np.arange(1, len(v)).reshape((-1,) + (1,) * (v.ndim - 1))
     # precision follows the input dtype so extended-precision callers keep
-    # their extra digits through the alternating series
-    factors = np.sqrt((k * (k + am)).astype(out.real.dtype))
-    for j in range(1, len(out)):
-        lowered = np.zeros_like(term)
-        lowered[:-1] = factors * term[1:]
-        term = scale * lowered / j
-        if not term.any():
+    # their extra digits through the alternating series; row i is scale A[i, i + 1]
+    factors = np.asarray(scale) * np.sqrt((k * (k + np.abs(m))).astype(v.real.dtype))
+    if transpose:  # A^T lowers the slots taken in reverse order, with reversed factors
+        v, factors = v[::-1], factors[::-1]
+    out = v.copy()
+    term, spare = out.copy(), np.empty_like(out)
+    for j in range(1, len(v)):
+        lo = len(v) - j  # term j is zero in slots k >= lo
+        new = np.multiply(factors[:lo], term[1 : lo + 1], out=spare[:lo])
+        new /= j
+        if not new.any():
             break
-        out += term
-    return out
+        out[:lo] += new
+        term, spare = spare, term
+    return np.moveaxis(out[::-1] if transpose else out, 0, -1)
 
 
 def superop_block(apply_full, trunc: Truncation, m: int) -> np.ndarray:

@@ -301,9 +301,10 @@ def test_bad_initial_state_is_validation_error(tmp_path):
         {"n_max": 4, "entries": [[1.5, 0.9, 1, 0]]},  # would truncate to (1, 0)
         {"n_max": 4.9, "entries": [[0, 0, 1, 0]]},  # would truncate to 4
         {"n_max": 4, "hermitian": "false", "entries": [[0, 0, 1, 0]]},  # bool("false") is True
+        {"n_max": 4, "entries": [[1, 1, 1, 0], [1, 1, 0.25, 0]]},  # the last value would win
     ],
     ids=["negative_level", "nan_entry", "level_above_nmax", "missing_nmax", "null_entry",
-         "fractional_level", "fractional_nmax", "string_hermitian"],
+         "fractional_level", "fractional_nmax", "string_hermitian", "repeated_level_pair"],
 )
 def test_bad_initial_state_file_is_validation_error(tmp_path, capsys, payload):
     path = tmp_path / "state.json"

@@ -450,7 +450,6 @@ def test_product_form_never_builds_eigenvectors(monkeypatch):
             route(params, rho0, 0.5)
             route(params, rho0, 0.5, coeffs)
         heisenberg_a_factors(params, tr, 0.5, coeffs)
-        coeffs.product_form(0.5, np.array([2]))
 
 
 #: one channel per kappa2 > 0 case tag: generic ratio, integer ratio, kappa1 = 0
@@ -514,21 +513,50 @@ def test_factor_route_heisenberg_duality():
                 assert abs(sched - heis) < 1e-13 * max(1.0, abs(sched)), (params, t)
 
 
+def _dense_product_form(params, tr, m, t):
+    """T_m(t) = diag(e^{lambda t}) (B_m * x_m^(q-k)) at kappa2 = 0, entry by
+    entry, with B_m[k, q] = sqrt(C(q+|m|, q-k)) sqrt(C(q, q-k))."""
+    am, size = abs(m), tr.block_size(m)
+    gamma = params.kappa1 + 1j * params.U * m
+    x = params.kappa1 * (1 - np.exp(-gamma * t)) / gamma if params.kappa1 else 0.0
+    T = np.zeros((size, size), dtype=complex)
+    for k in range(size):
+        for q in range(k, size):
+            weight = math.sqrt(math.comb(q + am, q - k)) * math.sqrt(math.comb(q, q - k))
+            T[k, q] = np.exp(eigenvalue(params, m, k) * t) * weight * x ** (q - k)
+    return T
+
+
 def test_a_factor_rows_evaluate_block_one_alone(monkeypatch):
-    # at kappa2 = 0 the a-factor rows evaluate block 1 of the product form
-    # alone, with the bits of block 1 of the whole stack
+    # at kappa2 = 0 the a-factor rows are one transposed series on block 1;
+    # they and the series on every block match the dense product form
+    asked, series = [], spectral.apply_exp_A
+    monkeypatch.setattr(spectral, "apply_exp_A",
+                        lambda v, m, *rest, **kw: asked.append(np.shape(m)) or series(v, m, *rest, **kw))
     tr = Truncation(10)
-    refs = {p: PropagatorCoefficients(p, tr).product_form(0.5, np.arange(tr.dim))
-            for p in (GAUSSIAN, UNITARY)}
-    product_form = spectral.PropagatorCoefficients.product_form
-    asked = []
-    monkeypatch.setattr(spectral.PropagatorCoefficients, "product_form",
-                        lambda self, t, blocks: asked.append(blocks) or product_form(self, t, blocks))
     root = np.sqrt(np.arange(1, tr.dim))
-    for params, T in refs.items():
+    for params in (GAUSSIAN, UNITARY):
+        asked.clear()
         f = heisenberg_a_factors(params, tr, 0.5, PropagatorCoefficients(params, tr))
-        assert np.array_equal(f, root @ T[1, :-1, :-1] / root)
-    assert [blocks.tolist() for blocks in asked] == [[1]] * 2
+        assert asked == [()]  # one call, on the single block m = 1
+        ref = root @ _dense_product_form(params, tr, 1, 0.5) / root
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref))
+    tr = Truncation(40)
+    coeffs = PropagatorCoefficients(GAUSSIAN, tr)
+    rows, cols, filled = block_layout(tr)
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim))
+    for t in (0.1, 2.0):
+        T = {m: _dense_product_form(GAUSSIAN, tr, m, t) for m in tr.blocks()}
+        for transpose in (False, True):
+            ref = np.zeros_like(X)
+            for m in tr.blocks():
+                row, size = m + tr.n_max, tr.block_size(m)
+                block = T[-m].T if transpose else T[m]
+                ref[rows[row, :size], cols[row, :size]] = block @ X[rows[row, :size], cols[row, :size]]
+            out = coeffs.apply(X, t, transpose)
+            dev = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+            assert dev <= 1e-14, (t, transpose, dev)
 
 
 @pytest.mark.parametrize("n_max", [30, 40])
@@ -587,8 +615,8 @@ def _on_blocks(tr, blocks, seed):
 def test_block_sparse_operands_give_the_bytes_of_every_row(params):
     # only the occupied blocks are built and propagated; every byte, the sign
     # of each zero included, is that of propagating every row of the stack:
-    # R e^{Lambda t} L v over all of stack() at kappa2 > 0, the product form
-    # of every block at kappa2 = 0, in both pictures
+    # R e^{Lambda t} L v over all of stack() at kappa2 > 0, the series on
+    # every row of the stack at kappa2 = 0, in both pictures; no zero is -0
     tr = Truncation(12)
     a = annihilation(tr)
     operands = {
@@ -612,15 +640,14 @@ def test_block_sparse_operands_give_the_bytes_of_every_row(params):
                     lam, R, L = lam[::-1], L[::-1].swapaxes(1, 2), R[::-1].swapaxes(1, 2)
                 w = (R @ (np.exp(lam * t) * (L @ v[..., None])[..., 0])[..., None])[..., 0]
             else:
-                T = reference.product_form(t, np.arange(tr.dim))
-                T = np.concatenate((T[:0:-1].conj(), T))  # block -m is the conjugate
-                if transpose:
-                    T = T[::-1].swapaxes(1, 2)
-                w = (T @ v[..., None])[..., 0]
+                read = np.s_[::-1] if transpose else np.s_[:]
+                w = reference._damped_kerr(np.where(filled, v, 0), read, t, transpose)
             ref = np.zeros_like(op.entries)
             ref[rows[filled], cols[filled]] = w[filled]
             out = coeffs.apply(op.entries, t, transpose)
             assert out.tobytes() == ref.tobytes(), (name, t, transpose)
+            parts = out.view(float)
+            assert not np.signbit(parts[parts == 0]).any(), (name, t, transpose)
 
 
 def _record_builds(monkeypatch):
@@ -650,30 +677,9 @@ def test_propagation_builds_only_the_occupied_blocks(monkeypatch):
     assert len(built) == 3
 
 
-def test_product_form_fills_the_weights_of_the_applied_blocks():
-    # at kappa2 = 0 a set fills B_|m| on first use of block m, as the
-    # factors are built at kappa2 > 0; a filled row has B_m[0, 0] = 1
-    tr = Truncation(40)
-    coeffs = PropagatorCoefficients(GAUSSIAN, tr)
-
-    def filled():
-        return np.flatnonzero(coeffs._B[:, 0, 0]).tolist()
-
-    propagate_phi(GAUSSIAN, FockState.fock(tr, 10), 1.0, coeffs)
-    assert filled() == [0]
-    a_op = FockState(annihilation(tr))
-    heisenberg_phi(GAUSSIAN, a_op, 1.0, coeffs)  # block -1 reads block 1
-    assert filled() == [0, 1]
-    weights = coeffs._B.copy()
-    heisenberg_phi(GAUSSIAN, a_op, 0.5, coeffs)
-    assert filled() == [0, 1] and coeffs._B.tobytes() == weights.tobytes()
-    propagate_phi(GAUSSIAN, FockState.coherent(tr, 1.5), 1.0, coeffs)
-    assert filled() == list(range(tr.dim))
-
-
 def test_product_form_vacuum_propagation_stays_small():
-    # the vacuum occupies block 0 alone, so a fresh kappa2 = 0 set fills and
-    # applies B_0 only: no (n_max + 1)^3 weight cube is formed
+    # the vacuum occupies block 0 alone, so a fresh kappa2 = 0 set runs the
+    # series on that row only: no (n_max + 1)^3 weight cube is formed
     tr = Truncation(100)
     coeffs, rho0 = PropagatorCoefficients(GAUSSIAN, tr), FockState.vacuum(tr)
     tracemalloc.start()
@@ -683,6 +689,21 @@ def test_product_form_vacuum_propagation_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20, peak
+
+
+def test_product_form_coherent_propagation_stays_small():
+    # a coherent state occupies every block; a warm kappa2 = 0 call runs the
+    # series on the stack rows in place and forms no T_m(t) per row
+    tr = Truncation(100)
+    coeffs, rho0 = PropagatorCoefficients(GAUSSIAN, tr), FockState.coherent(tr, 5.0)
+    propagate_phi(GAUSSIAN, rho0, 1.0, coeffs)
+    tracemalloc.start()
+    try:
+        propagate_phi(GAUSSIAN, rho0, 1.0, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 def test_gapped_block_set_gates_exactly_its_blocks(monkeypatch):

@@ -62,16 +62,28 @@ def test_block_A_lowering():
 
 
 def test_apply_exp_A_matches_dense_exponential():
+    # each block alone, lowering and (transposed) raising, and all of them as
+    # one zero-padded stack with m and scale given per row
     tr = Truncation(8)
     rng = np.random.default_rng(0)
+    cases = []
     for m in (0, 1, -2):
         size = tr.block_size(m)
         v = rng.normal(size=size) + 1j * rng.normal(size=size)
-        A = block_A_matrix(tr, m)
-        for s in (1.0, -1.0, 0.3 - 0.2j):
-            dense = expm_nilpotent(s * A) @ v
-            free = apply_exp_A(v, m, s)
-            assert np.max(np.abs(dense - free)) < 1e-12 * np.max(np.abs(dense))
+        cases += [(m, s, v) for s in (1.0, -1.0, 0.3 - 0.2j)]
+    stack = np.zeros((len(cases), tr.dim), dtype=complex)
+    for i, (_, _, v) in enumerate(cases):
+        stack[i, : len(v)] = v
+    ms, scales = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
+    for transpose in (False, True):
+        stacked = apply_exp_A(stack, ms, scales, transpose)
+        for i, (m, s, v) in enumerate(cases):
+            E = expm_nilpotent(s * block_A_matrix(tr, m))
+            dense = (E.T if transpose else E) @ v
+            for free in (apply_exp_A(v, m, s, transpose), stacked[i, : len(v)]):
+                assert np.max(np.abs(dense - free)) < 1e-12 * np.max(np.abs(dense))
+            if not transpose:  # lowering keeps the zero padding
+                assert not stacked[i, len(v) :].any()
 
 
 def test_generator_matches_sparse_matrix():
