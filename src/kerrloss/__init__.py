@@ -6,7 +6,7 @@ coherence block, exact propagators, brute-force oracles, and integrated
 noise statistics of the mode used as a pseudomode environment.
 """
 
-from .fockbasis import FockState, Truncation
+from .fockbasis import FockState, Truncation, to_blocks
 from .spectral import CaseTag, SpectralDecomposition, classify, decompose, eigenvalue
 from .superops import BlockMatrix, ModelParams, full_generator, liouvillian_block
 
@@ -24,5 +24,6 @@ __all__ = [
     "eigenvalue",
     "full_generator",
     "liouvillian_block",
+    "to_blocks",
     "__version__",
 ]

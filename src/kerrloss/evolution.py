@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .fockbasis import FockState, Truncation, block_layout
+from .fockbasis import FockState, Truncation, block_layout, to_blocks
 from .spectral import PropagatorCoefficients, eigenvalue, x_parameter
 from .specfun import double_factorial, hyp2f1_terminating
 from .superops import ModelParams, apply_exp_A, check_time, transformed_block
@@ -129,12 +129,12 @@ def similarity_propagate(params: ModelParams, initial: FockState, t: float) -> F
     check_time(t)
     trunc = initial.truncation
     rows, cols, _ = block_layout(trunc)
-    stack, entries = initial.entries[rows, cols], np.zeros_like(initial.entries)
-    for m in trunc.blocks():
-        row, size = m + trunc.n_max, trunc.block_size(m)
+    entries = np.zeros_like(initial.entries)
+    for m, v in to_blocks(initial).items():
         T = transformed_block(params, trunc, m).entries
-        w = apply_exp_A(expm(T * t) @ apply_exp_A(stack[row, :size], m, 1.0), m, -1.0)
-        entries[rows[row, :size], cols[row, :size]] = w
+        w = apply_exp_A(expm(T * t) @ apply_exp_A(v, m, 1.0), m, -1.0)
+        row = m + trunc.n_max
+        entries[rows[row, : len(w)], cols[row, : len(w)]] = w
     return FockState(entries)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "Truncation",
     "FockState",
     "block_layout",
+    "to_blocks",
     "as_integer",
     "csv_table",
     "csv_groups",
@@ -251,3 +252,10 @@ def block_layout(trunc: Truncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k_in = np.minimum(k, bound)
     return k_in + np.maximum(m, 0), k_in + np.maximum(-m, 0), k <= bound
 
+
+def to_blocks(state: FockState) -> dict[int, np.ndarray]:
+    """Decompose a FockState over the phi basis: {m: coefficients over k}."""
+    trunc = state.truncation
+    rows, cols, _ = block_layout(trunc)
+    stack = state.entries[rows, cols]
+    return {m: stack[m + trunc.n_max, : trunc.block_size(m)] for m in trunc.blocks()}

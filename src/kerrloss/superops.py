@@ -156,7 +156,7 @@ def apply_exp_A(v: np.ndarray, m, scale, transpose: bool = False) -> np.ndarray:
     factors = np.asarray(scale) * np.sqrt((k * (k + np.abs(m))).astype(v.real.dtype))
     if transpose:  # A^T lowers the slots taken in reverse order, with reversed factors
         v, factors = v[::-1], factors[::-1]
-    out = v.copy()
+    out = v.astype(np.result_type(v, factors))  # a real v may take a complex scale
     term, spare = out.copy(), np.empty_like(out)
     for j in range(1, len(v)):
         lo = len(v) - j  # term j is zero in slots k >= lo

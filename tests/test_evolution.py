@@ -691,7 +691,7 @@ def test_product_form_vacuum_propagation_stays_small():
     assert peak <= 2 * 2**20, peak
 
 
-def test_product_form_coherent_propagation_stays_small():
+def test_damped_kerr_coherent_propagation_stays_small():
     # a coherent state occupies every block; a warm kappa2 = 0 call runs the
     # series on the stack rows in place and forms no T_m(t) per row
     tr = Truncation(100)

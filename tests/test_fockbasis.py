@@ -8,6 +8,7 @@ from kerrloss.fockbasis import (
     coherent_ket,
     csv_table,
     phi_indices,
+    to_blocks,
 )
 
 
@@ -30,23 +31,21 @@ def test_phi_indices():
     assert phi_indices(0, 4) == (4, 4)
 
 
-def test_block_layout_reads_phi_entries():
+def test_to_blocks_reads_phi_entries():
     rng = np.random.default_rng(3)
     entries = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     state = FockState(entries)
+    blocks = to_blocks(state)
+    # the diagonal indexing reads the entries the phi_k^(m) labels name
+    for m, block in blocks.items():
+        expected = [entries[phi_indices(m, k)] for k in range(len(block))]
+        assert list(block) == expected
+    # and the layout's filled slots scatter the blocks back exactly
     rows, cols, filled = block_layout(state.truncation)
-    stack = entries[rows, cols]
-    # the gather reads the entries the phi_k^(m) labels name, and the padding
-    # repeats entry K(m) of the same block
-    for m in state.truncation.blocks():
-        row, size = m + state.n_max, state.truncation.block_size(m)
-        expected = [entries[phi_indices(m, k)] for k in range(size)]
-        assert list(stack[row, :size]) == expected
-        assert np.all(stack[row, size:] == expected[-1])
-        assert filled[row].sum() == size
-    # and the layout's filled slots scatter the stack back exactly
     back = np.zeros_like(entries)
-    back[rows[filled], cols[filled]] = stack[filled]
+    for m, block in blocks.items():
+        row = m + state.n_max
+        back[rows[row, : len(block)], cols[row, : len(block)]] = block
     assert np.max(np.abs(back - entries)) == 0
     assert filled.sum() == entries.size
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kerrloss import spectral
-from kerrloss.fockbasis import FockState, Truncation, block_layout
+from kerrloss.fockbasis import FockState, Truncation, to_blocks
 from kerrloss.specfun import VanishingDenominatorError
 from kerrloss.spectral import (
     INTEGER_RATIO_TOL,
@@ -257,11 +257,10 @@ def test_coherent_expansion_coefficient_formula():
     tr = Truncation(16)
     alpha = 0.8 * np.exp(0.3j)
     decomp = decompose(GENERIC, tr)
-    rows, cols, _ = block_layout(tr)
-    stack = FockState.coherent(tr, alpha).entries[rows, cols]
+    blocks = to_blocks(FockState.coherent(tr, alpha))
     eta = GENERIC.kappa1 / GENERIC.kappa2
     for m, k in [(0, 0), (1, 1), (2, 0), (-1, 2)]:
-        b = decomp.Lmat[m].entries[k, :] @ stack[m + tr.n_max, : tr.block_size(m)]
+        b = decomp.Lmat[m].entries[k, :] @ blocks[m]
         x = x_parameter(GENERIC, m, k)
         am = abs(m)
         ref = (
@@ -272,7 +271,7 @@ def test_coherent_expansion_coefficient_formula():
         )
         assert b == pytest.approx(ref, rel=1e-8, abs=1e-10)
     # unit trace pairs with the identity functional when kappa1 > 0
-    assert decomp.Lmat[0].entries[0, :] @ stack[tr.n_max] == pytest.approx(1.0, abs=1e-9)
+    assert decomp.Lmat[0].entries[0, :] @ blocks[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_csv_dumps():

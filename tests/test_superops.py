@@ -62,8 +62,9 @@ def test_block_A_lowering():
 
 
 def test_apply_exp_A_matches_dense_exponential():
-    # each block alone, lowering and (transposed) raising, and all of them as
-    # one zero-padded stack with m and scale given per row
+    # each block alone, lowering and (transposed) raising, its real part with
+    # the same (possibly complex) scale, and all of them as one zero-padded
+    # stack with m and scale given per row
     tr = Truncation(8)
     rng = np.random.default_rng(0)
     cases = []
@@ -79,9 +80,12 @@ def test_apply_exp_A_matches_dense_exponential():
         stacked = apply_exp_A(stack, ms, scales, transpose)
         for i, (m, s, v) in enumerate(cases):
             E = expm_nilpotent(s * block_A_matrix(tr, m))
-            dense = (E.T if transpose else E) @ v
+            E = E.T if transpose else E
+            dense, real = E @ v, E @ v.real
             for free in (apply_exp_A(v, m, s, transpose), stacked[i, : len(v)]):
                 assert np.max(np.abs(dense - free)) < 1e-12 * np.max(np.abs(dense))
+            free = apply_exp_A(v.real, m, s, transpose)
+            assert np.max(np.abs(real - free)) < 1e-12 * np.max(np.abs(real))
             if not transpose:  # lowering keeps the zero padding
                 assert not stacked[i, len(v) :].any()
 
